@@ -7,7 +7,7 @@ matrix.
 """
 
 from . import densela, errors
-from .homotopy import (PathEntry, RegularizationPath, lambda_max,
+from .homotopy import (PathEntry, PathWalk, RegularizationPath, lambda_max,
                        next_breakpoint, path_coefficients,
                        regularization_path, unbias)
 from .mnnls import MODES, SolveConfig, UnmixReport, metrics, solve
@@ -23,6 +23,7 @@ __all__ = [
     "CostTables",
     "NnlsSolution",
     "PathEntry",
+    "PathWalk",
     "RegularizationPath",
     "SelectionState",
     "SolveConfig",

@@ -82,6 +82,9 @@ def write_report_json(report: UnmixReport, path) -> None:
         "elapsed_select_ms": report.elapsed_select_ms,
         "mode": report.mode,
         "budget": report.budget,
+        "breakpoints": report.breakpoints,
+        "fallback_columns": list(report.fallback_columns),
+        "truncated_columns": list(report.truncated_columns),
     }
     with open(path, "wt", encoding="ascii") as fh:
         json.dump(payload, fh, indent=2)
@@ -148,8 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="image width for --maps-dir (width*height must equal n)")
     p.add_argument("--map-height", type=int, default=None,
                    help="image height for --maps-dir")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for the per-column paths (default 1)")
     return p
 
 
@@ -169,8 +170,6 @@ def _validate(args) -> None:
             raise UsageError("--budget/--k do not apply to unconstrained mode")
     if args.maps_dir is not None and (args.map_width is None or args.map_height is None):
         raise UsageError("--maps-dir requires --map-width and --map-height")
-    if args.threads < 1:
-        raise UsageError("--threads must be at least 1")
 
 
 def main(argv=None) -> int:
@@ -187,8 +186,7 @@ def main(argv=None) -> int:
         M = read_csv_matrix(args.data_path)
         cfg = SolveConfig(mode=args.mode, q=args.budget, k=args.k,
                           tol=args.tol, zero_threshold=args.zero_thresh,
-                          strict_budget=args.strict_budget,
-                          parallel=args.threads > 1, threads=args.threads)
+                          strict_budget=args.strict_budget)
         H, report = solve(M, W, cfg)
         write_csv_matrix(H, args.out_path)
         if args.report_path is not None:

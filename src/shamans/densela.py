@@ -1,9 +1,8 @@
 """Dense linear-algebra kernels shared by the solvers.
 
 Matrices are 2-D float64 numpy arrays kept in Fortran (column-major) order,
-so per-column access, the dominant pattern here, is contiguous.  Index sets
-are strictly increasing 1-D int64 arrays of 0-based indices.  Everything is
-treated as immutable after construction; all functions are pure.
+so per-column access, the dominant pattern here, is contiguous.  Everything
+is treated as immutable after construction; all functions are pure.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg.lapack import dpotrs
 
-from .errors import IndexOutOfRange, NonFiniteEntry, SingularSystem
+from .errors import NonFiniteEntry, SingularSystem
 
 # Relative floor under which a Cholesky pivot means a rank-deficient support.
 PIVOT_FLOOR = 1e-12
@@ -37,24 +36,6 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
     return out
 
 
-def as_index_set(ids, dim: int, name: str = "index set") -> np.ndarray:
-    """Validate a strictly increasing set of 0-based indices below ``dim``."""
-    out = np.asarray(ids, dtype=np.int64).ravel()
-    if out.size:
-        if out.min() < 0 or out.max() >= dim:
-            raise IndexOutOfRange(f"{name} addresses outside [0, {dim})")
-        if np.any(np.diff(out) <= 0):
-            raise IndexOutOfRange(f"{name} must be strictly increasing")
-    return out
-
-
-def complement(idx: np.ndarray, dim: int) -> np.ndarray:
-    """Sorted complement of an index set within range(dim)."""
-    mask = np.ones(dim, dtype=bool)
-    mask[idx] = False
-    return np.flatnonzero(mask)
-
-
 def gram(A: np.ndarray) -> np.ndarray:
     """Gram matrix A.T @ A, symmetrized so S == S.T holds exactly.
 
@@ -65,45 +46,46 @@ def gram(A: np.ndarray) -> np.ndarray:
 
 
 def spd_factor(S: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a symmetric positive definite matrix.
+    """Lower Cholesky factor of a symmetric positive definite matrix, or of
+    each matrix in a stack of shape (B, k, k).
 
-    Raises SingularSystem when the factorization breaks down or any pivot
-    falls below PIVOT_FLOOR times the largest diagonal entry, so a
-    rank-deficient support surfaces as an error instead of silent
-    regularization.
+    Raises SingularSystem when a factorization breaks down or any of its
+    pivots falls below PIVOT_FLOOR times the largest diagonal entry of its
+    matrix, so a rank-deficient support surfaces as an error instead of
+    silent regularization.  The exception's ``matrices`` lists the
+    positions in the stack of every singular matrix.
     """
+    broken = False
     try:
         L = np.linalg.cholesky(S)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"factorization failed: {exc}") from exc
-    d = np.diagonal(L)
-    floor = PIVOT_FLOOR * float(np.diagonal(S).max(initial=0.0))
+    except np.linalg.LinAlgError:
+        # One breakdown fails the whole stack: factor one at a time to find it.
+        L = np.zeros_like(S)
+        broken = np.zeros(S.shape[:-2], dtype=bool)
+        for i in np.ndindex(broken.shape):
+            try:
+                L[i] = np.linalg.cholesky(S[i])
+            except np.linalg.LinAlgError:
+                broken[i] = True
     # diagonal(L)**2 are the elimination pivots of the unpivoted factorization
-    if d.size and float((d * d).min()) < floor:
-        raise SingularSystem("factorization pivot below relative floor")
+    d = np.diagonal(L, axis1=-2, axis2=-1)
+    floor = PIVOT_FLOOR * np.diagonal(S, axis1=-2, axis2=-1).max(axis=-1, initial=0.0)
+    singular = broken | ((d * d).min(axis=-1, initial=np.inf) < floor)
+    if singular.any():
+        raise SingularSystem("factorization broke down or a pivot fell below "
+                             "the relative floor", matrices=np.flatnonzero(singular))
     return L
 
 
-def spd_solve_factored(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve S x = rhs given the lower Cholesky factor of S."""
+def solve_spd(S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve S x = rhs for symmetric positive definite S."""
+    L = spd_factor(S)
     if L.shape[0] == 0:
         return np.zeros_like(rhs)
     x, info = dpotrs(L, rhs, lower=1)
     if info != 0:
         raise SingularSystem(f"triangular solve failed (info={info})")
     return x
-
-
-def solve_spd(S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve S x = rhs for symmetric positive definite S."""
-    return spd_solve_factored(spd_factor(S), rhs)
-
-
-def submatrix(S: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Extract S[rows, cols] for two index sets."""
-    rows = as_index_set(rows, S.shape[0], "row set")
-    cols = as_index_set(cols, S.shape[1], "column set")
-    return S[np.ix_(rows, cols)]
 
 
 def frob_norm(A: np.ndarray) -> float:

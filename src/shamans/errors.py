@@ -8,8 +8,13 @@ class ShamansError(Exception):
 class SingularSystem(ShamansError):
     """A symmetric factorization hit a pivot too small to trust.
 
-    Signals a (numerically) rank-deficient support to the solvers above.
+    Signals a (numerically) rank-deficient support to the solvers above;
+    ``matrices`` lists the singular positions of a stack of systems.
     """
+
+    def __init__(self, message, matrices=None):
+        super().__init__(message)
+        self.matrices = matrices
 
 
 class IterationLimit(ShamansError):
@@ -18,10 +23,6 @@ class IterationLimit(ShamansError):
     def __init__(self, message, column=None):
         super().__init__(message)
         self.column = column
-
-
-class IndexOutOfRange(ShamansError):
-    """An index set addresses a row or column outside the matrix."""
 
 
 class DimensionMismatch(ShamansError):

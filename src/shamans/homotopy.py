@@ -1,4 +1,4 @@
-"""Regularization path of the L1-penalized NNLS problem for one right-hand side.
+"""Regularization paths of the L1-penalized NNLS problem, many right-hand sides at once.
 
 For min 0.5 ||Ax - b||^2 + lambda ||x||_1 with x >= 0, the optimal support
 is piecewise constant in lambda.  Walking lambda from lambda_max (above
@@ -20,6 +20,13 @@ the breakpoint at which it stops being optimal, together with the unbiased
 (penalty-free) least-squares refit on that support.  The first entry is
 always the zero solution at lambda_max and the last entry sits at
 lambda = 0 with the unconstrained NNLS solution.
+
+Every right-hand side shares P, so the walk advances a block of columns
+in lockstep, one breakpoint per round: one stacked factorization and
+solve for all supports, one product for all complement gradients, one
+product for all refit residuals.  The kernels take a (B, r) boolean
+support mask, one row per column, and return full-space (B, r) arrays
+that are zero off the rows' supports (a, b) or on them (c, d).
 """
 
 from __future__ import annotations
@@ -29,13 +36,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import densela
-from .densela import as_matrix, as_vector, complement, spd_factor, spd_solve_factored
+from .densela import as_matrix, as_vector, spd_factor
 from .errors import IterationLimit, SingularSystem
 from .nnls import nnls_gram
 
-LEAVE = "leave"
-ENTER = "enter"
-TERMINATE = "terminate"
+LEAVE = 0
+ENTER = 1
+TERMINATE = 2
+
+# Columns walked together.  It bounds the (BLOCK, r, r) systems of a round;
+# walking every column at once raised peak memory without saving time.
+BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -94,99 +105,170 @@ def lambda_max(ell: np.ndarray):
 
 
 def path_coefficients(P: np.ndarray, ell: np.ndarray, K: np.ndarray):
-    """Support and complement coefficients (a_K, b_K, c_K, d_K) for K.
+    """Coefficients (a, b, c, d) of the penalized solutions on the supports K.
 
-    a_K - lambda * b_K is the penalized solution on K; c_K - lambda * d_K
-    the gradient on the complement.  Raises SingularSystem when P(K,K) is
-    numerically rank deficient; callers must treat the support as
-    degenerate.
+    ``ell`` holds one row of correlations A.T b per column and ``K`` the
+    matching (B, r) boolean support masks.  Row-wise, a - lambda * b is
+    the penalized solution on the support and c - lambda * d the gradient
+    on its complement.  Raises SingularSystem when some P(K,K) is
+    numerically rank deficient; its ``matrices`` lists the offending rows,
+    which callers must treat as degenerate supports.
     """
-    r = ell.shape[0]
-    K = np.asarray(K, dtype=np.int64)
-    if K.size == 0:
-        raise ValueError("support must be nonempty")
-    L = spd_factor(P[np.ix_(K, K)])
-    rhs = np.empty((K.size, 2), order="F")
-    rhs[:, 0] = ell[K]
-    rhs[:, 1] = 1.0
-    ab = spd_solve_factored(L, rhs)
-    a_K = np.ascontiguousarray(ab[:, 0])
-    b_K = np.ascontiguousarray(ab[:, 1])
-    Kbar = complement(K, r)
-    # Complement blocks via full-space products: pad, multiply, slice.
-    xa = np.zeros(r)
-    xa[K] = a_K
-    xb = np.zeros(r)
-    xb[K] = b_K
-    c_K = (P @ xa - ell)[Kbar]
-    d_K = (P @ xb)[Kbar] - 1.0
-    return a_K, b_K, c_K, d_K
+    if not K.any(axis=1).all():
+        raise ValueError("every support must be nonempty")
+    # P on K x K.  Off the support a diagonal equal to the support's largest
+    # decouples those rows and leaves the relative pivot floor where it was.
+    S = np.where(K[:, :, None] & K[:, None, :], P, 0.0)
+    pad = np.where(K, np.diagonal(P), 0.0).max(axis=1)
+    on_diagonal = np.arange(K.shape[1])
+    S[:, on_diagonal, on_diagonal] += np.where(K, 0.0, pad[:, None])
+    spd_factor(S)
+    rhs = np.stack([np.where(K, ell, 0.0), K.astype(np.float64)], axis=2)
+    ab = np.linalg.solve(S, rhs)
+    a = np.where(K, ab[:, :, 0], 0.0)
+    b = np.where(K, ab[:, :, 1], 0.0)
+    c = np.where(K, 0.0, a @ P - ell)
+    d = np.where(K, 0.0, b @ P - 1.0)
+    return a, b, c, d
 
 
-def next_breakpoint(a_K, b_K, c_K, d_K, lambda_current: float, tol: float):
-    """Largest penalty below ``lambda_current`` where the support changes.
+def next_breakpoint(a, b, c, d, K, lambda_current, tol: float):
+    """Largest penalties below ``lambda_current`` where the supports change.
 
-    Returns (lambda_next, (kind, position)) with kind one of LEAVE, ENTER
-    or TERMINATE.  Positions index into a_K/b_K for LEAVE and into
-    c_K/d_K for ENTER; with both sets kept ascending this realizes the
-    smallest-index tie rule.  A LEAVE candidate needs b_K < -tol, an ENTER
-    candidate d_K < -tol; when no candidate has a positive crossing the
-    support stays optimal all the way down and (0.0, TERMINATE) is
-    returned.  Exact ties between the two cases resolve to LEAVE.
+    Returns (lambda_next, kind, index), one entry per row, with kind one
+    of LEAVE, ENTER or TERMINATE and index the atom that leaves or enters
+    (-1 on TERMINATE).  A LEAVE candidate is a support index with
+    b < -tol, an ENTER candidate a complement index with d < -tol; among
+    equal ratios the smallest index wins.  When no candidate has a
+    positive crossing the support stays optimal all the way down and the
+    row terminates at 0.  Exact ties between the two cases resolve to LEAVE.
     """
-    lam_leave = -np.inf
-    pos_leave = -1
-    mask = b_K < -tol
-    if mask.any():
-        ratios = a_K[mask] / b_K[mask]
-        best = int(np.argmax(ratios))
-        lam_leave = float(ratios[best])
-        pos_leave = int(np.flatnonzero(mask)[best])
-
-    lam_enter = -np.inf
-    pos_enter = -1
-    mask = d_K < -tol
-    if mask.any():
-        ratios = c_K[mask] / d_K[mask]
-        best = int(np.argmax(ratios))
-        lam_enter = float(ratios[best])
-        pos_enter = int(np.flatnonzero(mask)[best])
-
-    if max(lam_leave, lam_enter) <= 0.0:
-        return 0.0, (TERMINATE, None)
-    if lam_leave >= lam_enter:
-        kind, pos, lam = LEAVE, pos_leave, lam_leave
-    else:
-        kind, pos, lam = ENTER, pos_enter, lam_enter
+    rows = np.arange(K.shape[0])
+    leave = np.full(K.shape, -np.inf)
+    np.divide(a, b, out=leave, where=K & (b < -tol))
+    enter = np.full(K.shape, -np.inf)
+    np.divide(c, d, out=enter, where=~K & (d < -tol))
+    i_leave = leave.argmax(axis=1)  # first maximum: smallest-index tie rule
+    i_enter = enter.argmax(axis=1)
+    lam_leave = leave[rows, i_leave]
+    lam_enter = enter[rows, i_enter]
+    is_leave = lam_leave >= lam_enter
+    lam = np.where(is_leave, lam_leave, lam_enter)
+    done = lam <= 0.0
+    kind = np.where(done, TERMINATE, np.where(is_leave, LEAVE, ENTER))
+    index = np.where(done, -1, np.where(is_leave, i_leave, i_enter))
     # Roundoff can push the ratio marginally above the current breakpoint;
     # treat that as a tie at lambda_current.
-    return min(lam, lambda_current), (kind, pos)
+    return np.where(done, 0.0, np.minimum(lam, lambda_current)), kind, index
 
 
-def unbias(P: np.ndarray, ell: np.ndarray, K: np.ndarray, A: np.ndarray,
-           b: np.ndarray, tol: float = 1e-10):
-    """Penalty-free least-squares refit on the support K.
+def unbias(P: np.ndarray, ell: np.ndarray, K: np.ndarray, a: np.ndarray,
+           A: np.ndarray, B: np.ndarray, tol: float = 1e-10):
+    """Penalty-free least-squares refits on the supports K.
 
-    Uses a_K when it is componentwise nonnegative; otherwise falls back
-    to the active-set solver restricted to K.  The returned error is
-    ||A x - b||^2 against the original system.
+    ``a`` holds the least-squares solutions on K, zero elsewhere (the
+    ``a`` of path_coefficients).  A row keeps a when it is nonnegative;
+    otherwise the active-set solver restricted to K refits it.  Returns
+    the (B, r) refits and their errors ||A x - b||^2 against the columns
+    b of B, the original right-hand sides.
     """
-    r = ell.shape[0]
-    x = np.zeros(r)
-    K = np.asarray(K, dtype=np.int64)
-    if K.size:
-        S = P[np.ix_(K, K)]
-        a_K = densela.solve_spd(S, ell[K])
-        if a_K.min() >= 0.0:
-            x[K] = a_K
-        else:
-            x[K] = nnls_gram(S, ell[K], tol=tol)
-    resid = A @ x - b
-    return x, float(resid @ resid)
+    X = a.copy()
+    for i in np.flatnonzero((a < 0.0).any(axis=1)):
+        k = np.flatnonzero(K[i])
+        X[i] = 0.0
+        X[i, k] = nnls_gram(P[np.ix_(k, k)], ell[i, k], tol=tol)
+    resid = A @ X.T - B
+    return X, np.einsum("ij,ij->j", resid, resid)
+
+
+class PathWalk:
+    """Regularization paths of every column of B over one dictionary A.
+
+    Columns are walked BLOCK at a time, in lockstep, when
+    regularization_path first asks for a column of the block.  A column
+    whose path exceeds ``max_breakpoints`` (default 50 r) is recorded as
+    such and raises IterationLimit when asked for.
+    """
+
+    def __init__(self, A, B, tol: float = 1e-10, max_breakpoints: int | None = None,
+                 gram_matrix=None, corr=None):
+        self.A = A
+        self.B = B
+        self.P = densela.gram(A) if gram_matrix is None else gram_matrix
+        self.L = A.T @ B if corr is None else corr
+        self.tol = tol
+        r = self.P.shape[0]
+        self.max_breakpoints = 50 * r if max_breakpoints is None else max_breakpoints
+        self._paths = {}  # column -> RegularizationPath, or None past the limit
+
+    def _walk(self, start: int, stop: int) -> None:
+        """Walk columns start..stop-1 in lockstep, one breakpoint per round."""
+        P, tol = self.P, self.tol
+        r = P.shape[0]
+        ell = np.ascontiguousarray(self.L[:, start:stop].T)
+        rhs = self.B[:, start:stop]
+        width = stop - start
+        tol_neg = tol * (1.0 + float(np.abs(P).max(initial=0.0)))
+        none_idx = np.empty(0, dtype=np.int64)
+        coeff0 = np.empty(0)
+        entries = []
+        K = np.zeros((width, r), dtype=bool)
+        lam = np.zeros(width)
+        for p in range(width):
+            lam0, first = lambda_max(ell[p])
+            b = rhs[:, p]
+            entries.append([PathEntry(lam0, none_idx, np.zeros(r), float(b @ b),
+                                      0, coeff0, coeff0)])
+            lam[p] = lam0
+            if first is not None:
+                K[p, first] = True
+        tol_lam = tol * (1.0 + lam)
+        live = np.flatnonzero(K.any(axis=1))
+        truncated = np.zeros(width, dtype=bool)
+        over = np.zeros(width, dtype=bool)
+
+        rounds = 0
+        while live.size:
+            if rounds >= self.max_breakpoints:
+                over[live] = True
+                break
+            KL = K[live]
+            try:
+                a, b, c, d = path_coefficients(P, ell[live], KL)
+            except SingularSystem as exc:
+                truncated[live[exc.matrices]] = True
+                live = np.delete(live, exc.matrices)
+                continue
+            lam_next, kind, index = next_breakpoint(a, b, c, d, KL, lam[live], tol_neg)
+            X, err = unbias(P, ell[live], KL, a, self.A, rhs[:, live], tol=tol)
+            lam_next[lam_next <= tol_lam[live]] = 0.0
+            nnz = np.count_nonzero(X, axis=1).tolist()
+            for i, (p, lam_i, err_i) in enumerate(zip(live, lam_next.tolist(), err.tolist())):
+                k = KL[i].nonzero()[0]
+                entries[p].append(PathEntry(lam_i, k, X[i], err_i, nnz[i], a[i, k], b[i, k]))
+            go = (kind != TERMINATE) & (lam_next != 0.0)
+            live = live[go]
+            K[live, index[go]] ^= True
+            lam[live] = lam_next[go]
+            rounds += 1
+
+        for p in range(width):
+            self._paths[start + p] = None if over[p] else \
+                RegularizationPath(entries[p], truncated=bool(truncated[p]))
+
+    def path(self, j: int) -> RegularizationPath:
+        if j not in self._paths:
+            start = j - j % BLOCK
+            self._walk(start, min(start + BLOCK, self.B.shape[1]))
+        path = self._paths[j]
+        if path is None:
+            raise IterationLimit(f"path exceeded {self.max_breakpoints} breakpoints")
+        return path
 
 
 def regularization_path(A, b, tol: float = 1e-10, max_breakpoints: int | None = None,
-                        gram_matrix=None, corr=None) -> RegularizationPath:
+                        gram_matrix=None, corr=None, walk: PathWalk | None = None,
+                        column: int = 0) -> RegularizationPath:
     """Compute every breakpoint of the L1-penalized NNLS path for (A, b).
 
     Parameters
@@ -204,6 +286,11 @@ def regularization_path(A, b, tol: float = 1e-10, max_breakpoints: int | None = 
         single NNLS solve.
     gram_matrix, corr : arrays, optional
         Precomputed A.T A and A.T b shared across many right-hand sides.
+    walk, column : PathWalk and int, optional
+        A walk over many right-hand sides of A, of which b is column
+        ``column``.  The path is read from the walk, which walks the
+        column's block on first use; the other arguments are the walk's.
+        Without a walk, b is walked on its own.
 
     Returns
     -------
@@ -211,66 +298,15 @@ def regularization_path(A, b, tol: float = 1e-10, max_breakpoints: int | None = 
         First entry (lambda_max, empty support, 0, ||b||^2); consecutive
         supports differ by one index; the last entry sits at lambda = 0
         and matches the unconstrained active-set NNLS solution.  On a
-        rank-deficient support the most recently entered index is dropped
-        and the path ends at the last sound entry with ``truncated`` set.
+        rank-deficient support the path ends at the last sound entry with
+        ``truncated`` set.
     """
-    A = as_matrix(A, "A")
-    b = as_vector(b, "b")
-    if A.shape[0] != b.shape[0]:
-        raise ValueError(f"A has {A.shape[0]} rows but b has {b.shape[0]}")
-    P = densela.gram(A) if gram_matrix is None else gram_matrix
-    ell = A.T @ b if corr is None else np.asarray(corr, dtype=np.float64)
-    r = ell.shape[0]
-    if max_breakpoints is None:
-        max_breakpoints = 50 * r
-
-    tol_neg = tol * (1.0 + float(np.abs(P).max(initial=0.0)))
-    lam0, first = lambda_max(ell)
-    tol_lam = tol * (1.0 + lam0)
-    zero = np.zeros(r)
-    none_idx = np.empty(0, dtype=np.int64)
-    coeff0 = np.empty(0)
-    entries = [PathEntry(lam0, none_idx, zero, float(b @ b), 0, coeff0, coeff0)]
-    if first is None:
-        return RegularizationPath(entries)
-
-    K = np.array([first], dtype=np.int64)
-    Kbar = complement(K, r)
-    lam = lam0
-    truncated = False
-
-    while True:
-        if len(entries) > max_breakpoints:
-            raise IterationLimit(f"path exceeded {max_breakpoints} breakpoints")
-        try:
-            a_K, b_K, c_K, d_K = path_coefficients(P, ell, K)
-        except SingularSystem:
-            truncated = True
-            break
-        lam_next, (kind, pos) = next_breakpoint(a_K, b_K, c_K, d_K, lam, tol_neg)
-
-        # Unbiased refit for the support that was optimal on [lam_next, lam].
-        x = np.zeros(r)
-        if a_K.min() >= 0.0:
-            x[K] = a_K
-        else:
-            x[K] = nnls_gram(P[np.ix_(K, K)], ell[K], tol=tol)
-        resid = A @ x - b
-        err = float(resid @ resid)
-        if lam_next <= tol_lam:
-            lam_next = 0.0
-        entries.append(PathEntry(lam_next, K, x, err,
-                                 int(np.count_nonzero(x)), a_K, b_K))
-        if kind == TERMINATE or lam_next == 0.0:
-            break
-        if kind == LEAVE:
-            idx = int(K[pos])
-            K = np.delete(K, pos)
-            Kbar = np.insert(Kbar, int(np.searchsorted(Kbar, idx)), idx)
-        else:
-            idx = int(Kbar[pos])
-            Kbar = np.delete(Kbar, pos)
-            K = np.insert(K, int(np.searchsorted(K, idx)), idx)
-        lam = lam_next
-
-    return RegularizationPath(entries, truncated=truncated)
+    if walk is None:
+        A = as_matrix(A, "A")
+        b = as_vector(b, "b")
+        if A.shape[0] != b.shape[0]:
+            raise ValueError(f"A has {A.shape[0]} rows but b has {b.shape[0]}")
+        ell = None if corr is None else np.asarray(corr, dtype=np.float64)[:, None]
+        walk = PathWalk(A, b[:, None], tol=tol, max_breakpoints=max_breakpoints,
+                        gram_matrix=gram_matrix, corr=ell)
+    return walk.path(column)

@@ -4,15 +4,13 @@ Given data M (m x n) and dictionary W (m x r), compute H >= 0 minimizing
 ||M - WH||_F under one of three regimes: a global nonzero budget spread
 across columns (shamans), a fixed per-column sparsity (ksparse), or no
 sparsity constraint at all (unconstrained).  The Gram matrix W.T W and the
-correlations W.T M are computed once and shared by all per-column path
-workers; selection runs single-threaded afterwards.
+correlations W.T M are computed once and shared by every column's path;
+the paths are walked in lockstep blocks of columns, then selected from.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +19,7 @@ from . import selector
 from .densela import as_matrix, frob_norm, gram
 from .errors import (DimensionMismatch, IterationLimit, ZeroColumnInDictionary,
                      ZeroDataMatrix)
-from .homotopy import PathEntry, RegularizationPath, regularization_path
+from .homotopy import PathEntry, PathWalk, RegularizationPath, regularization_path
 from .nnls import nnls_active_set
 
 MODES = ("shamans", "ksparse", "unconstrained")
@@ -44,8 +42,6 @@ class SolveConfig:
     zero_threshold: float = 1e-3
     strict_budget: bool = False
     max_breakpoints: int | None = None
-    parallel: bool = False
-    threads: int = 0
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -60,7 +56,13 @@ class SolveConfig:
 
 @dataclass
 class UnmixReport:
-    """Quality and cost summary of one solve."""
+    """Quality and cost summary of one solve.
+
+    ``breakpoints`` totals the path steps of all columns.  Columns listed
+    in ``fallback_columns`` hit the breakpoint limit and were solved by
+    plain NNLS instead; those in ``truncated_columns`` ended their path
+    early on a rank-deficient support.
+    """
 
     rel_error: float
     avg_sparsity: float
@@ -71,6 +73,8 @@ class UnmixReport:
     mode: str | None = None
     budget: int | None = None
     fallback_columns: list = field(default_factory=list)
+    truncated_columns: list = field(default_factory=list)
+    breakpoints: int = 0
 
 
 def metrics(M, W, H, zero_threshold: float = 1e-3) -> UnmixReport:
@@ -136,30 +140,26 @@ def solve(M, W, cfg: SolveConfig):
 
     P = gram(W)
     L = W.T @ M
-    fallbacks = []
-
-    def run_column(j: int) -> RegularizationPath:
-        b = M[:, j]
-        ell = L[:, j]
+    t0 = time.perf_counter()
+    walk = PathWalk(W, M, tol=cfg.tol, max_breakpoints=cfg.max_breakpoints,
+                    gram_matrix=P, corr=L)
+    paths, fallbacks, truncated = [], [], []
+    for j in range(n):
+        # Every path passes the public per-column call, where the benchmark's
+        # trace counts breakpoints; a block is walked on its first read.
         try:
-            return regularization_path(W, b, tol=cfg.tol,
-                                       max_breakpoints=cfg.max_breakpoints,
-                                       gram_matrix=P, corr=ell)
+            path = regularization_path(W, M[:, j], walk=walk, column=j)
         except IterationLimit:
             fallbacks.append(j)
             try:
-                return _fallback_path(W, b, P, ell, cfg.tol)
+                path = _fallback_path(W, M[:, j], P, L[:, j], cfg.tol)
             except IterationLimit as exc:
                 exc.column = j
                 raise
-
-    t0 = time.perf_counter()
-    if cfg.parallel:
-        workers = cfg.threads if cfg.threads > 0 else (os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            paths = list(pool.map(run_column, range(n)))
-    else:
-        paths = [run_column(j) for j in range(n)]
+        else:
+            if path.truncated:
+                truncated.append(j)
+        paths.append(path)
     t1 = time.perf_counter()
 
     if cfg.mode == "unconstrained":
@@ -185,5 +185,7 @@ def solve(M, W, cfg: SolveConfig):
     report.elapsed_select_ms = (t2 - t1) * 1e3
     report.mode = cfg.mode
     report.budget = budget
-    report.fallback_columns = sorted(fallbacks)
+    report.fallback_columns = fallbacks
+    report.truncated_columns = truncated
+    report.breakpoints = sum(len(p.entries) - 1 for p in paths)
     return H, report

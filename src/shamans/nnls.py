@@ -43,7 +43,9 @@ def nnls_gram(P: np.ndarray, ell: np.ndarray, tol: float = 1e-10,
 
     Raises IterationLimit after 10 r (r+1) pivots, which signals cycling
     or heavy degeneracy, and propagates SingularSystem from the inner
-    solve on a rank-deficient passive set.
+    solve on a rank-deficient passive set.  Coefficients that end below
+    tol * (1 + max|ell|) are set to zero and the rest solved again on
+    their own support, so the result stays a stationary refit.
     """
     r = ell.shape[0]
     x = np.zeros(r)
@@ -86,7 +88,15 @@ def nnls_gram(P: np.ndarray, ell: np.ndarray, tol: float = 1e-10,
             if pivots > max_pivots:
                 raise IterationLimit(f"active-set pivot limit {max_pivots} exceeded")
 
-    x[x < tol * scale] = 0.0
+    snapped = (x != 0.0) & (x < tol * scale)
+    if snapped.any():
+        # Zeroing a coefficient moves the others' optimum: refit on the rest.
+        x[snapped] = 0.0
+        K = np.flatnonzero(x)
+        if K.size:
+            z = solve_spd(P[np.ix_(K, K)], ell[K])
+            if z.min() > 0.0:
+                x[K] = z
     return x
 
 

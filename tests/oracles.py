@@ -2,12 +2,18 @@
 
 These deliberately avoid the code paths under test: brute-force support
 enumeration for NNLS, exhaustive cursor enumeration for the budgeted
-selection, and a direct KKT evaluation of the penalized problem.
+selection, a direct KKT evaluation of the penalized problem, and a
+one-column-at-a-time homotopy walk for the lockstep engine.
 """
 
 import itertools
 
 import numpy as np
+
+from shamans.densela import gram, solve_spd
+from shamans.errors import IterationLimit, SingularSystem
+from shamans.homotopy import PathEntry, RegularizationPath
+from shamans.nnls import nnls_gram
 
 
 def nnls_bruteforce(A, b):
@@ -105,3 +111,77 @@ def random_cost_table(rng, r, n):
             col[-1] = 0.0
         cost[:, j] = col
     return cost
+
+
+def reference_path(A, b, tol=1e-10, max_breakpoints=None):
+    """Regularization path of (A, b) walked one breakpoint at a time.
+
+    The per-column walk the lockstep engine replaced: index-set supports,
+    one factorization and solve per breakpoint, the smallest-index tie
+    rule, LEAVE on exact ties, ratios clamped to the current breakpoint,
+    and a rank-deficient support ending the path with ``truncated`` set.
+    """
+    P = gram(np.asfortranarray(A))
+    ell = A.T @ b
+    r = ell.shape[0]
+    if max_breakpoints is None:
+        max_breakpoints = 50 * r
+    tol_neg = tol * (1.0 + float(np.abs(P).max(initial=0.0)))
+    first = int(np.argmax(ell))
+    lam0 = max(float(ell[first]), 0.0)
+    tol_lam = tol * (1.0 + lam0)
+    none = np.empty(0, dtype=np.int64)
+    entries = [PathEntry(lam0, none, np.zeros(r), float(b @ b), 0,
+                         np.empty(0), np.empty(0))]
+    if lam0 == 0.0:
+        return RegularizationPath(entries)
+
+    K = np.array([first], dtype=np.int64)
+    lam = lam0
+    truncated = False
+    while True:
+        if len(entries) > max_breakpoints:
+            raise IterationLimit(f"path exceeded {max_breakpoints} breakpoints")
+        Kbar = np.setdiff1d(np.arange(r), K)
+        try:
+            ab = solve_spd(P[np.ix_(K, K)], np.column_stack([ell[K], np.ones(K.size)]))
+        except SingularSystem:
+            truncated = True
+            break
+        a_K, b_K = ab[:, 0].copy(), ab[:, 1].copy()
+        c_K = P[np.ix_(Kbar, K)] @ a_K - ell[Kbar]
+        d_K = P[np.ix_(Kbar, K)] @ b_K - 1.0
+
+        best = {}  # kind -> (ratio, position), first maximum among candidates
+        for kind, num, den in (("leave", a_K, b_K), ("enter", c_K, d_K)):
+            pos = np.flatnonzero(den < -tol_neg)
+            if pos.size:
+                ratios = num[pos] / den[pos]
+                i = int(np.argmax(ratios))
+                best[kind] = (float(ratios[i]), int(pos[i]))
+        lam_leave = best.get("leave", (-np.inf, -1))[0]
+        lam_enter = best.get("enter", (-np.inf, -1))[0]
+        if max(lam_leave, lam_enter) <= 0.0:
+            kind, lam_next = "terminate", 0.0
+        else:
+            kind = "leave" if lam_leave >= lam_enter else "enter"
+            lam_next = min(best[kind][0], lam)
+
+        x = np.zeros(r)
+        if a_K.min() >= 0.0:
+            x[K] = a_K
+        else:
+            x[K] = nnls_gram(P[np.ix_(K, K)], ell[K], tol=tol)
+        resid = A @ x - b
+        if lam_next <= tol_lam:
+            lam_next = 0.0
+        entries.append(PathEntry(lam_next, K, x, float(resid @ resid),
+                                 int(np.count_nonzero(x)), a_K, b_K))
+        if kind == "terminate" or lam_next == 0.0:
+            break
+        if kind == "leave":
+            K = np.delete(K, best[kind][1])
+        else:
+            K = np.sort(np.append(K, Kbar[best[kind][1]]))
+        lam = lam_next
+    return RegularizationPath(entries, truncated=truncated)

@@ -89,16 +89,22 @@ class TestReportJson:
         rep = UnmixReport(rel_error=0.0073, avg_sparsity=3.0, nnz=18,
                           per_column_sparsity=[0, 0, 3, 0, 3],
                           elapsed_path_ms=1.5, elapsed_select_ms=0.4,
-                          mode="shamans", budget=18)
+                          mode="shamans", budget=18, fallback_columns=[4],
+                          truncated_columns=[1, 3], breakpoints=17)
         p = tmp_path / "report.json"
         write_report_json(rep, p)
         data = json.loads(p.read_text())
         assert set(data) == {"rel_error", "avg_sparsity", "nnz",
                              "per_column_sparsity", "elapsed_path_ms",
-                             "elapsed_select_ms", "mode", "budget"}
+                             "elapsed_select_ms", "mode", "budget",
+                             "breakpoints", "fallback_columns",
+                             "truncated_columns"}
         assert data["rel_error"] == pytest.approx(0.0073)
         assert data["per_column_sparsity"] == [0, 0, 3, 0, 3]
         assert data["budget"] == 18
+        assert data["fallback_columns"] == [4]
+        assert data["truncated_columns"] == [1, 3]
+        assert data["breakpoints"] == 17
 
 
 class TestAbundanceMaps:
@@ -212,12 +218,3 @@ class TestMain:
         code = main(["--dict", wpath, "--data", mpath, "--mode",
                      "unconstrained", "--out", str(tmp_path / "H.csv")])
         assert code == 2
-
-    def test_threads_do_not_change_output(self, demo_files):
-        wpath, mpath, tmp = demo_files
-        out1, out2 = tmp / "H1.csv", tmp / "H2.csv"
-        base = ["--dict", wpath, "--data", mpath, "--mode", "shamans",
-                "--budget", "18"]
-        assert main(base + ["--out", str(out1)]) == 0
-        assert main(base + ["--out", str(out2), "--threads", "3"]) == 0
-        assert out1.read_text() == out2.read_text()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from shamans import densela
-from shamans.errors import IndexOutOfRange, NonFiniteEntry, SingularSystem
+from shamans.errors import NonFiniteEntry, SingularSystem
 
 from demo_data import DEMO_W
 from oracles import random_spd
@@ -67,49 +67,19 @@ class TestSolveSpd:
         with pytest.raises(SingularSystem):
             densela.solve_spd(S, np.ones(2))
 
-
-class TestSubmatrix:
-    def test_slice(self):
-        S = np.arange(9, dtype=float).reshape(3, 3)
-        out = densela.submatrix(S, np.array([0, 2]), np.array([1]))
-        np.testing.assert_array_equal(out, [[1.0], [7.0]])
-
-    def test_all_indices(self):
-        S = np.arange(9, dtype=float).reshape(3, 3)
-        out = densela.submatrix(S, np.arange(3), np.arange(3))
-        np.testing.assert_array_equal(out, S)
-
-    def test_demo_principal_block(self):
-        # Recompute the extracted entries by direct dot products.
-        P = densela.gram(np.asfortranarray(DEMO_W))
-        K = np.array([1, 3])
-        block = densela.submatrix(P, K, K)
-        for a, i in enumerate(K):
-            for b, j in enumerate(K):
-                oracle = float(DEMO_W[:, i] @ DEMO_W[:, j])
-                assert block[a, b] == pytest.approx(oracle, abs=1e-12)
-
-    def test_out_of_range(self):
-        S = np.eye(3)
-        with pytest.raises(IndexOutOfRange):
-            densela.submatrix(S, np.array([0, 3]), np.array([0]))
-
-    def test_duplicate_indices_rejected(self):
-        S = np.eye(3)
-        with pytest.raises(IndexOutOfRange):
-            densela.submatrix(S, np.array([1, 1]), np.array([0]))
-
-    def test_partition_covers_every_entry_once(self):
-        rng = np.random.default_rng(3)
-        S = rng.standard_normal((6, 6))
-        K = np.array([1, 3, 4])
-        Kb = densela.complement(K, 6)
-        rebuilt = np.empty_like(S)
-        rebuilt[np.ix_(K, K)] = densela.submatrix(S, K, K)
-        rebuilt[np.ix_(K, Kb)] = densela.submatrix(S, K, Kb)
-        rebuilt[np.ix_(Kb, K)] = densela.submatrix(S, Kb, K)
-        rebuilt[np.ix_(Kb, Kb)] = densela.submatrix(S, Kb, Kb)
-        np.testing.assert_array_equal(rebuilt, S)
+    def test_stack_names_every_singular_matrix(self):
+        # A breakdown (indefinite) and a pivot under the floor, among
+        # sound matrices whose factors match the one-at-a-time ones.
+        rng = np.random.default_rng(2)
+        good = [random_spd(rng, 3) for _ in range(3)]
+        bad = [np.diag([1.0, -1.0, 1.0]), np.diag([1.0, 1e-16, 1.0])]
+        stack = np.stack([good[0], bad[0], good[1], bad[1], good[2]])
+        with pytest.raises(SingularSystem) as info:
+            densela.spd_factor(stack)
+        assert list(info.value.matrices) == [1, 3]
+        L = densela.spd_factor(stack[[0, 2, 4]])
+        for Li, S in zip(L, good):
+            np.testing.assert_allclose(Li, densela.spd_factor(S), rtol=1e-14)
 
 
 class TestFrobNorm:

@@ -29,11 +29,33 @@ class TestLambdaMax:
         assert lam == 5.0 and idx == 0
 
 
+def support_mask(r, K):
+    """(1, r) support mask of the index set K."""
+    mask = np.zeros((1, r), dtype=bool)
+    mask[0, K] = True
+    return mask
+
+
+def coefficients(P, ell, K):
+    """path_coefficients for one support given as an index set."""
+    return path_coefficients(P, ell[None], support_mask(ell.size, K))
+
+
+def block(a_K, b_K, c_K, d_K):
+    """Full-space one-row arguments of next_breakpoint from support and
+    complement coefficients, the support taking the first indices."""
+    k, r = len(a_K), len(a_K) + len(c_K)
+    a, b, c, d = (np.zeros((1, r)) for _ in range(4))
+    a[0, :k], b[0, :k], c[0, k:], d[0, k:] = a_K, b_K, c_K, d_K
+    return a, b, c, d, support_mask(r, np.arange(k))
+
+
 class TestPathCoefficients:
     def test_full_support_has_empty_complement(self):
-        a, b, c, d = path_coefficients(DEMO_P, DEMO_ELL0, np.arange(4))
-        assert c.size == 0 and d.size == 0
-        np.testing.assert_allclose(a, np.linalg.solve(DEMO_P, DEMO_ELL0),
+        K = support_mask(4, np.arange(4))
+        a, b, c, d = path_coefficients(DEMO_P, DEMO_ELL0[None], K)
+        assert c[~K].size == 0 and d[~K].size == 0
+        np.testing.assert_allclose(a[0], np.linalg.solve(DEMO_P, DEMO_ELL0),
                                    atol=1e-10)
 
     def test_singleton_closed_form(self):
@@ -41,81 +63,81 @@ class TestPathCoefficients:
         A = np.abs(rng.standard_normal((6, 3)))
         P = gram(np.asfortranarray(A))
         ell = A.T @ np.abs(rng.standard_normal(6))
-        a, b, c, d = path_coefficients(P, ell, np.array([0]))
-        assert a[0] == pytest.approx(ell[0] / P[0, 0], rel=1e-12)
-        assert b[0] == pytest.approx(1.0 / P[0, 0], rel=1e-12)
-        assert c.size == 2 and d.size == 2
+        a, b, c, d = coefficients(P, ell, [0])
+        assert a[0, 0] == pytest.approx(ell[0] / P[0, 0], rel=1e-12)
+        assert b[0, 0] == pytest.approx(1.0 / P[0, 0], rel=1e-12)
+        assert c[0, 1:].size == 2 and d[0, 1:].size == 2
 
     def test_demo_first_support_boundary(self):
         # On [2.7502, 3.16) the support is {1}; the biased solution stays
         # nonnegative at the lower breakpoint and the entering component's
         # complement condition is tight there.
-        a, b, c, d = path_coefficients(DEMO_P, DEMO_ELL0, np.array([1]))
+        K = support_mask(4, [1])
+        a, b, c, d = path_coefficients(DEMO_P, DEMO_ELL0[None], K)
         lam = dd.COL0_LAMBDAS[1]
-        assert np.all(a - lam * b >= -1e-12)
-        slack = c - lam * d
+        assert np.all((a - lam * b)[K] >= -1e-12)
+        slack = (c - lam * d)[~K]
         assert slack.min() == pytest.approx(0.0, abs=1e-10)
 
     def test_degenerate_support_raises(self):
         A = np.column_stack([np.ones(4), np.ones(4), np.arange(4.0)])
         P = gram(np.asfortranarray(A))
         with pytest.raises(SingularSystem):
-            path_coefficients(P, np.ones(3), np.array([0, 1]))
+            coefficients(P, np.ones(3), [0, 1])
 
     def test_empty_support_rejected(self):
         with pytest.raises(ValueError):
-            path_coefficients(DEMO_P, DEMO_ELL0, np.empty(0, dtype=int))
+            coefficients(DEMO_P, DEMO_ELL0, [])
 
 
 class TestNextBreakpoint:
     def test_all_positive_coefficients_terminate(self):
-        lam, (kind, pos) = next_breakpoint(np.array([1.0]), np.array([2.0]),
-                                           np.array([0.5]), np.array([0.3]),
-                                           1.0, 1e-12)
-        assert lam == 0.0 and kind == TERMINATE and pos is None
+        a, b, c, d, K = block([1.0], [2.0], [0.5], [0.3])
+        lam, kind, pos = next_breakpoint(a, b, c, d, K, 1.0, 1e-12)
+        assert lam[0] == 0.0 and kind[0] == TERMINATE and pos[0] == -1
 
     def test_demo_two_element_support(self):
-        a, b, c, d = path_coefficients(DEMO_P, DEMO_ELL0, np.array([1, 3]))
-        lam, (kind, pos) = next_breakpoint(a, b, c, d, dd.COL0_LAMBDAS[1], 1e-12)
-        assert lam == pytest.approx(dd.COL0_LAMBDAS[2], abs=1e-9)
-        assert kind == ENTER
-        assert pos == 1  # complement of {1,3} is (0, 2); index 2 enters
+        K = support_mask(4, [1, 3])
+        a, b, c, d = path_coefficients(DEMO_P, DEMO_ELL0[None], K)
+        lam, kind, pos = next_breakpoint(a, b, c, d, K, dd.COL0_LAMBDAS[1], 1e-12)
+        assert lam[0] == pytest.approx(dd.COL0_LAMBDAS[2], abs=1e-9)
+        assert kind[0] == ENTER
+        assert pos[0] == 2  # complement of {1,3} is (0, 2); index 2 enters
 
     def test_tie_prefers_leave(self):
-        a = np.array([-2.0])
-        b = np.array([-1.0])
-        c = np.array([-4.0])
-        d = np.array([-2.0])
-        lam, (kind, pos) = next_breakpoint(a, b, c, d, 10.0, 1e-12)
-        assert lam == 2.0 and kind == LEAVE and pos == 0
+        a, b, c, d, K = block([-2.0], [-1.0], [-4.0], [-2.0])
+        lam, kind, pos = next_breakpoint(a, b, c, d, K, 10.0, 1e-12)
+        assert lam[0] == 2.0 and kind[0] == LEAVE and pos[0] == 0
 
     def test_clamped_to_current(self):
-        a = np.array([-10.0])
-        b = np.array([-1.0])
-        lam, (kind, _) = next_breakpoint(a, b, np.empty(0), np.empty(0),
-                                         5.0, 1e-12)
-        assert lam == 5.0 and kind == LEAVE
+        a, b, c, d, K = block([-10.0], [-1.0], [], [])
+        lam, kind, _ = next_breakpoint(a, b, c, d, K, 5.0, 1e-12)
+        assert lam[0] == 5.0 and kind[0] == LEAVE
 
     def test_negative_maxima_terminate(self):
-        a = np.array([3.0])
-        b = np.array([-1.0])  # crossing at lambda = -3, not reachable
-        lam, (kind, _) = next_breakpoint(a, b, np.empty(0), np.empty(0),
-                                         1.0, 1e-12)
-        assert lam == 0.0 and kind == TERMINATE
+        # crossing at lambda = -3, not reachable
+        a, b, c, d, K = block([3.0], [-1.0], [], [])
+        lam, kind, _ = next_breakpoint(a, b, c, d, K, 1.0, 1e-12)
+        assert lam[0] == 0.0 and kind[0] == TERMINATE
 
 
 class TestUnbias:
     def test_empty_support(self):
         b = dd.DEMO_M[:, 0]
-        x, err = unbias(DEMO_P, DEMO_ELL0, np.empty(0, dtype=int), dd.DEMO_W, b)
-        np.testing.assert_array_equal(x, np.zeros(4))
-        assert err == pytest.approx(float(b @ b), rel=1e-12)
-        assert err == pytest.approx(4.3187, abs=1e-12)
+        K = support_mask(4, [])
+        x, err = unbias(DEMO_P, DEMO_ELL0[None], K, np.zeros((1, 4)), dd.DEMO_W,
+                        b[:, None])
+        np.testing.assert_array_equal(x[0], np.zeros(4))
+        assert err[0] == pytest.approx(float(b @ b), rel=1e-12)
+        assert err[0] == pytest.approx(4.3187, abs=1e-12)
 
     def test_demo_three_element_support(self):
         b = dd.DEMO_M[:, 0]
         K = np.array([1, 2, 3])
-        x, err = unbias(DEMO_P, DEMO_ELL0, K, dd.DEMO_W, b)
+        a = coefficients(DEMO_P, DEMO_ELL0, K)[0]
+        x, err = unbias(DEMO_P, DEMO_ELL0[None], support_mask(4, K), a,
+                        dd.DEMO_W, b[:, None])
+        x, err = x[0], err[0]
         ls, *_ = np.linalg.lstsq(dd.DEMO_W[:, K], b, rcond=None)
         np.testing.assert_allclose(x[K], ls, atol=1e-10)
         np.testing.assert_allclose(x, dd.COL0_SOLUTIONS[3], atol=1e-9)
@@ -134,7 +156,9 @@ class TestUnbias:
         K = np.array([0, 1])
         ls, *_ = np.linalg.lstsq(A[:, K], b, rcond=None)
         assert ls.min() < 0  # the construction really exercises the branch
-        x, err = unbias(P, ell, K, A, b)
+        a = coefficients(P, ell, K)[0]
+        x, err = unbias(P, ell[None], support_mask(3, K), a, A, b[:, None])
+        x, err = x[0], err[0]
         x_star, err_star = nnls_bruteforce(A[:, K], b)
         np.testing.assert_allclose(x[K], x_star, atol=1e-8)
         assert err == pytest.approx(err_star, abs=1e-10)

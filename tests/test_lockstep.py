@@ -1,0 +1,164 @@
+"""The lockstep path engine against the one-column reference walk.
+
+Columns of one dictionary are walked together through a PathWalk and
+read back with regularization_path; each must match reference_path on
+its own: identical support sequences and ``truncated`` flags, and lam,
+error and solution within 1e-12 relative to their largest value along
+the reference path.
+"""
+
+import numpy as np
+import pytest
+
+from shamans.errors import IterationLimit
+from shamans.homotopy import BLOCK, PathWalk, regularization_path
+
+from oracles import reference_path
+
+RTOL = 1e-12
+
+
+def walk_all(A, B, **kwargs):
+    """Every column's path from one lockstep walk (IterationLimit kept)."""
+    walk = PathWalk(np.asfortranarray(A), np.asfortranarray(B), **kwargs)
+    out = []
+    for j in range(B.shape[1]):
+        try:
+            out.append(regularization_path(A, B[:, j], walk=walk, column=j))
+        except IterationLimit as exc:
+            out.append(exc)
+    return out
+
+
+def reference(A, b, **kwargs):
+    try:
+        return reference_path(A, b, **kwargs)
+    except IterationLimit as exc:
+        return exc
+
+
+def assert_same_path(got, want):
+    if isinstance(want, IterationLimit):
+        assert isinstance(got, IterationLimit)
+        return
+    assert [tuple(e.support) for e in got.entries] == \
+        [tuple(e.support) for e in want.entries]
+    assert got.truncated == want.truncated
+    for field in ("lam", "error_sq"):
+        w = np.array([getattr(e, field) for e in want.entries])
+        g = np.array([getattr(e, field) for e in got.entries])
+        np.testing.assert_allclose(g, w, rtol=0, atol=RTOL * max(np.abs(w).max(), 1e-300))
+    w = np.array([e.solution for e in want.entries])
+    g = np.array([e.solution for e in got.entries])
+    np.testing.assert_allclose(g, w, rtol=0, atol=RTOL * max(np.abs(w).max(), 1e-300))
+    assert [e.cardinality for e in got.entries] == [e.cardinality for e in want.entries]
+
+
+def assert_matches_reference(A, B, **kwargs):
+    for j, got in enumerate(walk_all(A, B, **kwargs)):
+        assert_same_path(got, reference(A, B[:, j], **kwargs))
+
+
+def test_random_instances():
+    # 100 dictionaries x 12 right-hand sides = 1200 instances.
+    rng = np.random.default_rng(61)
+    for _ in range(100):
+        m, r = int(rng.integers(3, 13)), int(rng.integers(1, 8))
+        A = np.abs(rng.standard_normal((m, r)))
+        B = np.abs(rng.standard_normal((m, 12)))
+        assert_matches_reference(A, B)
+
+
+def test_columns_across_block_boundaries():
+    rng = np.random.default_rng(62)
+    A = rng.random((20, 6)) + 0.05
+    H = np.where(rng.random((6, BLOCK + 44)) < 0.4, rng.random((6, BLOCK + 44)), 0.0)
+    B = np.clip(A @ H + 0.01 * rng.standard_normal((20, BLOCK + 44)), 0.0, None)
+    assert_matches_reference(A, B)
+
+
+def test_exact_ties():
+    rng = np.random.default_rng(63)
+    for _ in range(50):
+        A = rng.random((6, 4))
+        A[:, 3] = A[:, 1]  # duplicated atom: equal correlations, singular pair
+        B = rng.random((6, 5))
+        assert_matches_reference(A, B)
+    # Orthonormal atoms and equal weights: every correlation ties.
+    A = np.eye(4)[:, :3]
+    B = np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 0.0], [0.5, 0.0]])
+    assert_matches_reference(A, B)
+    paths = walk_all(A, B)
+    assert [list(e.support) for e in paths[0].entries] == [[], [0], [0, 1], [0, 1, 2]]
+
+
+def test_zero_and_uncorrelated_columns():
+    rng = np.random.default_rng(64)
+    A = rng.random((7, 3)) + 0.1
+    B = rng.random((7, 6))
+    B[:, [0, 3]] = 0.0
+    B[:, 5] = -B[:, 5]  # every correlation negative: zero is optimal throughout
+    paths = walk_all(A, B)
+    assert_matches_reference(A, B)
+    for j in (0, 3, 5):
+        assert len(paths[j].entries) == 1 and not paths[j].truncated
+
+
+def test_near_dependent_dictionaries():
+    # Atom 4 is within 1e-9 of (W0 + W1)/2, so the support that completes
+    # {0, 1, 4} is singular and ends the path.  The breakpoint where that
+    # last atom would enter is a ratio of two quantities near zero, which
+    # roundoff moves by up to about 1e-5; it is compared at 1e-4.
+    rng = np.random.default_rng(65)
+    truncated = 0
+    for _ in range(100):
+        A = rng.random((8, 5))
+        A[:, 4] = 0.5 * (A[:, 0] + A[:, 1]) + 1e-9 * rng.random(8)
+        B = rng.random((8, 10))
+        for j, got in enumerate(walk_all(A, B)):
+            want = reference(A, B[:, j])
+            truncated += want.truncated
+            if want.truncated:
+                last_want, last_got = want.entries.pop(), got.entries.pop()
+                assert last_got.lam == pytest.approx(last_want.lam, rel=1e-4)
+                assert tuple(last_got.support) == tuple(last_want.support)
+            assert_same_path(got, want)
+    assert truncated > 0
+
+
+def test_exact_dependency():
+    # Atom 4 is exactly (W0 + W1)/2.  With one of atoms 0 and 1 on the
+    # support, the other one and atom 4 reach the same entering ratio in
+    # exact arithmetic, and roundoff decides which of them enters.  The two
+    # walks may part only at such a tie; up to it they match, and both end
+    # at the NNLS optimum error.
+    rng = np.random.default_rng(67)
+    for _ in range(100):
+        A = rng.random((8, 5))
+        A[:, 4] = 0.5 * (A[:, 0] + A[:, 1])
+        B = rng.random((8, 10))
+        for j, got in enumerate(walk_all(A, B)):
+            want = reference(A, B[:, j])
+            scale = float(B[:, j] @ B[:, j])
+            assert got.terminal().error_sq == pytest.approx(want.terminal().error_sq,
+                                                            abs=RTOL * scale)
+            sg = [set(e.support) for e in got.entries]
+            sw = [set(e.support) for e in want.entries]
+            i = next((i for i, (g, w) in enumerate(zip(sg, sw)) if g != w), None)
+            if i is not None:
+                assert sg[i] ^ sw[i] <= {0, 1, 4}
+                del got.entries[i:], want.entries[i:]
+            assert_same_path(got, want)
+
+
+def test_breakpoint_limit_of_one():
+    rng = np.random.default_rng(66)
+    A = rng.random((8, 4)) + 0.05
+    A[:, 0] *= 4.0
+    B = rng.random((8, 40))
+    B[:, :3] = 0.0
+    B[:, 3:6] = A[:, [0]]  # the dominant atom alone: one breakpoint
+    results = walk_all(A, B, max_breakpoints=1)
+    assert_matches_reference(A, B, max_breakpoints=1)
+    assert any(isinstance(p, IterationLimit) for p in results)
+    assert not any(isinstance(p, IterationLimit) for p in results[:6])

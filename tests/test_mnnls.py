@@ -4,7 +4,9 @@ import pytest
 import shamans.mnnls as mnnls_mod
 from shamans.errors import (DimensionMismatch, IterationLimit,
                             ZeroColumnInDictionary, ZeroDataMatrix)
+from shamans.homotopy import PathWalk, regularization_path
 from shamans.mnnls import SolveConfig, metrics, solve
+from shamans.selector import build_cost_tables
 from shamans.nnls import nnls_active_set
 
 import demo_data as dd
@@ -32,6 +34,9 @@ class TestSolveDemo:
         assert report.mode == "shamans" and report.budget == 18
         assert report.per_column_sparsity == [0, 0, 3, 0, 3]
         assert report.fallback_columns == []
+        assert report.truncated_columns == []
+        assert report.breakpoints == sum(
+            len(regularization_path(W, M[:, j]).entries) - 1 for j in range(6))
 
     def test_ksparse(self, demo):
         M, W = demo
@@ -125,14 +130,21 @@ class TestProperties:
             assert rep2.nnz <= q
 
     def test_determinism_serial_vs_parallel(self, demo):
+        # Repeated solves agree bit for bit, and walking the columns one at
+        # a time gives the tables that the lockstep walk of all columns does.
         M, W = demo
         cfg = SolveConfig(mode="shamans", q=18)
         H1, _ = solve(M, W, cfg)
         H2, _ = solve(M, W, cfg)
         assert np.array_equal(H1, H2)
-        cfg_par = SolveConfig(mode="shamans", q=18, parallel=True, threads=3)
-        H3, _ = solve(M, W, cfg_par)
-        assert np.array_equal(H1, H3)
+        r, n = W.shape[1], M.shape[1]
+        serial = [regularization_path(W, M[:, j]) for j in range(n)]
+        walk = PathWalk(np.asfortranarray(W), np.asfortranarray(M))
+        lockstep = [regularization_path(W, M[:, j], walk=walk, column=j)
+                    for j in range(n)]
+        np.testing.assert_allclose(build_cost_tables(lockstep, r, n).cost,
+                                   build_cost_tables(serial, r, n).cost,
+                                   rtol=1e-12, atol=0)
 
 
 class TestValidation:
@@ -197,3 +209,19 @@ class TestFallback:
         with pytest.raises(IterationLimit) as info:
             solve(M, W, cfg)
         assert info.value.column == 0
+
+
+class TestPathReport:
+    def test_rank_deficient_column_is_listed_as_truncated(self):
+        # Atom 4 is within 1e-9 of (W0 + W1)/2, so a support holding atoms
+        # 0, 1 and 4 is singular: a path that reaches one stops there,
+        # before lambda reaches 0 (column 2 here).
+        rng = np.random.default_rng(0)
+        W = rng.random((8, 5))
+        W[:, 4] = 0.5 * (W[:, 0] + W[:, 1]) + 1e-9 * rng.random(8)
+        M = np.column_stack([rng.random(8) for _ in range(4)])
+        H, report = solve(M, W, SolveConfig(mode="unconstrained"))
+        truncated = [j for j in range(4) if regularization_path(W, M[:, j]).truncated]
+        assert truncated == [2]
+        assert report.truncated_columns == truncated
+        assert report.fallback_columns == []

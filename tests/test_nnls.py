@@ -118,3 +118,19 @@ def test_iteration_limit_carries_column():
     exc = IterationLimit("pivot cap", column=3)
     assert exc.column == 3
     assert IterationLimit("pivot cap").column is None
+
+
+def test_snapped_coefficient_leaves_a_stationary_refit():
+    # b is A @ (1, 1, eps) with eps under the snapping threshold
+    # tol * (1 + max|ell|).  Atom 2 carries the largest correlation, so it
+    # enters and ends at eps; once it is set to zero, the other two must be
+    # solved again or their gradient keeps a residue of order eps.
+    A = np.array([[1.0, 0.0, 1.1], [0.0, 1.0, 0.9], [0.2, 0.4, 0.7], [0.5, 0.1, 0.5]])
+    base = A[:, 0] + A[:, 1]
+    eps = 0.3 * 1e-10 * (1.0 + float((A.T @ base).max()))
+    b = base + eps * A[:, 2]
+    P, ell = gram(A), A.T @ b
+    assert int(np.argmax(ell)) == 2
+    x = nnls_gram(P, ell)
+    assert x[2] == 0.0 and x[0] > 0.0 and x[1] > 0.0
+    assert np.abs(x * (P @ x - ell)).max() <= 1e-14 * float(np.abs(P).max())
