@@ -77,6 +77,23 @@ def spd_factor(S: np.ndarray) -> np.ndarray:
     return L
 
 
+def masked_system(P: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """The (B, r, r) stack of systems P(K_i, K_i), one per row of the
+    (B, r) boolean support mask K, each padded to full size.
+
+    Off K_i the matrix is diagonal, equal to the largest diagonal entry of
+    P on K_i.  Those rows decouple, so a right-hand side that is zero off
+    K_i gives the solution on K_i and zeros elsewhere, and spd_factor's
+    relative pivot floor stays that of P(K_i, K_i).  Every row of K must
+    be nonempty.
+    """
+    S = np.where(K[:, :, None] & K[:, None, :], P, 0.0)
+    pad = np.where(K, np.diagonal(P), 0.0).max(axis=1)
+    on_diagonal = np.arange(K.shape[1])
+    S[:, on_diagonal, on_diagonal] += np.where(K, 0.0, pad[:, None])
+    return S
+
+
 def solve_spd(S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve S x = rhs for symmetric positive definite S."""
     L = spd_factor(S)

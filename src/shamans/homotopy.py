@@ -24,9 +24,11 @@ lambda = 0 with the unconstrained NNLS solution.
 Every right-hand side shares P, so the walk advances a block of columns
 in lockstep, one breakpoint per round: one stacked factorization and
 solve for all supports, one product for all complement gradients, one
-product for all refit residuals.  The kernels take a (B, r) boolean
-support mask, one row per column, and return full-space (B, r) arrays
-that are zero off the rows' supports (a, b) or on them (c, d).
+block active-set call (nnls_gram) for all refits whose least-squares
+solution goes negative, one product for all refit residuals.  The
+kernels take a (B, r) boolean support mask, one row per column, and
+return full-space (B, r) arrays that are zero off the rows' supports
+(a, b) or on them (c, d).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import densela
-from .densela import as_matrix, as_vector, spd_factor
+from .densela import as_matrix, as_vector, masked_system, spd_factor
 from .errors import IterationLimit, SingularSystem
 from .nnls import nnls_gram
 
@@ -116,12 +118,7 @@ def path_coefficients(P: np.ndarray, ell: np.ndarray, K: np.ndarray):
     """
     if not K.any(axis=1).all():
         raise ValueError("every support must be nonempty")
-    # P on K x K.  Off the support a diagonal equal to the support's largest
-    # decouples those rows and leaves the relative pivot floor where it was.
-    S = np.where(K[:, :, None] & K[:, None, :], P, 0.0)
-    pad = np.where(K, np.diagonal(P), 0.0).max(axis=1)
-    on_diagonal = np.arange(K.shape[1])
-    S[:, on_diagonal, on_diagonal] += np.where(K, 0.0, pad[:, None])
+    S = masked_system(P, K)
     spd_factor(S)
     rhs = np.stack([np.where(K, ell, 0.0), K.astype(np.float64)], axis=2)
     ab = np.linalg.solve(S, rhs)
@@ -168,15 +165,15 @@ def unbias(P: np.ndarray, ell: np.ndarray, K: np.ndarray, a: np.ndarray,
 
     ``a`` holds the least-squares solutions on K, zero elsewhere (the
     ``a`` of path_coefficients).  A row keeps a when it is nonnegative;
-    otherwise the active-set solver restricted to K refits it.  Returns
-    the (B, r) refits and their errors ||A x - b||^2 against the columns
-    b of B, the original right-hand sides.
+    the rows where it is not are refit together by one call of the
+    active-set solver, each restricted to its K.  Returns the (B, r)
+    refits and their errors ||A x - b||^2 against the columns b of B, the
+    original right-hand sides.
     """
     X = a.copy()
-    for i in np.flatnonzero((a < 0.0).any(axis=1)):
-        k = np.flatnonzero(K[i])
-        X[i] = 0.0
-        X[i, k] = nnls_gram(P[np.ix_(k, k)], ell[i, k], tol=tol)
+    infeasible = (a < 0.0).any(axis=1)
+    if infeasible.any():
+        X[infeasible] = nnls_gram(P, ell[infeasible], K[infeasible], tol=tol)
     resid = A @ X.T - B
     return X, np.einsum("ij,ij->j", resid, resid)
 
@@ -187,7 +184,9 @@ class PathWalk:
     Columns are walked BLOCK at a time, in lockstep, when
     regularization_path first asks for a column of the block.  A column
     whose path exceeds ``max_breakpoints`` (default 50 r) is recorded as
-    such and raises IterationLimit when asked for.
+    such and raises IterationLimit when asked for.  ``refits`` counts the
+    path entries of the blocks walked so far whose least-squares solution
+    went negative, i.e. the rows unbias sent to the active-set solver.
     """
 
     def __init__(self, A, B, tol: float = 1e-10, max_breakpoints: int | None = None,
@@ -200,6 +199,7 @@ class PathWalk:
         r = self.P.shape[0]
         self.max_breakpoints = 50 * r if max_breakpoints is None else max_breakpoints
         self._paths = {}  # column -> RegularizationPath, or None past the limit
+        self.refits = 0
 
     def _walk(self, start: int, stop: int) -> None:
         """Walk columns start..stop-1 in lockstep, one breakpoint per round."""
@@ -241,6 +241,7 @@ class PathWalk:
                 continue
             lam_next, kind, index = next_breakpoint(a, b, c, d, KL, lam[live], tol_neg)
             X, err = unbias(P, ell[live], KL, a, self.A, rhs[:, live], tol=tol)
+            self.refits += int(np.count_nonzero((a < 0.0).any(axis=1)))
             lam_next[lam_next <= tol_lam[live]] = 0.0
             nnz = np.count_nonzero(X, axis=1).tolist()
             for i, (p, lam_i, err_i) in enumerate(zip(live, lam_next.tolist(), err.tolist())):

@@ -58,7 +58,9 @@ class SolveConfig:
 class UnmixReport:
     """Quality and cost summary of one solve.
 
-    ``breakpoints`` totals the path steps of all columns.  Columns listed
+    ``breakpoints`` totals the path steps of all columns; ``refits``
+    counts the steps whose unbiased refit needed the active-set solver,
+    because least squares on the support went negative.  Columns listed
     in ``fallback_columns`` hit the breakpoint limit and were solved by
     plain NNLS instead; those in ``truncated_columns`` ended their path
     early on a rank-deficient support.
@@ -75,6 +77,7 @@ class UnmixReport:
     fallback_columns: list = field(default_factory=list)
     truncated_columns: list = field(default_factory=list)
     breakpoints: int = 0
+    refits: int = 0
 
 
 def metrics(M, W, H, zero_threshold: float = 1e-3) -> UnmixReport:
@@ -188,4 +191,5 @@ def solve(M, W, cfg: SolveConfig):
     report.fallback_columns = fallbacks
     report.truncated_columns = truncated
     report.breakpoints = sum(len(p.entries) - 1 for p in paths)
+    report.refits = walk.refits
     return H, report

@@ -2,8 +2,9 @@
 
 These deliberately avoid the code paths under test: brute-force support
 enumeration for NNLS, exhaustive cursor enumeration for the budgeted
-selection, a direct KKT evaluation of the penalized problem, and a
-one-column-at-a-time homotopy walk for the lockstep engine.
+selection, a direct KKT evaluation of the penalized problem, a
+one-column-at-a-time homotopy walk for the lockstep engine, and a
+one-column-at-a-time active-set NNLS for the block solver.
 """
 
 import itertools
@@ -13,7 +14,6 @@ import numpy as np
 from shamans.densela import gram, solve_spd
 from shamans.errors import IterationLimit, SingularSystem
 from shamans.homotopy import PathEntry, RegularizationPath
-from shamans.nnls import nnls_gram
 
 
 def nnls_bruteforce(A, b):
@@ -113,6 +113,71 @@ def random_cost_table(rng, r, n):
     return cost
 
 
+def reference_nnls_gram(P, ell, tol=1e-10):
+    """Active-set NNLS of one right-hand side from normal-equation data.
+
+    The per-column Lawson-Hanson solver the block ``nnls_gram`` replaced:
+    it starts from x = 0 and solves each passive set on its own.  Solves
+    min ||Ax - b||^2 s.t. x >= 0 where P = A.T A and ell = A.T b; ties on
+    the entering variable break toward the smallest index.
+
+    Raises IterationLimit after 10 r (r+1) pivots, which signals cycling
+    or heavy degeneracy, and propagates SingularSystem from the inner
+    solve on a rank-deficient passive set.  Coefficients that end below
+    tol * (1 + max|ell|) are set to zero and the rest solved again on
+    their own support, so the result stays a stationary refit.
+    """
+    r = ell.shape[0]
+    x = np.zeros(r)
+    passive = np.zeros(r, dtype=bool)
+    scale = 1.0 + float(np.abs(ell).max(initial=0.0))
+    max_pivots = 10 * r * (r + 1)
+    pivots = 0
+
+    while True:
+        w = ell - P @ x
+        w = np.where(passive, -np.inf, w)
+        entering = int(np.argmax(w))  # first maximum, i.e. smallest index
+        if not np.isfinite(w[entering]) or w[entering] <= tol * scale:
+            break
+        passive[entering] = True
+        pivots += 1
+        if pivots > max_pivots:
+            raise IterationLimit(f"active-set pivot limit {max_pivots} exceeded")
+
+        while True:
+            K = np.flatnonzero(passive)
+            z = solve_spd(P[np.ix_(K, K)], ell[K])
+            if z.min() > 0.0:
+                x[:] = 0.0
+                x[K] = z
+                break
+            # Walk toward z until the first passive coordinate hits zero.
+            xk = x[K]
+            neg = z <= 0.0
+            denom = xk[neg] - z[neg]
+            steps = np.where(denom > 0.0, xk[neg] / np.where(denom > 0.0, denom, 1.0), 0.0)
+            alpha = float(steps.min())
+            x[K] = xk + alpha * (z - xk)
+            drop = K[x[K] <= tol * scale]
+            x[drop] = 0.0
+            passive[drop] = False
+            pivots += drop.size
+            if pivots > max_pivots:
+                raise IterationLimit(f"active-set pivot limit {max_pivots} exceeded")
+
+    snapped = (x != 0.0) & (x < tol * scale)
+    if snapped.any():
+        # Zeroing a coefficient moves the others' optimum: refit on the rest.
+        x[snapped] = 0.0
+        K = np.flatnonzero(x)
+        if K.size:
+            z = solve_spd(P[np.ix_(K, K)], ell[K])
+            if z.min() > 0.0:
+                x[K] = z
+    return x
+
+
 def reference_path(A, b, tol=1e-10, max_breakpoints=None):
     """Regularization path of (A, b) walked one breakpoint at a time.
 
@@ -171,7 +236,7 @@ def reference_path(A, b, tol=1e-10, max_breakpoints=None):
         if a_K.min() >= 0.0:
             x[K] = a_K
         else:
-            x[K] = nnls_gram(P[np.ix_(K, K)], ell[K], tol=tol)
+            x[K] = reference_nnls_gram(P[np.ix_(K, K)], ell[K], tol=tol)
         resid = A @ x - b
         if lam_next <= tol_lam:
             lam_next = 0.0

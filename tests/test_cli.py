@@ -90,14 +90,14 @@ class TestReportJson:
                           per_column_sparsity=[0, 0, 3, 0, 3],
                           elapsed_path_ms=1.5, elapsed_select_ms=0.4,
                           mode="shamans", budget=18, fallback_columns=[4],
-                          truncated_columns=[1, 3], breakpoints=17)
+                          truncated_columns=[1, 3], breakpoints=17, refits=5)
         p = tmp_path / "report.json"
         write_report_json(rep, p)
         data = json.loads(p.read_text())
         assert set(data) == {"rel_error", "avg_sparsity", "nnz",
                              "per_column_sparsity", "elapsed_path_ms",
                              "elapsed_select_ms", "mode", "budget",
-                             "breakpoints", "fallback_columns",
+                             "breakpoints", "refits", "fallback_columns",
                              "truncated_columns"}
         assert data["rel_error"] == pytest.approx(0.0073)
         assert data["per_column_sparsity"] == [0, 0, 3, 0, 3]
@@ -105,6 +105,7 @@ class TestReportJson:
         assert data["fallback_columns"] == [4]
         assert data["truncated_columns"] == [1, 3]
         assert data["breakpoints"] == 17
+        assert data["refits"] == 5
 
 
 class TestAbundanceMaps:
@@ -159,6 +160,7 @@ class TestMain:
         assert data["rel_error"] == pytest.approx(dd.DEMO_REL_SHAMANS)
         assert data["avg_sparsity"] == pytest.approx(3.0)
         assert data["mode"] == "shamans" and data["budget"] == 18
+        assert data["refits"] == 0  # every demo support refits without the solver
 
     def test_end_to_end_maps(self, demo_files):
         wpath, mpath, tmp = demo_files

@@ -10,6 +10,7 @@ from shamans.selector import build_cost_tables
 from shamans.nnls import nnls_active_set
 
 import demo_data as dd
+from oracles import reference_path
 
 
 def random_problem(rng, m, r, n, col_sparsity=None, noise=0.01):
@@ -37,6 +38,7 @@ class TestSolveDemo:
         assert report.truncated_columns == []
         assert report.breakpoints == sum(
             len(regularization_path(W, M[:, j]).entries) - 1 for j in range(6))
+        assert report.refits == 0
 
     def test_ksparse(self, demo):
         M, W = demo
@@ -225,3 +227,15 @@ class TestPathReport:
         assert truncated == [2]
         assert report.truncated_columns == truncated
         assert report.fallback_columns == []
+
+    def test_refits_count_negative_least_squares_entries(self):
+        # Counted independently: entries of the one-column reference walk
+        # whose least-squares solution on the support has a negative entry.
+        rng = np.random.default_rng(3)
+        W = rng.random((12, 8))
+        M = rng.random((12, 300))
+        H, report = solve(M, W, SolveConfig(mode="unconstrained"))
+        want = sum(int((e.coeff_a < 0.0).any()) for j in range(300)
+                   for e in reference_path(W, M[:, j]).entries)
+        assert want > 0
+        assert report.refits == want

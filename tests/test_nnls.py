@@ -6,7 +6,7 @@ from shamans.errors import IterationLimit
 from shamans.nnls import nnls_active_set, nnls_gram
 
 from demo_data import DEMO_M, DEMO_W
-from oracles import nnls_bruteforce, random_nonneg_instance
+from oracles import nnls_bruteforce, random_nonneg_instance, reference_nnls_gram
 
 
 def test_zero_rhs():
@@ -134,3 +134,52 @@ def test_snapped_coefficient_leaves_a_stationary_refit():
     x = nnls_gram(P, ell)
     assert x[2] == 0.0 and x[0] > 0.0 and x[1] > 0.0
     assert np.abs(x * (P @ x - ell)).max() <= 1e-14 * float(np.abs(P).max())
+
+
+def test_block_matches_per_column_reference():
+    # One block mixes mask sizes 1..r, rows feasible at the warm start,
+    # rows with ell <= 0 on their mask (x = 0), and rows whose warm start
+    # keeps a coefficient the optimum drops.  Each row must equal the
+    # per-column solver on P(mask, mask) and the enumeration oracle.
+    rng = np.random.default_rng(18)
+    m, r, n = 8, 6, 400
+    A = np.abs(rng.standard_normal((m, r)))
+    P = gram(A)
+    mask = np.zeros((n, r), dtype=bool)
+    B = np.empty((m, n))
+    for i in range(n):
+        k = np.sort(rng.choice(r, size=1 + i % r, replace=False))
+        mask[i, k] = True
+        kind = i % 4
+        if kind == 0:  # exactly representable with positive coefficients
+            B[:, i] = A[:, k] @ rng.uniform(0.5, 1.5, size=k.size)
+        elif kind == 1:  # nonpositive correlations with every atom
+            B[:, i] = -np.abs(rng.standard_normal(m))
+        else:
+            B[:, i] = np.abs(rng.standard_normal(m)) - A @ np.abs(rng.standard_normal(r)) * 0.1
+    ell = (A.T @ B).T
+    X = nnls_gram(P, ell, mask)
+    assert X.shape == (n, r) and np.all(X[~mask] == 0.0)
+
+    wrong_start = 0
+    for i in range(n):
+        k = np.flatnonzero(mask[i])
+        scale = 1.0 + np.abs(ell[i, k]).max()
+        want = reference_nnls_gram(P[np.ix_(k, k)], ell[i, k])
+        np.testing.assert_allclose(X[i, k], want, rtol=0, atol=1e-12 * scale)
+        x_star, _ = nnls_bruteforce(A[:, k], B[:, i])
+        np.testing.assert_allclose(X[i, k], x_star, rtol=0, atol=1e-8)
+        if i % 4 == 1:
+            assert np.all(X[i] == 0.0)
+        if k.size > 1:
+            ls = np.linalg.solve(P[np.ix_(k, k)], ell[i, k])
+            wrong_start += bool(np.any((ls > 0.0) & (x_star == 0.0)) and x_star.any())
+    assert wrong_start > 20
+
+    # Masks larger than m have no least-squares start; errors still match.
+    A = np.abs(rng.standard_normal((3, 5)))
+    B = np.abs(rng.standard_normal((3, 50))) - 0.3
+    X = nnls_gram(gram(A), (A.T @ B).T)
+    for i in range(50):
+        resid = A @ X[i] - B[:, i]
+        assert float(resid @ resid) == pytest.approx(nnls_bruteforce(A, B[:, i])[1], abs=1e-8)
