@@ -64,11 +64,8 @@ def read_csv_matrix(path) -> np.ndarray:
 
 def write_csv_matrix(H: np.ndarray, path) -> None:
     """Write a matrix in the same CSV format, 17 significant digits."""
-    H = np.asarray(H)
     with open(path, "wt", encoding="ascii") as fh:
-        for i in range(H.shape[0]):
-            fh.write(",".join(f"{v:.17g}" for v in H[i, :]))
-            fh.write("\n")
+        np.savetxt(fh, H, fmt="%.17g", delimiter=",")
 
 
 def write_report_json(report: UnmixReport, path) -> None:

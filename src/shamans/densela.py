@@ -8,7 +8,6 @@ is treated as immutable after construction; all functions are pure.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs
 
 from .errors import NonFiniteEntry, SingularSystem
 
@@ -92,17 +91,6 @@ def masked_system(P: np.ndarray, K: np.ndarray) -> np.ndarray:
     on_diagonal = np.arange(K.shape[1])
     S[:, on_diagonal, on_diagonal] += np.where(K, 0.0, pad[:, None])
     return S
-
-
-def solve_spd(S: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve S x = rhs for symmetric positive definite S."""
-    L = spd_factor(S)
-    if L.shape[0] == 0:
-        return np.zeros_like(rhs)
-    x, info = dpotrs(L, rhs, lower=1)
-    if info != 0:
-        raise SingularSystem(f"triangular solve failed (info={info})")
-    return x
 
 
 def frob_norm(A: np.ndarray) -> float:

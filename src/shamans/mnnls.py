@@ -176,7 +176,6 @@ def solve(M, W, cfg: SolveConfig):
         budget = cfg.k
     else:
         tables = selector.build_cost_tables(paths, r, n)
-        selector.delta_cost(tables)
         state = selector.init_gain(tables)
         cursors = selector.select(state, tables, cfg.q, strict=cfg.strict_budget)
         H = selector.assemble(tables, cursors)

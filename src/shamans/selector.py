@@ -6,12 +6,17 @@ nonzeros, then spend a global nonzero budget greedily: at every step pick
 the cursor advance with the largest error decrease per added nonzero.
 Because columns do not interact in the objective, the greedy selection is
 optimal at every total it reaches among the tabled solutions.
+
+A column's greedy advances follow the lower convex hull of its cost
+curve, so the global greedy is one merge of all columns' hull segments
+by decreasing gain (marginal analysis: Fox, "Discrete optimization via
+marginal analysis", Management Sci. 1966): init_gain sorts the segments
+once and select_step takes them in order.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,14 +31,11 @@ class CostTables:
     ``cost`` has r+1 rows for sparsity levels 0..r and is nonincreasing
     down each column; ``sols[k][j]`` is the solution behind cost[k, j]
     (at most k nonzeros).  ``delta[k-1, j] = cost[k-1, j] - cost[k, j]``
-    is filled by delta_cost.  ``present[k, j]`` marks cells won by a path
-    entry of cardinality exactly k, as opposed to values propagated down
-    from sparser entries.
+    is filled by delta_cost.
     """
 
     cost: np.ndarray
     sols: list
-    present: np.ndarray
     delta: np.ndarray | None = None
 
     @property
@@ -49,30 +51,16 @@ class CostTables:
 class SelectionState:
     """Mutable state of the greedy budget loop.
 
-    ``cursors[j]`` is the sparsity level currently selected for column j;
-    ``gain[i, j]`` the mean error decrease per nonzero of advancing column
-    j's cursor to level i+1.  ``heap`` holds (-gain, column, row, version)
-    candidates with lazy invalidation; ``version[j]`` stamps the latest
-    rebuild of column j so stale heap entries are skipped.
+    ``cursors[j]`` is the sparsity level currently selected for column j
+    and ``nnz_total`` their sum.  ``segments`` lists every column's hull
+    segments as (level, column) in greedy order; ``position`` is the
+    index of the next one to take.
     """
 
     cursors: np.ndarray
-    gain: np.ndarray
     nnz_total: int
-    heap: list = field(default_factory=list)
-    version: np.ndarray | None = None
-
-    def column_best(self):
-        """(gain, row, column) currently at the top of the priority heap."""
-        self._prune()
-        if not self.heap:
-            return None
-        g, j, i, _ = self.heap[0]
-        return -g, i, j
-
-    def _prune(self):
-        while self.heap and self.heap[0][3] != self.version[self.heap[0][1]]:
-            heapq.heappop(self.heap)
+    segments: list
+    position: int = 0
 
 
 def build_cost_tables(paths: list[RegularizationPath], r: int, n: int) -> CostTables:
@@ -86,7 +74,6 @@ def build_cost_tables(paths: list[RegularizationPath], r: int, n: int) -> CostTa
     if len(paths) != n:
         raise ValueError(f"expected {n} paths, got {len(paths)}")
     cost = np.full((r + 1, n), np.inf)
-    present = np.zeros((r + 1, n), dtype=bool)
     sols = [[None] * n for _ in range(r + 1)]
     for j, path in enumerate(paths):
         entries = path.entries
@@ -96,13 +83,11 @@ def build_cost_tables(paths: list[RegularizationPath], r: int, n: int) -> CostTa
         for e in entries:
             k = e.cardinality
             err = e.error_sq
-            if err < col[k]:
-                present[k, j] = True
             for i in range(k, r + 1):
                 if err < col[i]:
                     col[i] = err
                     sols[i][j] = e.solution
-    return CostTables(cost=cost, sols=sols, present=present)
+    return CostTables(cost=cost, sols=sols)
 
 
 def delta_cost(tables: CostTables) -> CostTables:
@@ -112,90 +97,93 @@ def delta_cost(tables: CostTables) -> CostTables:
     return tables
 
 
-def column_gain(delta_col: np.ndarray, cursor: int) -> np.ndarray:
-    """Mean error decrease per nonzero for advancing one column's cursor.
+def gain_table(delta: np.ndarray, cursors: np.ndarray) -> np.ndarray:
+    """Mean error decrease per nonzero of every cursor advance.
 
-    Entry i (level i+1) is sum(delta[cursor:i+1]) / (i+1 - cursor) for
-    levels above the cursor and 0 at or below it.
+    Entry (i, j) is sum(delta[cursor_j:i+1, j]) / (i+1 - cursor_j) for
+    levels i+1 above column j's cursor and 0 at or below it.
     """
-    r = delta_col.shape[0]
-    g = np.zeros(r)
-    if cursor < r:
-        seg = delta_col[cursor:]
-        g[cursor:] = np.cumsum(seg) / np.arange(1, r - cursor + 1)
-    return g
+    rows = np.arange(delta.shape[0])[:, None]
+    return (np.cumsum(np.where(rows >= cursors, delta, 0.0), axis=0)
+            / np.maximum(rows + 1 - cursors, 1))
 
 
 def init_gain(tables: CostTables) -> SelectionState:
-    """Selection state with all cursors at zero and gains seeded."""
+    """Selection state with all cursors at zero and the segments sorted.
+
+    Column j's greedy advances, each to the first level of largest gain
+    while that gain is positive, trace the lower convex hull of its cost
+    curve.  They depend on no other column, so all columns walk them at
+    once, one advance per round.  Roundoff can give a segment a larger
+    gain than an earlier one of its column; the greedy then takes it
+    right after that earlier one, so a segment's sort key is the running
+    minimum of its column's gains.  Sorting by (-key, column, order in
+    the column) interleaves the columns exactly as the greedy does.
+    """
     if tables.delta is None:
         delta_cost(tables)
-    r, n = tables.delta.shape
-    gain = np.cumsum(tables.delta, axis=0) / np.arange(1, r + 1)[:, None]
-    state = SelectionState(cursors=np.zeros(n, dtype=np.int64), gain=gain,
-                           nnz_total=0, version=np.zeros(n, dtype=np.int64))
-    best_rows = np.argmax(gain, axis=0)
-    for j in range(n):
-        g = float(gain[best_rows[j], j])
-        if g > 0.0:
-            state.heap.append((-g, j, int(best_rows[j]), 0))
-    heapq.heapify(state.heap)
-    return state
+    delta = tables.delta
+    r, n = delta.shape
+    cursors = np.zeros(n, dtype=np.int64)
+    levels = np.zeros((r, n), dtype=np.int64)  # 0: no k-th segment
+    gains = np.zeros((r, n))
+    active = np.arange(n)
+    for k in range(r):
+        G = gain_table(delta[:, active], cursors[active])
+        rows = np.argmax(G, axis=0)
+        best = G[rows, np.arange(active.size)]
+        keep = best > 0.0
+        active, rows = active[keep], rows[keep]
+        gains[k, active] = best[keep]
+        cursors[active] = levels[k, active] = rows + 1
+    k, j = np.nonzero(levels)
+    keys = np.minimum.accumulate(gains, axis=0)[k, j]
+    order = np.lexsort((k, j, -keys))
+    segments = list(zip(levels[k, j][order].tolist(), j[order].tolist()))
+    return SelectionState(cursors=np.zeros(n, dtype=np.int64), nnz_total=0,
+                          segments=segments)
 
 
-def _rebuild_column(state: SelectionState, tables: CostTables, j: int) -> None:
-    g = column_gain(tables.delta[:, j], int(state.cursors[j]))
-    state.gain[:, j] = g
-    state.version[j] += 1
-    i = int(np.argmax(g))
-    if g[i] > 0.0:
-        heapq.heappush(state.heap, (-float(g[i]), j, i, int(state.version[j])))
-
-
-def _best_fitting(state: SelectionState, remaining: int):
-    """Best positive gain among advances of at most ``remaining`` nonzeros."""
-    r, n = state.gain.shape
-    levels = np.arange(1, r + 1)[:, None]
-    allowed = levels <= state.cursors[None, :] + remaining
-    masked = np.where(allowed, state.gain, -np.inf)
+def _best_fitting(delta: np.ndarray, cursors: np.ndarray, remaining: int):
+    """(level, column) of the best positive gain among advances of at
+    most ``remaining`` nonzeros, or None."""
+    r, n = delta.shape
+    allowed = np.arange(1, r + 1)[:, None] <= cursors + remaining
+    masked = np.where(allowed, gain_table(delta, cursors), -np.inf)
     rows = np.argmax(masked, axis=0)
     vals = masked[rows, np.arange(n)]
     j = int(np.argmax(vals))
     if vals[j] <= 0.0:
         return None
-    return float(vals[j]), int(rows[j]), j
+    return int(rows[j]) + 1, j
 
 
 def select_step(state: SelectionState, tables: CostTables, q: int,
                 strict: bool = False):
     """Perform one greedy pick; returns (level, column) or None when done.
 
-    Picks the global argmax of the gain table (ties: smaller column, then
-    smaller row).  In strict mode a pick that would push the total above
-    q is passed over in favor of the best advance that still fits; with
-    no fitting positive advance the selection stops, so the budget is
-    never exceeded.  In default mode the final pick may overshoot q by at
-    most r - 1.
+    Takes the next hull segment: the advance of largest mean error
+    decrease per added nonzero (ties: smaller column, then smaller level).
+    In strict mode, once fewer than r nonzeros remain, it takes instead
+    the best advance that still fits, and stops when no positive one
+    does, so the budget is never exceeded.  In default mode the final
+    pick may overshoot q by at most r - 1.
     """
     if state.nnz_total >= q:
         return None
     remaining = q - state.nnz_total
-    if strict and remaining < state.gain.shape[0]:
-        found = _best_fitting(state, remaining)
+    if strict and remaining < tables.levels:
+        found = _best_fitting(tables.delta, state.cursors, remaining)
         if found is None:
             return None
-        _, i, j = found
+        level, j = found
+    elif state.position < len(state.segments):
+        level, j = state.segments[state.position]
+        state.position += 1
     else:
-        found = state.column_best()
-        if found is None:
-            return None
-        g, i, j = found
-        if g <= 0.0:
-            return None
-    level = i + 1
+        return None
     state.nnz_total += level - int(state.cursors[j])
     state.cursors[j] = level
-    _rebuild_column(state, tables, j)
     return level, j
 
 
@@ -207,7 +195,6 @@ def select(state: SelectionState, tables: CostTables, q: int,
     while select_step(state, tables, q, strict=strict) is not None:
         pass
     return state.cursors
-
 
 def assemble(tables: CostTables, cursors: np.ndarray) -> np.ndarray:
     """Stack the selected per-column solutions into the r x n matrix."""

@@ -3,15 +3,18 @@
 These deliberately avoid the code paths under test: brute-force support
 enumeration for NNLS, exhaustive cursor enumeration for the budgeted
 selection, a direct KKT evaluation of the penalized problem, a
-one-column-at-a-time homotopy walk for the lockstep engine, and a
-one-column-at-a-time active-set NNLS for the block solver.
+one-column-at-a-time homotopy walk for the lockstep engine, a
+one-column-at-a-time active-set NNLS for the block solver, and a
+lazy-heap greedy for the sorted hull-segment selection.
 """
 
+import heapq
 import itertools
 
 import numpy as np
+from scipy.linalg.lapack import dpotrs
 
-from shamans.densela import gram, solve_spd
+from shamans.densela import gram, spd_factor
 from shamans.errors import IterationLimit, SingularSystem
 from shamans.homotopy import PathEntry, RegularizationPath
 
@@ -81,6 +84,70 @@ def min_error_by_total(cost):
         if total not in best or err < best[total]:
             best[total] = err
     return best
+
+
+def reference_select(delta, q, strict=False):
+    """The lazy-heap greedy the sorted hull-segment selection replaced.
+
+    Keeps a gain table (mean error decrease per nonzero of every cursor
+    advance), a heap holding each column's first argmax as (-gain,
+    column, row, version), and rebuilds a column's gains after each of
+    its picks; stale heap entries are skipped by version.  In strict mode,
+    once fewer than r nonzeros remain, it takes the best positive advance
+    that still fits.  Returns the final cursors and the (level, column)
+    picks in order.
+    """
+    r, n = delta.shape
+    gain = np.cumsum(delta, axis=0) / np.arange(1, r + 1)[:, None]
+    cursors = np.zeros(n, dtype=np.int64)
+    version = np.zeros(n, dtype=np.int64)
+    heap = []
+
+    def push(j):
+        i = int(np.argmax(gain[:, j]))
+        if gain[i, j] > 0.0:
+            heapq.heappush(heap, (-float(gain[i, j]), j, i, int(version[j])))
+
+    for j in range(n):
+        push(j)
+    nnz, picks = 0, []
+    while nnz < q:
+        remaining = q - nnz
+        if strict and remaining < r:
+            allowed = np.arange(1, r + 1)[:, None] <= cursors + remaining
+            masked = np.where(allowed, gain, -np.inf)
+            rows = np.argmax(masked, axis=0)
+            vals = masked[rows, np.arange(n)]
+            j = int(np.argmax(vals))
+            if vals[j] <= 0.0:
+                break
+            i = int(rows[j])
+        else:
+            while heap and heap[0][3] != version[heap[0][1]]:
+                heapq.heappop(heap)
+            if not heap:
+                break
+            _, j, i, _ = heap[0]
+        c = i + 1
+        nnz += c - int(cursors[j])
+        cursors[j] = c
+        picks.append((c, j))
+        gain[:, j] = 0.0
+        gain[c:, j] = np.cumsum(delta[c:, j]) / np.arange(1, r - c + 1)
+        version[j] += 1
+        push(j)
+    return cursors, picks
+
+
+def solve_spd(S, rhs):
+    """Solve S x = rhs for symmetric positive definite S by Cholesky."""
+    L = spd_factor(S)
+    if L.shape[0] == 0:
+        return np.zeros_like(rhs)
+    x, info = dpotrs(L, rhs, lower=1)
+    if info != 0:
+        raise SingularSystem(f"triangular solve failed (info={info})")
+    return x
 
 
 def random_nonneg_instance(rng, m, r, noise=0.0):

@@ -189,16 +189,16 @@ def test_criterion_4_golden_tables():
     paths = [shamans.regularization_path(dd.DEMO_W, dd.DEMO_M[:, j])
              for j in range(dd.DEMO_N)]
     tables = selector.build_cost_tables(paths, dd.DEMO_R, dd.DEMO_N)
-    selector.delta_cost(tables)
     state = selector.init_gain(tables)
     failures = _diffs("C", tables.cost, REF_COST, TOL_TABLE)
     failures += _diffs("deltaC", tables.delta, REF_DELTA, TOL_TABLE)
-    failures += _diffs("G0", state.gain, REF_GAIN_INIT, TOL_TABLE)
+    failures += _diffs("G0", selector.gain_table(tables.delta, state.cursors),
+                       REF_GAIN_INIT, TOL_TABLE)
     picks = []
     snapshots = []
     for _ in range(3):
         picks.append(selector.select_step(state, tables, dd.DEMO_BUDGET))
-        snapshots.append(state.gain.copy())
+        snapshots.append(selector.gain_table(tables.delta, state.cursors))
     failures += _diffs("G1", snapshots[0], REF_GAIN_STEP1, TOL_TABLE)
     failures += _diffs("G2", snapshots[1], REF_GAIN_STEP2, TOL_TABLE)
     got_picks = [(level, col + 1) for level, col in picks]
@@ -258,8 +258,7 @@ def test_criterion_7_selection_oracle_suite(tmp_path):
         best = min_error_by_total(cost)
         for q in range(0, r * n + 1):
             sols = [[np.zeros(r)] * n for _ in range(r + 1)]
-            tables = selector.CostTables(cost=cost.copy(), sols=sols,
-                                         present=np.ones((r + 1, n), bool))
+            tables = selector.CostTables(cost=cost.copy(), sols=sols)
             selector.delta_cost(tables)
             state = selector.init_gain(tables)
             cursors = selector.select(state, tables, q)

@@ -83,6 +83,16 @@ class TestWriteCsv:
         with pytest.raises(OSError):
             write_csv_matrix(np.zeros((1, 1)), tmp_path / "nope" / "h.csv")
 
+    def test_bytes_match_per_value_format(self, tmp_path):
+        # Each value as f"{v:.17g}": shortest round-trip forms, a negative
+        # zero, the smallest subnormal and magnitudes from 1e-300 to 1e300.
+        H = np.concatenate([[1.0 / 3.0, -0.0, 5e-324, 1e300, 0.0, -2.5],
+                            np.logspace(-300, 300, 58)]).reshape(8, 8)
+        p = tmp_path / "h.csv"
+        write_csv_matrix(H, p)
+        expected = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in H)
+        assert p.read_bytes() == expected.encode("ascii")
+
 
 class TestReportJson:
     def test_schema_and_roundtrip(self, tmp_path):

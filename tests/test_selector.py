@@ -6,11 +6,11 @@ import pytest
 from shamans.errors import MissingZeroEntry
 from shamans.homotopy import PathEntry, RegularizationPath, regularization_path
 from shamans.selector import (CostTables, assemble, build_cost_tables,
-                              column_gain, delta_cost, init_gain, select,
+                              delta_cost, gain_table, init_gain, select,
                               select_step)
 
 import demo_data as dd
-from oracles import min_error_by_total, random_cost_table
+from oracles import min_error_by_total, random_cost_table, reference_select
 
 R, N = dd.DEMO_R, dd.DEMO_N
 
@@ -35,8 +35,7 @@ def demo_tables():
 def synthetic_tables(cost):
     levels, n = cost.shape
     sols = [[np.zeros(levels - 1)] * n for _ in range(levels)]
-    return CostTables(cost=np.asarray(cost, dtype=float), sols=sols,
-                      present=np.ones((levels, n), dtype=bool))
+    return CostTables(cost=np.asarray(cost, dtype=float), sols=sols)
 
 
 class TestBuildCostTables:
@@ -68,8 +67,6 @@ class TestBuildCostTables:
         np.testing.assert_allclose(tables.cost[:, 0], [10, 10, 1, 1, 1])
         assert np.count_nonzero(tables.sols[1][0]) == 0
         assert np.count_nonzero(tables.sols[3][0]) == 2
-        np.testing.assert_array_equal(tables.present[:, 0],
-                                      [True, False, True, False, False])
 
     def test_sparser_later_entry_wins_denser_rows(self):
         # A 2-sparse solution found after a 3-sparse one, with a smaller
@@ -128,19 +125,24 @@ class TestInitGain:
         state = init_gain(tables)
         expected = [3.64, (3.64 + 0.65) / 2, (3.64 + 0.65 + 0.01) / 3,
                     (3.64 + 0.65 + 0.01) / 4]
-        np.testing.assert_allclose(state.gain[:, 0], expected, rtol=1e-12)
+        np.testing.assert_allclose(gain_table(tables.delta, state.cursors)[:, 0],
+                                   expected, rtol=1e-12)
 
     def test_all_zero(self):
         tables = synthetic_tables(np.full((5, 3), 1.0))
         state = init_gain(tables)
-        np.testing.assert_array_equal(state.gain, np.zeros((4, 3)))
-        assert state.column_best() is None
+        np.testing.assert_array_equal(gain_table(tables.delta, state.cursors),
+                                      np.zeros((4, 3)))
+        assert state.segments == []
+        assert select_step(state, tables, 5) is None
 
     def test_demo_top_entry(self):
-        state = init_gain(demo_tables())
-        gain, row, col = state.column_best()
-        assert (row, col) == (0, 1)
-        assert gain == pytest.approx(8.58349710771, abs=1e-9)
+        tables = demo_tables()
+        state = init_gain(tables)
+        level, col = state.segments[0]
+        assert (level, col) == (1, 1)
+        assert gain_table(tables.delta, state.cursors)[0, 1] == pytest.approx(
+            8.58349710771, abs=1e-9)
 
 
 class TestSelect:
@@ -221,26 +223,51 @@ class TestSelect:
                 else:
                     assert got == available
 
-    def test_gain_consistency_after_steps(self):
-        tables = demo_tables()
-        state = init_gain(tables)
-        for _ in range(5):
-            select_step(state, tables, dd.DEMO_BUDGET)
-            for j in range(N):
-                fresh = column_gain(tables.delta[:, j], int(state.cursors[j]))
-                assert np.array_equal(fresh, state.gain[:, j])
+    def test_gain_table_is_per_column_prefix_mean(self):
+        # Leading zeros below the cursor leave the running sums exact.
+        rng = np.random.default_rng(34)
+        for _ in range(50):
+            r, n = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+            delta = rng.uniform(0.0, 5.0, size=(r, n))
+            cursors = rng.integers(0, r + 1, size=n)
+            G = gain_table(delta, cursors)
+            for j, c in enumerate(cursors):
+                expected = np.zeros(r)
+                expected[c:] = np.cumsum(delta[c:, j]) / np.arange(1, r - c + 1)
+                assert np.array_equal(G[:, j], expected)
 
-    def test_heap_top_is_true_argmax(self):
+    def test_each_pick_is_the_gain_table_argmax(self):
         tables = demo_tables()
         state = init_gain(tables)
         while True:
-            top = state.column_best()
-            if top is None:
+            G = gain_table(tables.delta, state.cursors)
+            pick = select_step(state, tables, dd.DEMO_BUDGET)
+            if pick is None:
                 break
-            gain, row, col = top
-            assert gain == state.gain.max()
-            if select_step(state, tables, dd.DEMO_BUDGET) is None:
-                break
+            level, col = pick
+            assert G[level - 1, col] == G.max()
+
+    def test_matches_reference_heap_greedy(self):
+        # Identical pick sequences and cursors at every budget, both modes.
+        # In the last table column 0 gains 1 and then 1 + 2**-52 (their
+        # mean rounds to 1): sorting by raw gain would take (2, 0) first.
+        rng = np.random.default_rng(35)
+        costs = [demo_tables().cost, np.array([[3.0, 3.0], [2.0, 2.0], [1 - 2**-52, 2.0]])]
+        for i in range(160):
+            cost = random_cost_table(rng, int(rng.integers(1, 7)),
+                                     int(rng.integers(1, 8)))
+            costs.append(np.round(cost) if i % 2 else cost)  # ties when rounded
+        for cost in costs:
+            r, n = cost.shape[0] - 1, cost.shape[1]
+            for q, strict in itertools.product(range(r * n + 2), (False, True)):
+                tables = synthetic_tables(cost)
+                state = init_gain(tables)
+                picks = []
+                while (pick := select_step(state, tables, q, strict)) is not None:
+                    picks.append(pick)
+                ref_cursors, ref_picks = reference_select(tables.delta, q, strict)
+                assert picks == ref_picks, (cost, q, strict)
+                np.testing.assert_array_equal(state.cursors, ref_cursors)
 
     def test_total_error_monotone(self):
         tables = demo_tables()
