@@ -7,14 +7,11 @@ matrix.
 """
 
 from . import densela, errors
-from .homotopy import (PathEntry, PathWalk, RegularizationPath, lambda_max,
-                       next_breakpoint, path_coefficients,
-                       regularization_path, unbias)
+from .homotopy import PathWalk, RegularizationPath, regularization_path
 from .mnnls import MODES, SolveConfig, UnmixReport, metrics, solve
 from .nnls import NnlsSolution, nnls_active_set, nnls_gram
 from .selector import (CostTables, SelectionState, assemble,
-                       build_cost_tables, delta_cost, init_gain, select,
-                       select_step)
+                       build_cost_tables, init_gain, select, select_step)
 
 __version__ = "0.1.0"
 
@@ -22,7 +19,6 @@ __all__ = [
     "MODES",
     "CostTables",
     "NnlsSolution",
-    "PathEntry",
     "PathWalk",
     "RegularizationPath",
     "SelectionState",
@@ -30,19 +26,14 @@ __all__ = [
     "UnmixReport",
     "assemble",
     "build_cost_tables",
-    "delta_cost",
     "densela",
     "errors",
     "init_gain",
-    "lambda_max",
     "metrics",
-    "next_breakpoint",
     "nnls_active_set",
     "nnls_gram",
-    "path_coefficients",
     "regularization_path",
     "select",
     "select_step",
     "solve",
-    "unbias",
 ]

@@ -80,6 +80,7 @@ def write_report_json(report: UnmixReport, path) -> None:
         "mode": report.mode,
         "budget": report.budget,
         "breakpoints": report.breakpoints,
+        "breakpoint_histogram": list(report.breakpoint_histogram),
         "refits": report.refits,
         "fallback_columns": list(report.fallback_columns),
         "truncated_columns": list(report.truncated_columns),

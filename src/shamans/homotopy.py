@@ -90,20 +90,21 @@ class RegularizationPath:
 
 
 def lambda_max(ell: np.ndarray):
-    """Smallest penalty for which the zero vector is optimal.
+    """Smallest penalties for which the zero vector is optimal.
 
-    Returns (lambda_max, entering index).  The index is the smallest
-    maximizer of ell; when every correlation is nonpositive the zero
-    vector is optimal for all penalties and (0.0, None) is returned.
+    ``ell`` holds one row of correlations A.T b per column.  Returns
+    (lambda_max, entering index) per row; the index is the row's smallest
+    maximizer.  A row whose correlations are all nonpositive has the zero
+    vector optimal for all penalties: its lambda_max is 0.0 and its index
+    -1, as next_breakpoint's index on TERMINATE.
     """
     ell = np.asarray(ell, dtype=np.float64)
-    if ell.size == 0:
-        return 0.0, None
-    i = int(np.argmax(ell))  # first maximum: smallest-index tie rule
-    lam = float(ell[i])
-    if lam <= 0.0:
-        return 0.0, None
-    return lam, i
+    if ell.shape[1] == 0:
+        return np.zeros(ell.shape[0]), np.full(ell.shape[0], -1)
+    index = ell.argmax(axis=1)  # first maximum: smallest-index tie rule
+    lam = ell[np.arange(ell.shape[0]), index]
+    positive = lam > 0.0
+    return np.where(positive, lam, 0.0), np.where(positive, index, -1)
 
 
 def path_coefficients(P: np.ndarray, ell: np.ndarray, K: np.ndarray):
@@ -211,19 +212,13 @@ class PathWalk:
         tol_neg = tol * (1.0 + float(np.abs(P).max(initial=0.0)))
         none_idx = np.empty(0, dtype=np.int64)
         coeff0 = np.empty(0)
-        entries = []
+        lam, first = lambda_max(ell)
+        entries = [[PathEntry(lam0, none_idx, np.zeros(r), float(b @ b), 0, coeff0, coeff0)]
+                   for lam0, b in zip(lam.tolist(), rhs.T)]
+        live = np.flatnonzero(first >= 0)
         K = np.zeros((width, r), dtype=bool)
-        lam = np.zeros(width)
-        for p in range(width):
-            lam0, first = lambda_max(ell[p])
-            b = rhs[:, p]
-            entries.append([PathEntry(lam0, none_idx, np.zeros(r), float(b @ b),
-                                      0, coeff0, coeff0)])
-            lam[p] = lam0
-            if first is not None:
-                K[p, first] = True
+        K[live, first[live]] = True
         tol_lam = tol * (1.0 + lam)
-        live = np.flatnonzero(K.any(axis=1))
         truncated = np.zeros(width, dtype=bool)
         over = np.zeros(width, dtype=bool)
 

@@ -19,7 +19,8 @@ from . import selector
 from .densela import as_matrix, frob_norm, gram
 from .errors import (DimensionMismatch, IterationLimit, ZeroColumnInDictionary,
                      ZeroDataMatrix)
-from .homotopy import PathEntry, PathWalk, RegularizationPath, regularization_path
+from .homotopy import (PathEntry, PathWalk, RegularizationPath, lambda_max,
+                       regularization_path)
 from .nnls import nnls_active_set
 
 MODES = ("shamans", "ksparse", "unconstrained")
@@ -58,12 +59,14 @@ class SolveConfig:
 class UnmixReport:
     """Quality and cost summary of one solve.
 
-    ``breakpoints`` totals the path steps of all columns; ``refits``
-    counts the steps whose unbiased refit needed the active-set solver,
-    because least squares on the support went negative.  Columns listed
-    in ``fallback_columns`` hit the breakpoint limit and were solved by
-    plain NNLS instead; those in ``truncated_columns`` ended their path
-    early on a rank-deficient support.
+    ``breakpoints`` totals the path steps of all columns, and entry k of
+    ``breakpoint_histogram`` counts the columns whose path took k steps;
+    ``refits`` counts the steps whose unbiased refit needed the
+    active-set solver, because least squares on the support went
+    negative.  Columns listed in ``fallback_columns`` hit the breakpoint
+    limit and were solved by plain NNLS instead; those in
+    ``truncated_columns`` ended their path early on a rank-deficient
+    support.
     """
 
     rel_error: float
@@ -77,6 +80,7 @@ class UnmixReport:
     fallback_columns: list = field(default_factory=list)
     truncated_columns: list = field(default_factory=list)
     breakpoints: int = 0
+    breakpoint_histogram: list = field(default_factory=list)
     refits: int = 0
 
 
@@ -109,9 +113,9 @@ def _fallback_path(W, b, P, ell, tol) -> RegularizationPath:
     whose homotopy hit the breakpoint limit."""
     r = ell.shape[0]
     sol = nnls_active_set(W, b, tol=tol, gram_matrix=P, corr=ell)
-    zero = PathEntry(max(float(ell.max(initial=0.0)), 0.0),
-                     np.empty(0, dtype=np.int64), np.zeros(r), float(b @ b),
-                     0, np.empty(0), np.empty(0))
+    lam0, _ = lambda_max(ell[None])
+    zero = PathEntry(float(lam0[0]), np.empty(0, dtype=np.int64), np.zeros(r),
+                     float(b @ b), 0, np.empty(0), np.empty(0))
     final = PathEntry(0.0, sol.support, sol.x, sol.residual_sq,
                       int(sol.support.size), sol.x[sol.support],
                       np.zeros(sol.support.size))
@@ -166,9 +170,7 @@ def solve(M, W, cfg: SolveConfig):
     t1 = time.perf_counter()
 
     if cfg.mode == "unconstrained":
-        H = np.zeros((r, n), order="F")
-        for j in range(n):
-            H[:, j] = paths[j].terminal().solution
+        H = np.concatenate([path.terminal().solution for path in paths]).reshape(n, r).T
         budget = None
     elif cfg.mode == "ksparse":
         tables = selector.build_cost_tables(paths, r, n)
@@ -189,6 +191,8 @@ def solve(M, W, cfg: SolveConfig):
     report.budget = budget
     report.fallback_columns = fallbacks
     report.truncated_columns = truncated
-    report.breakpoints = sum(len(p.entries) - 1 for p in paths)
+    steps = np.array([len(path.entries) - 1 for path in paths])
+    report.breakpoints = int(steps.sum())
+    report.breakpoint_histogram = [int(c) for c in np.bincount(steps)]
     report.refits = walk.refits
     return H, report

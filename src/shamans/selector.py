@@ -26,17 +26,19 @@ from .homotopy import RegularizationPath
 
 @dataclass
 class CostTables:
-    """Per-column, per-sparsity-level costs and solutions.
+    """Per-column, per-sparsity-level costs and the solutions behind them.
 
     ``cost`` has r+1 rows for sparsity levels 0..r and is nonincreasing
-    down each column; ``sols[k][j]`` is the solution behind cost[k, j]
-    (at most k nonzeros).  ``delta[k-1, j] = cost[k-1, j] - cost[k, j]``
-    is filled by delta_cost.
+    down each column.  ``solutions`` is an object array of every path
+    entry's own solution array, the columns' paths concatenated in path
+    order, and ``source[k, j]`` indexes the one behind cost[k, j]: the
+    first entry of column j's path with at most k nonzeros that attains
+    the cell's minimum.  ``delta[k-1, j] = cost[k-1, j] - cost[k, j]``.
     """
 
     cost: np.ndarray
-    sols: list
-    delta: np.ndarray | None = None
+    source: np.ndarray
+    solutions: np.ndarray
 
     @property
     def levels(self) -> int:
@@ -45,6 +47,10 @@ class CostTables:
     @property
     def columns(self) -> int:
         return self.cost.shape[1]
+
+    @property
+    def delta(self) -> np.ndarray:
+        return self.cost[:-1] - self.cost[1:]
 
 
 @dataclass
@@ -66,35 +72,35 @@ class SelectionState:
 def build_cost_tables(paths: list[RegularizationPath], r: int, n: int) -> CostTables:
     """Fold per-column paths into the (r+1) x n cost table.
 
-    Each path entry of cardinality k and error err updates rows k..r of
-    its column wherever it improves the stored value, so every cell holds
-    the best error among path solutions with at most that many nonzeros
-    and columns are nonincreasing by construction.
+    Cell (k, j) holds the best error among column j's path solutions with
+    at most k nonzeros, so columns are nonincreasing by construction.  The
+    entries are flattened once into per-entry arrays: one scatter takes
+    every level's minimum, then one carry down the levels extends it to
+    "at most k", keeping the entry earlier in path order on ties.
     """
     if len(paths) != n:
         raise ValueError(f"expected {n} paths, got {len(paths)}")
+    bad = next((j for j, path in enumerate(paths)
+                if not path.entries or path.entries[0].cardinality != 0), None)
+    if bad is not None:
+        raise MissingZeroEntry(f"path for column {bad} lacks the zero-solution entry")
+    entries = [e for path in paths for e in path.entries]
+    size = len(entries)
+    column = np.repeat(np.arange(n), [len(path.entries) for path in paths])
+    card = np.fromiter((e.cardinality for e in entries), np.int64, size)
+    err = np.fromiter((e.error_sq for e in entries), np.float64, size)
     cost = np.full((r + 1, n), np.inf)
-    sols = [[None] * n for _ in range(r + 1)]
-    for j, path in enumerate(paths):
-        entries = path.entries
-        if not entries or entries[0].cardinality != 0:
-            raise MissingZeroEntry(f"path for column {j} lacks the zero-solution entry")
-        col = cost[:, j]
-        for e in entries:
-            k = e.cardinality
-            err = e.error_sq
-            for i in range(k, r + 1):
-                if err < col[i]:
-                    col[i] = err
-                    sols[i][j] = e.solution
-    return CostTables(cost=cost, sols=sols)
-
-
-def delta_cost(tables: CostTables) -> CostTables:
-    """Fill the r x n table of error decreases between adjacent levels."""
-    c = tables.cost
-    tables.delta = c[:-1, :] - c[1:, :]
-    return tables
+    np.minimum.at(cost, (card, column), err)
+    source = np.full((r + 1, n), size)
+    attains = np.flatnonzero(err == cost[card, column])
+    np.minimum.at(source, (card[attains], column[attains]), attains)
+    for k in range(1, r + 1):
+        carry = (cost[k - 1] < cost[k]) | ((cost[k - 1] == cost[k])
+                                           & (source[k - 1] < source[k]))
+        cost[k, carry] = cost[k - 1, carry]
+        source[k, carry] = source[k - 1, carry]
+    solutions = np.fromiter((e.solution for e in entries), object, size)
+    return CostTables(cost=cost, source=source, solutions=solutions)
 
 
 def gain_table(delta: np.ndarray, cursors: np.ndarray) -> np.ndarray:
@@ -120,8 +126,6 @@ def init_gain(tables: CostTables) -> SelectionState:
     minimum of its column's gains.  Sorting by (-key, column, order in
     the column) interleaves the columns exactly as the greedy does.
     """
-    if tables.delta is None:
-        delta_cost(tables)
     delta = tables.delta
     r, n = delta.shape
     cursors = np.zeros(n, dtype=np.int64)
@@ -196,10 +200,9 @@ def select(state: SelectionState, tables: CostTables, q: int,
         pass
     return state.cursors
 
+
 def assemble(tables: CostTables, cursors: np.ndarray) -> np.ndarray:
     """Stack the selected per-column solutions into the r x n matrix."""
     r, n = tables.levels, tables.columns
-    H = np.zeros((r, n), order="F")
-    for j in range(n):
-        H[:, j] = tables.sols[int(cursors[j])][j]
-    return H
+    picked = tables.source[cursors, np.arange(n)]
+    return np.concatenate(tables.solutions[picked]).reshape(n, r).T

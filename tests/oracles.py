@@ -4,8 +4,9 @@ These deliberately avoid the code paths under test: brute-force support
 enumeration for NNLS, exhaustive cursor enumeration for the budgeted
 selection, a direct KKT evaluation of the penalized problem, a
 one-column-at-a-time homotopy walk for the lockstep engine, a
-one-column-at-a-time active-set NNLS for the block solver, and a
-lazy-heap greedy for the sorted hull-segment selection.
+one-column-at-a-time active-set NNLS for the block solver, a
+lazy-heap greedy for the sorted hull-segment selection, and a per-entry,
+per-level fold of the paths for the vectorized cost tables.
 """
 
 import heapq
@@ -15,7 +16,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrs
 
 from shamans.densela import gram, spd_factor
-from shamans.errors import IterationLimit, SingularSystem
+from shamans.errors import IterationLimit, MissingZeroEntry, SingularSystem
 from shamans.homotopy import PathEntry, RegularizationPath
 
 
@@ -84,6 +85,33 @@ def min_error_by_total(cost):
         if total not in best or err < best[total]:
             best[total] = err
     return best
+
+
+def reference_cost_tables(paths, r, n):
+    """Cost table and per-cell solutions, one path entry and level at a time.
+
+    The fold the vectorized build_cost_tables replaced: each entry of
+    cardinality k and error err updates rows k..r of its column wherever
+    it improves the stored value.  Returns (cost, sols) with ``sols[k][j]``
+    the solution object behind cost[k, j].
+    """
+    if len(paths) != n:
+        raise ValueError(f"expected {n} paths, got {len(paths)}")
+    cost = np.full((r + 1, n), np.inf)
+    sols = [[None] * n for _ in range(r + 1)]
+    for j, path in enumerate(paths):
+        entries = path.entries
+        if not entries or entries[0].cardinality != 0:
+            raise MissingZeroEntry(f"path for column {j} lacks the zero-solution entry")
+        col = cost[:, j]
+        for e in entries:
+            k = e.cardinality
+            err = e.error_sq
+            for i in range(k, r + 1):
+                if err < col[i]:
+                    col[i] = err
+                    sols[i][j] = e.solution
+    return cost, sols
 
 
 def reference_select(delta, q, strict=False):

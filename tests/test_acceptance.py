@@ -257,9 +257,9 @@ def test_criterion_7_selection_oracle_suite(tmp_path):
         cost = random_cost_table(rng, r, n)
         best = min_error_by_total(cost)
         for q in range(0, r * n + 1):
-            sols = [[np.zeros(r)] * n for _ in range(r + 1)]
-            tables = selector.CostTables(cost=cost.copy(), sols=sols)
-            selector.delta_cost(tables)
+            tables = selector.CostTables(cost=cost.copy(),
+                                         source=np.zeros(cost.shape, dtype=np.int64),
+                                         solutions=np.array([None]))
             state = selector.init_gain(tables)
             cursors = selector.select(state, tables, q)
             achieved = int(cursors.sum())

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,22 +102,34 @@ class TestReportJson:
                           per_column_sparsity=[0, 0, 3, 0, 3],
                           elapsed_path_ms=1.5, elapsed_select_ms=0.4,
                           mode="shamans", budget=18, fallback_columns=[4],
-                          truncated_columns=[1, 3], breakpoints=17, refits=5)
+                          truncated_columns=[1, 3], breakpoints=17,
+                          breakpoint_histogram=[0, 1, 2, 3, 0, 0, 1], refits=5)
         p = tmp_path / "report.json"
         write_report_json(rep, p)
         data = json.loads(p.read_text())
         assert set(data) == {"rel_error", "avg_sparsity", "nnz",
                              "per_column_sparsity", "elapsed_path_ms",
                              "elapsed_select_ms", "mode", "budget",
-                             "breakpoints", "refits", "fallback_columns",
-                             "truncated_columns"}
+                             "breakpoints", "breakpoint_histogram", "refits",
+                             "fallback_columns", "truncated_columns"}
         assert data["rel_error"] == pytest.approx(0.0073)
         assert data["per_column_sparsity"] == [0, 0, 3, 0, 3]
         assert data["budget"] == 18
         assert data["fallback_columns"] == [4]
         assert data["truncated_columns"] == [1, 3]
         assert data["breakpoints"] == 17
+        assert data["breakpoint_histogram"] == [0, 1, 2, 3, 0, 0, 1]
         assert data["refits"] == 5
+
+    def test_readme_lists_every_key(self, tmp_path):
+        # The README's "The JSON report carries ..." sentence names exactly
+        # the keys the writer emits.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        sentence = re.search(r"The JSON report carries(.*?)\.\s", readme, re.S).group(1)
+        p = tmp_path / "report.json"
+        write_report_json(UnmixReport(rel_error=0.0, avg_sparsity=0.0, nnz=0,
+                                      per_column_sparsity=[]), p)
+        assert re.findall(r"`(\w+)`", sentence) == list(json.loads(p.read_text()))
 
 
 class TestAbundanceMaps:

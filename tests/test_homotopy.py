@@ -17,16 +17,27 @@ DEMO_ELL0 = dd.DEMO_W.T @ dd.DEMO_M[:, 0]
 
 class TestLambdaMax:
     def test_demo_column(self):
-        lam, idx = lambda_max(DEMO_ELL0)
-        assert lam == pytest.approx(3.16, abs=1e-12)
-        assert idx == 1
+        lam, idx = lambda_max(DEMO_ELL0[None])
+        assert lam[0] == pytest.approx(3.16, abs=1e-12)
+        assert idx.tolist() == [1]
 
     def test_all_nonpositive(self):
-        assert lambda_max(np.array([-1.0, -2.0])) == (0.0, None)
+        lam, idx = lambda_max(np.array([[-1.0, -2.0]]))
+        assert lam.tolist() == [0.0] and idx.tolist() == [-1]
 
     def test_tie_takes_smallest_index(self):
-        lam, idx = lambda_max(np.array([5.0, 5.0, 1.0]))
-        assert lam == 5.0 and idx == 0
+        lam, idx = lambda_max(np.array([[5.0, 5.0, 1.0]]))
+        assert lam.tolist() == [5.0] and idx.tolist() == [0]
+
+    def test_mixed_block(self):
+        ell = np.array([[1.0, 3.0, 2.0],
+                        [-1.0, -2.0, 0.0],
+                        [5.0, 5.0, 1.0],
+                        [0.0, 0.0, 0.0],
+                        [-4.0, 0.5, 0.5]])
+        lam, idx = lambda_max(ell)
+        assert lam.tolist() == [3.0, 0.0, 5.0, 0.0, 0.5]
+        assert idx.tolist() == [1, -1, 0, -1, 1]
 
 
 def support_mask(r, K):

@@ -239,3 +239,23 @@ class TestPathReport:
                    for e in reference_path(W, M[:, j]).entries)
         assert want > 0
         assert report.refits == want
+
+
+class TestBreakpointHistogram:
+    def assert_matches_paths(self, M, W, report):
+        walk = PathWalk(np.asfortranarray(W), np.asfortranarray(M))
+        steps = [len(walk.path(j).entries) - 1 for j in range(M.shape[1])]
+        hist = report.breakpoint_histogram
+        assert sum(hist) == M.shape[1]
+        assert sum(k * c for k, c in enumerate(hist)) == report.breakpoints
+        assert len(hist) - 1 == max(steps)
+
+    def test_demo(self, demo):
+        M, W = demo
+        H, report = solve(M, W, SolveConfig(mode="shamans", q=18))
+        self.assert_matches_paths(M, W, report)
+
+    def test_random_problem(self):
+        M, W, _ = random_problem(np.random.default_rng(41), 40, 8, 300)
+        H, report = solve(M, W, SolveConfig(mode="ksparse", k=3))
+        self.assert_matches_paths(M, W, report)

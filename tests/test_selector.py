@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from shamans.errors import MissingZeroEntry
-from shamans.homotopy import PathEntry, RegularizationPath, regularization_path
+from shamans.homotopy import (PathEntry, PathWalk, RegularizationPath,
+                              regularization_path)
 from shamans.selector import (CostTables, assemble, build_cost_tables,
-                              delta_cost, gain_table, init_gain, select,
-                              select_step)
+                              gain_table, init_gain, select, select_step)
 
 import demo_data as dd
-from oracles import min_error_by_total, random_cost_table, reference_select
+from oracles import (min_error_by_total, random_cost_table,
+                     reference_cost_tables, reference_select)
 
 R, N = dd.DEMO_R, dd.DEMO_N
 
@@ -28,14 +29,35 @@ def demo_paths():
 
 
 def demo_tables():
-    tables = build_cost_tables(demo_paths(), R, N)
-    return delta_cost(tables)
+    return build_cost_tables(demo_paths(), R, N)
 
 
 def synthetic_tables(cost):
+    """Tables for selection only: every cell holds the one zero solution."""
     levels, n = cost.shape
-    sols = [[np.zeros(levels - 1)] * n for _ in range(levels)]
-    return CostTables(cost=np.asarray(cost, dtype=float), sols=sols)
+    solutions = np.empty(1, dtype=object)
+    solutions[0] = np.zeros(levels - 1)
+    return CostTables(cost=np.asarray(cost, dtype=float),
+                      source=np.zeros((levels, n), dtype=np.int64),
+                      solutions=solutions)
+
+
+def solution(tables, k, j):
+    return tables.solutions[tables.source[k, j]]
+
+
+def random_paths(rng, r, n):
+    """Synthetic paths with errors on a few integers: exact ties within
+    and across cardinalities, sparser entries after denser ones, and
+    later entries with larger errors than earlier ones."""
+    paths = []
+    for _ in range(n):
+        entries = [entry(9.0, float(rng.integers(4, 7)), 0, r)]
+        for _ in range(int(rng.integers(0, 8))):
+            card = int(rng.integers(0, r + 1))
+            entries.append(entry(0.0, float(rng.integers(0, 7)), card, r))
+        paths.append(RegularizationPath(entries))
+    return paths
 
 
 class TestBuildCostTables:
@@ -53,7 +75,7 @@ class TestBuildCostTables:
         assert np.all(np.diff(tables.cost, axis=0) <= 0.0)
         for k in range(R + 1):
             for j in range(N):
-                x = tables.sols[k][j]
+                x = solution(tables, k, j)
                 assert np.count_nonzero(x) <= k
                 resid = dd.DEMO_M[:, j] - dd.DEMO_W @ x
                 assert float(resid @ resid) == pytest.approx(
@@ -65,8 +87,8 @@ class TestBuildCostTables:
         path = RegularizationPath([entry(2.0, 10.0, 0), entry(0.0, 1.0, 2)])
         tables = build_cost_tables([path], 4, 1)
         np.testing.assert_allclose(tables.cost[:, 0], [10, 10, 1, 1, 1])
-        assert np.count_nonzero(tables.sols[1][0]) == 0
-        assert np.count_nonzero(tables.sols[3][0]) == 2
+        assert np.count_nonzero(solution(tables, 1, 0)) == 0
+        assert np.count_nonzero(solution(tables, 3, 0)) == 2
 
     def test_sparser_later_entry_wins_denser_rows(self):
         # A 2-sparse solution found after a 3-sparse one, with a smaller
@@ -78,7 +100,7 @@ class TestBuildCostTables:
         ])
         tables = build_cost_tables([path], 4, 1)
         np.testing.assert_allclose(tables.cost[:, 0], [10, 10, 3, 3, 3])
-        assert np.count_nonzero(tables.sols[3][0]) == 2
+        assert np.count_nonzero(solution(tables, 3, 0)) == 2
 
     def test_stale_error_never_overwrites(self):
         # A later entry with a *larger* error must not displace rows
@@ -97,6 +119,34 @@ class TestBuildCostTables:
             build_cost_tables([path], 4, 1)
 
 
+class TestFoldMatchesReference:
+    def assert_same_tables(self, paths, r, n):
+        tables = build_cost_tables(paths, r, n)
+        cost, sols = reference_cost_tables(paths, r, n)
+        assert np.array_equal(tables.cost, cost)
+        for k in range(r + 1):
+            for j in range(n):
+                assert solution(tables, k, j) is sols[k][j], (k, j)
+
+    def test_synthetic_paths_with_ties(self):
+        rng = np.random.default_rng(36)
+        for _ in range(200):
+            r, n = int(rng.integers(1, 6)), int(rng.integers(1, 8))
+            self.assert_same_tables(random_paths(rng, r, n), r, n)
+
+    def test_demo_paths(self):
+        self.assert_same_tables(demo_paths(), R, N)
+
+    def test_lockstep_walk(self):
+        rng = np.random.default_rng(37)
+        m, r, n = 30, 6, 200
+        W = np.abs(rng.standard_normal((m, r)))
+        H = rng.uniform(size=(r, n)) * (rng.uniform(size=(r, n)) < 0.5)
+        M = W @ H + 0.05 * np.abs(rng.standard_normal((m, n)))
+        walk = PathWalk(np.asfortranarray(W), np.asfortranarray(M))
+        self.assert_same_tables([walk.path(j) for j in range(n)], r, n)
+
+
 class TestDeltaCost:
     def test_demo(self):
         tables = demo_tables()
@@ -106,22 +156,17 @@ class TestDeltaCost:
 
     def test_constant_column(self):
         tables = synthetic_tables(np.full((4, 1), 2.5))
-        delta_cost(tables)
         np.testing.assert_array_equal(tables.delta, np.zeros((3, 1)))
 
     def test_single_drop(self):
         tables = synthetic_tables(np.array([[1.0], [0.0], [0.0], [0.0]]))
-        delta_cost(tables)
         np.testing.assert_array_equal(tables.delta[:, 0], [1.0, 0.0, 0.0])
 
 
 class TestInitGain:
     def test_prefix_means_single_column(self):
         cost = np.array([[4.3], [0.66], [0.01], [0.0], [0.0]])
-        cost[0, 0] = 4.3
         tables = synthetic_tables(cost)
-        delta_cost(tables)
-        tables.delta[:, 0] = [3.64, 0.65, 0.01, 0.0]
         state = init_gain(tables)
         expected = [3.64, (3.64 + 0.65) / 2, (3.64 + 0.65 + 0.01) / 3,
                     (3.64 + 0.65 + 0.01) / 4]
@@ -166,7 +211,6 @@ class TestSelect:
         for _ in range(30):
             cost = random_cost_table(rng, 3, 4)
             tables = synthetic_tables(cost)
-            delta_cost(tables)
             best = min_error_by_total(cost)
             state = init_gain(tables)
             cursors = select(state, tables, 6)
@@ -180,7 +224,6 @@ class TestSelect:
             cost = random_cost_table(rng, 4, 5)
             for q in range(0, 21):
                 tables = synthetic_tables(cost)
-                delta_cost(tables)
                 state = init_gain(tables)
                 cursors = select(state, tables, q, strict=True)
                 assert int(cursors.sum()) <= q
@@ -194,11 +237,10 @@ class TestSelect:
             [0.0, 7.9],
         ])
         tables = synthetic_tables(cost)
-        delta_cost(tables)
         state = init_gain(tables)
         cursors = select(state, tables, 1, strict=True)
         np.testing.assert_array_equal(cursors, [0, 1])
-        tables2 = delta_cost(synthetic_tables(cost))
+        tables2 = synthetic_tables(cost)
         cursors2 = select(init_gain(tables2), tables2, 1)
         # default mode takes the 2-level jump and overshoots to q + r - 1
         np.testing.assert_array_equal(cursors2, [2, 0])
@@ -214,7 +256,6 @@ class TestSelect:
                 for j in range(n))
             for q in range(0, r * n + 1):
                 tables = synthetic_tables(cost)
-                delta_cost(tables)
                 state = init_gain(tables)
                 cursors = select(state, tables, q)
                 got = int(cursors.sum())
