@@ -75,8 +75,7 @@ def write_report_json(report: UnmixReport, path) -> None:
         "avg_sparsity": report.avg_sparsity,
         "nnz": report.nnz,
         "per_column_sparsity": list(report.per_column_sparsity),
-        "elapsed_path_ms": report.elapsed_path_ms,
-        "elapsed_select_ms": report.elapsed_select_ms,
+        "timings_ms": dict(report.timings_ms),
         "mode": report.mode,
         "budget": report.budget,
         "breakpoints": report.breakpoints,
@@ -84,6 +83,7 @@ def write_report_json(report: UnmixReport, path) -> None:
         "refits": report.refits,
         "fallback_columns": list(report.fallback_columns),
         "truncated_columns": list(report.truncated_columns),
+        "inexact_columns": list(report.inexact_columns),
     }
     with open(path, "wt", encoding="ascii") as fh:
         json.dump(payload, fh, indent=2)

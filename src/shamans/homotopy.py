@@ -22,13 +22,28 @@ always the zero solution at lambda_max and the last entry sits at
 lambda = 0 with the unconstrained NNLS solution.
 
 Every right-hand side shares P, so the walk advances a block of columns
-in lockstep, one breakpoint per round: one stacked factorization and
-solve for all supports, one product for all complement gradients, one
-block active-set call (nnls_gram) for all refits whose least-squares
-solution goes negative, one product for all refit residuals.  The
-kernels take a (B, r) boolean support mask, one row per column, and
-return full-space (B, r) arrays that are zero off the rows' supports
-(a, b) or on them (c, d).
+in lockstep, one breakpoint per round.  It carries G = P(K,K)^-1 for each
+column's support K, embedded in an r x r matrix that is zero off K, and
+updates it as the support changes by one index (the homotopy/LARS update
+of Osborne, Presnell and Turlach, IMA J. Numer. Anal. 2000):
+
+    enter j:  G + v v^T / s,   v = G p - e_j,  p = P(K, j),  s = P_jj - p.G p
+    leave j:  G - g g^T / g_jj, g = G e_j, then row and column j zeroed
+
+so a round costs O(r^2) per column: a product with G gives a and b, and
+one step of iterative refinement (a product with P, another with G)
+keeps them as accurate as a fresh solve; a product with P gives c and d,
+one block active-set call (nnls_gram) refits every support whose
+least-squares solution goes negative, and one product gives every refit
+residual.  1/G_ii is the Schur pivot of atom i against the rest of its
+support (s for the atom just entered) and bounds every Cholesky pivot of
+P(K,K) from below.  A column whose smallest Schur pivot falls below
+SCHUR_GUARD times the largest diagonal entry of P on its support takes
+the fresh stacked solve of path_coefficients instead, whose
+factorization check decides whether the support is rank deficient, and
+restarts from a fresh inverse.  The kernels take a (B, r) boolean
+support mask, one row per column, and return full-space (B, r) arrays
+that are zero off the rows' supports (a, b) or on them (c, d).
 """
 
 from __future__ import annotations
@@ -46,9 +61,16 @@ LEAVE = 0
 ENTER = 1
 TERMINATE = 2
 
-# Columns walked together.  It bounds the (BLOCK, r, r) systems of a round;
-# walking every column at once raised peak memory without saving time.
+# Columns walked together.  It bounds the (BLOCK, r, r) inverses a walk
+# carries; walking every column at once raised peak memory without saving time.
 BLOCK = 256
+
+# Smallest Schur pivot, relative to the largest diagonal entry of P on the
+# support, at which the carried inverse is trusted.  It sits far above
+# densela.PIVOT_FLOOR, so a support above it passes spd_factor's check with
+# a wide margin, and one that would fail that check falls below it (the
+# smallest Schur pivot is at most r times the smallest Cholesky pivot).
+SCHUR_GUARD = 1e-6
 
 
 @dataclass(frozen=True)
@@ -179,6 +201,46 @@ def unbias(P: np.ndarray, ell: np.ndarray, K: np.ndarray, a: np.ndarray,
     return X, np.einsum("ij,ij->j", resid, resid)
 
 
+def _support_inverse(P: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """P(K_i, K_i)^-1 for every row of the (B, r) support mask K, embedded
+    in a (B, r, r) stack that is zero off K_i."""
+    on = K[:, :, None] & K[:, None, :]
+    G = np.where(on, np.linalg.inv(masked_system(P, K)), 0.0)
+    return 0.5 * (G + G.transpose(0, 2, 1))
+
+
+def _carry_inverse(P: np.ndarray, G: np.ndarray, K: np.ndarray, kind, index) -> None:
+    """Move every row's support across its breakpoint, in place.
+
+    Row i's atom index[i] enters K (kind ENTER) or leaves it (LEAVE), and
+    its embedded inverse G follows by one rank-one update.
+    """
+    rows = np.arange(K.shape[0])
+    enter = (kind == ENTER)[:, None]
+    e = np.arange(K.shape[1]) == index[:, None]
+    # A leaving row takes p = e_j, so that u = G e_j is the g of its update.
+    p = np.where(enter, np.where(K, P[index], 0.0), e)
+    u = np.matmul(p[:, None, :], G)[:, 0]  # p.G = G p: G is symmetric
+    v = u - (enter & e)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # A zero pivot makes G infinite; the guard then sends the row to a fresh solve.
+        w = 1.0 / (np.where(enter[:, 0], P[index, index], 0.0) - np.einsum("bi,bi->b", p, u))
+        G += np.einsum("bi,bj->bij", v * w[:, None], v)
+    leave = rows[~enter[:, 0]]
+    G[leave, index[leave], :] = 0.0
+    G[leave, :, index[leave]] = 0.0
+    K[rows, index] ^= True
+
+
+def _below_guard(G: np.ndarray, K: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """Rows whose smallest Schur pivot 1/G_ii on the support is below
+    SCHUR_GUARD times the largest diagonal entry of P there (or is not a
+    positive number)."""
+    g = np.diagonal(G, axis1=1, axis2=2)
+    bound = 1.0 / (SCHUR_GUARD * np.where(K, diag, 0.0).max(axis=1, initial=0.0))
+    return ~((g > 0.0) & (g <= bound[:, None]) | ~K).all(axis=1)
+
+
 class PathWalk:
     """Regularization paths of every column of B over one dictionary A.
 
@@ -203,9 +265,14 @@ class PathWalk:
         self.refits = 0
 
     def _walk(self, start: int, stop: int) -> None:
-        """Walk columns start..stop-1 in lockstep, one breakpoint per round."""
+        """Walk columns start..stop-1 in lockstep, one breakpoint per round.
+
+        The arrays indexed by row describe the live columns ``live`` only;
+        a column leaves them when its path ends.
+        """
         P, tol = self.P, self.tol
         r = P.shape[0]
+        diag = np.diagonal(P)
         ell = np.ascontiguousarray(self.L[:, start:stop].T)
         rhs = self.B[:, start:stop]
         width = stop - start
@@ -216,36 +283,62 @@ class PathWalk:
         entries = [[PathEntry(lam0, none_idx, np.zeros(r), float(b @ b), 0, coeff0, coeff0)]
                    for lam0, b in zip(lam.tolist(), rhs.T)]
         live = np.flatnonzero(first >= 0)
-        K = np.zeros((width, r), dtype=bool)
-        K[live, first[live]] = True
+        lam, first = lam[live], first[live]
+        # Row i holds the right-hand sides (ell, 1) of the pair (a, b).
+        rhs2 = np.stack((ell[live], np.ones((live.size, r))), axis=1)
+        rows = np.arange(live.size)
+        K = np.zeros((live.size, r), dtype=bool)
+        K[rows, first] = True
+        G = np.zeros((live.size, r, r))
+        G[rows, first, first] = 1.0 / diag[first]
+        fresh = _below_guard(G, K, diag)
         tol_lam = tol * (1.0 + lam)
         truncated = np.zeros(width, dtype=bool)
         over = np.zeros(width, dtype=bool)
 
         rounds = 0
         while live.size:
+            ell = rhs2[:, 0]
             if rounds >= self.max_breakpoints:
                 over[live] = True
                 break
-            KL = K[live]
-            try:
-                a, b, c, d = path_coefficients(P, ell[live], KL)
-            except SingularSystem as exc:
-                truncated[live[exc.matrices]] = True
-                live = np.delete(live, exc.matrices)
-                continue
-            lam_next, kind, index = next_breakpoint(a, b, c, d, KL, lam[live], tol_neg)
-            X, err = unbias(P, ell[live], KL, a, self.A, rhs[:, live], tol=tol)
+            redo = np.flatnonzero(fresh)
+            if redo.size:
+                try:
+                    a_redo, b_redo, _, _ = path_coefficients(P, ell[redo], K[redo])
+                except SingularSystem as exc:
+                    keep = np.ones(live.size, dtype=bool)
+                    keep[redo[exc.matrices]] = False
+                    truncated[live[~keep]] = True
+                    live, rhs2, lam, tol_lam, K, G, fresh = (
+                        x[keep] for x in (live, rhs2, lam, tol_lam, K, G, fresh))
+                    continue
+                G[redo] = _support_inverse(P, K[redo])
+            # x.G is G x (G is symmetric).  One step of iterative refinement
+            # keeps a and b as accurate as a fresh solve.
+            ab = np.matmul(rhs2, G)
+            grad = (ab.reshape(-1, r) @ P).reshape(ab.shape) - rhs2
+            ab -= np.matmul(np.where(K[:, None, :], grad, 0.0), G)
+            if redo.size:
+                ab[redo, 0], ab[redo, 1] = a_redo, b_redo
+            grad = (ab.reshape(-1, r) @ P).reshape(ab.shape) - rhs2
+            a, b = ab[:, 0], ab[:, 1]
+            c = np.where(K, 0.0, grad[:, 0])
+            d = np.where(K, 0.0, grad[:, 1])
+            lam_next, kind, index = next_breakpoint(a, b, c, d, K, lam, tol_neg)
+            X, err = unbias(P, ell, K, a, self.A, rhs[:, live], tol=tol)
             self.refits += int(np.count_nonzero((a < 0.0).any(axis=1)))
-            lam_next[lam_next <= tol_lam[live]] = 0.0
+            lam_next[lam_next <= tol_lam] = 0.0
             nnz = np.count_nonzero(X, axis=1).tolist()
             for i, (p, lam_i, err_i) in enumerate(zip(live, lam_next.tolist(), err.tolist())):
-                k = KL[i].nonzero()[0]
+                k = K[i].nonzero()[0]
                 entries[p].append(PathEntry(lam_i, k, X[i], err_i, nnz[i], a[i, k], b[i, k]))
             go = (kind != TERMINATE) & (lam_next != 0.0)
-            live = live[go]
-            K[live, index[go]] ^= True
-            lam[live] = lam_next[go]
+            if not go.all():
+                live, rhs2, tol_lam, K, G = (x[go] for x in (live, rhs2, tol_lam, K, G))
+            _carry_inverse(P, G, K, kind[go], index[go])
+            fresh = _below_guard(G, K, diag)
+            lam = lam_next[go]
             rounds += 1
 
         for p in range(width):

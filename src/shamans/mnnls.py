@@ -59,22 +59,26 @@ class SolveConfig:
 class UnmixReport:
     """Quality and cost summary of one solve.
 
-    ``breakpoints`` totals the path steps of all columns, and entry k of
-    ``breakpoint_histogram`` counts the columns whose path took k steps;
-    ``refits`` counts the steps whose unbiased refit needed the
-    active-set solver, because least squares on the support went
-    negative.  Columns listed in ``fallback_columns`` hit the breakpoint
-    limit and were solved by plain NNLS instead; those in
+    ``timings_ms`` maps each stage of the solve to its wall time in
+    milliseconds, in order: validate, gram (W.T W and W.T M), paths,
+    tables, select, assemble and metrics.  ``breakpoints`` totals the path
+    steps of all columns, and entry k of ``breakpoint_histogram`` counts
+    the columns whose path took k steps; ``refits`` counts the steps whose
+    unbiased refit needed the active-set solver, because least squares on
+    the support went negative.  Columns listed in ``fallback_columns`` hit
+    the breakpoint limit and were solved by plain NNLS instead; those in
     ``truncated_columns`` ended their path early on a rank-deficient
-    support.
+    support.  ``inexact_columns`` lists the columns of H that are neither
+    a solution of their full path nor the NNLS optimum: every truncated
+    column, and the fallback columns outside unconstrained mode (whose
+    two-entry path has nothing between zero and the NNLS solution).
     """
 
     rel_error: float
     avg_sparsity: float
     nnz: int
     per_column_sparsity: list
-    elapsed_path_ms: float = 0.0
-    elapsed_select_ms: float = 0.0
+    timings_ms: dict = field(default_factory=dict)
     mode: str | None = None
     budget: int | None = None
     fallback_columns: list = field(default_factory=list)
@@ -82,6 +86,7 @@ class UnmixReport:
     breakpoints: int = 0
     breakpoint_histogram: list = field(default_factory=list)
     refits: int = 0
+    inexact_columns: list = field(default_factory=list)
 
 
 def metrics(M, W, H, zero_threshold: float = 1e-3) -> UnmixReport:
@@ -129,6 +134,15 @@ def solve(M, W, cfg: SolveConfig):
     fall back to a plain NNLS solve and are listed in
     ``report.fallback_columns`` instead of aborting the whole run.
     """
+    timings = {}
+    clock = time.perf_counter()
+
+    def lap(stage):
+        nonlocal clock
+        now = time.perf_counter()
+        timings[stage] = (now - clock) * 1e3
+        clock = now
+
     M = as_matrix(M, "M")
     W = as_matrix(W, "W")
     if M.shape[0] != W.shape[0]:
@@ -144,10 +158,12 @@ def solve(M, W, cfg: SolveConfig):
         raise ValueError(f"budget q={cfg.q} exceeds r*n={r * n}")
     if cfg.mode == "ksparse" and cfg.k > r:
         raise ValueError(f"k={cfg.k} exceeds the dictionary size r={r}")
+    lap("validate")
 
     P = gram(W)
     L = W.T @ M
-    t0 = time.perf_counter()
+    lap("gram")
+
     walk = PathWalk(W, M, tol=cfg.tol, max_breakpoints=cfg.max_breakpoints,
                     gram_matrix=P, corr=L)
     paths, fallbacks, truncated = [], [], []
@@ -167,30 +183,33 @@ def solve(M, W, cfg: SolveConfig):
             if path.truncated:
                 truncated.append(j)
         paths.append(path)
-    t1 = time.perf_counter()
+    lap("paths")
 
-    if cfg.mode == "unconstrained":
-        H = np.concatenate([path.terminal().solution for path in paths]).reshape(n, r).T
-        budget = None
-    elif cfg.mode == "ksparse":
-        tables = selector.build_cost_tables(paths, r, n)
-        H = selector.assemble(tables, np.full(n, cfg.k, dtype=np.int64))
-        budget = cfg.k
-    else:
-        tables = selector.build_cost_tables(paths, r, n)
+    unconstrained = cfg.mode == "unconstrained"
+    tables = None if unconstrained else selector.build_cost_tables(paths, r, n)
+    lap("tables")
+
+    if cfg.mode == "shamans":
         state = selector.init_gain(tables)
         cursors = selector.select(state, tables, cfg.q, strict=cfg.strict_budget)
+    elif cfg.mode == "ksparse":
+        cursors = np.full(n, cfg.k, dtype=np.int64)
+    lap("select")
+
+    if unconstrained:
+        H = np.concatenate([path.terminal().solution for path in paths]).reshape(n, r).T
+    else:
         H = selector.assemble(tables, cursors)
-        budget = cfg.q
-    t2 = time.perf_counter()
+    lap("assemble")
 
     report = metrics(M, W, H, zero_threshold=cfg.zero_threshold)
-    report.elapsed_path_ms = (t1 - t0) * 1e3
-    report.elapsed_select_ms = (t2 - t1) * 1e3
+    lap("metrics")
+    report.timings_ms = timings
     report.mode = cfg.mode
-    report.budget = budget
+    report.budget = {"shamans": cfg.q, "ksparse": cfg.k}.get(cfg.mode)
     report.fallback_columns = fallbacks
     report.truncated_columns = truncated
+    report.inexact_columns = sorted(truncated + ([] if unconstrained else fallbacks))
     steps = np.array([len(path.entries) - 1 for path in paths])
     report.breakpoints = int(steps.sum())
     report.breakpoint_histogram = [int(c) for c in np.bincount(steps)]

@@ -100,18 +100,21 @@ class TestReportJson:
     def test_schema_and_roundtrip(self, tmp_path):
         rep = UnmixReport(rel_error=0.0073, avg_sparsity=3.0, nnz=18,
                           per_column_sparsity=[0, 0, 3, 0, 3],
-                          elapsed_path_ms=1.5, elapsed_select_ms=0.4,
+                          timings_ms={"paths": 1.5, "select": 0.4},
                           mode="shamans", budget=18, fallback_columns=[4],
                           truncated_columns=[1, 3], breakpoints=17,
-                          breakpoint_histogram=[0, 1, 2, 3, 0, 0, 1], refits=5)
+                          breakpoint_histogram=[0, 1, 2, 3, 0, 0, 1], refits=5,
+                          inexact_columns=[1, 3, 4])
         p = tmp_path / "report.json"
         write_report_json(rep, p)
         data = json.loads(p.read_text())
         assert set(data) == {"rel_error", "avg_sparsity", "nnz",
-                             "per_column_sparsity", "elapsed_path_ms",
-                             "elapsed_select_ms", "mode", "budget",
+                             "per_column_sparsity", "timings_ms", "mode", "budget",
                              "breakpoints", "breakpoint_histogram", "refits",
-                             "fallback_columns", "truncated_columns"}
+                             "fallback_columns", "truncated_columns",
+                             "inexact_columns"}
+        assert data["timings_ms"] == {"paths": 1.5, "select": 0.4}
+        assert data["inexact_columns"] == [1, 3, 4]
         assert data["rel_error"] == pytest.approx(0.0073)
         assert data["per_column_sparsity"] == [0, 0, 3, 0, 3]
         assert data["budget"] == 18
@@ -185,6 +188,9 @@ class TestMain:
         assert data["avg_sparsity"] == pytest.approx(3.0)
         assert data["mode"] == "shamans" and data["budget"] == 18
         assert data["refits"] == 0  # every demo support refits without the solver
+        assert data["inexact_columns"] == []
+        assert list(data["timings_ms"]) == ["validate", "gram", "paths", "tables",
+                                            "select", "assemble", "metrics"]
 
     def test_end_to_end_maps(self, demo_files):
         wpath, mpath, tmp = demo_files

@@ -183,6 +183,10 @@ class TestRegularizationPath:
         e = path.entries[0]
         assert e.lam == 0.0 and e.cardinality == 0 and e.error_sq == 0.0
 
+    def test_empty_dictionary(self):
+        path = regularization_path(np.zeros((5, 0)), np.ones(5))
+        assert len(path.entries) == 1 and path.entries[0].error_sq == 5.0
+
     def test_demo_column0(self):
         path = regularization_path(dd.DEMO_W, dd.DEMO_M[:, 0])
         assert [e.cardinality for e in path.entries] == dd.COL0_CARDINALITIES

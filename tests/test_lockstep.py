@@ -4,14 +4,17 @@ Columns of one dictionary are walked together through a PathWalk and
 read back with regularization_path; each must match reference_path on
 its own: identical support sequences and ``truncated`` flags, and lam,
 error and solution within 1e-12 relative to their largest value along
-the reference path.
+the reference path.  The walk that carries each support's inverse across
+breakpoints is also checked against one that solves every support afresh.
 """
 
 import numpy as np
 import pytest
 
+from shamans import homotopy
 from shamans.errors import IterationLimit
-from shamans.homotopy import BLOCK, PathWalk, regularization_path
+from shamans.homotopy import BLOCK, PathWalk, path_coefficients, regularization_path
+from shamans.selector import build_cost_tables
 
 from oracles import reference_path
 
@@ -162,3 +165,65 @@ def test_breakpoint_limit_of_one():
     assert_matches_reference(A, B, max_breakpoints=1)
     assert any(isinstance(p, IterationLimit) for p in results)
     assert not any(isinstance(p, IterationLimit) for p in results[:6])
+
+
+def counted_fresh_solves(monkeypatch):
+    """Count the rows the walk sends to the fresh stacked solve."""
+    rows = []
+
+    def counting(P, ell, K):
+        rows.append(K.shape[0])
+        return path_coefficients(P, ell, K)
+
+    monkeypatch.setattr(homotopy, "path_coefficients", counting)
+    return rows
+
+
+def test_carried_inverse_matches_fresh_solves(monkeypatch):
+    # r = 24 and long paths with LEAVE steps: the walk that carries each
+    # support's inverse across breakpoints against the one that solves
+    # every support afresh each round (a guard no pivot passes).
+    rng = np.random.default_rng(71)
+    A = np.asfortranarray(rng.random((60, 24)) + 0.05)
+    H = np.where(rng.random((24, 300)) < 0.25, rng.uniform(0.2, 1.0, (24, 300)), 0.0)
+    B = np.asfortranarray(np.clip(A @ H + 0.005 * rng.standard_normal((60, 300)), 0.0, None))
+    fresh_rows = counted_fresh_solves(monkeypatch)
+    carried = walk_all(A, B)
+    assert fresh_rows == []
+    monkeypatch.setattr(homotopy, "SCHUR_GUARD", np.inf)
+    fresh = walk_all(A, B)
+    assert sum(fresh_rows) == sum(len(p.entries) - 1 for p in fresh)
+
+    assert max(len(p.entries) for p in carried) > 24
+    assert sum(any(len(e.support) < len(prev.support)
+                   for prev, e in zip(p.entries, p.entries[1:])) for p in carried) > 100
+    for got, want in zip(carried, fresh):
+        assert [tuple(e.support) for e in got.entries] == \
+            [tuple(e.support) for e in want.entries]
+        for field in ("coeff_a", "coeff_b", "lam", "error_sq"):
+            w = np.hstack([getattr(e, field) for e in want.entries])
+            g = np.hstack([getattr(e, field) for e in got.entries])
+            np.testing.assert_allclose(g, w, rtol=0, atol=RTOL * np.abs(w).max())
+    got = build_cost_tables(carried, 24, 300).cost
+    want = build_cost_tables(fresh, 24, 300).cost
+    np.testing.assert_allclose(got, want, rtol=RTOL, atol=0)
+
+
+def test_schur_guard_decides_truncation_like_the_reference(monkeypatch):
+    # Atom 4 is within 1e-9 of (W0 + W1)/2 and atom 5 duplicates atom 2:
+    # the Schur pivot of a support holding 0, 1 and 4 falls below the
+    # guard, and the fresh solve's factorization check ends those paths.
+    rng = np.random.default_rng(72)
+    fresh_rows = counted_fresh_solves(monkeypatch)
+    truncated = 0
+    for _ in range(40):
+        A = rng.random((8, 6))
+        A[:, 4] = 0.5 * (A[:, 0] + A[:, 1]) + 1e-9 * rng.random(8)
+        A[:, 5] = A[:, 2]
+        B = rng.random((8, 10))
+        for j, got in enumerate(walk_all(A, B)):
+            want = reference(A, B[:, j])
+            assert got.truncated == want.truncated
+            truncated += want.truncated
+    assert truncated > 0
+    assert sum(fresh_rows) >= truncated

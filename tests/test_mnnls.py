@@ -10,7 +10,7 @@ from shamans.selector import build_cost_tables
 from shamans.nnls import nnls_active_set
 
 import demo_data as dd
-from oracles import reference_path
+from oracles import nnls_bruteforce, reference_path
 
 
 def random_problem(rng, m, r, n, col_sparsity=None, noise=0.01):
@@ -39,6 +39,16 @@ class TestSolveDemo:
         assert report.breakpoints == sum(
             len(regularization_path(W, M[:, j]).entries) - 1 for j in range(6))
         assert report.refits == 0
+        assert report.inexact_columns == []
+
+    def test_timings_cover_every_stage(self, demo):
+        M, W = demo
+        for cfg in (SolveConfig(mode="shamans", q=18), SolveConfig(mode="ksparse", k=3),
+                    SolveConfig(mode="unconstrained")):
+            _, report = solve(M, W, cfg)
+            assert list(report.timings_ms) == ["validate", "gram", "paths", "tables",
+                                               "select", "assemble", "metrics"]
+            assert all(t >= 0.0 for t in report.timings_ms.values())
 
     def test_ksparse(self, demo):
         M, W = demo
@@ -200,6 +210,13 @@ class TestFallback:
         assert report.nnz <= 18 + 3
         assert report.rel_error < 0.05
 
+    def test_fallback_columns_are_inexact_outside_unconstrained(self, demo):
+        M, W = demo
+        _, exact = solve(M, W, SolveConfig(mode="unconstrained", max_breakpoints=1))
+        _, budgeted = solve(M, W, SolveConfig(mode="ksparse", k=2, max_breakpoints=1))
+        assert exact.inexact_columns == []
+        assert budgeted.inexact_columns == budgeted.fallback_columns == list(range(6))
+
     def test_nested_limit_attaches_column(self, demo, monkeypatch):
         M, W = demo
 
@@ -227,6 +244,20 @@ class TestPathReport:
         assert truncated == [2]
         assert report.truncated_columns == truncated
         assert report.fallback_columns == []
+
+    def test_unconstrained_lists_truncated_columns_as_inexact(self):
+        # The same near-dependent dictionary: column 2's path stops before
+        # lambda reaches 0, so its column of H is not the NNLS optimum the
+        # mode promises; every other column is.
+        rng = np.random.default_rng(0)
+        W = rng.random((8, 5))
+        W[:, 4] = 0.5 * (W[:, 0] + W[:, 1]) + 1e-9 * rng.random(8)
+        M = np.column_stack([rng.random(8) for _ in range(4)])
+        H, report = solve(M, W, SolveConfig(mode="unconstrained"))
+        assert report.inexact_columns == report.truncated_columns == [2]
+        for j in (0, 1, 3):
+            x, _ = nnls_bruteforce(W, M[:, j])
+            np.testing.assert_allclose(H[:, j], x, atol=1e-8)
 
     def test_refits_count_negative_least_squares_entries(self):
         # Counted independently: entries of the one-column reference walk
