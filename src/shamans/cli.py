@@ -13,6 +13,8 @@ import json
 import math
 import os
 import sys
+import time
+import warnings
 
 import numpy as np
 
@@ -26,7 +28,28 @@ class UsageError(Exception):
 
 
 def read_csv_matrix(path) -> np.ndarray:
-    """Load a headerless CSV of nonnegative reals as a column-major matrix."""
+    """Load a headerless CSV of nonnegative reals as a column-major matrix.
+
+    One vectorized read parses the file.  Input it rejects, and input
+    with no rows or with a non-finite or negative entry, is read again
+    by ``_scan_csv_matrix``, which accepts what ``float`` accepts and
+    raises the first error with its line and column.  ``comments=None``
+    keeps a ``#`` from turning the rest of its line into a comment.
+    """
+    try:
+        with open(path, "rt", encoding="ascii") as fh, warnings.catch_warnings():
+            # An input without rows is rescanned below, which raises.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            A = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+    except ValueError:  # also UnicodeDecodeError
+        return _scan_csv_matrix(path)
+    if A.size == 0 or not np.isfinite(A).all() or (A < 0.0).any():
+        return _scan_csv_matrix(path)
+    return np.asfortranarray(A)
+
+
+def _scan_csv_matrix(path) -> np.ndarray:
+    """Line-by-line read of a matrix file, token by token with ``float``."""
     rows = []
     width = None
     with open(path, "rt", encoding="ascii") as fh:
@@ -84,6 +107,10 @@ def write_report_json(report: UnmixReport, path) -> None:
         "fallback_columns": list(report.fallback_columns),
         "truncated_columns": list(report.truncated_columns),
         "inexact_columns": list(report.inexact_columns),
+        "picks": report.picks,
+        "overshoot": report.overshoot,
+        "stopped_short": report.stopped_short,
+        "last_gain": report.last_gain,
     }
     with open(path, "wt", encoding="ascii") as fh:
         json.dump(payload, fh, indent=2)
@@ -181,12 +208,15 @@ def main(argv=None) -> int:
         return 1
 
     try:
+        clock = time.perf_counter()
         W = read_csv_matrix(args.dict_path)
         M = read_csv_matrix(args.data_path)
+        read_ms = (time.perf_counter() - clock) * 1e3
         cfg = SolveConfig(mode=args.mode, q=args.budget, k=args.k,
                           tol=args.tol, zero_threshold=args.zero_thresh,
                           strict_budget=args.strict_budget)
         H, report = solve(M, W, cfg)
+        report.timings_ms = {"read": read_ms, **report.timings_ms}
         write_csv_matrix(H, args.out_path)
         if args.report_path is not None:
             write_report_json(report, args.report_path)

@@ -72,6 +72,14 @@ class UnmixReport:
     a solution of their full path nor the NNLS optimum: every truncated
     column, and the fallback columns outside unconstrained mode (whose
     two-entry path has nothing between zero and the NNLS solution).
+
+    In shamans mode ``picks`` counts the greedy steps, ``overshoot`` is
+    the sum of the selected sparsity levels minus q (negative when no
+    positive gain or, in strict mode, no fitting advance was left),
+    ``stopped_short``
+    says that selection ended below q, and ``last_gain`` is the error
+    decrease per added nonzero of the last pick (None without one).
+    The four are None in the other modes.
     """
 
     rel_error: float
@@ -87,6 +95,10 @@ class UnmixReport:
     breakpoint_histogram: list = field(default_factory=list)
     refits: int = 0
     inexact_columns: list = field(default_factory=list)
+    picks: int | None = None
+    overshoot: int | None = None
+    stopped_short: bool | None = None
+    last_gain: float | None = None
 
 
 def metrics(M, W, H, zero_threshold: float = 1e-3) -> UnmixReport:
@@ -214,4 +226,12 @@ def solve(M, W, cfg: SolveConfig):
     report.breakpoints = int(steps.sum())
     report.breakpoint_histogram = [int(c) for c in np.bincount(steps)]
     report.refits = walk.refits
+    if cfg.mode == "shamans":
+        report.picks = state.picks
+        report.overshoot = state.nnz_total - cfg.q
+        report.stopped_short = state.nnz_total < cfg.q
+        if state.last_pick is not None:
+            j, start, level = state.last_pick
+            drop = tables.cost[start, j] - tables.cost[level, j]
+            report.last_gain = float(drop) / (level - start)
     return H, report

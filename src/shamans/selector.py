@@ -60,13 +60,16 @@ class SelectionState:
     ``cursors[j]`` is the sparsity level currently selected for column j
     and ``nnz_total`` their sum.  ``segments`` lists every column's hull
     segments as (level, column) in greedy order; ``position`` is the
-    index of the next one to take.
+    index of the next one to take.  ``picks`` counts the steps taken and
+    ``last_pick`` is the last as (column, level before, level after).
     """
 
     cursors: np.ndarray
     nnz_total: int
     segments: list
     position: int = 0
+    picks: int = 0
+    last_pick: tuple | None = None
 
 
 def build_cost_tables(paths: list[RegularizationPath], r: int, n: int) -> CostTables:
@@ -186,8 +189,11 @@ def select_step(state: SelectionState, tables: CostTables, q: int,
         state.position += 1
     else:
         return None
-    state.nnz_total += level - int(state.cursors[j])
+    start = int(state.cursors[j])
+    state.nnz_total += level - start
     state.cursors[j] = level
+    state.picks += 1
+    state.last_pick = (j, start, level)
     return level, j
 
 

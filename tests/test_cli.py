@@ -1,12 +1,14 @@
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from shamans.cli import (export_abundance_maps, main, read_csv_matrix,
-                         write_csv_matrix, write_report_json)
+import shamans.cli as cli_mod
+from shamans.cli import (_scan_csv_matrix, export_abundance_maps, main,
+                         read_csv_matrix, write_csv_matrix, write_report_json)
 from shamans.errors import (NegativeEntry, NonFiniteEntry, ParseError,
                             RaggedRows, ShapeMismatch)
 from shamans.mnnls import UnmixReport
@@ -70,6 +72,71 @@ class TestReadCsv:
             read_csv_matrix(write(tmp_path / "m.csv", ""))
 
 
+def outcome(read, path):
+    """What a reader makes of a file: the array's shape, order and bytes,
+    or the exception's type, message and position."""
+    try:
+        A = read(path)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return (type(exc), str(exc), getattr(exc, "line", None),
+                getattr(exc, "column", None))
+    return ("ok", A.shape, A.flags.f_contiguous, A.tobytes())
+
+
+class TestReadParity:
+    """The vectorized read agrees with the line scanner on every input."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1), (9, 4), (40, 17)])
+    @pytest.mark.parametrize("writer", ["savetxt", "repr"])
+    def test_valid_files_bit_for_bit(self, tmp_path, shape, writer):
+        rng = np.random.default_rng(sum(shape))
+        A = rng.random(shape) * 10.0 ** rng.integers(-5, 6, size=shape)
+        p = tmp_path / "m.csv"
+        if writer == "savetxt":
+            write_csv_matrix(A, p)
+        else:  # one repr per value, as the benchmark's generator writes
+            p.write_text("".join(",".join(map(repr, row)) + "\n"
+                                 for row in A.tolist()))
+        fast = outcome(read_csv_matrix, p)
+        assert fast == outcome(_scan_csv_matrix, p)
+        assert fast[:3] == ("ok", shape, True)
+        assert fast[3] == A.tobytes()
+
+    @pytest.mark.parametrize("text", [
+        "1,2\n3\n", "1,2\n3,x\n", "1,2,\n", "1,,2\n",
+        "1,nan\n", "inf\n", "1,1e400\n", "2\n-1\n", "-0.0,1\n",
+        "1_0,2\n", "0x10\n", '"1"\n', "1\n#1\n", "#1,2\n1,2\n",
+        "1,2\n\n3,4\n\n", "1,2\n  \t\n3,4\n", "   \n", "\n\n",
+        "1,2\r\n3,4\r\n", " 1 , 2 \n", "1,2\n3,4",
+        "5\n", "1,2,3\n", "1\n2\n3\n", "", "1,2\n3,\xe94\n",
+    ])
+    def test_edge_files_agree(self, tmp_path, text):
+        p = tmp_path / "m.csv"
+        p.write_bytes(text.encode("latin-1"))
+        assert outcome(read_csv_matrix, p) == outcome(_scan_csv_matrix, p)
+
+    def test_float_syntax_accepted(self, tmp_path):
+        # float() accepts an underscore and keeps the sign of a zero.
+        M = read_csv_matrix(write(tmp_path / "m.csv", "1_0,-0.0\n"))
+        assert M.tolist() == [[10.0, 0.0]]
+        assert np.signbit(M[0, 1])
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "  \n\t\n"])
+    def test_no_rows_raise_without_warning(self, tmp_path, text):
+        p = write(tmp_path / "m.csv", text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match="no matrix rows found"):
+                read_csv_matrix(p)
+
+    def test_valid_file_skips_the_scanner(self, tmp_path, monkeypatch):
+        def scan(path):
+            raise AssertionError("rescanned a valid file")
+        monkeypatch.setattr(cli_mod, "_scan_csv_matrix", scan)
+        M = read_csv_matrix(write(tmp_path / "m.csv", "1,2\n3,4\n"))
+        np.testing.assert_array_equal(M, [[1.0, 2.0], [3.0, 4.0]])
+
+
 class TestWriteCsv:
     def test_zero_scalar(self, tmp_path):
         p = tmp_path / "h.csv"
@@ -104,7 +171,8 @@ class TestReportJson:
                           mode="shamans", budget=18, fallback_columns=[4],
                           truncated_columns=[1, 3], breakpoints=17,
                           breakpoint_histogram=[0, 1, 2, 3, 0, 0, 1], refits=5,
-                          inexact_columns=[1, 3, 4])
+                          inexact_columns=[1, 3, 4], picks=4, overshoot=-2,
+                          stopped_short=True, last_gain=0.25)
         p = tmp_path / "report.json"
         write_report_json(rep, p)
         data = json.loads(p.read_text())
@@ -112,7 +180,8 @@ class TestReportJson:
                              "per_column_sparsity", "timings_ms", "mode", "budget",
                              "breakpoints", "breakpoint_histogram", "refits",
                              "fallback_columns", "truncated_columns",
-                             "inexact_columns"}
+                             "inexact_columns", "picks", "overshoot",
+                             "stopped_short", "last_gain"}
         assert data["timings_ms"] == {"paths": 1.5, "select": 0.4}
         assert data["inexact_columns"] == [1, 3, 4]
         assert data["rel_error"] == pytest.approx(0.0073)
@@ -123,6 +192,8 @@ class TestReportJson:
         assert data["breakpoints"] == 17
         assert data["breakpoint_histogram"] == [0, 1, 2, 3, 0, 0, 1]
         assert data["refits"] == 5
+        assert (data["picks"], data["overshoot"], data["stopped_short"],
+                data["last_gain"]) == (4, -2, True, 0.25)
 
     def test_readme_lists_every_key(self, tmp_path):
         # The README's "The JSON report carries ..." sentence names exactly
@@ -189,8 +260,11 @@ class TestMain:
         assert data["mode"] == "shamans" and data["budget"] == 18
         assert data["refits"] == 0  # every demo support refits without the solver
         assert data["inexact_columns"] == []
-        assert list(data["timings_ms"]) == ["validate", "gram", "paths", "tables",
-                                            "select", "assemble", "metrics"]
+        assert list(data["timings_ms"]) == ["read", "validate", "gram", "paths",
+                                            "tables", "select", "assemble",
+                                            "metrics"]
+        assert data["timings_ms"]["read"] > 0.0
+        assert (data["picks"], data["overshoot"], data["stopped_short"]) == (17, 0, False)
 
     def test_end_to_end_maps(self, demo_files):
         wpath, mpath, tmp = demo_files

@@ -6,7 +6,7 @@ from shamans.errors import (DimensionMismatch, IterationLimit,
                             ZeroColumnInDictionary, ZeroDataMatrix)
 from shamans.homotopy import PathWalk, regularization_path
 from shamans.mnnls import SolveConfig, metrics, solve
-from shamans.selector import build_cost_tables
+from shamans.selector import build_cost_tables, init_gain, select_step
 from shamans.nnls import nnls_active_set
 
 import demo_data as dd
@@ -190,6 +190,50 @@ class TestValidation:
             solve(M, W, SolveConfig(mode="shamans", q=25))
         with pytest.raises(ValueError):
             solve(M, W, SolveConfig(mode="ksparse", k=5))
+
+
+class TestSelectionStatistics:
+    # q=18 is the demo budget, met exactly; at q=11 the default greedy's
+    # last pick overshoots by one and strict mode takes a smaller advance
+    # instead; at q=20 the positive gains run out one nonzero short.
+    @pytest.mark.parametrize("q, strict, picks, overshoot", [
+        (18, False, 17, 0), (18, True, 17, 0), (11, False, 11, 1),
+        (11, True, 11, 0), (20, False, 18, -1), (20, True, 18, -1)])
+    def test_demo(self, demo, q, strict, picks, overshoot):
+        M, W = demo
+        H, report = solve(M, W, SolveConfig(mode="shamans", q=q,
+                                            strict_budget=strict))
+        assert (report.picks, report.overshoot) == (picks, overshoot)
+        assert report.stopped_short == (overshoot < 0)
+        # Replay the greedy one step at a time; the last pick's gain comes
+        # from the frozen cost table.
+        tables = build_cost_tables(
+            [regularization_path(W, M[:, j]) for j in range(dd.DEMO_N)],
+            dd.DEMO_R, dd.DEMO_N)
+        state = init_gain(tables)
+        steps = []
+        before = state.cursors.copy()
+        while (step := select_step(state, tables, q, strict=strict)) is not None:
+            level, j = step
+            steps.append((j, int(before[j]), level))
+            before = state.cursors.copy()
+        assert len(steps) == picks
+        assert int(before.sum()) - q == overshoot
+        j, start, level = steps[-1]
+        assert report.last_gain == pytest.approx(
+            (dd.DEMO_COST[start, j] - dd.DEMO_COST[level, j]) / (level - start),
+            rel=1e-9)
+
+    def test_zero_budget_and_other_modes(self, demo):
+        M, W = demo
+        _, report = solve(M, W, SolveConfig(mode="shamans", q=0))
+        assert (report.picks, report.overshoot, report.stopped_short,
+                report.last_gain) == (0, 0, False, None)
+        for cfg in (SolveConfig(mode="ksparse", k=2),
+                    SolveConfig(mode="unconstrained")):
+            _, report = solve(M, W, cfg)
+            assert (report.picks, report.overshoot, report.stopped_short,
+                    report.last_gain) == (None, None, None, None)
 
 
 class TestFallback:
