@@ -125,8 +125,7 @@ def export_abundance_maps(H: np.ndarray, width: int, height: int, out_dir) -> No
     """
     H = np.asarray(H)
     r, n = H.shape
-    if width * height != n:
-        raise ShapeMismatch(f"width*height = {width * height} but H has {n} columns")
+    _check_map_shape(width, height, n)
     os.makedirs(out_dir, exist_ok=True)
     for i in range(r):
         row = H[i, :]
@@ -139,6 +138,11 @@ def export_abundance_maps(H: np.ndarray, width: int, height: int, out_dir) -> No
         with open(os.path.join(out_dir, f"abundance_{i:03d}.pgm"), "wb") as fh:
             fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
             fh.write(img.tobytes())
+
+
+def _check_map_shape(width: int, height: int, n: int) -> None:
+    if width * height != n:
+        raise ShapeMismatch(f"width*height = {width * height} but H has {n} columns")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -180,30 +184,27 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _validate(args) -> None:
-    if args.mode == "shamans":
-        if args.budget is None:
-            raise UsageError("--mode shamans requires --budget")
-        if args.k is not None:
-            raise UsageError("--k does not apply to shamans mode")
-    elif args.mode == "ksparse":
-        if args.k is None:
-            raise UsageError("--mode ksparse requires --k")
-        if args.budget is not None:
-            raise UsageError("--budget does not apply to ksparse mode")
-    else:
-        if args.budget is not None or args.k is not None:
-            raise UsageError("--budget/--k do not apply to unconstrained mode")
-    if args.maps_dir is not None and (args.map_width is None or args.map_height is None):
-        raise UsageError("--maps-dir requires --map-width and --map-height")
+def _solve_config(args) -> SolveConfig:
+    """The flags' SolveConfig; UsageError or SolveConfig's ValueError on bad flags."""
+    needed = {"shamans": "budget", "ksparse": "k"}.get(args.mode)
+    for flag in ("budget", "k"):
+        given = getattr(args, flag) is not None
+        if given != (flag == needed):
+            raise UsageError(f"--{flag} does not apply to {args.mode} mode" if given
+                             else f"--mode {args.mode} requires --{flag}")
+    sizes = (args.map_width, args.map_height)
+    if args.maps_dir is not None and not all(size is not None and size > 0 for size in sizes):
+        raise UsageError("--maps-dir requires a positive --map-width and --map-height")
+    return SolveConfig(mode=args.mode, q=args.budget, k=args.k, tol=args.tol,
+                       zero_threshold=args.zero_thresh, strict_budget=args.strict_budget)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _validate(args)
-    except UsageError as exc:
+        cfg = _solve_config(args)
+    except (UsageError, ValueError) as exc:  # ValueError: a value SolveConfig rejects
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -212,9 +213,8 @@ def main(argv=None) -> int:
         W = read_csv_matrix(args.dict_path)
         M = read_csv_matrix(args.data_path)
         read_ms = (time.perf_counter() - clock) * 1e3
-        cfg = SolveConfig(mode=args.mode, q=args.budget, k=args.k,
-                          tol=args.tol, zero_threshold=args.zero_thresh,
-                          strict_budget=args.strict_budget)
+        if args.maps_dir is not None:  # fail before any output is written
+            _check_map_shape(args.map_width, args.map_height, M.shape[1])
         H, report = solve(M, W, cfg)
         report.timings_ms = {"read": read_ms, **report.timings_ms}
         write_csv_matrix(H, args.out_path)

@@ -48,7 +48,7 @@ that are zero off the rows' supports (a, b) or on them (c, d).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,42 +73,33 @@ BLOCK = 256
 SCHUR_GUARD = 1e-6
 
 
-@dataclass(frozen=True)
-class PathEntry:
-    """One breakpoint of the path.
+def path_dtype(r: int) -> np.dtype:
+    """Record type of one path entry over a dictionary of r atoms.
 
-    ``lam`` is the penalty value at which ``support`` stops being optimal
-    (the lower end of its optimality interval).  ``solution`` is the
-    unbiased refit on the support, zero elsewhere; ``error_sq`` its
-    residual ||A x - b||^2 against the original system.  ``coeff_a`` and
-    ``coeff_b`` reproduce the biased solution on the support as
-    a - lambda * b for any lambda inside the interval.  ``cardinality``
-    counts the nonzeros of ``solution``.
+    ``lam`` is the penalty value at which ``support`` (an (r,) mask)
+    stops being optimal, the lower end of its optimality interval.
+    ``solution`` is the unbiased refit on the support, zero elsewhere;
+    ``error_sq`` its residual ||A x - b||^2 against the original system
+    and ``cardinality`` its number of nonzeros.  ``coeff_a`` and
+    ``coeff_b`` are zero off the support and give the biased solution as
+    a - lambda * b for any lambda inside the interval.
     """
-
-    lam: float
-    support: np.ndarray
-    solution: np.ndarray
-    error_sq: float
-    cardinality: int
-    coeff_a: np.ndarray
-    coeff_b: np.ndarray
+    return np.dtype([("lam", np.float64), ("cardinality", np.int64), ("error_sq", np.float64),
+                     ("support", np.bool_, (r,)), ("solution", np.float64, (r,)),
+                     ("coeff_a", np.float64, (r,)), ("coeff_b", np.float64, (r,))])
 
 
 @dataclass
 class RegularizationPath:
-    """Ordered breakpoint entries, lambda nonincreasing from lambda_max to 0.
+    """Path entries as path_dtype records, lambda nonincreasing to 0.
 
     ``truncated`` marks a path that ended early on a rank-deficient
-    support or was rebuilt from a plain NNLS fallback; its terminal entry
-    is still a valid feasible solution.
+    support or was rebuilt from a plain NNLS fallback; its last entry is
+    still a valid feasible solution.
     """
 
-    entries: list[PathEntry] = field(default_factory=list)
+    entries: np.ndarray
     truncated: bool = False
-
-    def terminal(self) -> PathEntry:
-        return self.entries[-1]
 
 
 def lambda_max(ell: np.ndarray):
@@ -277,11 +268,12 @@ class PathWalk:
         rhs = self.B[:, start:stop]
         width = stop - start
         tol_neg = tol * (1.0 + float(np.abs(P).max(initial=0.0)))
-        none_idx = np.empty(0, dtype=np.int64)
-        coeff0 = np.empty(0)
+        dtype = path_dtype(r)
         lam, first = lambda_max(ell)
-        entries = [[PathEntry(lam0, none_idx, np.zeros(r), float(b @ b), 0, coeff0, coeff0)]
-                   for lam0, b in zip(lam.tolist(), rhs.T)]
+        zero = np.zeros(width, dtype)
+        zero["lam"] = lam
+        zero["error_sq"] = [b @ b for b in rhs.T]
+        records, owners = [zero], [np.arange(width)]
         live = np.flatnonzero(first >= 0)
         lam, first = lam[live], first[live]
         # Row i holds the right-hand sides (ell, 1) of the pair (a, b).
@@ -329,10 +321,11 @@ class PathWalk:
             X, err = unbias(P, ell, K, a, self.A, rhs[:, live], tol=tol)
             self.refits += int(np.count_nonzero((a < 0.0).any(axis=1)))
             lam_next[lam_next <= tol_lam] = 0.0
-            nnz = np.count_nonzero(X, axis=1).tolist()
-            for i, (p, lam_i, err_i) in enumerate(zip(live, lam_next.tolist(), err.tolist())):
-                k = K[i].nonzero()[0]
-                entries[p].append(PathEntry(lam_i, k, X[i], err_i, nnz[i], a[i, k], b[i, k]))
+            records.append(np.empty(live.size, dtype))
+            for name, value in zip(dtype.names, (lam_next, np.count_nonzero(X, axis=1),
+                                                 err, K, X, a, b)):
+                records[-1][name] = value
+            owners.append(live)
             go = (kind != TERMINATE) & (lam_next != 0.0)
             if not go.all():
                 live, rhs2, tol_lam, K, G = (x[go] for x in (live, rhs2, tol_lam, K, G))
@@ -341,9 +334,14 @@ class PathWalk:
             lam = lam_next[go]
             rounds += 1
 
-        for p in range(width):
+        # Records come in round order; a stable sort makes each path one slice.
+        # dtype= spares numpy resolving the record type once per round.
+        owner = np.concatenate(owners)
+        entries = np.concatenate(records, dtype=dtype)[np.argsort(owner, kind="stable")]
+        ends = np.cumsum(np.bincount(owner, minlength=width))[:-1]
+        for p, path in enumerate(np.split(entries, ends)):
             self._paths[start + p] = None if over[p] else \
-                RegularizationPath(entries[p], truncated=bool(truncated[p]))
+                RegularizationPath(path, truncated=bool(truncated[p]))
 
     def path(self, j: int) -> RegularizationPath:
         if j not in self._paths:

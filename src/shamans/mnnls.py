@@ -19,7 +19,7 @@ from . import selector
 from .densela import as_matrix, frob_norm, gram
 from .errors import (DimensionMismatch, IterationLimit, ZeroColumnInDictionary,
                      ZeroDataMatrix)
-from .homotopy import (PathEntry, PathWalk, RegularizationPath, lambda_max,
+from .homotopy import (PathWalk, RegularizationPath, lambda_max, path_dtype,
                        regularization_path)
 from .nnls import nnls_active_set
 
@@ -51,7 +51,7 @@ class SolveConfig:
             raise ValueError("shamans mode needs a nonnegative budget q")
         if self.mode == "ksparse" and (self.k is None or self.k < 0):
             raise ValueError("ksparse mode needs a nonnegative per-column k")
-        if self.tol <= 0:
+        if not self.tol > 0:  # also NaN
             raise ValueError("tol must be positive")
 
 
@@ -128,15 +128,15 @@ def metrics(M, W, H, zero_threshold: float = 1e-3) -> UnmixReport:
 def _fallback_path(W, b, P, ell, tol) -> RegularizationPath:
     """Two-entry path (zero solution, plain NNLS solution) for a column
     whose homotopy hit the breakpoint limit."""
-    r = ell.shape[0]
     sol = nnls_active_set(W, b, tol=tol, gram_matrix=P, corr=ell)
     lam0, _ = lambda_max(ell[None])
-    zero = PathEntry(float(lam0[0]), np.empty(0, dtype=np.int64), np.zeros(r),
-                     float(b @ b), 0, np.empty(0), np.empty(0))
-    final = PathEntry(0.0, sol.support, sol.x, sol.residual_sq,
-                      int(sol.support.size), sol.x[sol.support],
-                      np.zeros(sol.support.size))
-    return RegularizationPath([zero, final], truncated=True)
+    entries = np.zeros(2, path_dtype(ell.shape[0]))
+    entries["lam"] = lam0[0], 0.0
+    entries["error_sq"] = b @ b, sol.residual_sq
+    entries["cardinality"][1] = sol.support.size
+    entries["support"][1, sol.support] = True
+    entries["solution"][1] = entries["coeff_a"][1] = sol.x
+    return RegularizationPath(entries, truncated=True)
 
 
 def solve(M, W, cfg: SolveConfig):
@@ -209,7 +209,7 @@ def solve(M, W, cfg: SolveConfig):
     lap("select")
 
     if unconstrained:
-        H = np.concatenate([path.terminal().solution for path in paths]).reshape(n, r).T
+        H = np.concatenate([path.entries["solution"][-1:] for path in paths]).T
     else:
         H = selector.assemble(tables, cursors)
     lap("assemble")

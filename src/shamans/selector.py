@@ -29,11 +29,11 @@ class CostTables:
     """Per-column, per-sparsity-level costs and the solutions behind them.
 
     ``cost`` has r+1 rows for sparsity levels 0..r and is nonincreasing
-    down each column.  ``solutions`` is an object array of every path
-    entry's own solution array, the columns' paths concatenated in path
-    order, and ``source[k, j]`` indexes the one behind cost[k, j]: the
-    first entry of column j's path with at most k nonzeros that attains
-    the cell's minimum.  ``delta[k-1, j] = cost[k-1, j] - cost[k, j]``.
+    down each column.  ``solutions`` is the (E, r) matrix of every path
+    entry's solution, one row per entry, the columns' paths concatenated
+    in path order, and ``source[k, j]`` indexes the row behind cost[k, j]:
+    the first entry of column j's path with at most k nonzeros that
+    attains the cell's minimum.  ``delta[k-1, j] = cost[k-1, j] - cost[k, j]``.
     """
 
     cost: np.ndarray
@@ -77,24 +77,25 @@ def build_cost_tables(paths: list[RegularizationPath], r: int, n: int) -> CostTa
 
     Cell (k, j) holds the best error among column j's path solutions with
     at most k nonzeros, so columns are nonincreasing by construction.  The
-    entries are flattened once into per-entry arrays: one scatter takes
-    every level's minimum, then one carry down the levels extends it to
-    "at most k", keeping the entry earlier in path order on ties.
+    paths' cardinality, error and solution fields are concatenated once:
+    one scatter takes every level's minimum, then one carry down the
+    levels extends it to "at most k", keeping the entry earlier in path
+    order on ties.
     """
     if len(paths) != n:
         raise ValueError(f"expected {n} paths, got {len(paths)}")
-    bad = next((j for j, path in enumerate(paths)
-                if not path.entries or path.entries[0].cardinality != 0), None)
-    if bad is not None:
-        raise MissingZeroEntry(f"path for column {bad} lacks the zero-solution entry")
-    entries = [e for path in paths for e in path.entries]
-    size = len(entries)
     column = np.repeat(np.arange(n), [len(path.entries) for path in paths])
-    card = np.fromiter((e.cardinality for e in entries), np.int64, size)
-    err = np.fromiter((e.error_sq for e in entries), np.float64, size)
+    # Field by field: concatenating the records would resolve their dtype per path.
+    card, err, solutions = (np.concatenate([path.entries[name] for path in paths])
+                            for name in ("cardinality", "error_sq", "solution"))
+    first = np.flatnonzero(np.diff(column, prepend=-1))  # of every nonempty path
+    bad = np.ones(n, dtype=bool)
+    bad[column[first]] = card[first] != 0
+    if bad.any():
+        raise MissingZeroEntry(f"path for column {bad.argmax()} lacks the zero-solution entry")
     cost = np.full((r + 1, n), np.inf)
     np.minimum.at(cost, (card, column), err)
-    source = np.full((r + 1, n), size)
+    source = np.full((r + 1, n), card.size)
     attains = np.flatnonzero(err == cost[card, column])
     np.minimum.at(source, (card[attains], column[attains]), attains)
     for k in range(1, r + 1):
@@ -102,7 +103,6 @@ def build_cost_tables(paths: list[RegularizationPath], r: int, n: int) -> CostTa
                                            & (source[k - 1] < source[k]))
         cost[k, carry] = cost[k - 1, carry]
         source[k, carry] = source[k - 1, carry]
-    solutions = np.fromiter((e.solution for e in entries), object, size)
     return CostTables(cost=cost, source=source, solutions=solutions)
 
 
@@ -209,6 +209,4 @@ def select(state: SelectionState, tables: CostTables, q: int,
 
 def assemble(tables: CostTables, cursors: np.ndarray) -> np.ndarray:
     """Stack the selected per-column solutions into the r x n matrix."""
-    r, n = tables.levels, tables.columns
-    picked = tables.source[cursors, np.arange(n)]
-    return np.concatenate(tables.solutions[picked]).reshape(n, r).T
+    return tables.solutions[tables.source[cursors, np.arange(tables.columns)]].T

@@ -17,7 +17,7 @@ from scipy.linalg.lapack import dpotrs
 
 from shamans.densela import gram, spd_factor
 from shamans.errors import IterationLimit, MissingZeroEntry, SingularSystem
-from shamans.homotopy import PathEntry, RegularizationPath
+from shamans.homotopy import RegularizationPath, path_dtype
 
 
 def nnls_bruteforce(A, b):
@@ -50,19 +50,17 @@ def kkt_midpoint_violation(P, ell, path):
     """Worst scaled violation of the penalized-problem optimality conditions.
 
     For each pair of consecutive path entries, rebuild the biased solution
-    of the lower entry's support at the midpoint penalty and measure:
+    of the lower entry's support at the midpoint penalty from its
+    full-space coefficients (zero off the support) and measure:
     negativity of the solution, negativity of the gradient
     P x - ell + lambda, and the complementarity products, the latter
     scaled by (1 + max|ell|).
     """
-    r = ell.shape[0]
     scale = 1.0 + float(np.abs(ell).max(initial=0.0))
     worst = 0.0
     for above, entry in zip(path.entries, path.entries[1:]):
-        lam = 0.5 * (above.lam + entry.lam)
-        x = np.zeros(r)
-        if entry.support.size:
-            x[entry.support] = entry.coeff_a - lam * entry.coeff_b
+        lam = 0.5 * (above["lam"] + entry["lam"])
+        x = entry["coeff_a"] - lam * entry["coeff_b"]
         g = P @ x - ell + lam
         worst = max(worst,
                     -float(x.min(initial=0.0)),
@@ -88,30 +86,33 @@ def min_error_by_total(cost):
 
 
 def reference_cost_tables(paths, r, n):
-    """Cost table and per-cell solutions, one path entry and level at a time.
+    """Cost table and per-cell entry index, one path entry and level at a time.
 
     The fold the vectorized build_cost_tables replaced: each entry of
     cardinality k and error err updates rows k..r of its column wherever
-    it improves the stored value.  Returns (cost, sols) with ``sols[k][j]``
-    the solution object behind cost[k, j].
+    it improves the stored value.  Returns (cost, source) with
+    ``source[k, j]`` the index of the entry behind cost[k, j] among all
+    paths' entries concatenated in path order.
     """
     if len(paths) != n:
         raise ValueError(f"expected {n} paths, got {len(paths)}")
     cost = np.full((r + 1, n), np.inf)
-    sols = [[None] * n for _ in range(r + 1)]
+    source = np.full((r + 1, n), -1)
+    offset = 0
     for j, path in enumerate(paths):
         entries = path.entries
-        if not entries or entries[0].cardinality != 0:
+        if not len(entries) or entries[0]["cardinality"] != 0:
             raise MissingZeroEntry(f"path for column {j} lacks the zero-solution entry")
         col = cost[:, j]
-        for e in entries:
-            k = e.cardinality
-            err = e.error_sq
+        for index, e in enumerate(entries, start=offset):
+            k = int(e["cardinality"])
+            err = float(e["error_sq"])
             for i in range(k, r + 1):
                 if err < col[i]:
                     col[i] = err
-                    sols[i][j] = e.solution
-    return cost, sols
+                    source[i, j] = index
+        offset += len(entries)
+    return cost, source
 
 
 def reference_select(delta, q, strict=False):
@@ -284,6 +285,13 @@ def reference_path(A, b, tol=1e-10, max_breakpoints=None):
     P = gram(np.asfortranarray(A))
     ell = A.T @ b
     r = ell.shape[0]
+
+    def record(lam, K, x, err, a_K, b_K):
+        """One path_dtype record of support K, coefficients zero off K."""
+        support, coeff_a, coeff_b = np.zeros(r, dtype=bool), np.zeros(r), np.zeros(r)
+        support[K], coeff_a[K], coeff_b[K] = True, a_K, b_K
+        return lam, int(np.count_nonzero(x)), err, support, x, coeff_a, coeff_b
+
     if max_breakpoints is None:
         max_breakpoints = 50 * r
     tol_neg = tol * (1.0 + float(np.abs(P).max(initial=0.0)))
@@ -291,10 +299,9 @@ def reference_path(A, b, tol=1e-10, max_breakpoints=None):
     lam0 = max(float(ell[first]), 0.0)
     tol_lam = tol * (1.0 + lam0)
     none = np.empty(0, dtype=np.int64)
-    entries = [PathEntry(lam0, none, np.zeros(r), float(b @ b), 0,
-                         np.empty(0), np.empty(0))]
+    entries = [record(lam0, none, np.zeros(r), float(b @ b), none, none)]
     if lam0 == 0.0:
-        return RegularizationPath(entries)
+        return RegularizationPath(np.array(entries, dtype=path_dtype(r)))
 
     K = np.array([first], dtype=np.int64)
     lam = lam0
@@ -335,8 +342,7 @@ def reference_path(A, b, tol=1e-10, max_breakpoints=None):
         resid = A @ x - b
         if lam_next <= tol_lam:
             lam_next = 0.0
-        entries.append(PathEntry(lam_next, K, x, float(resid @ resid),
-                                 int(np.count_nonzero(x)), a_K, b_K))
+        entries.append(record(lam_next, K, x, float(resid @ resid), a_K, b_K))
         if kind == "terminate" or lam_next == 0.0:
             break
         if kind == "leave":
@@ -344,4 +350,4 @@ def reference_path(A, b, tol=1e-10, max_breakpoints=None):
         else:
             K = np.sort(np.append(K, Kbar[best[kind][1]]))
         lam = lam_next
-    return RegularizationPath(entries, truncated=truncated)
+    return RegularizationPath(np.array(entries, dtype=path_dtype(r)), truncated=truncated)

@@ -161,19 +161,16 @@ def test_criterion_2_golden_ksparse(demo):
 def _check_path(column, ref):
     path = shamans.regularization_path(dd.DEMO_W, dd.DEMO_M[:, column])
     failures = []
-    if [e.cardinality for e in path.entries] != ref["cards"]:
-        failures.append(f"column {column}: cardinalities "
-                        f"{[e.cardinality for e in path.entries]} "
-                        f"vs {ref['cards']}")
+    cards = path.entries["cardinality"].tolist()
+    if cards != ref["cards"]:
+        failures.append(f"column {column}: cardinalities {cards} vs {ref['cards']}")
         return failures
     failures += _diffs(f"col{column} lambda",
-                       [e.lam for e in path.entries], ref["lambdas"], TOL_TABLE)
+                       path.entries["lam"], ref["lambdas"], TOL_TABLE)
     failures += _diffs(f"col{column} error",
-                       [e.error_sq for e in path.entries], ref["errors"],
-                       TOL_TABLE)
+                       path.entries["error_sq"], ref["errors"], TOL_TABLE)
     failures += _diffs(f"col{column} solution",
-                       np.array([e.solution for e in path.entries]),
-                       ref["solutions"], TOL_TABLE)
+                       path.entries["solution"], ref["solutions"], TOL_TABLE)
     return failures
 
 
@@ -221,7 +218,7 @@ def test_criterion_5_kkt_property_suite():
         path = shamans.regularization_path(A, b, gram_matrix=P)
         worst_kkt = max(worst_kkt, kkt_midpoint_violation(P, A.T @ b, path))
         sol = nnls_active_set(A, b, gram_matrix=P)
-        gap = float(np.abs(path.terminal().solution - sol.x).max())
+        gap = float(np.abs(path.entries["solution"][-1] - sol.x).max())
         worst_terminal = max(worst_terminal, gap)
     elapsed = time.perf_counter() - t0
     ok = worst_kkt <= 1e-8 and worst_terminal <= 1e-8 and elapsed < 30.0

@@ -324,3 +324,40 @@ class TestMain:
         code = main(["--dict", wpath, "--data", mpath, "--mode",
                      "unconstrained", "--out", str(tmp_path / "H.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--mode", "shamans", "--budget", "-1"],
+        ["--mode", "ksparse", "--k", "-2"],
+        ["--mode", "unconstrained", "--tol", "0"],
+        ["--mode", "unconstrained", "--tol", "nan"],
+        ["--mode", "ksparse", "--k", "3", "--maps-dir", "m", "--map-width", "0",
+         "--map-height", "6"],
+        ["--mode", "ksparse", "--k", "3", "--maps-dir", "m", "--map-width", "-2",
+         "--map-height", "-3"],
+    ])
+    def test_bad_flag_values_are_usage_errors_before_any_read(self, demo_files, flags,
+                                                               monkeypatch, capsys):
+        wpath, mpath, tmp = demo_files
+        monkeypatch.chdir(tmp)  # where --maps-dir m would go
+        reads = []
+        monkeypatch.setattr(cli_mod, "read_csv_matrix", reads.append)
+        code = main(["--dict", wpath, "--data", mpath, "--out", "H.csv", *flags])
+        assert code == 1 and reads == []
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp / "H.csv").exists() and not (tmp / "m").exists()
+
+    def test_budget_above_rn_is_data_error(self, demo_files):
+        wpath, mpath, tmp = demo_files
+        assert main(["--dict", wpath, "--data", mpath, "--mode", "shamans",
+                     "--budget", str(dd.DEMO_R * dd.DEMO_N + 1),
+                     "--out", str(tmp / "H.csv")]) == 2
+
+    def test_map_shape_mismatch_writes_nothing(self, demo_files, capsys):
+        wpath, mpath, tmp = demo_files
+        outputs = [tmp / "H.csv", tmp / "report.json", tmp / "maps"]
+        code = main(["--dict", wpath, "--data", mpath, "--mode", "ksparse", "--k", "3",
+                     "--out", str(outputs[0]), "--report", str(outputs[1]),
+                     "--maps-dir", str(outputs[2]), "--map-width", "3", "--map-height", "3"])
+        assert code == 2
+        assert "width*height = 9 but H has 6 columns" in capsys.readouterr().err
+        assert not any(path.exists() for path in outputs)

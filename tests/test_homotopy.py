@@ -181,33 +181,25 @@ class TestRegularizationPath:
         path = regularization_path(dd.DEMO_W, np.zeros(5))
         assert len(path.entries) == 1
         e = path.entries[0]
-        assert e.lam == 0.0 and e.cardinality == 0 and e.error_sq == 0.0
+        assert e["lam"] == 0.0 and e["cardinality"] == 0 and e["error_sq"] == 0.0
 
     def test_empty_dictionary(self):
         path = regularization_path(np.zeros((5, 0)), np.ones(5))
-        assert len(path.entries) == 1 and path.entries[0].error_sq == 5.0
+        assert len(path.entries) == 1 and path.entries[0]["error_sq"] == 5.0
 
     def test_demo_column0(self):
         path = regularization_path(dd.DEMO_W, dd.DEMO_M[:, 0])
-        assert [e.cardinality for e in path.entries] == dd.COL0_CARDINALITIES
-        np.testing.assert_allclose([e.lam for e in path.entries],
-                                   dd.COL0_LAMBDAS, atol=1e-9)
-        np.testing.assert_allclose([e.error_sq for e in path.entries],
-                                   dd.COL0_ERRORS, atol=1e-9)
-        np.testing.assert_allclose(
-            np.array([e.solution for e in path.entries]),
-            dd.COL0_SOLUTIONS, atol=1e-9)
+        assert path.entries["cardinality"].tolist() == dd.COL0_CARDINALITIES
+        np.testing.assert_allclose(path.entries["lam"], dd.COL0_LAMBDAS, atol=1e-9)
+        np.testing.assert_allclose(path.entries["error_sq"], dd.COL0_ERRORS, atol=1e-9)
+        np.testing.assert_allclose(path.entries["solution"], dd.COL0_SOLUTIONS, atol=1e-9)
 
     def test_demo_column5(self):
         path = regularization_path(dd.DEMO_W, dd.DEMO_M[:, 5])
-        assert [e.cardinality for e in path.entries] == dd.COL5_CARDINALITIES
-        np.testing.assert_allclose([e.lam for e in path.entries],
-                                   dd.COL5_LAMBDAS, atol=1e-9)
-        np.testing.assert_allclose([e.error_sq for e in path.entries],
-                                   dd.COL5_ERRORS, atol=1e-9)
-        np.testing.assert_allclose(
-            np.array([e.solution for e in path.entries]),
-            dd.COL5_SOLUTIONS, atol=1e-9)
+        assert path.entries["cardinality"].tolist() == dd.COL5_CARDINALITIES
+        np.testing.assert_allclose(path.entries["lam"], dd.COL5_LAMBDAS, atol=1e-9)
+        np.testing.assert_allclose(path.entries["error_sq"], dd.COL5_ERRORS, atol=1e-9)
+        np.testing.assert_allclose(path.entries["solution"], dd.COL5_SOLUTIONS, atol=1e-9)
 
     def test_first_entry_is_zero_solution(self):
         rng = np.random.default_rng(22)
@@ -215,25 +207,24 @@ class TestRegularizationPath:
             A, b = random_nonneg_instance(rng, 7, 4)
             path = regularization_path(A, b)
             e = path.entries[0]
-            assert e.cardinality == 0
-            assert e.error_sq == pytest.approx(float(b @ b), rel=1e-12)
-            assert e.lam == pytest.approx(max(float((A.T @ b).max()), 0.0))
+            assert e["cardinality"] == 0
+            assert e["error_sq"] == pytest.approx(float(b @ b), rel=1e-12)
+            assert e["lam"] == pytest.approx(max(float((A.T @ b).max()), 0.0))
 
     def test_supports_change_one_index_at_a_time(self):
         rng = np.random.default_rng(23)
         for _ in range(200):
             A, b = random_nonneg_instance(rng, 10, 5)
             path = regularization_path(A, b)
-            for prev, cur in zip(path.entries, path.entries[1:]):
-                delta = np.setxor1d(prev.support, cur.support)
-                assert delta.size == 1
+            S = path.entries["support"]
+            assert (np.count_nonzero(S[1:] != S[:-1], axis=1) == 1).all()
 
     def test_lambda_nonincreasing(self):
         rng = np.random.default_rng(24)
         for _ in range(200):
             A, b = random_nonneg_instance(rng, 10, 5)
             path = regularization_path(A, b)
-            lams = [e.lam for e in path.entries]
+            lams = path.entries["lam"].tolist()
             assert all(x >= y for x, y in zip(lams, lams[1:]))
             assert lams[-1] == 0.0
 
@@ -243,7 +234,7 @@ class TestRegularizationPath:
             A, b = random_nonneg_instance(rng, 10, 5)
             path = regularization_path(A, b)
             sol = nnls_active_set(A, b)
-            np.testing.assert_allclose(path.terminal().solution, sol.x,
+            np.testing.assert_allclose(path.entries["solution"][-1], sol.x,
                                        atol=1e-8)
 
     def test_kkt_certificate_midpoints(self):
@@ -265,11 +256,9 @@ class TestRegularizationPath:
             path = regularization_path(A, b)
             if len(path.entries) > 4 * 5:
                 long_paths += 1
-            for prev, cur in zip(path.entries, path.entries[1:]):
-                if cur.support.size > prev.support.size:
-                    enters += 1
-                else:
-                    leaves += 1
+            steps = np.diff(path.entries["support"].sum(axis=1))
+            enters += int((steps > 0).sum())
+            leaves += int((steps <= 0).sum())
         print(f"\npath steps: {enters} enters, {leaves} leaves, "
               f"{long_paths} paths longer than 4r")
         if leaves * 10 > enters or long_paths:
@@ -283,8 +272,8 @@ class TestRegularizationPath:
         shared = regularization_path(dd.DEMO_W, b, gram_matrix=P, corr=ell)
         assert len(direct.entries) == len(shared.entries)
         for e1, e2 in zip(direct.entries, shared.entries):
-            assert e1.lam == pytest.approx(e2.lam, abs=1e-12)
-            np.testing.assert_allclose(e1.solution, e2.solution, atol=1e-12)
+            assert e1["lam"] == pytest.approx(e2["lam"], abs=1e-12)
+            np.testing.assert_allclose(e1["solution"], e2["solution"], atol=1e-12)
 
     def test_breakpoint_limit_raises(self):
         with pytest.raises(IterationLimit):
@@ -295,9 +284,9 @@ class TestRegularizationPath:
         # direct penalized solve on the support.
         path = regularization_path(dd.DEMO_W, dd.DEMO_M[:, 0])
         for above, entry in zip(path.entries, path.entries[1:]):
-            lam = 0.5 * (above.lam + entry.lam)
-            K = entry.support
-            biased = entry.coeff_a - lam * entry.coeff_b
+            lam = 0.5 * (above["lam"] + entry["lam"])
+            K = np.flatnonzero(entry["support"])
+            biased = (entry["coeff_a"] - lam * entry["coeff_b"])[K]
             S = DEMO_P[np.ix_(K, K)]
             direct = np.linalg.solve(S, DEMO_ELL0[K] - lam)
             np.testing.assert_allclose(biased, direct, atol=1e-10)

@@ -13,7 +13,8 @@ import pytest
 
 from shamans import homotopy
 from shamans.errors import IterationLimit
-from shamans.homotopy import BLOCK, PathWalk, path_coefficients, regularization_path
+from shamans.homotopy import (BLOCK, PathWalk, path_coefficients, path_dtype,
+                              regularization_path)
 from shamans.selector import build_cost_tables
 
 from oracles import reference_path
@@ -40,21 +41,21 @@ def reference(A, b, **kwargs):
         return exc
 
 
+def supports(path):
+    """The path's supports as index tuples, in path order."""
+    return [tuple(np.flatnonzero(mask).tolist()) for mask in path.entries["support"]]
+
+
 def assert_same_path(got, want):
     if isinstance(want, IterationLimit):
         assert isinstance(got, IterationLimit)
         return
-    assert [tuple(e.support) for e in got.entries] == \
-        [tuple(e.support) for e in want.entries]
+    assert supports(got) == supports(want)
     assert got.truncated == want.truncated
-    for field in ("lam", "error_sq"):
-        w = np.array([getattr(e, field) for e in want.entries])
-        g = np.array([getattr(e, field) for e in got.entries])
+    for field in ("lam", "error_sq", "solution"):
+        w, g = want.entries[field], got.entries[field]
         np.testing.assert_allclose(g, w, rtol=0, atol=RTOL * max(np.abs(w).max(), 1e-300))
-    w = np.array([e.solution for e in want.entries])
-    g = np.array([e.solution for e in got.entries])
-    np.testing.assert_allclose(g, w, rtol=0, atol=RTOL * max(np.abs(w).max(), 1e-300))
-    assert [e.cardinality for e in got.entries] == [e.cardinality for e in want.entries]
+    assert np.array_equal(got.entries["cardinality"], want.entries["cardinality"])
 
 
 def assert_matches_reference(A, B, **kwargs):
@@ -92,7 +93,7 @@ def test_exact_ties():
     B = np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 0.0], [0.5, 0.0]])
     assert_matches_reference(A, B)
     paths = walk_all(A, B)
-    assert [list(e.support) for e in paths[0].entries] == [[], [0], [0, 1], [0, 1, 2]]
+    assert supports(paths[0]) == [(), (0,), (0, 1), (0, 1, 2)]
 
 
 def test_zero_and_uncorrelated_columns():
@@ -122,9 +123,10 @@ def test_near_dependent_dictionaries():
             want = reference(A, B[:, j])
             truncated += want.truncated
             if want.truncated:
-                last_want, last_got = want.entries.pop(), got.entries.pop()
-                assert last_got.lam == pytest.approx(last_want.lam, rel=1e-4)
-                assert tuple(last_got.support) == tuple(last_want.support)
+                last_want, last_got = want.entries[-1], got.entries[-1]
+                want.entries, got.entries = want.entries[:-1], got.entries[:-1]
+                assert last_got["lam"] == pytest.approx(last_want["lam"], rel=1e-4)
+                assert np.array_equal(last_got["support"], last_want["support"])
             assert_same_path(got, want)
     assert truncated > 0
 
@@ -143,14 +145,14 @@ def test_exact_dependency():
         for j, got in enumerate(walk_all(A, B)):
             want = reference(A, B[:, j])
             scale = float(B[:, j] @ B[:, j])
-            assert got.terminal().error_sq == pytest.approx(want.terminal().error_sq,
-                                                            abs=RTOL * scale)
-            sg = [set(e.support) for e in got.entries]
-            sw = [set(e.support) for e in want.entries]
+            assert got.entries["error_sq"][-1] == pytest.approx(
+                want.entries["error_sq"][-1], abs=RTOL * scale)
+            sg = [set(s) for s in supports(got)]
+            sw = [set(s) for s in supports(want)]
             i = next((i for i, (g, w) in enumerate(zip(sg, sw)) if g != w), None)
             if i is not None:
                 assert sg[i] ^ sw[i] <= {0, 1, 4}
-                del got.entries[i:], want.entries[i:]
+                got.entries, want.entries = got.entries[:i], want.entries[:i]
             assert_same_path(got, want)
 
 
@@ -195,14 +197,11 @@ def test_carried_inverse_matches_fresh_solves(monkeypatch):
     assert sum(fresh_rows) == sum(len(p.entries) - 1 for p in fresh)
 
     assert max(len(p.entries) for p in carried) > 24
-    assert sum(any(len(e.support) < len(prev.support)
-                   for prev, e in zip(p.entries, p.entries[1:])) for p in carried) > 100
+    assert sum((np.diff(p.entries["support"].sum(axis=1)) < 0).any() for p in carried) > 100
     for got, want in zip(carried, fresh):
-        assert [tuple(e.support) for e in got.entries] == \
-            [tuple(e.support) for e in want.entries]
+        assert supports(got) == supports(want)
         for field in ("coeff_a", "coeff_b", "lam", "error_sq"):
-            w = np.hstack([getattr(e, field) for e in want.entries])
-            g = np.hstack([getattr(e, field) for e in got.entries])
+            w, g = want.entries[field], got.entries[field]
             np.testing.assert_allclose(g, w, rtol=0, atol=RTOL * np.abs(w).max())
     got = build_cost_tables(carried, 24, 300).cost
     want = build_cost_tables(fresh, 24, 300).cost
@@ -227,3 +226,29 @@ def test_schur_guard_decides_truncation_like_the_reference(monkeypatch):
             truncated += want.truncated
     assert truncated > 0
     assert sum(fresh_rows) >= truncated
+
+
+def test_record_invariants():
+    # Data uncorrelated with a 12-atom dictionary: many least-squares
+    # solutions on a support go negative, and their refits drop atoms.
+    rng = np.random.default_rng(0)
+    A = np.asfortranarray(rng.random((40, 12)))
+    B = np.asfortranarray(rng.random((40, BLOCK + 40)))
+    walk = PathWalk(A, B)
+    paths = [walk.path(j) for j in range(B.shape[1])]
+    assert walk.refits > 300
+    for j, path in enumerate(paths):
+        e = path.entries
+        assert e.dtype == path_dtype(12) and not path.truncated
+        zero = e[0]
+        assert zero["lam"] == walk.L[:, j].max()
+        assert zero["error_sq"] == B[:, j] @ B[:, j]
+        assert zero["cardinality"] == 0 and not zero["support"].any()
+        assert (np.diff(e["lam"]) <= 0.0).all() and e["lam"][-1] == 0.0
+        for field in ("solution", "coeff_a", "coeff_b"):
+            assert not e[field][~e["support"]].any(), (j, field)
+        assert np.array_equal(e["cardinality"], np.count_nonzero(e["solution"], axis=1))
+    # Refits with fewer nonzeros than their support, in both blocks.
+    dropped = [int((p.entries["cardinality"] < p.entries["support"].sum(axis=1)).sum())
+               for p in paths]
+    assert sum(dropped[:BLOCK]) > 0 and sum(dropped[BLOCK:]) > 0

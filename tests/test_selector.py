@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from shamans.errors import MissingZeroEntry
-from shamans.homotopy import (PathEntry, PathWalk, RegularizationPath,
+from shamans.homotopy import (PathWalk, RegularizationPath, path_dtype,
                               regularization_path)
 from shamans.selector import (CostTables, assemble, build_cost_tables,
                               gain_table, init_gain, select, select_step)
@@ -16,12 +16,15 @@ from oracles import (min_error_by_total, random_cost_table,
 R, N = dd.DEMO_R, dd.DEMO_N
 
 
-def entry(lam, err, card, r=4):
-    """Synthetic path entry with `card` leading nonzeros."""
-    x = np.zeros(r)
-    x[:card] = 1.0
-    support = np.arange(card)
-    return PathEntry(lam, support, x, err, card, x[support], np.zeros(card))
+def synthetic_path(entries, r=4):
+    """Path of synthetic (lam, err, card) entries, each with `card`
+    leading nonzeros."""
+    path = np.zeros(len(entries), path_dtype(r))
+    for e, (lam, err, card) in zip(path, entries):
+        e["lam"], e["error_sq"], e["cardinality"] = lam, err, card
+        e["support"][:card] = True
+        e["solution"][:card] = e["coeff_a"][:card] = 1.0
+    return RegularizationPath(path)
 
 
 def demo_paths():
@@ -35,11 +38,9 @@ def demo_tables():
 def synthetic_tables(cost):
     """Tables for selection only: every cell holds the one zero solution."""
     levels, n = cost.shape
-    solutions = np.empty(1, dtype=object)
-    solutions[0] = np.zeros(levels - 1)
     return CostTables(cost=np.asarray(cost, dtype=float),
                       source=np.zeros((levels, n), dtype=np.int64),
-                      solutions=solutions)
+                      solutions=np.zeros((1, levels - 1)))
 
 
 def solution(tables, k, j):
@@ -52,11 +53,11 @@ def random_paths(rng, r, n):
     later entries with larger errors than earlier ones."""
     paths = []
     for _ in range(n):
-        entries = [entry(9.0, float(rng.integers(4, 7)), 0, r)]
+        entries = [(9.0, float(rng.integers(4, 7)), 0)]
         for _ in range(int(rng.integers(0, 8))):
             card = int(rng.integers(0, r + 1))
-            entries.append(entry(0.0, float(rng.integers(0, 7)), card, r))
-        paths.append(RegularizationPath(entries))
+            entries.append((0.0, float(rng.integers(0, 7)), card))
+        paths.append(synthetic_path(entries, r))
     return paths
 
 
@@ -84,7 +85,7 @@ class TestBuildCostTables:
     def test_gap_propagation(self):
         # Entries only at cardinalities 0 and 2: rows 2..r carry the
         # 2-sparse solution, row 1 keeps the zero solution.
-        path = RegularizationPath([entry(2.0, 10.0, 0), entry(0.0, 1.0, 2)])
+        path = synthetic_path([(2.0, 10.0, 0), (0.0, 1.0, 2)])
         tables = build_cost_tables([path], 4, 1)
         np.testing.assert_allclose(tables.cost[:, 0], [10, 10, 1, 1, 1])
         assert np.count_nonzero(solution(tables, 1, 0)) == 0
@@ -93,10 +94,10 @@ class TestBuildCostTables:
     def test_sparser_later_entry_wins_denser_rows(self):
         # A 2-sparse solution found after a 3-sparse one, with a smaller
         # error: the row for level 3 must hold the 2-sparse error.
-        path = RegularizationPath([
-            entry(3.0, 10.0, 0),
-            entry(1.0, 5.0, 3),
-            entry(0.0, 3.0, 2),
+        path = synthetic_path([
+            (3.0, 10.0, 0),
+            (1.0, 5.0, 3),
+            (0.0, 3.0, 2),
         ])
         tables = build_cost_tables([path], 4, 1)
         np.testing.assert_allclose(tables.cost[:, 0], [10, 10, 3, 3, 3])
@@ -105,28 +106,32 @@ class TestBuildCostTables:
     def test_stale_error_never_overwrites(self):
         # A later entry with a *larger* error must not displace rows
         # already filled with smaller values.
-        path = RegularizationPath([
-            entry(3.0, 10.0, 0),
-            entry(1.0, 2.0, 1),
-            entry(0.0, 4.0, 2),
+        path = synthetic_path([
+            (3.0, 10.0, 0),
+            (1.0, 2.0, 1),
+            (0.0, 4.0, 2),
         ])
         tables = build_cost_tables([path], 4, 1)
         np.testing.assert_allclose(tables.cost[:, 0], [10, 2, 2, 2, 2])
 
     def test_missing_zero_entry(self):
-        path = RegularizationPath([entry(1.0, 5.0, 2)])
+        path = synthetic_path([(1.0, 5.0, 2)])
         with pytest.raises(MissingZeroEntry):
             build_cost_tables([path], 4, 1)
+        good = synthetic_path([(1.0, 5.0, 0)])
+        with pytest.raises(MissingZeroEntry, match="column 1 "):
+            build_cost_tables([good, synthetic_path([]), good], 4, 3)
 
 
 class TestFoldMatchesReference:
     def assert_same_tables(self, paths, r, n):
         tables = build_cost_tables(paths, r, n)
-        cost, sols = reference_cost_tables(paths, r, n)
+        cost, source = reference_cost_tables(paths, r, n)
         assert np.array_equal(tables.cost, cost)
-        for k in range(r + 1):
-            for j in range(n):
-                assert solution(tables, k, j) is sols[k][j], (k, j)
+        assert np.array_equal(tables.source, source)
+        entries = [e for path in paths for e in path.entries]
+        for k, j in np.ndindex(source.shape):
+            assert np.array_equal(solution(tables, k, j), entries[source[k, j]]["solution"])
 
     def test_synthetic_paths_with_ties(self):
         rng = np.random.default_rng(36)
@@ -336,7 +341,7 @@ class TestAssemble:
         tables = demo_tables()
         H = assemble(tables, np.full(N, R))
         for j in range(N):
-            np.testing.assert_allclose(H[:, j], paths[j].terminal().solution,
+            np.testing.assert_allclose(H[:, j], paths[j].entries["solution"][-1],
                                        atol=1e-12)
 
     def test_zero_cursors(self):
