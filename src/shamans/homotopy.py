@@ -38,12 +38,12 @@ least-squares solution goes negative, and one product gives every refit
 residual.  1/G_ii is the Schur pivot of atom i against the rest of its
 support (s for the atom just entered) and bounds every Cholesky pivot of
 P(K,K) from below.  A column whose smallest Schur pivot falls below
-SCHUR_GUARD times the largest diagonal entry of P on its support takes
-the fresh stacked solve of path_coefficients instead, whose
-factorization check decides whether the support is rank deficient, and
-restarts from a fresh inverse.  The kernels take a (B, r) boolean
-support mask, one row per column, and return full-space (B, r) arrays
-that are zero off the rows' supports (a, b) or on them (c, d).
+SCHUR_GUARD times the largest diagonal entry of P on its support has G
+re-seeded from one checked factorization and inverse of P(K,K), whose
+factorization check decides whether the support is rank deficient.  The
+kernels take a (B, r) boolean support mask, one row per column, and
+full-space (B, r) coefficient arrays that are zero off the rows' supports
+(a, b) or on them (c, d).
 """
 
 from __future__ import annotations
@@ -120,29 +120,6 @@ def lambda_max(ell: np.ndarray):
     return np.where(positive, lam, 0.0), np.where(positive, index, -1)
 
 
-def path_coefficients(P: np.ndarray, ell: np.ndarray, K: np.ndarray):
-    """Coefficients (a, b, c, d) of the penalized solutions on the supports K.
-
-    ``ell`` holds one row of correlations A.T b per column and ``K`` the
-    matching (B, r) boolean support masks.  Row-wise, a - lambda * b is
-    the penalized solution on the support and c - lambda * d the gradient
-    on its complement.  Raises SingularSystem when some P(K,K) is
-    numerically rank deficient; its ``matrices`` lists the offending rows,
-    which callers must treat as degenerate supports.
-    """
-    if not K.any(axis=1).all():
-        raise ValueError("every support must be nonempty")
-    S = masked_system(P, K)
-    spd_factor(S)
-    rhs = np.stack([np.where(K, ell, 0.0), K.astype(np.float64)], axis=2)
-    ab = np.linalg.solve(S, rhs)
-    a = np.where(K, ab[:, :, 0], 0.0)
-    b = np.where(K, ab[:, :, 1], 0.0)
-    c = np.where(K, 0.0, a @ P - ell)
-    d = np.where(K, 0.0, b @ P - 1.0)
-    return a, b, c, d
-
-
 def next_breakpoint(a, b, c, d, K, lambda_current, tol: float):
     """Largest penalties below ``lambda_current`` where the supports change.
 
@@ -178,7 +155,7 @@ def unbias(P: np.ndarray, ell: np.ndarray, K: np.ndarray, a: np.ndarray,
     """Penalty-free least-squares refits on the supports K.
 
     ``a`` holds the least-squares solutions on K, zero elsewhere (the
-    ``a`` of path_coefficients).  A row keeps a when it is nonnegative;
+    ``coeff_a`` of a path entry).  A row keeps a when it is nonnegative;
     the rows where it is not are refit together by one call of the
     active-set solver, each restricted to its K.  Returns the (B, r)
     refits and their errors ||A x - b||^2 against the columns b of B, the
@@ -194,9 +171,16 @@ def unbias(P: np.ndarray, ell: np.ndarray, K: np.ndarray, a: np.ndarray,
 
 def _support_inverse(P: np.ndarray, K: np.ndarray) -> np.ndarray:
     """P(K_i, K_i)^-1 for every row of the (B, r) support mask K, embedded
-    in a (B, r, r) stack that is zero off K_i."""
+    in a (B, r, r) stack that is zero off K_i.
+
+    Raises SingularSystem when some P(K_i, K_i) is numerically rank
+    deficient; its ``matrices`` lists the offending rows, which callers
+    must treat as degenerate supports.
+    """
+    S = masked_system(P, K)
+    spd_factor(S)
     on = K[:, :, None] & K[:, None, :]
-    G = np.where(on, np.linalg.inv(masked_system(P, K)), 0.0)
+    G = np.where(on, np.linalg.inv(S), 0.0)
     return 0.5 * (G + G.transpose(0, 2, 1))
 
 
@@ -214,7 +198,7 @@ def _carry_inverse(P: np.ndarray, G: np.ndarray, K: np.ndarray, kind, index) -> 
     u = np.matmul(p[:, None, :], G)[:, 0]  # p.G = G p: G is symmetric
     v = u - (enter & e)
     with np.errstate(divide="ignore", invalid="ignore"):
-        # A zero pivot makes G infinite; the guard then sends the row to a fresh solve.
+        # A zero pivot makes G infinite; the guard then re-seeds the row.
         w = 1.0 / (np.where(enter[:, 0], P[index, index], 0.0) - np.einsum("bi,bi->b", p, u))
         G += np.einsum("bi,bj->bij", v * w[:, None], v)
     leave = rows[~enter[:, 0]]
@@ -245,6 +229,8 @@ class PathWalk:
 
     def __init__(self, A, B, tol: float = 1e-10, max_breakpoints: int | None = None,
                  gram_matrix=None, corr=None):
+        if not tol > 0:  # also NaN
+            raise ValueError("tol must be positive")
         self.A = A
         self.B = B
         self.P = densela.gram(A) if gram_matrix is None else gram_matrix
@@ -297,7 +283,7 @@ class PathWalk:
             redo = np.flatnonzero(fresh)
             if redo.size:
                 try:
-                    a_redo, b_redo, _, _ = path_coefficients(P, ell[redo], K[redo])
+                    G[redo] = _support_inverse(P, K[redo])
                 except SingularSystem as exc:
                     keep = np.ones(live.size, dtype=bool)
                     keep[redo[exc.matrices]] = False
@@ -305,14 +291,11 @@ class PathWalk:
                     live, rhs2, lam, tol_lam, K, G, fresh = (
                         x[keep] for x in (live, rhs2, lam, tol_lam, K, G, fresh))
                     continue
-                G[redo] = _support_inverse(P, K[redo])
             # x.G is G x (G is symmetric).  One step of iterative refinement
             # keeps a and b as accurate as a fresh solve.
             ab = np.matmul(rhs2, G)
             grad = (ab.reshape(-1, r) @ P).reshape(ab.shape) - rhs2
             ab -= np.matmul(np.where(K[:, None, :], grad, 0.0), G)
-            if redo.size:
-                ab[redo, 0], ab[redo, 1] = a_redo, b_redo
             grad = (ab.reshape(-1, r) @ P).reshape(ab.shape) - rhs2
             a, b = ab[:, 0], ab[:, 1]
             c = np.where(K, 0.0, grad[:, 0])
@@ -354,8 +337,7 @@ class PathWalk:
 
 
 def regularization_path(A, b, tol: float = 1e-10, max_breakpoints: int | None = None,
-                        gram_matrix=None, corr=None, walk: PathWalk | None = None,
-                        column: int = 0) -> RegularizationPath:
+                        walk: PathWalk | None = None, column: int = 0) -> RegularizationPath:
     """Compute every breakpoint of the L1-penalized NNLS path for (A, b).
 
     Parameters
@@ -371,8 +353,6 @@ def regularization_path(A, b, tol: float = 1e-10, max_breakpoints: int | None = 
         Safety cap on path length, default 50 r.  Exceeding it raises
         IterationLimit (pathological cycling); callers may fall back to a
         single NNLS solve.
-    gram_matrix, corr : arrays, optional
-        Precomputed A.T A and A.T b shared across many right-hand sides.
     walk, column : PathWalk and int, optional
         A walk over many right-hand sides of A, of which b is column
         ``column``.  The path is read from the walk, which walks the
@@ -393,7 +373,5 @@ def regularization_path(A, b, tol: float = 1e-10, max_breakpoints: int | None = 
         b = as_vector(b, "b")
         if A.shape[0] != b.shape[0]:
             raise ValueError(f"A has {A.shape[0]} rows but b has {b.shape[0]}")
-        ell = None if corr is None else np.asarray(corr, dtype=np.float64)[:, None]
-        walk = PathWalk(A, b[:, None], tol=tol, max_breakpoints=max_breakpoints,
-                        gram_matrix=gram_matrix, corr=ell)
+        walk = PathWalk(A, b[:, None], tol=tol, max_breakpoints=max_breakpoints)
     return walk.path(column)

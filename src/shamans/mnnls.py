@@ -53,6 +53,8 @@ class SolveConfig:
             raise ValueError("ksparse mode needs a nonnegative per-column k")
         if not self.tol > 0:  # also NaN
             raise ValueError("tol must be positive")
+        if not self.zero_threshold >= 0:  # also NaN
+            raise ValueError("zero_threshold must be nonnegative")
 
 
 @dataclass

@@ -155,7 +155,7 @@ def nnls_active_set(A, b, tol: float = 1e-10, gram_matrix=None, corr=None,
     b = as_vector(b, "b")
     if A.shape[0] != b.shape[0]:
         raise ValueError(f"A has {A.shape[0]} rows but b has {b.shape[0]}")
-    if tol <= 0:
+    if not tol > 0:  # also NaN
         raise ValueError("tol must be positive")
     P = gram(A) if gram_matrix is None else gram_matrix
     ell = A.T @ b if corr is None else corr

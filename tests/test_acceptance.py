@@ -215,7 +215,7 @@ def test_criterion_5_kkt_property_suite():
     for _ in range(1000):
         A, b = random_nonneg_instance(rng, 10, 5)
         P = gram(np.asfortranarray(A))
-        path = shamans.regularization_path(A, b, gram_matrix=P)
+        path = shamans.regularization_path(A, b)
         worst_kkt = max(worst_kkt, kkt_midpoint_violation(P, A.T @ b, path))
         sol = nnls_active_set(A, b, gram_matrix=P)
         gap = float(np.abs(path.entries["solution"][-1] - sol.x).max())

@@ -330,6 +330,7 @@ class TestMain:
         ["--mode", "ksparse", "--k", "-2"],
         ["--mode", "unconstrained", "--tol", "0"],
         ["--mode", "unconstrained", "--tol", "nan"],
+        ["--mode", "unconstrained", "--zero-thresh", "-1"],
         ["--mode", "ksparse", "--k", "3", "--maps-dir", "m", "--map-width", "0",
          "--map-height", "6"],
         ["--mode", "ksparse", "--k", "3", "--maps-dir", "m", "--map-width", "-2",

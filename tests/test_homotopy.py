@@ -3,9 +3,8 @@ import pytest
 
 from shamans.densela import gram
 from shamans.errors import IterationLimit, SingularSystem
-from shamans.homotopy import (ENTER, LEAVE, TERMINATE, lambda_max,
-                              next_breakpoint, path_coefficients,
-                              regularization_path, unbias)
+from shamans.homotopy import (ENTER, LEAVE, TERMINATE, _support_inverse, lambda_max,
+                              next_breakpoint, regularization_path, unbias)
 from shamans.nnls import nnls_active_set
 
 import demo_data as dd
@@ -48,8 +47,14 @@ def support_mask(r, K):
 
 
 def coefficients(P, ell, K):
-    """path_coefficients for one support given as an index set."""
-    return path_coefficients(P, ell[None], support_mask(ell.size, K))
+    """Full-space one-row (a, b, c, d) of the support K (an index set),
+    from a direct solve on P(K, K)."""
+    r = ell.size
+    a, b = np.zeros((1, r)), np.zeros((1, r))
+    ab = np.linalg.solve(P[np.ix_(K, K)], np.column_stack([ell[K], np.ones(len(K))]))
+    a[0, K], b[0, K] = ab[:, 0], ab[:, 1]
+    off = ~support_mask(r, K)
+    return a, b, np.where(off, a @ P - ell, 0.0), np.where(off, b @ P - 1.0, 0.0)
 
 
 def block(a_K, b_K, c_K, d_K):
@@ -62,30 +67,39 @@ def block(a_K, b_K, c_K, d_K):
 
 
 class TestPathCoefficients:
+    """The walk's coeff_a and coeff_b against their closed forms."""
+
     def test_full_support_has_empty_complement(self):
-        K = support_mask(4, np.arange(4))
-        a, b, c, d = path_coefficients(DEMO_P, DEMO_ELL0[None], K)
-        assert c[~K].size == 0 and d[~K].size == 0
-        np.testing.assert_allclose(a[0], np.linalg.solve(DEMO_P, DEMO_ELL0),
+        last = regularization_path(dd.DEMO_W, dd.DEMO_M[:, 0]).entries[-1]
+        assert last["support"].all()
+        np.testing.assert_allclose(last["coeff_a"], np.linalg.solve(DEMO_P, DEMO_ELL0),
                                    atol=1e-10)
 
     def test_singleton_closed_form(self):
         rng = np.random.default_rng(21)
         A = np.abs(rng.standard_normal((6, 3)))
+        b = np.abs(rng.standard_normal(6))
         P = gram(np.asfortranarray(A))
-        ell = A.T @ np.abs(rng.standard_normal(6))
-        a, b, c, d = coefficients(P, ell, [0])
-        assert a[0, 0] == pytest.approx(ell[0] / P[0, 0], rel=1e-12)
-        assert b[0, 0] == pytest.approx(1.0 / P[0, 0], rel=1e-12)
-        assert c[0, 1:].size == 2 and d[0, 1:].size == 2
+        ell = A.T @ b
+        first = regularization_path(A, b).entries[1]
+        j = int(np.argmax(ell))
+        assert np.flatnonzero(first["support"]).tolist() == [j]
+        assert first["coeff_a"][j] == pytest.approx(ell[j] / P[j, j], rel=1e-12)
+        assert first["coeff_b"][j] == pytest.approx(1.0 / P[j, j], rel=1e-12)
+        off = ~first["support"]
+        assert not first["coeff_a"][off].any() and not first["coeff_b"][off].any()
 
     def test_demo_first_support_boundary(self):
         # On [2.7502, 3.16) the support is {1}; the biased solution stays
         # nonnegative at the lower breakpoint and the entering component's
         # complement condition is tight there.
-        K = support_mask(4, [1])
-        a, b, c, d = path_coefficients(DEMO_P, DEMO_ELL0[None], K)
+        entry = regularization_path(dd.DEMO_W, dd.DEMO_M[:, 0]).entries[1]
+        K = entry["support"]
+        assert np.flatnonzero(K).tolist() == [1]
+        a, b = entry["coeff_a"], entry["coeff_b"]
+        c, d = a @ DEMO_P - DEMO_ELL0, b @ DEMO_P - 1.0
         lam = dd.COL0_LAMBDAS[1]
+        assert entry["lam"] == pytest.approx(lam, abs=1e-9)
         assert np.all((a - lam * b)[K] >= -1e-12)
         slack = (c - lam * d)[~K]
         assert slack.min() == pytest.approx(0.0, abs=1e-10)
@@ -94,11 +108,26 @@ class TestPathCoefficients:
         A = np.column_stack([np.ones(4), np.ones(4), np.arange(4.0)])
         P = gram(np.asfortranarray(A))
         with pytest.raises(SingularSystem):
-            coefficients(P, np.ones(3), [0, 1])
+            _support_inverse(P, support_mask(3, [0, 1]))
 
-    def test_empty_support_rejected(self):
-        with pytest.raises(ValueError):
-            coefficients(DEMO_P, DEMO_ELL0, [])
+    def test_mixed_stack_names_the_deficient_rows(self):
+        # Atoms 0 and 1 are equal and atom 3 is their sum with atom 2.
+        rng = np.random.default_rng(28)
+        A = rng.random((6, 4))
+        A[:, 1] = A[:, 0]
+        A[:, 3] = A[:, 0] + A[:, 2]
+        P = gram(np.asfortranarray(A))
+        K = np.array([[1, 0, 1, 0], [1, 1, 0, 0], [0, 1, 1, 0],
+                      [1, 0, 1, 1], [0, 0, 0, 1], [0, 1, 1, 1]], dtype=bool)
+        with pytest.raises(SingularSystem) as exc:
+            _support_inverse(P, K)
+        assert exc.value.matrices.tolist() == [1, 3, 5]
+        sound = K[[0, 2, 4]]
+        G = _support_inverse(P, sound)
+        for g, k in zip(G, sound):
+            on = np.ix_(k, k)
+            np.testing.assert_allclose(g[on] @ P[on], np.eye(k.sum()), atol=1e-10)
+            assert not g[~k].any() and not g[:, ~k].any()
 
 
 class TestNextBreakpoint:
@@ -108,8 +137,8 @@ class TestNextBreakpoint:
         assert lam[0] == 0.0 and kind[0] == TERMINATE and pos[0] == -1
 
     def test_demo_two_element_support(self):
+        a, b, c, d = coefficients(DEMO_P, DEMO_ELL0, [1, 3])
         K = support_mask(4, [1, 3])
-        a, b, c, d = path_coefficients(DEMO_P, DEMO_ELL0[None], K)
         lam, kind, pos = next_breakpoint(a, b, c, d, K, dd.COL0_LAMBDAS[1], 1e-12)
         assert lam[0] == pytest.approx(dd.COL0_LAMBDAS[2], abs=1e-9)
         assert kind[0] == ENTER
@@ -242,7 +271,7 @@ class TestRegularizationPath:
         for _ in range(300):
             A, b = random_nonneg_instance(rng, 10, 5)
             P = gram(np.asfortranarray(A))
-            path = regularization_path(A, b, gram_matrix=P)
+            path = regularization_path(A, b)
             assert kkt_midpoint_violation(P, A.T @ b, path) <= 1e-8
 
     def test_enter_dominates_leave_soft(self):
@@ -264,20 +293,14 @@ class TestRegularizationPath:
         if leaves * 10 > enters or long_paths:
             print("FLAG: leave-heavy or unusually long paths observed")
 
-    def test_precomputed_gram_matches(self):
-        b = dd.DEMO_M[:, 2]
-        P = DEMO_P
-        ell = dd.DEMO_W.T @ b
-        direct = regularization_path(dd.DEMO_W, b)
-        shared = regularization_path(dd.DEMO_W, b, gram_matrix=P, corr=ell)
-        assert len(direct.entries) == len(shared.entries)
-        for e1, e2 in zip(direct.entries, shared.entries):
-            assert e1["lam"] == pytest.approx(e2["lam"], abs=1e-12)
-            np.testing.assert_allclose(e1["solution"], e2["solution"], atol=1e-12)
-
     def test_breakpoint_limit_raises(self):
         with pytest.raises(IterationLimit):
             regularization_path(dd.DEMO_W, dd.DEMO_M[:, 0], max_breakpoints=1)
+
+    @pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0])
+    def test_bad_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            regularization_path(dd.DEMO_W, dd.DEMO_M[:, 0], tol=tol)
 
     def test_biased_coefficients_reconstruct_interval(self):
         # Inside each interval the biased solution a - lambda*b matches a

@@ -13,8 +13,7 @@ import pytest
 
 from shamans import homotopy
 from shamans.errors import IterationLimit
-from shamans.homotopy import (BLOCK, PathWalk, path_coefficients, path_dtype,
-                              regularization_path)
+from shamans.homotopy import BLOCK, PathWalk, path_dtype, regularization_path
 from shamans.selector import build_cost_tables
 
 from oracles import reference_path
@@ -170,14 +169,16 @@ def test_breakpoint_limit_of_one():
 
 
 def counted_fresh_solves(monkeypatch):
-    """Count the rows the walk sends to the fresh stacked solve."""
+    """Count the rows whose carried inverse the walk re-seeds from a fresh
+    factorization and inverse."""
     rows = []
+    support_inverse = homotopy._support_inverse
 
-    def counting(P, ell, K):
+    def counting(P, K):
         rows.append(K.shape[0])
-        return path_coefficients(P, ell, K)
+        return support_inverse(P, K)
 
-    monkeypatch.setattr(homotopy, "path_coefficients", counting)
+    monkeypatch.setattr(homotopy, "_support_inverse", counting)
     return rows
 
 

@@ -183,6 +183,10 @@ class TestValidation:
             SolveConfig(mode="shamans", q=-1)
         with pytest.raises(ValueError):
             SolveConfig(mode="unconstrained", tol=0.0)
+        for threshold in (-1.0, np.nan):
+            with pytest.raises(ValueError, match="zero_threshold must be nonnegative"):
+                SolveConfig(mode="unconstrained", zero_threshold=threshold)
+        SolveConfig(mode="unconstrained", zero_threshold=0.0)  # counts every nonzero
 
     def test_budget_exceeding_capacity(self, demo):
         M, W = demo

@@ -110,8 +110,9 @@ def test_gram_entry_point():
 def test_bad_inputs():
     with pytest.raises(ValueError):
         nnls_active_set(DEMO_W, np.zeros(4))  # length mismatch
-    with pytest.raises(ValueError):
-        nnls_active_set(DEMO_W, np.zeros(5), tol=0.0)
+    for tol in (np.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            nnls_active_set(DEMO_W, np.ones(5), tol=tol)
 
 
 def test_iteration_limit_carries_column():
