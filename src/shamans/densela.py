@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import NonFiniteEntry, SingularSystem
 
-# Relative floor under which a Cholesky pivot means a rank-deficient support.
+# Relative floor under which a pivot means a rank-deficient support.
 PIVOT_FLOOR = 1e-12
 
 
@@ -76,21 +76,35 @@ def spd_factor(S: np.ndarray) -> np.ndarray:
     return L
 
 
-def masked_system(P: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """The (B, r, r) stack of systems P(K_i, K_i), one per row of the
-    (B, r) boolean support mask K, each padded to full size.
+def carry_inverse(P: np.ndarray, G: np.ndarray, K: np.ndarray, enter: np.ndarray,
+                  index: np.ndarray) -> np.ndarray:
+    """Move row i of the (B, r) support mask K across atom index[i], in
+    place: it enters when enter[i], else it leaves.  G[i] = P(K_i, K_i)^-1,
+    zero off K_i, follows by one rank-one update (Osborne, Presnell and
+    Turlach, IMA J. Numer. Anal. 2000):
 
-    Off K_i the matrix is diagonal, equal to the largest diagonal entry of
-    P on K_i.  Those rows decouple, so a right-hand side that is zero off
-    K_i gives the solution on K_i and zeros elsewhere, and spd_factor's
-    relative pivot floor stays that of P(K_i, K_i).  Every row of K must
-    be nonempty.
+        enter j:  G + v v^T / s,   v = G p - e_j,  p = P(K, j),  s = P_jj - p.G p
+        leave j:  G - g g^T / g_jj, g = G e_j, then row and column j zeroed
+
+    Returns s, the entering Schur pivot (-g_jj on a leaving row).  An s
+    below PIVOT_FLOOR times the largest diagonal entry of P on the new
+    support means a rank-deficient support, whose G is not to be trusted.
     """
-    S = np.where(K[:, :, None] & K[:, None, :], P, 0.0)
-    pad = np.where(K, np.diagonal(P), 0.0).max(axis=1)
-    on_diagonal = np.arange(K.shape[1])
-    S[:, on_diagonal, on_diagonal] += np.where(K, 0.0, pad[:, None])
-    return S
+    rows = np.arange(K.shape[0])
+    e = np.arange(K.shape[1]) == index[:, None]
+    # A leaving row takes p = e_j, so that u = G e_j is the g of its update.
+    p = np.where(enter[:, None], np.where(K, P[index], 0.0), e)
+    u = np.matmul(p[:, None, :], G)[:, 0]  # p.G = G p: G is symmetric
+    v = u - (enter[:, None] & e)
+    s = np.where(enter, P[index, index], 0.0) - np.einsum("bi,bi->b", p, u)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = 1.0 / s
+        G += np.einsum("bi,bj->bij", v * w[:, None], v)
+    leave = rows[~enter]
+    G[leave, index[leave], :] = 0.0
+    G[leave, :, index[leave]] = 0.0
+    K[rows, index] ^= True
+    return s
 
 
 def frob_norm(A: np.ndarray) -> float:

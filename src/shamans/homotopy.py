@@ -22,38 +22,30 @@ always the zero solution at lambda_max and the last entry sits at
 lambda = 0 with the unconstrained NNLS solution.
 
 Every right-hand side shares P, so the walk advances a block of columns
-in lockstep, one breakpoint per round.  It carries G = P(K,K)^-1 for each
-column's support K, embedded in an r x r matrix that is zero off K, and
-updates it as the support changes by one index (the homotopy/LARS update
-of Osborne, Presnell and Turlach, IMA J. Numer. Anal. 2000):
-
-    enter j:  G + v v^T / s,   v = G p - e_j,  p = P(K, j),  s = P_jj - p.G p
-    leave j:  G - g g^T / g_jj, g = G e_j, then row and column j zeroed
-
-so a round costs O(r^2) per column: a product with G gives a and b, and
-one step of iterative refinement (a product with P, another with G)
-keeps them as accurate as a fresh solve; a product with P gives c and d,
-one block active-set call (nnls_gram) refits every support whose
-least-squares solution goes negative, and one product gives every refit
-residual.  1/G_ii is the Schur pivot of atom i against the rest of its
-support (s for the atom just entered) and bounds every Cholesky pivot of
+in lockstep, one breakpoint per round.  Each column carries G = P(K,K)^-1,
+zero off K, across breakpoints by densela.carry_inverse, so a round costs
+O(r^2) per column: G and one step of iterative refinement give a and b,
+P gives c and d, and nnls_gram, started from G, refits the supports whose
+least-squares solution goes negative.  1/G_ii is the Schur pivot of atom
+i against the rest of its support and bounds every Cholesky pivot of
 P(K,K) from below.  A column whose smallest Schur pivot falls below
 SCHUR_GUARD times the largest diagonal entry of P on its support has G
 re-seeded from one checked factorization and inverse of P(K,K), whose
-factorization check decides whether the support is rank deficient.  The
-kernels take a (B, r) boolean support mask, one row per column, and
-full-space (B, r) coefficient arrays that are zero off the rows' supports
-(a, b) or on them (c, d).
+check decides whether the support is rank deficient.  The kernels take a
+(B, r) boolean support mask, one row per column, and full-space (B, r)
+coefficient arrays that are zero off the rows' supports (a, b) or on
+them (c, d).
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import densela
-from .densela import as_matrix, as_vector, masked_system, spd_factor
+from .densela import as_matrix, as_vector, carry_inverse, spd_factor
 from .errors import IterationLimit, SingularSystem
 from .nnls import nnls_gram
 
@@ -150,23 +142,25 @@ def next_breakpoint(a, b, c, d, K, lambda_current, tol: float):
     return np.where(done, 0.0, np.minimum(lam, lambda_current)), kind, index
 
 
-def unbias(P: np.ndarray, ell: np.ndarray, K: np.ndarray, a: np.ndarray,
+def unbias(P: np.ndarray, ell: np.ndarray, K: np.ndarray, a: np.ndarray, G: np.ndarray,
            A: np.ndarray, B: np.ndarray, tol: float = 1e-10):
     """Penalty-free least-squares refits on the supports K.
 
-    ``a`` holds the least-squares solutions on K, zero elsewhere (the
-    ``coeff_a`` of a path entry).  A row keeps a when it is nonnegative;
-    the rows where it is not are refit together by one call of the
-    active-set solver, each restricted to its K.  Returns the (B, r)
-    refits and their errors ||A x - b||^2 against the columns b of B, the
-    original right-hand sides.
+    ``a`` holds the least-squares solutions on K and G the (B, r, r)
+    inverses P(K_i, K_i)^-1, both zero off K (a is the ``coeff_a`` of a
+    path entry).  A row keeps a when it is nonnegative; the rows where it
+    is not are refit together by one call of the active-set solver, each
+    restricted to its K and started from its G.  Returns the (B, r)
+    refits, their errors ||A x - b||^2 against the columns b of B (the
+    original right-hand sides), and the number of rows refit.
     """
     X = a.copy()
     infeasible = (a < 0.0).any(axis=1)
     if infeasible.any():
-        X[infeasible] = nnls_gram(P, ell[infeasible], K[infeasible], tol=tol)
+        X[infeasible] = nnls_gram(P, ell[infeasible], K[infeasible], tol=tol,
+                                  inverse=G[infeasible])
     resid = A @ X.T - B
-    return X, np.einsum("ij,ij->j", resid, resid)
+    return X, np.einsum("ij,ij->j", resid, resid), int(np.count_nonzero(infeasible))
 
 
 def _support_inverse(P: np.ndarray, K: np.ndarray) -> np.ndarray:
@@ -177,34 +171,16 @@ def _support_inverse(P: np.ndarray, K: np.ndarray) -> np.ndarray:
     deficient; its ``matrices`` lists the offending rows, which callers
     must treat as degenerate supports.
     """
-    S = masked_system(P, K)
-    spd_factor(S)
+    # Off K_i the system is diagonal, equal to the largest diagonal entry
+    # of P on K_i, so spd_factor's relative floor stays that of P(K_i, K_i).
     on = K[:, :, None] & K[:, None, :]
+    S = np.where(on, P, 0.0)
+    pad = np.where(K, np.diagonal(P), 0.0).max(axis=1)
+    diagonal = np.arange(K.shape[1])
+    S[:, diagonal, diagonal] += np.where(K, 0.0, pad[:, None])
+    spd_factor(S)
     G = np.where(on, np.linalg.inv(S), 0.0)
     return 0.5 * (G + G.transpose(0, 2, 1))
-
-
-def _carry_inverse(P: np.ndarray, G: np.ndarray, K: np.ndarray, kind, index) -> None:
-    """Move every row's support across its breakpoint, in place.
-
-    Row i's atom index[i] enters K (kind ENTER) or leaves it (LEAVE), and
-    its embedded inverse G follows by one rank-one update.
-    """
-    rows = np.arange(K.shape[0])
-    enter = (kind == ENTER)[:, None]
-    e = np.arange(K.shape[1]) == index[:, None]
-    # A leaving row takes p = e_j, so that u = G e_j is the g of its update.
-    p = np.where(enter, np.where(K, P[index], 0.0), e)
-    u = np.matmul(p[:, None, :], G)[:, 0]  # p.G = G p: G is symmetric
-    v = u - (enter & e)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # A zero pivot makes G infinite; the guard then re-seeds the row.
-        w = 1.0 / (np.where(enter[:, 0], P[index, index], 0.0) - np.einsum("bi,bi->b", p, u))
-        G += np.einsum("bi,bj->bij", v * w[:, None], v)
-    leave = rows[~enter[:, 0]]
-    G[leave, index[leave], :] = 0.0
-    G[leave, :, index[leave]] = 0.0
-    K[rows, index] ^= True
 
 
 def _below_guard(G: np.ndarray, K: np.ndarray, diag: np.ndarray) -> np.ndarray:
@@ -214,6 +190,13 @@ def _below_guard(G: np.ndarray, K: np.ndarray, diag: np.ndarray) -> np.ndarray:
     g = np.diagonal(G, axis1=1, axis2=2)
     bound = 1.0 / (SCHUR_GUARD * np.where(K, diag, 0.0).max(axis=1, initial=0.0))
     return ~((g > 0.0) & (g <= bound[:, None]) | ~K).all(axis=1)
+
+
+def check_max_breakpoints(max_breakpoints) -> None:
+    """Reject a breakpoint cap that is neither None nor a positive integer."""
+    if max_breakpoints is not None and not (
+            isinstance(max_breakpoints, numbers.Integral) and max_breakpoints > 0):
+        raise ValueError("max_breakpoints must be a positive integer")
 
 
 class PathWalk:
@@ -231,6 +214,7 @@ class PathWalk:
                  gram_matrix=None, corr=None):
         if not tol > 0:  # also NaN
             raise ValueError("tol must be positive")
+        check_max_breakpoints(max_breakpoints)
         self.A = A
         self.B = B
         self.P = densela.gram(A) if gram_matrix is None else gram_matrix
@@ -301,8 +285,8 @@ class PathWalk:
             c = np.where(K, 0.0, grad[:, 0])
             d = np.where(K, 0.0, grad[:, 1])
             lam_next, kind, index = next_breakpoint(a, b, c, d, K, lam, tol_neg)
-            X, err = unbias(P, ell, K, a, self.A, rhs[:, live], tol=tol)
-            self.refits += int(np.count_nonzero((a < 0.0).any(axis=1)))
+            X, err, refits = unbias(P, ell, K, a, G, self.A, rhs[:, live], tol=tol)
+            self.refits += refits
             lam_next[lam_next <= tol_lam] = 0.0
             records.append(np.empty(live.size, dtype))
             for name, value in zip(dtype.names, (lam_next, np.count_nonzero(X, axis=1),
@@ -312,7 +296,7 @@ class PathWalk:
             go = (kind != TERMINATE) & (lam_next != 0.0)
             if not go.all():
                 live, rhs2, tol_lam, K, G = (x[go] for x in (live, rhs2, tol_lam, K, G))
-            _carry_inverse(P, G, K, kind[go], index[go])
+            carry_inverse(P, G, K, kind[go] == ENTER, index[go])
             fresh = _below_guard(G, K, diag)
             lam = lam_next[go]
             rounds += 1
@@ -338,35 +322,21 @@ class PathWalk:
 
 def regularization_path(A, b, tol: float = 1e-10, max_breakpoints: int | None = None,
                         walk: PathWalk | None = None, column: int = 0) -> RegularizationPath:
-    """Compute every breakpoint of the L1-penalized NNLS path for (A, b).
+    """Every breakpoint of the L1-penalized NNLS path of the (m, r)
+    dictionary A and the (m,) right-hand side b.
 
-    Parameters
-    ----------
-    A : (m, r) array
-        Dictionary.
-    b : (m,) array
-        Right-hand side.
-    tol : float
-        Base tolerance; negativity thresholds are scaled by (1 + max|P|)
-        so ratios never divide by a near-zero coefficient.
-    max_breakpoints : int, optional
-        Safety cap on path length, default 50 r.  Exceeding it raises
-        IterationLimit (pathological cycling); callers may fall back to a
-        single NNLS solve.
-    walk, column : PathWalk and int, optional
-        A walk over many right-hand sides of A, of which b is column
-        ``column``.  The path is read from the walk, which walks the
-        column's block on first use; the other arguments are the walk's.
-        Without a walk, b is walked on its own.
+    ``tol`` is the base tolerance; negativity thresholds are scaled by
+    (1 + max|P|) so ratios never divide by a near-zero coefficient.  A
+    path longer than ``max_breakpoints`` (default 50 r) raises
+    IterationLimit; callers may fall back to a single NNLS solve.  Given a
+    PathWalk over many right-hand sides of A, of which b is column
+    ``column``, the path is read from the walk (which walks the column's
+    block on first use) and the other arguments are the walk's.
 
-    Returns
-    -------
-    RegularizationPath
-        First entry (lambda_max, empty support, 0, ||b||^2); consecutive
-        supports differ by one index; the last entry sits at lambda = 0
-        and matches the unconstrained active-set NNLS solution.  On a
-        rank-deficient support the path ends at the last sound entry with
-        ``truncated`` set.
+    The first entry is (lambda_max, empty support, 0, ||b||^2);
+    consecutive supports differ by one index; the last entry sits at
+    lambda = 0 with the unconstrained NNLS solution.  On a rank-deficient
+    support the path ends at the last sound entry with ``truncated`` set.
     """
     if walk is None:
         A = as_matrix(A, "A")

@@ -19,8 +19,8 @@ from . import selector
 from .densela import as_matrix, frob_norm, gram
 from .errors import (DimensionMismatch, IterationLimit, ZeroColumnInDictionary,
                      ZeroDataMatrix)
-from .homotopy import (PathWalk, RegularizationPath, lambda_max, path_dtype,
-                       regularization_path)
+from .homotopy import (PathWalk, RegularizationPath, check_max_breakpoints, lambda_max,
+                       path_dtype, regularization_path)
 from .nnls import nnls_active_set
 
 MODES = ("shamans", "ksparse", "unconstrained")
@@ -55,6 +55,7 @@ class SolveConfig:
             raise ValueError("tol must be positive")
         if not self.zero_threshold >= 0:  # also NaN
             raise ValueError("zero_threshold must be nonnegative")
+        check_max_breakpoints(self.max_breakpoints)
 
 
 @dataclass

@@ -1,14 +1,14 @@
 """Active-set solver for nonnegative least squares, many right-hand sides at once.
 
-Lawson-Hanson structure: an outer loop that moves the most negative
-gradient coordinate into the passive (free) set, and an inner loop that
-restores feasibility when the unconstrained solve on the passive set goes
-negative.  The solver operates on the normal-equation data P = A.T A and
-ell = A.T b, which callers may precompute and share across many right-hand
-sides.  Following the fast combinatorial NNLS of Van Benthem and Keenan
-(J. Chemometrics 2004), a block of right-hand sides runs through one
-active-set loop in lockstep, one stacked solve per inner iteration, and
-each starts from the positive part of its unconstrained solution.
+Lawson-Hanson on the normal-equation data P = A.T A and ell = A.T b: an
+outer loop moves the most negative gradient coordinate into the passive
+(free) set, and an inner loop restores feasibility when the least-squares
+solution on the passive set goes negative.  As in the fast combinatorial
+NNLS of Van Benthem and Keenan (J. Chemometrics 2004), a block of
+right-hand sides runs through one loop in lockstep.  A passive set gains
+or loses one index at a time (Lawson and Hanson, Solving Least Squares
+Problems, 1974, ch. 23), so each row carries the inverse of P on it by
+densela.carry_inverse, and nothing is factored.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densela import as_matrix, as_vector, gram, masked_system, spd_factor
+from .densela import PIVOT_FLOOR, as_matrix, as_vector, carry_inverse, gram
 from .errors import IterationLimit, SingularSystem
 
 
@@ -35,7 +35,8 @@ class NnlsSolution:
 
 
 def nnls_gram(P: np.ndarray, ell: np.ndarray, mask: np.ndarray | None = None,
-              tol: float = 1e-10, on_iterate=None) -> np.ndarray:
+              tol: float = 1e-10, inverse: np.ndarray | None = None,
+              on_iterate=None) -> np.ndarray:
     """Active-set NNLS given normal-equation data only.
 
     Solves min ||Ax - b||^2 s.t. x >= 0 where P = A.T A and ell = A.T b,
@@ -44,62 +45,72 @@ def nnls_gram(P: np.ndarray, ell: np.ndarray, mask: np.ndarray | None = None,
     Row i of the optional (B, r) boolean ``mask`` confines row i to the
     unknowns mask[i], the rest staying 0: the problem on P(mask_i, mask_i).
 
-    All rows run Lawson-Hanson in lockstep, one stacked solve per inner
-    iteration.  A row starts from the least-squares solution on its mask,
-    with nonpositive entries dropped until it is feasible, or from 0 when
-    P on the mask is singular.  Ties on the entering variable break toward
-    the smallest index, so the result is deterministic.  ``on_iterate`` is
-    an optional hook called with a copy of the iterate at the top of every
-    outer iteration (used by tests to watch the objective decrease).
+    Each row starts from the empty passive set or, given the (B, r, r)
+    ``inverse`` of P(mask_i, mask_i) (zero off mask_i), from the
+    least-squares solution on its mask with nonpositive entries dropped
+    until it is feasible.  Each solve is G ell plus one step of iterative
+    refinement.  Ties on the entering variable break toward the smallest
+    index.  ``on_iterate`` gets a copy of every outer iterate.
 
     Raises IterationLimit once a row makes more than 10 k (k+1) pivots,
-    k the size of its mask, which signals cycling or heavy degeneracy, and
-    propagates SingularSystem from a solve on a rank-deficient passive
-    set.  Coefficients that end below tol * (1 + max|ell|), the maximum
-    taken over the row's mask, are set to zero and the rest solved again
-    on their own support, so the result stays a stationary refit.
+    k the size of its mask (cycling or heavy degeneracy), and
+    SingularSystem, whose ``matrices`` lists the rows, when an entering
+    Schur pivot falls below PIVOT_FLOOR times the largest diagonal entry
+    of P on the new passive set.  Coefficients that end below
+    tol * (1 + max|ell|) over the row's mask are set to zero and the rest
+    solved again, so the result stays a stationary refit.
     """
     L = np.atleast_2d(ell)
+    n, r = L.shape
     mask = np.ones(L.shape, dtype=bool) if mask is None else np.atleast_2d(mask)
     floor = tol * (1.0 + np.abs(np.where(mask, L, 0.0)).max(axis=1, initial=0.0))
     size = mask.sum(axis=1)
     max_pivots = 10 * size * (size + 1)
-    pivots = np.zeros(L.shape[0], dtype=np.int64)
+    pivots = np.zeros(n, dtype=np.int64)
     X = np.zeros(L.shape)
-    passive = mask.copy()
+    passive = np.zeros(L.shape, dtype=bool) if inverse is None else mask.copy()
+    G = np.zeros((n, r, r)) if inverse is None else np.array(inverse).reshape(n, r, r)
 
     def solve_on(rows):
         """Least squares on the rows' passive sets, their nonpositive
         entries, and which rows have none."""
-        K = passive[rows]
-        S = masked_system(P, K)
-        spd_factor(S)
-        Z = np.linalg.solve(S, np.where(K, L[rows], 0.0)[:, :, None])[:, :, 0]
-        Z = np.where(K, Z, 0.0)
+        K, g, ell_k = passive[rows], G[rows], L[rows]
+        Z = np.matmul(ell_k[:, None], g)[:, 0]  # ell.G = G ell: G is symmetric
+        Z = np.where(K, Z - np.matmul((Z @ P - ell_k)[:, None], g)[:, 0], 0.0)
         neg = K & (Z <= 0.0)
         return Z, neg, ~neg.any(axis=1)
 
+    def carry(rows, index, enter):
+        g, K = G[rows], passive[rows]
+        s = carry_inverse(P, g, K, np.full(rows.size, enter), index)
+        G[rows], passive[rows] = g, K
+        return s
+
+    def drop(rows, out):
+        """Drop the entries marked in ``out``, one index per downdate."""
+        while rows.size:
+            first = out.argmax(axis=1)
+            carry(rows, first, False)
+            out[np.arange(rows.size), first] = False
+            rows, out = rows[out.any(axis=1)], out[out.any(axis=1)]
+
     def count_pivots(rows, added):
         pivots[rows] += added
-        if (pivots[rows] > max_pivots[rows]).any():
-            raise IterationLimit(f"active-set pivot limit {max_pivots.max()} exceeded")
+        over = rows[pivots[rows] > max_pivots[rows]]
+        if over.size:
+            raise IterationLimit(f"row {over[0]} exceeded its pivot limit {max_pivots[over[0]]}")
 
     # Warm start: drop nonpositive coefficients until the solve is feasible.
     rows = np.flatnonzero(passive.any(axis=1))
     while rows.size:
-        try:
-            Z, neg, ok = solve_on(rows)
-        except SingularSystem as exc:
-            # A rank-deficient mask has no least-squares solution: start at 0.
-            passive[rows[exc.matrices]] = False
-            rows = np.delete(rows, exc.matrices)
-            continue
+        Z, neg, ok = solve_on(rows)
         X[rows[ok]] = Z[ok]
-        passive[rows] &= ~neg
         rows = rows[~ok]
+        drop(rows, neg[~ok])
         rows = rows[passive[rows].any(axis=1)]
 
-    live = np.arange(L.shape[0])
+    diag = np.diagonal(P)
+    live = np.arange(n)
     while True:
         if on_iterate is not None:
             on_iterate(X.reshape(np.shape(ell)).copy())
@@ -109,7 +120,11 @@ def nnls_gram(P: np.ndarray, ell: np.ndarray, mask: np.ndarray | None = None,
         live = live[grow]
         if not live.size:
             break
-        passive[live, entering[grow]] = True
+        pivot = carry(live, entering[grow], True)
+        singular = ~(pivot >= PIVOT_FLOOR * np.where(passive[live], diag, 0.0).max(axis=1))
+        if singular.any():
+            raise SingularSystem("an entering Schur pivot fell below the relative floor",
+                                 matrices=live[singular])
         count_pivots(live, 1)
 
         rows = live
@@ -125,22 +140,22 @@ def nnls_gram(P: np.ndarray, ell: np.ndarray, mask: np.ndarray | None = None,
             steps = np.where(denom > 0.0, x / np.where(denom > 0.0, denom, 1.0), 0.0)
             alpha = np.where(neg, steps, np.inf).min(axis=1)
             x += alpha[:, None] * (Z - x)
-            drop = passive[rows] & (x <= floor[rows, None])
-            x[drop] = 0.0
+            out = passive[rows] & (x <= floor[rows, None])
+            x[out] = 0.0
             X[rows] = x
-            passive[rows] &= ~drop
-            count_pivots(rows, drop.sum(axis=1))
+            count_pivots(rows, out.sum(axis=1))
+            drop(rows, out)
             rows = rows[passive[rows].any(axis=1)]
 
     snapped = (X != 0.0) & (X < floor[:, None])
     if snapped.any():
         # Zeroing a coefficient moves the others' optimum: refit on the rest.
         X[snapped] = 0.0
-        passive[...] = X != 0.0
-        rows = np.flatnonzero(snapped.any(axis=1) & passive.any(axis=1))
-        if rows.size:
-            Z, _, ok = solve_on(rows)
-            X[rows[ok]] = Z[ok]
+        rows = np.flatnonzero(snapped.any(axis=1))
+        drop(rows, snapped[rows])
+        rows = rows[passive[rows].any(axis=1)]
+        Z, _, ok = solve_on(rows)
+        X[rows[ok]] = Z[ok]
     return X.reshape(np.shape(ell))
 
 

@@ -82,6 +82,57 @@ class TestSolveSpd:
             np.testing.assert_allclose(Li, densela.spd_factor(S), rtol=1e-14)
 
 
+def embedded_inverse(P, k):
+    """P(k, k)^-1 embedded in an r x r matrix that is zero off the mask k."""
+    G = np.zeros_like(P)
+    if k.any():
+        G[np.ix_(k, k)] = np.linalg.inv(P[np.ix_(k, k)])
+    return G
+
+
+class TestCarryInverse:
+    def test_random_enter_leave_sequence(self):
+        # Eight rows at r = 24 each toggle a random atom 300 times, with no
+        # fresh inverse in between.
+        rng = np.random.default_rng(6)
+        P = densela.gram(rng.random((60, 24)) + 0.05)
+        rows = np.arange(8)
+        K = np.zeros((8, 24), dtype=bool)
+        G = np.zeros((8, 24, 24))
+        for _ in range(300):
+            index = rng.integers(0, 24, size=8)
+            enter = ~K[rows, index]
+            want_K = K.copy()
+            want_K[rows, index] = enter
+            old = [embedded_inverse(P, k) for k in K]
+            pivot = densela.carry_inverse(P, G, K, enter, index)
+            assert np.array_equal(K, want_K)
+            for i in rows:
+                want = embedded_inverse(P, K[i])
+                np.testing.assert_allclose(G[i], want, rtol=0,
+                                           atol=1e-10 * np.abs(want).max(initial=1.0))
+                if enter[i]:
+                    j = index[i]
+                    p = np.where(K[i], P[j], 0.0)
+                    p[j] = 0.0
+                    schur = P[j, j] - p @ old[i] @ p
+                    assert pivot[i] == pytest.approx(schur, rel=1e-10)
+        assert K.sum(axis=1).max() >= 12
+
+    def test_dependent_atom_pivot_falls_below_floor(self):
+        # Integer atoms make atom 3 = atom 0 + atom 1 exact.
+        rng = np.random.default_rng(7)
+        A = rng.integers(1, 6, size=(10, 4)).astype(float)
+        A[:, 3] = A[:, 0] + A[:, 1]
+        P = densela.gram(A)
+        K = np.array([[True, True, False, False], [False, True, True, False]])
+        G = np.stack([embedded_inverse(P, k) for k in K])
+        pivot = densela.carry_inverse(P, G, K, np.array([True, True]), np.array([3, 3]))
+        floor = densela.PIVOT_FLOOR * np.where(K, np.diagonal(P), 0.0).max(axis=1)
+        assert pivot[0] < floor[0]
+        assert pivot[1] > 1e-3 * floor[1] / densela.PIVOT_FLOOR  # independent
+
+
 class TestFrobNorm:
     def test_zero(self):
         assert densela.frob_norm(np.zeros((3, 4))) == 0.0

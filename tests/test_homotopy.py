@@ -3,12 +3,13 @@ import pytest
 
 from shamans.densela import gram
 from shamans.errors import IterationLimit, SingularSystem
-from shamans.homotopy import (ENTER, LEAVE, TERMINATE, _support_inverse, lambda_max,
+from shamans.homotopy import (ENTER, LEAVE, TERMINATE, PathWalk, _support_inverse, lambda_max,
                               next_breakpoint, regularization_path, unbias)
 from shamans.nnls import nnls_active_set
 
 import demo_data as dd
-from oracles import kkt_midpoint_violation, nnls_bruteforce, random_nonneg_instance
+from oracles import (kkt_midpoint_violation, nnls_bruteforce, random_nonneg_instance,
+                     reference_nnls_gram)
 
 DEMO_P = gram(np.asfortranarray(dd.DEMO_W))
 DEMO_ELL0 = dd.DEMO_W.T @ dd.DEMO_M[:, 0]
@@ -165,8 +166,9 @@ class TestUnbias:
     def test_empty_support(self):
         b = dd.DEMO_M[:, 0]
         K = support_mask(4, [])
-        x, err = unbias(DEMO_P, DEMO_ELL0[None], K, np.zeros((1, 4)), dd.DEMO_W,
-                        b[:, None])
+        x, err, refits = unbias(DEMO_P, DEMO_ELL0[None], K, np.zeros((1, 4)),
+                                np.zeros((1, 4, 4)), dd.DEMO_W, b[:, None])
+        assert refits == 0
         np.testing.assert_array_equal(x[0], np.zeros(4))
         assert err[0] == pytest.approx(float(b @ b), rel=1e-12)
         assert err[0] == pytest.approx(4.3187, abs=1e-12)
@@ -175,8 +177,10 @@ class TestUnbias:
         b = dd.DEMO_M[:, 0]
         K = np.array([1, 2, 3])
         a = coefficients(DEMO_P, DEMO_ELL0, K)[0]
-        x, err = unbias(DEMO_P, DEMO_ELL0[None], support_mask(4, K), a,
-                        dd.DEMO_W, b[:, None])
+        mask = support_mask(4, K)
+        x, err, refits = unbias(DEMO_P, DEMO_ELL0[None], mask, a,
+                                _support_inverse(DEMO_P, mask), dd.DEMO_W, b[:, None])
+        assert refits == 0
         x, err = x[0], err[0]
         ls, *_ = np.linalg.lstsq(dd.DEMO_W[:, K], b, rcond=None)
         np.testing.assert_allclose(x[K], ls, atol=1e-10)
@@ -197,12 +201,46 @@ class TestUnbias:
         ls, *_ = np.linalg.lstsq(A[:, K], b, rcond=None)
         assert ls.min() < 0  # the construction really exercises the branch
         a = coefficients(P, ell, K)[0]
-        x, err = unbias(P, ell[None], support_mask(3, K), a, A, b[:, None])
+        mask = support_mask(3, K)
+        x, err, refits = unbias(P, ell[None], mask, a, _support_inverse(P, mask), A, b[:, None])
+        assert refits == 1
         x, err = x[0], err[0]
         x_star, err_star = nnls_bruteforce(A[:, K], b)
         np.testing.assert_allclose(x[K], x_star, atol=1e-8)
         assert err == pytest.approx(err_star, abs=1e-10)
         assert np.all(x >= 0)
+
+    def test_workload_scale_block(self):
+        # Supports of the walk over a 24-atom dictionary whose least-squares
+        # solution goes negative in several entries at once, so the refit's
+        # warm start drops two or more indices in one round.  Every row must
+        # match the per-column solver on its support.
+        rng = np.random.default_rng(29)
+        A = np.asfortranarray(rng.random((200, 24)) + 0.05)
+        H = np.where(rng.random((24, 200)) < 0.2, rng.uniform(0.2, 1.0, (24, 200)), 0.0)
+        B = np.clip(A @ H + 0.005 * rng.standard_normal((200, 200)), 0.0, None)
+        P, L = gram(A), A.T @ B
+        walk = PathWalk(A, B)
+        entries, columns = [], []
+        for j in range(B.shape[1]):
+            e = walk.path(j).entries
+            keep = (e["coeff_a"] < 0.0).any(axis=1)
+            entries.append(e[keep])
+            columns += [j] * int(keep.sum())
+        e = np.concatenate(entries)
+        K, a = e["support"], e["coeff_a"]
+        assert ((a < 0.0).sum(axis=1) >= 2).sum() > 10
+        x, err, refits = unbias(P, L.T[columns], K, a, _support_inverse(P, K), A,
+                                B[:, columns])
+        assert refits == len(columns)
+        np.testing.assert_allclose(x, e["solution"], rtol=0, atol=1e-12)
+        for i, j in enumerate(columns):
+            k = np.flatnonzero(K[i])
+            want = reference_nnls_gram(P[np.ix_(k, k)], L[k, j])
+            scale = 1.0 + np.abs(L[k, j]).max()
+            np.testing.assert_allclose(x[i, k], want, rtol=0, atol=1e-12 * scale)
+            resid = A @ x[i] - B[:, j]
+            assert err[i] == pytest.approx(float(resid @ resid), rel=1e-12)
 
 
 class TestRegularizationPath:
@@ -301,6 +339,13 @@ class TestRegularizationPath:
     def test_bad_tol_rejected(self, tol):
         with pytest.raises(ValueError, match="tol must be positive"):
             regularization_path(dd.DEMO_W, dd.DEMO_M[:, 0], tol=tol)
+
+    @pytest.mark.parametrize("cap", [0, -5, 2.5, np.nan, "3"])
+    def test_bad_max_breakpoints_rejected(self, cap):
+        with pytest.raises(ValueError, match="max_breakpoints must be a positive integer"):
+            regularization_path(dd.DEMO_W, dd.DEMO_M[:, 0], max_breakpoints=cap)
+        with pytest.raises(ValueError, match="max_breakpoints must be a positive integer"):
+            PathWalk(dd.DEMO_W, dd.DEMO_M, max_breakpoints=cap)
 
     def test_biased_coefficients_reconstruct_interval(self):
         # Inside each interval the biased solution a - lambda*b matches a

@@ -188,6 +188,17 @@ class TestValidation:
                 SolveConfig(mode="unconstrained", zero_threshold=threshold)
         SolveConfig(mode="unconstrained", zero_threshold=0.0)  # counts every nonzero
 
+    def test_max_breakpoints_must_be_a_positive_integer(self, demo):
+        # 0 or -5 used to send every demo column to the fallback and 2.5
+        # ran; each is now rejected when the configuration is built.
+        for cap in (0, -5, 2.5, np.nan, "3"):
+            with pytest.raises(ValueError, match="max_breakpoints must be a positive integer"):
+                SolveConfig(mode="unconstrained", max_breakpoints=cap)
+        M, W = demo
+        for cap in (None, 1, np.int64(40)):
+            _, report = solve(M, W, SolveConfig(mode="unconstrained", max_breakpoints=cap))
+            assert report.fallback_columns == ([] if cap != 1 else list(range(6)))
+
     def test_budget_exceeding_capacity(self, demo):
         M, W = demo
         with pytest.raises(ValueError):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from shamans.densela import gram
-from shamans.errors import IterationLimit
+from shamans.errors import IterationLimit, SingularSystem
+from shamans.homotopy import unbias
 from shamans.nnls import nnls_active_set, nnls_gram
 
 from demo_data import DEMO_M, DEMO_W
@@ -184,3 +185,61 @@ def test_block_matches_per_column_reference():
     for i in range(50):
         resid = A @ X[i] - B[:, i]
         assert float(resid @ resid) == pytest.approx(nnls_bruteforce(A, B[:, i])[1], abs=1e-8)
+
+
+def test_refits_factor_nothing(monkeypatch):
+    # Block refits on supports of a 12-atom dictionary, with and without
+    # the inverses on the masks, and through unbias: with numpy's solve,
+    # Cholesky and inverse disabled, every row still matches the
+    # per-column solver on its mask.
+    rng = np.random.default_rng(19)
+    A = np.asfortranarray(rng.random((30, 12)) + 0.05)
+    B = rng.random((30, 300))
+    P, ell = gram(A), (A.T @ B).T
+    mask = rng.random((300, 12)) < 0.6
+    mask[np.arange(300), rng.integers(0, 12, 300)] = True
+    a = np.zeros((300, 12))
+    G = np.zeros((300, 12, 12))
+    want = np.zeros((300, 12))
+    for i, k in enumerate(mask):
+        G[i][np.ix_(k, k)] = np.linalg.inv(P[np.ix_(k, k)])
+        a[i] = G[i] @ ell[i]
+        want[i, k] = reference_nnls_gram(P[np.ix_(k, k)], ell[i, k])
+    scale = 1.0 + np.abs(np.where(mask, ell, 0.0)).max(axis=1, keepdims=True)
+    assert (a < 0.0).any(axis=1).sum() > 100
+
+    def disabled(*args, **kwargs):
+        raise AssertionError("a refit factored a system")
+
+    for name in ("solve", "cholesky", "inv"):
+        monkeypatch.setattr(np.linalg, name, disabled)
+    for X in (nnls_gram(P, ell, mask), nnls_gram(P, ell, mask, inverse=G),
+              unbias(P, ell, mask, a, G, A, B)[0]):
+        assert (np.abs(X - want) / scale).max() <= 1e-12
+
+
+def test_rank_deficient_entering_atom_names_its_rows():
+    # Atom 4 is within 1e-9 of (W0 + W1)/2: a passive set holding atoms 0
+    # and 1 leaves it a Schur pivot far below the relative floor.  Rows
+    # whose solve would enter it raise, alone and in a block, and the
+    # block's exception names block rows; the other rows solve as before.
+    rng = np.random.default_rng(0)
+    A = rng.random((8, 5))
+    A[:, 4] = 0.5 * (A[:, 0] + A[:, 1]) + 1e-9 * rng.random(8)
+    B = rng.random((8, 40))
+    P, ell = gram(A), (A.T @ B).T
+    bad = []
+    for i in range(40):
+        try:
+            x = nnls_gram(P, ell[i])
+        except SingularSystem as exc:
+            assert exc.matrices.tolist() == [0]
+            bad.append(i)
+        else:
+            resid = A @ x - B[:, i]
+            assert float(resid @ resid) == pytest.approx(nnls_bruteforce(A, B[:, i])[1],
+                                                         abs=1e-8)
+    assert 0 < len(bad) < 40
+    with pytest.raises(SingularSystem) as info:
+        nnls_gram(P, ell)
+    assert 0 < len(info.value.matrices) and set(info.value.matrices) <= set(bad)
