@@ -86,8 +86,7 @@ class RegularizationPath:
     """Path entries as path_dtype records, lambda nonincreasing to 0.
 
     ``truncated`` marks a path that ended early on a rank-deficient
-    support or was rebuilt from a plain NNLS fallback; its last entry is
-    still a valid feasible solution.
+    support; its last entry is still a valid feasible solution.
     """
 
     entries: np.ndarray

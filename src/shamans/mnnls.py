@@ -10,6 +10,7 @@ the paths are walked in lockstep blocks of columns, then selected from.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -17,8 +18,8 @@ import numpy as np
 
 from . import selector
 from .densela import as_matrix, frob_norm, gram
-from .errors import (DimensionMismatch, IterationLimit, ZeroColumnInDictionary,
-                     ZeroDataMatrix)
+from .errors import (DimensionMismatch, IterationLimit, SingularSystem,
+                     ZeroColumnInDictionary, ZeroDataMatrix)
 from .homotopy import (PathWalk, RegularizationPath, check_max_breakpoints, lambda_max,
                        path_dtype, regularization_path)
 from .nnls import nnls_active_set
@@ -47,10 +48,10 @@ class SolveConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}, expected one of {MODES}")
-        if self.mode == "shamans" and (self.q is None or self.q < 0):
-            raise ValueError("shamans mode needs a nonnegative budget q")
-        if self.mode == "ksparse" and (self.k is None or self.k < 0):
-            raise ValueError("ksparse mode needs a nonnegative per-column k")
+        for mode, name in (("shamans", "q"), ("ksparse", "k")):
+            count = getattr(self, name)  # NumPy integers pass; None, 2.5 and NaN do not
+            if self.mode == mode and not (isinstance(count, numbers.Integral) and count >= 0):
+                raise ValueError(f"{mode} mode needs a nonnegative integer {name}")
         if not self.tol > 0:  # also NaN
             raise ValueError("tol must be positive")
         if not self.zero_threshold >= 0:  # also NaN
@@ -113,16 +114,18 @@ def metrics(M, W, H, zero_threshold: float = 1e-3) -> UnmixReport:
     M = as_matrix(M, "M")
     W = as_matrix(W, "W")
     H = as_matrix(H, "H")
-    denom = frob_norm(M)
-    if denom == 0.0:
+    return _summary(H, frob_norm(M - W @ H), frob_norm(M), zero_threshold)
+
+
+def _summary(H, residual, data, zero_threshold) -> UnmixReport:
+    """Report of H from the Frobenius norms of its residual and the data."""
+    if data == 0.0:
         raise ZeroDataMatrix("data matrix is identically zero")
-    r, n = H.shape
-    rel = frob_norm(M - W @ H) / denom
     counts = (H > zero_threshold).sum(axis=0)
-    hist = np.bincount(counts, minlength=r + 1)
+    hist = np.bincount(counts, minlength=H.shape[0] + 1)
     return UnmixReport(
-        rel_error=float(rel),
-        avg_sparsity=float(counts.sum()) / n,
+        rel_error=float(residual / data),
+        avg_sparsity=float(counts.mean()),
         nnz=int(np.count_nonzero(H)),
         per_column_sparsity=[int(c) for c in hist],
     )
@@ -130,16 +133,21 @@ def metrics(M, W, H, zero_threshold: float = 1e-3) -> UnmixReport:
 
 def _fallback_path(W, b, P, ell, tol) -> RegularizationPath:
     """Two-entry path (zero solution, plain NNLS solution) for a column
-    whose homotopy hit the breakpoint limit."""
-    sol = nnls_active_set(W, b, tol=tol, gram_matrix=P, corr=ell)
+    whose homotopy hit the breakpoint limit; only the zero entry, marked
+    truncated, when the NNLS meets a rank-deficient passive set."""
     lam0, _ = lambda_max(ell[None])
     entries = np.zeros(2, path_dtype(ell.shape[0]))
     entries["lam"] = lam0[0], 0.0
-    entries["error_sq"] = b @ b, sol.residual_sq
+    entries["error_sq"] = b @ b
+    try:
+        sol = nnls_active_set(W, b, tol=tol, gram_matrix=P, corr=ell)
+    except SingularSystem:
+        return RegularizationPath(entries[:1], truncated=True)
+    entries["error_sq"][1] = sol.residual_sq
     entries["cardinality"][1] = sol.support.size
     entries["support"][1, sol.support] = True
     entries["solution"][1] = entries["coeff_a"][1] = sol.x
-    return RegularizationPath(entries, truncated=True)
+    return RegularizationPath(entries)
 
 
 def solve(M, W, cfg: SolveConfig):
@@ -194,37 +202,35 @@ def solve(M, W, cfg: SolveConfig):
             except IterationLimit as exc:
                 exc.column = j
                 raise
-        else:
-            if path.truncated:
-                truncated.append(j)
+        if path.truncated:
+            truncated.append(j)
         paths.append(path)
     lap("paths")
 
-    unconstrained = cfg.mode == "unconstrained"
-    tables = None if unconstrained else selector.build_cost_tables(paths, r, n)
+    tables = selector.build_cost_tables(paths, r, n)
     lap("tables")
 
     if cfg.mode == "shamans":
         state = selector.init_gain(tables)
         cursors = selector.select(state, tables, cfg.q, strict=cfg.strict_budget)
-    elif cfg.mode == "ksparse":
-        cursors = np.full(n, cfg.k, dtype=np.int64)
+    else:
+        cursors = np.full(n, cfg.k if cfg.mode == "ksparse" else r, dtype=np.int64)
     lap("select")
 
-    if unconstrained:
-        H = np.concatenate([path.entries["solution"][-1:] for path in paths]).T
-    else:
-        H = selector.assemble(tables, cursors)
+    H = selector.assemble(tables, cursors)
     lap("assemble")
 
-    report = metrics(M, W, H, zero_threshold=cfg.zero_threshold)
+    # A selected cell is its entry's measured residual; row 0 holds ||M_j||^2.
+    report = _summary(H, np.sqrt(tables.cost[cursors, np.arange(n)].sum()),
+                      np.sqrt(tables.cost[0].sum()), cfg.zero_threshold)
     lap("metrics")
     report.timings_ms = timings
     report.mode = cfg.mode
     report.budget = {"shamans": cfg.q, "ksparse": cfg.k}.get(cfg.mode)
     report.fallback_columns = fallbacks
     report.truncated_columns = truncated
-    report.inexact_columns = sorted(truncated + ([] if unconstrained else fallbacks))
+    report.inexact_columns = sorted(
+        set(truncated).union(fallbacks if cfg.mode != "unconstrained" else ()))
     steps = np.array([len(path.entries) - 1 for path in paths])
     report.breakpoints = int(steps.sum())
     report.breakpoint_histogram = [int(c) for c in np.bincount(steps)]

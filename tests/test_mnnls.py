@@ -187,6 +187,15 @@ class TestValidation:
             with pytest.raises(ValueError, match="zero_threshold must be nonnegative"):
                 SolveConfig(mode="unconstrained", zero_threshold=threshold)
         SolveConfig(mode="unconstrained", zero_threshold=0.0)  # counts every nonzero
+        # k = 2.5 used to run as k = 2, and q = NaN passed every check and
+        # spent positive gains without limit; a count must be an integer.
+        for bad in ({"mode": "ksparse", "k": 2.5}, {"mode": "ksparse", "k": np.nan},
+                    {"mode": "ksparse", "k": "3"}, {"mode": "shamans", "q": np.nan},
+                    {"mode": "shamans", "q": 18.0}, {"mode": "shamans", "q": np.int64(-1)}):
+            with pytest.raises(ValueError, match="nonnegative integer"):
+                SolveConfig(**bad)
+        assert SolveConfig(mode="shamans", q=np.int64(18)).q == 18
+        assert SolveConfig(mode="ksparse", k=np.int32(2)).k == 2
 
     def test_max_breakpoints_must_be_a_positive_integer(self, demo):
         # 0 or -5 used to send every demo column to the fallback and 2.5
@@ -276,6 +285,33 @@ class TestFallback:
         assert exact.inexact_columns == []
         assert budgeted.inexact_columns == budgeted.fallback_columns == list(range(6))
 
+    def test_singular_fallback_column_keeps_its_zero_entry(self):
+        # Atom 4 is within 1e-9 of (W0 + W1)/2.  With one breakpoint allowed,
+        # the NNLS fallback of columns 1 and 4 meets a rank-deficient passive
+        # set; those columns keep their zero solution and are inexact in every
+        # mode, and the rest solve as they do without them.
+        rng = np.random.default_rng(0)
+        W = rng.random((8, 5))
+        W[:, 4] = 0.5 * (W[:, 0] + W[:, 1]) + 1e-9 * rng.random(8)
+        M = rng.random((8, 10))
+        others = [0, 2, 3, 5, 6, 7, 8, 9]
+        for cfg in (SolveConfig(mode="unconstrained", max_breakpoints=1),
+                    SolveConfig(mode="ksparse", k=2, max_breakpoints=1),
+                    SolveConfig(mode="shamans", q=20, max_breakpoints=1)):
+            H, report = solve(M, W, cfg)
+            assert report.truncated_columns == [1, 4]
+            assert {1, 4} <= set(report.fallback_columns)
+            assert {1, 4} <= set(report.inexact_columns)
+            assert len(set(report.inexact_columns)) == len(report.inexact_columns)
+            assert not H[:, [1, 4]].any()
+        H_rest, rest = solve(M[:, others], W, SolveConfig(mode="unconstrained",
+                                                          max_breakpoints=1))
+        H, report = solve(M, W, SolveConfig(mode="unconstrained", max_breakpoints=1))
+        np.testing.assert_allclose(H[:, others], H_rest, rtol=0, atol=1e-12)
+        assert report.inexact_columns == [1, 4] and rest.inexact_columns == []
+        assert report.fallback_columns == sorted([1, 4] + [others[j] for j in
+                                                           rest.fallback_columns])
+
     def test_nested_limit_attaches_column(self, demo, monkeypatch):
         M, W = demo
 
@@ -349,3 +385,56 @@ class TestBreakpointHistogram:
         M, W, _ = random_problem(np.random.default_rng(41), 40, 8, 300)
         H, report = solve(M, W, SolveConfig(mode="ksparse", k=3))
         self.assert_matches_paths(M, W, report)
+
+
+class TestReportFromTables:
+    """solve reports the error of the selected cost-table cells, not of M - WH."""
+
+    CONFIGS = [{"mode": "unconstrained"}, {"mode": "ksparse", "k": 2},
+               {"mode": "shamans", "q": 18}, {"mode": "shamans", "q": 18, "strict_budget": True}]
+
+    @pytest.mark.parametrize("kwargs", CONFIGS)
+    def test_matches_metrics(self, kwargs):
+        rng = np.random.default_rng(45)
+        for _ in range(30):
+            M, W, _ = random_problem(rng, int(rng.integers(6, 15)), 4, int(rng.integers(8, 20)))
+            H, report = solve(M, W, SolveConfig(**kwargs))
+            want = metrics(M, W, H)
+            assert report.rel_error == pytest.approx(want.rel_error, rel=1e-12, abs=0)
+            assert (report.nnz, report.avg_sparsity, report.per_column_sparsity) == \
+                (want.nnz, want.avg_sparsity, want.per_column_sparsity)
+
+    def test_unconstrained_reads_level_r(self):
+        # Level r holds the first entry of least error, so a refit that ties
+        # or undercuts the terminal entry by roundoff is taken instead of it
+        # (a few columns of this problem).
+        rng = np.random.default_rng(2)
+        W = rng.random((40, 8)) + 0.05
+        H0 = np.where(rng.random((8, 300)) < 0.5, rng.uniform(0.2, 1.0, (8, 300)), 0.0)
+        M = np.clip(W @ H0 + 0.005 * rng.standard_normal((40, 300)), 0.0, None)
+        H, report = solve(M, W, SolveConfig(mode="unconstrained"))
+        assert report.inexact_columns == []
+        walk = PathWalk(np.asfortranarray(W), np.asfortranarray(M))
+        earlier = 0
+        for j in range(300):
+            entries = walk.path(j).entries
+            i = next(i for i, x in enumerate(entries["solution"]) if np.array_equal(x, H[:, j]))
+            err = entries["error_sq"]
+            assert err[-1] - 1e-12 * err[0] <= err[i] <= err[-1]
+            earlier += i < len(entries) - 1
+        assert earlier > 0
+
+    def test_zero_data_matrix(self, demo):
+        _, W = demo
+        for cfg in (SolveConfig(mode="unconstrained"), SolveConfig(mode="shamans", q=3)):
+            with pytest.raises(ZeroDataMatrix):
+                solve(np.zeros((5, 6)), W, cfg)
+
+    def test_solve_never_calls_metrics(self, demo, monkeypatch):
+        def explode(*args, **kwargs):
+            raise AssertionError("solve recomputed the residual")
+
+        monkeypatch.setattr(mnnls_mod, "metrics", explode)
+        M, W = demo
+        for kwargs in self.CONFIGS:
+            solve(M, W, SolveConfig(**kwargs))
