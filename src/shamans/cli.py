@@ -9,6 +9,7 @@ success, 1 on usage errors, 2 on data errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -93,27 +94,8 @@ def write_csv_matrix(H: np.ndarray, path) -> None:
 
 def write_report_json(report: UnmixReport, path) -> None:
     """Write the solve report as a small JSON object."""
-    payload = {
-        "rel_error": report.rel_error,
-        "avg_sparsity": report.avg_sparsity,
-        "nnz": report.nnz,
-        "per_column_sparsity": list(report.per_column_sparsity),
-        "timings_ms": dict(report.timings_ms),
-        "mode": report.mode,
-        "budget": report.budget,
-        "breakpoints": report.breakpoints,
-        "breakpoint_histogram": list(report.breakpoint_histogram),
-        "refits": report.refits,
-        "fallback_columns": list(report.fallback_columns),
-        "truncated_columns": list(report.truncated_columns),
-        "inexact_columns": list(report.inexact_columns),
-        "picks": report.picks,
-        "overshoot": report.overshoot,
-        "stopped_short": report.stopped_short,
-        "last_gain": report.last_gain,
-    }
     with open(path, "wt", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(dataclasses.asdict(report), fh, indent=2)
         fh.write("\n")
 
 

@@ -18,10 +18,15 @@ class SingularSystem(ShamansError):
 
 
 class IterationLimit(ShamansError):
-    """An iterative solver exceeded its pivot or breakpoint budget."""
+    """The active-set solver exceeded its pivot budget.
 
-    def __init__(self, message, column=None):
+    ``row`` is the right-hand side's row in the solver's block and
+    ``column`` its data column, where the caller knows it.
+    """
+
+    def __init__(self, message, row=None, column=None):
         super().__init__(message)
+        self.row = row
         self.column = column
 
 

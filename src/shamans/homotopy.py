@@ -87,10 +87,15 @@ class RegularizationPath:
 
     ``truncated`` marks a path that ended early on a rank-deficient
     support; its last entry is still a valid feasible solution.
+    ``fallback`` marks a path that passed the breakpoint limit: it holds
+    the zero entry and the NNLS solution at lambda = 0, nothing between
+    (only the zero entry, with ``truncated`` set, when the NNLS meets a
+    rank-deficient passive set).
     """
 
     entries: np.ndarray
     truncated: bool = False
+    fallback: bool = False
 
 
 def lambda_max(ell: np.ndarray):
@@ -203,10 +208,11 @@ class PathWalk:
 
     Columns are walked BLOCK at a time, in lockstep, when
     regularization_path first asks for a column of the block.  A column
-    whose path exceeds ``max_breakpoints`` (default 50 r) is recorded as
-    such and raises IterationLimit when asked for.  ``refits`` counts the
-    path entries of the blocks walked so far whose least-squares solution
-    went negative, i.e. the rows unbias sent to the active-set solver.
+    whose path exceeds ``max_breakpoints`` (default 50 r) ends at its NNLS
+    solution with ``fallback`` set.  ``refits`` counts the path entries of
+    the blocks walked so far whose least-squares solution went negative,
+    i.e. the rows unbias sent to the active-set solver.  An IterationLimit
+    from a fallback's active-set solve leaves with ``column`` set.
     """
 
     def __init__(self, A, B, tol: float = 1e-10, max_breakpoints: int | None = None,
@@ -221,14 +227,17 @@ class PathWalk:
         self.tol = tol
         r = self.P.shape[0]
         self.max_breakpoints = 50 * r if max_breakpoints is None else max_breakpoints
-        self._paths = {}  # column -> RegularizationPath, or None past the limit
+        self._paths = {}  # column -> RegularizationPath
         self.refits = 0
 
     def _walk(self, start: int, stop: int) -> None:
         """Walk columns start..stop-1 in lockstep, one breakpoint per round.
 
         The arrays indexed by row describe the live columns ``live`` only;
-        a column leaves them when its path ends.
+        a column leaves them when its path ends.  The columns still live
+        after ``max_breakpoints`` rounds drop their records past the zero
+        entry and end at the NNLS solution, found for all of them by one
+        call of the active-set solver.
         """
         P, tol = self.P, self.tol
         r = P.shape[0]
@@ -238,11 +247,19 @@ class PathWalk:
         width = stop - start
         tol_neg = tol * (1.0 + float(np.abs(P).max(initial=0.0)))
         dtype = path_dtype(r)
-        lam, first = lambda_max(ell)
-        zero = np.zeros(width, dtype)
-        zero["lam"] = lam
-        zero["error_sq"] = [b @ b for b in rhs.T]
-        records, owners = [zero], [np.arange(width)]
+        records, owners = [], []
+
+        def record(cols, lam, err, K, X, a, b):
+            """Append one entry per column in ``cols``: refit X, errors err."""
+            records.append(np.empty(cols.size, dtype))
+            for name, value in zip(dtype.names, (lam, np.count_nonzero(X, axis=1),
+                                                 err, K, X, a, b)):
+                records[-1][name] = value
+            owners.append(cols)
+
+        lam, first = lambda_max(ell)  # the zero entries
+        record(np.arange(width), lam, [b @ b for b in rhs.T], False, np.zeros((width, r)),
+               0.0, 0.0)
         live = np.flatnonzero(first >= 0)
         lam, first = lam[live], first[live]
         # Row i holds the right-hand sides (ell, 1) of the pair (a, b).
@@ -259,7 +276,6 @@ class PathWalk:
 
         rounds = 0
         while live.size:
-            ell = rhs2[:, 0]
             if rounds >= self.max_breakpoints:
                 over[live] = True
                 break
@@ -284,14 +300,10 @@ class PathWalk:
             c = np.where(K, 0.0, grad[:, 0])
             d = np.where(K, 0.0, grad[:, 1])
             lam_next, kind, index = next_breakpoint(a, b, c, d, K, lam, tol_neg)
-            X, err, refits = unbias(P, ell, K, a, G, self.A, rhs[:, live], tol=tol)
+            X, err, refits = unbias(P, rhs2[:, 0], K, a, G, self.A, rhs[:, live], tol=tol)
             self.refits += refits
             lam_next[lam_next <= tol_lam] = 0.0
-            records.append(np.empty(live.size, dtype))
-            for name, value in zip(dtype.names, (lam_next, np.count_nonzero(X, axis=1),
-                                                 err, K, X, a, b)):
-                records[-1][name] = value
-            owners.append(live)
+            record(live, lam_next, err, K, X, a, b)
             go = (kind != TERMINATE) & (lam_next != 0.0)
             if not go.all():
                 live, rhs2, tol_lam, K, G = (x[go] for x in (live, rhs2, tol_lam, K, G))
@@ -300,23 +312,39 @@ class PathWalk:
             lam = lam_next[go]
             rounds += 1
 
+        fell = np.flatnonzero(over)
+        if fell.size:  # past the limit a path keeps only its zero entry of the walk
+            for i in range(1, len(records)):
+                keep = ~over[owners[i]]
+                records[i], owners[i] = records[i][keep], owners[i][keep]
+        while fell.size:
+            try:
+                X = nnls_gram(P, ell[fell], tol=tol)
+            except SingularSystem as exc:  # a rank-deficient passive set
+                truncated[fell[exc.matrices]] = True
+                fell = np.delete(fell, exc.matrices)
+                continue
+            except IterationLimit as exc:
+                exc.column = start + int(fell[exc.row])
+                raise
+            resid = self.A @ X.T - rhs[:, fell]
+            record(fell, 0.0, np.einsum("ij,ij->j", resid, resid), X > 0.0, X, X, 0.0)
+            break
+
         # Records come in round order; a stable sort makes each path one slice.
         # dtype= spares numpy resolving the record type once per round.
         owner = np.concatenate(owners)
         entries = np.concatenate(records, dtype=dtype)[np.argsort(owner, kind="stable")]
         ends = np.cumsum(np.bincount(owner, minlength=width))[:-1]
         for p, path in enumerate(np.split(entries, ends)):
-            self._paths[start + p] = None if over[p] else \
-                RegularizationPath(path, truncated=bool(truncated[p]))
+            self._paths[start + p] = RegularizationPath(path, truncated=bool(truncated[p]),
+                                                        fallback=bool(over[p]))
 
     def path(self, j: int) -> RegularizationPath:
         if j not in self._paths:
             start = j - j % BLOCK
             self._walk(start, min(start + BLOCK, self.B.shape[1]))
-        path = self._paths[j]
-        if path is None:
-            raise IterationLimit(f"path exceeded {self.max_breakpoints} breakpoints")
-        return path
+        return self._paths[j]
 
 
 def regularization_path(A, b, tol: float = 1e-10, max_breakpoints: int | None = None,
@@ -326,11 +354,12 @@ def regularization_path(A, b, tol: float = 1e-10, max_breakpoints: int | None = 
 
     ``tol`` is the base tolerance; negativity thresholds are scaled by
     (1 + max|P|) so ratios never divide by a near-zero coefficient.  A
-    path longer than ``max_breakpoints`` (default 50 r) raises
-    IterationLimit; callers may fall back to a single NNLS solve.  Given a
-    PathWalk over many right-hand sides of A, of which b is column
-    ``column``, the path is read from the walk (which walks the column's
-    block on first use) and the other arguments are the walk's.
+    path longer than ``max_breakpoints`` (default 50 r) is replaced by the
+    two entries at its ends, the zero solution and the NNLS solution, with
+    ``fallback`` set.  Given a PathWalk over many right-hand sides of A, of
+    which b is column ``column``, the path is read from the walk (which
+    walks the column's block on first use) and the other arguments are the
+    walk's.
 
     The first entry is (lambda_max, empty support, 0, ||b||^2);
     consecutive supports differ by one index; the last entry sits at

@@ -18,11 +18,8 @@ import numpy as np
 
 from . import selector
 from .densela import as_matrix, frob_norm, gram
-from .errors import (DimensionMismatch, IterationLimit, SingularSystem,
-                     ZeroColumnInDictionary, ZeroDataMatrix)
-from .homotopy import (PathWalk, RegularizationPath, check_max_breakpoints, lambda_max,
-                       path_dtype, regularization_path)
-from .nnls import nnls_active_set
+from .errors import DimensionMismatch, ZeroColumnInDictionary, ZeroDataMatrix
+from .homotopy import PathWalk, check_max_breakpoints, regularization_path
 
 MODES = ("shamans", "ksparse", "unconstrained")
 
@@ -70,12 +67,12 @@ class UnmixReport:
     the columns whose path took k steps; ``refits`` counts the steps whose
     unbiased refit needed the active-set solver, because least squares on
     the support went negative.  Columns listed in ``fallback_columns`` hit
-    the breakpoint limit and were solved by plain NNLS instead; those in
-    ``truncated_columns`` ended their path early on a rank-deficient
-    support.  ``inexact_columns`` lists the columns of H that are neither
-    a solution of their full path nor the NNLS optimum: every truncated
-    column, and the fallback columns outside unconstrained mode (whose
-    two-entry path has nothing between zero and the NNLS solution).
+    the breakpoint limit, so their path holds only its two ends, the zero
+    and the NNLS solution; those in ``truncated_columns`` ended their path
+    early on a rank-deficient support.  ``inexact_columns`` lists the
+    columns of H that are neither a solution of their full path nor the
+    NNLS optimum: every truncated column, and the fallback columns outside
+    unconstrained mode (whose path has nothing between its two ends).
 
     In shamans mode ``picks`` counts the greedy steps, ``overshoot`` is
     the sum of the selected sparsity levels minus q (negative when no
@@ -93,11 +90,11 @@ class UnmixReport:
     timings_ms: dict = field(default_factory=dict)
     mode: str | None = None
     budget: int | None = None
-    fallback_columns: list = field(default_factory=list)
-    truncated_columns: list = field(default_factory=list)
     breakpoints: int = 0
     breakpoint_histogram: list = field(default_factory=list)
     refits: int = 0
+    fallback_columns: list = field(default_factory=list)
+    truncated_columns: list = field(default_factory=list)
     inexact_columns: list = field(default_factory=list)
     picks: int | None = None
     overshoot: int | None = None
@@ -131,30 +128,11 @@ def _summary(H, residual, data, zero_threshold) -> UnmixReport:
     )
 
 
-def _fallback_path(W, b, P, ell, tol) -> RegularizationPath:
-    """Two-entry path (zero solution, plain NNLS solution) for a column
-    whose homotopy hit the breakpoint limit; only the zero entry, marked
-    truncated, when the NNLS meets a rank-deficient passive set."""
-    lam0, _ = lambda_max(ell[None])
-    entries = np.zeros(2, path_dtype(ell.shape[0]))
-    entries["lam"] = lam0[0], 0.0
-    entries["error_sq"] = b @ b
-    try:
-        sol = nnls_active_set(W, b, tol=tol, gram_matrix=P, corr=ell)
-    except SingularSystem:
-        return RegularizationPath(entries[:1], truncated=True)
-    entries["error_sq"][1] = sol.residual_sq
-    entries["cardinality"][1] = sol.support.size
-    entries["support"][1, sol.support] = True
-    entries["solution"][1] = entries["coeff_a"][1] = sol.x
-    return RegularizationPath(entries)
-
-
 def solve(M, W, cfg: SolveConfig):
     """Solve for H >= 0 under the configured sparsity regime.
 
     Returns (H, report).  Columns whose path exceeds the breakpoint limit
-    fall back to a plain NNLS solve and are listed in
+    take the two-entry path to their NNLS solution and are listed in
     ``report.fallback_columns`` instead of aborting the whole run.
     """
     timings = {}
@@ -189,22 +167,9 @@ def solve(M, W, cfg: SolveConfig):
 
     walk = PathWalk(W, M, tol=cfg.tol, max_breakpoints=cfg.max_breakpoints,
                     gram_matrix=P, corr=L)
-    paths, fallbacks, truncated = [], [], []
-    for j in range(n):
-        # Every path passes the public per-column call, where the benchmark's
-        # trace counts breakpoints; a block is walked on its first read.
-        try:
-            path = regularization_path(W, M[:, j], walk=walk, column=j)
-        except IterationLimit:
-            fallbacks.append(j)
-            try:
-                path = _fallback_path(W, M[:, j], P, L[:, j], cfg.tol)
-            except IterationLimit as exc:
-                exc.column = j
-                raise
-        if path.truncated:
-            truncated.append(j)
-        paths.append(path)
+    # Every path passes the public per-column call, where the benchmark's
+    # trace counts breakpoints; a block is walked on its first read.
+    paths = [regularization_path(W, M[:, j], walk=walk, column=j) for j in range(n)]
     lap("paths")
 
     tables = selector.build_cost_tables(paths, r, n)
@@ -227,10 +192,10 @@ def solve(M, W, cfg: SolveConfig):
     report.timings_ms = timings
     report.mode = cfg.mode
     report.budget = {"shamans": cfg.q, "ksparse": cfg.k}.get(cfg.mode)
-    report.fallback_columns = fallbacks
-    report.truncated_columns = truncated
-    report.inexact_columns = sorted(
-        set(truncated).union(fallbacks if cfg.mode != "unconstrained" else ()))
+    report.fallback_columns = [j for j, path in enumerate(paths) if path.fallback]
+    report.truncated_columns = [j for j, path in enumerate(paths) if path.truncated]
+    report.inexact_columns = [j for j, path in enumerate(paths) if path.truncated
+                              or path.fallback and cfg.mode != "unconstrained"]
     steps = np.array([len(path.entries) - 1 for path in paths])
     report.breakpoints = int(steps.sum())
     report.breakpoint_histogram = [int(c) for c in np.bincount(steps)]

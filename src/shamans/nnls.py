@@ -52,11 +52,11 @@ def nnls_gram(P: np.ndarray, ell: np.ndarray, mask: np.ndarray | None = None,
     refinement.  Ties on the entering variable break toward the smallest
     index.  ``on_iterate`` gets a copy of every outer iterate.
 
-    Raises IterationLimit once a row makes more than 10 k (k+1) pivots,
-    k the size of its mask (cycling or heavy degeneracy), and
-    SingularSystem, whose ``matrices`` lists the rows, when an entering
-    Schur pivot falls below PIVOT_FLOOR times the largest diagonal entry
-    of P on the new passive set.  Coefficients that end below
+    Raises IterationLimit, whose ``row`` names the row, once a row makes
+    more than 10 k (k+1) pivots, k the size of its mask (cycling or heavy
+    degeneracy), and SingularSystem, whose ``matrices`` lists the rows,
+    when an entering Schur pivot falls below PIVOT_FLOOR times the largest
+    diagonal entry of P on the new passive set.  Coefficients that end below
     tol * (1 + max|ell|) over the row's mask are set to zero and the rest
     solved again, so the result stays a stationary refit.
     """
@@ -98,7 +98,8 @@ def nnls_gram(P: np.ndarray, ell: np.ndarray, mask: np.ndarray | None = None,
         pivots[rows] += added
         over = rows[pivots[rows] > max_pivots[rows]]
         if over.size:
-            raise IterationLimit(f"row {over[0]} exceeded its pivot limit {max_pivots[over[0]]}")
+            raise IterationLimit(f"row {over[0]} exceeded its pivot limit {max_pivots[over[0]]}",
+                                 row=int(over[0]))
 
     # Warm start: drop nonpositive coefficients until the solve is feasible.
     rows = np.flatnonzero(passive.any(axis=1))
@@ -159,22 +160,15 @@ def nnls_gram(P: np.ndarray, ell: np.ndarray, mask: np.ndarray | None = None,
     return X.reshape(np.shape(ell))
 
 
-def nnls_active_set(A, b, tol: float = 1e-10, gram_matrix=None, corr=None,
-                    on_iterate=None) -> NnlsSolution:
-    """Solve min ||Ax - b||^2 subject to x >= 0.
-
-    ``gram_matrix`` (A.T A) and ``corr`` (A.T b) may be passed to reuse
-    work shared across right-hand sides.
-    """
+def nnls_active_set(A, b, tol: float = 1e-10, on_iterate=None) -> NnlsSolution:
+    """Solve min ||Ax - b||^2 subject to x >= 0."""
     A = as_matrix(A, "A")
     b = as_vector(b, "b")
     if A.shape[0] != b.shape[0]:
         raise ValueError(f"A has {A.shape[0]} rows but b has {b.shape[0]}")
     if not tol > 0:  # also NaN
         raise ValueError("tol must be positive")
-    P = gram(A) if gram_matrix is None else gram_matrix
-    ell = A.T @ b if corr is None else corr
-    x = nnls_gram(P, ell, tol=tol, on_iterate=on_iterate)
+    x = nnls_gram(gram(A), A.T @ b, tol=tol, on_iterate=on_iterate)
     resid = A @ x - b
     return NnlsSolution(x=x, support=np.flatnonzero(x > 0.0),
                         residual_sq=float(resid @ resid))

@@ -217,7 +217,7 @@ def test_criterion_5_kkt_property_suite():
         P = gram(np.asfortranarray(A))
         path = shamans.regularization_path(A, b)
         worst_kkt = max(worst_kkt, kkt_midpoint_violation(P, A.T @ b, path))
-        sol = nnls_active_set(A, b, gram_matrix=P)
+        sol = nnls_active_set(A, b)
         gap = float(np.abs(path.entries["solution"][-1] - sol.x).max())
         worst_terminal = max(worst_terminal, gap)
     elapsed = time.perf_counter() - t0

@@ -9,7 +9,7 @@ from shamans.nnls import nnls_active_set
 
 import demo_data as dd
 from oracles import (kkt_midpoint_violation, nnls_bruteforce, random_nonneg_instance,
-                     reference_nnls_gram)
+                     reference_nnls_gram, reference_path)
 
 DEMO_P = gram(np.asfortranarray(dd.DEMO_W))
 DEMO_ELL0 = dd.DEMO_W.T @ dd.DEMO_M[:, 0]
@@ -331,9 +331,26 @@ class TestRegularizationPath:
         if leaves * 10 > enters or long_paths:
             print("FLAG: leave-heavy or unusually long paths observed")
 
-    def test_breakpoint_limit_raises(self):
+    def test_breakpoint_limit_falls_back(self):
+        # The one-column reference walk gives up at the limit; the path
+        # keeps its zero entry and ends at the NNLS solution.
+        W, b = dd.DEMO_W, dd.DEMO_M[:, 0]
         with pytest.raises(IterationLimit):
-            regularization_path(dd.DEMO_W, dd.DEMO_M[:, 0], max_breakpoints=1)
+            reference_path(W, b, max_breakpoints=1)
+        path = regularization_path(W, b, max_breakpoints=1)
+        assert path.fallback and not path.truncated and len(path.entries) == 2
+        zero, last = path.entries
+        want = reference_path(W, b).entries[0]
+        for field in want.dtype.names:
+            np.testing.assert_allclose(np.asarray(zero[field], float),
+                                       np.asarray(want[field], float), rtol=1e-12, atol=0)
+        sol = nnls_active_set(W, b)
+        assert last["lam"] == 0.0 and last["cardinality"] == sol.support.size
+        assert np.array_equal(np.flatnonzero(last["support"]), sol.support)
+        for field in ("solution", "coeff_a"):
+            np.testing.assert_allclose(last[field], sol.x, rtol=0, atol=1e-12)
+        assert not last["coeff_b"].any()
+        assert last["error_sq"] == pytest.approx(sol.residual_sq, rel=1e-12)
 
     @pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0])
     def test_bad_tol_rejected(self, tol):

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 from shamans import homotopy
-from shamans.errors import IterationLimit
-from shamans.homotopy import BLOCK, PathWalk, path_dtype, regularization_path
+from shamans.errors import IterationLimit, SingularSystem
+from shamans.homotopy import (BLOCK, PathWalk, RegularizationPath, path_dtype,
+                              regularization_path)
+from shamans.nnls import nnls_active_set
 from shamans.selector import build_cost_tables
 
 from oracles import reference_path
@@ -22,15 +24,9 @@ RTOL = 1e-12
 
 
 def walk_all(A, B, **kwargs):
-    """Every column's path from one lockstep walk (IterationLimit kept)."""
+    """Every column's path from one lockstep walk."""
     walk = PathWalk(np.asfortranarray(A), np.asfortranarray(B), **kwargs)
-    out = []
-    for j in range(B.shape[1]):
-        try:
-            out.append(regularization_path(A, B[:, j], walk=walk, column=j))
-        except IterationLimit as exc:
-            out.append(exc)
-    return out
+    return [regularization_path(A, B[:, j], walk=walk, column=j) for j in range(B.shape[1])]
 
 
 def reference(A, b, **kwargs):
@@ -46,9 +42,6 @@ def supports(path):
 
 
 def assert_same_path(got, want):
-    if isinstance(want, IterationLimit):
-        assert isinstance(got, IterationLimit)
-        return
     assert supports(got) == supports(want)
     assert got.truncated == want.truncated
     for field in ("lam", "error_sq", "solution"):
@@ -57,9 +50,30 @@ def assert_same_path(got, want):
     assert np.array_equal(got.entries["cardinality"], want.entries["cardinality"])
 
 
+def assert_nnls_entry(entry, A, b):
+    """``entry`` is the path entry at lambda = 0 of the NNLS solution."""
+    sol = nnls_active_set(A, b)
+    assert entry["lam"] == 0.0 and entry["cardinality"] == sol.support.size
+    assert np.array_equal(np.flatnonzero(entry["support"]), sol.support)
+    for field in ("solution", "coeff_a"):
+        np.testing.assert_allclose(entry[field], sol.x, rtol=0, atol=1e-12)
+    assert not entry["coeff_b"].any()
+    assert entry["error_sq"] == pytest.approx(sol.residual_sq, rel=1e-12, abs=1e-300)
+
+
 def assert_matches_reference(A, B, **kwargs):
+    """Each column's path matches the reference walk; where that walk passes
+    the breakpoint limit, the path is its zero entry and the NNLS entry."""
     for j, got in enumerate(walk_all(A, B, **kwargs)):
-        assert_same_path(got, reference(A, B[:, j], **kwargs))
+        want = reference(A, B[:, j], **kwargs)
+        if isinstance(want, IterationLimit):
+            assert got.fallback and len(got.entries) == 2
+            zero = reference_path(A, B[:, j]).entries[:1]
+            assert_same_path(RegularizationPath(got.entries[:1]), RegularizationPath(zero))
+            assert_nnls_entry(got.entries[1], A, B[:, j])
+        else:
+            assert not got.fallback
+            assert_same_path(got, want)
 
 
 def test_random_instances():
@@ -164,8 +178,41 @@ def test_breakpoint_limit_of_one():
     B[:, 3:6] = A[:, [0]]  # the dominant atom alone: one breakpoint
     results = walk_all(A, B, max_breakpoints=1)
     assert_matches_reference(A, B, max_breakpoints=1)
-    assert any(isinstance(p, IterationLimit) for p in results)
-    assert not any(isinstance(p, IterationLimit) for p in results[:6])
+    assert any(p.fallback for p in results)
+    assert not any(p.fallback for p in results[:6])
+
+
+def test_breakpoint_limit_across_block_boundaries():
+    # Atom 4 is within 1e-9 of (W0 + W1)/2, so the NNLS of some columns
+    # meets a rank-deficient passive set; every seventh column is a multiple
+    # of atom 2 and finishes in one breakpoint.  Past the limit of two, a
+    # path is its zero entry and the NNLS entry, or only the zero entry when
+    # that NNLS is singular; every other path is the uncapped walk's.
+    rng = np.random.default_rng(0)
+    A = rng.random((8, 5))
+    A[:, 4] = 0.5 * (A[:, 0] + A[:, 1]) + 1e-9 * rng.random(8)
+    B = rng.random((8, BLOCK + 44))
+    B[:, ::7] = A[:, [2]] * rng.random(B[:, ::7].shape[1])
+    capped, free = walk_all(A, B, max_breakpoints=2), walk_all(A, B)
+    kinds = {"finished": set(), "fallback": set(), "singular": set()}
+    for j, (got, want) in enumerate(zip(capped, free)):
+        if not got.fallback:
+            assert got.entries.tobytes() == want.entries.tobytes()
+            assert got.truncated == want.truncated
+            kinds["finished"].add(j >= BLOCK)
+            continue
+        assert got.entries[0].tobytes() == want.entries[0].tobytes()
+        try:
+            nnls_active_set(A, B[:, j])
+        except SingularSystem:
+            assert got.truncated and len(got.entries) == 1
+            kinds["singular"].add(j >= BLOCK)
+            continue
+        assert not got.truncated and len(got.entries) == 2
+        assert_nnls_entry(got.entries[1], A, B[:, j])
+        kinds["fallback"].add(j >= BLOCK)
+    # Every kind of column occurs in both blocks.
+    assert all(blocks == {False, True} for blocks in kinds.values())
 
 
 def counted_fresh_solves(monkeypatch):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import shamans.homotopy as homotopy_mod
 import shamans.mnnls as mnnls_mod
 from shamans.errors import (DimensionMismatch, IterationLimit,
                             ZeroColumnInDictionary, ZeroDataMatrix)
@@ -313,16 +314,23 @@ class TestFallback:
                                                            rest.fallback_columns])
 
     def test_nested_limit_attaches_column(self, demo, monkeypatch):
+        # Zero columns never fall back, so the walk's NNLS solves columns
+        # 1, 3, 4, ... as rows 0, 1, 2, ...; its row 2 is data column 4.
         M, W = demo
+        M = np.column_stack([np.zeros(M.shape[0]), M[:, 0], np.zeros(M.shape[0]), M[:, 1:]])
+        nnls_gram = homotopy_mod.nnls_gram
 
-        def explode(*args, **kwargs):
-            raise IterationLimit("no pivots for you")
+        def explode(P, ell, mask=None, **kwargs):
+            if mask is None:  # the fallback's block solve, not a refit
+                assert ell.shape[0] == M.shape[1] - 2
+                raise IterationLimit("no pivots for you", row=2)
+            return nnls_gram(P, ell, mask, **kwargs)
 
-        monkeypatch.setattr(mnnls_mod, "nnls_active_set", explode)
+        monkeypatch.setattr(homotopy_mod, "nnls_gram", explode)
         cfg = SolveConfig(mode="unconstrained", max_breakpoints=1)
         with pytest.raises(IterationLimit) as info:
             solve(M, W, cfg)
-        assert info.value.column == 0
+        assert info.value.column == 4
 
 
 class TestPathReport:

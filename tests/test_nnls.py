@@ -90,16 +90,6 @@ def test_kkt_certificate():
         assert np.all(sol.x[off] == 0.0)
 
 
-def test_precomputed_gram_matches():
-    rng = np.random.default_rng(16)
-    A, b = random_nonneg_instance(rng, 7, 4)
-    P = gram(np.asfortranarray(A))
-    ell = A.T @ b
-    direct = nnls_active_set(A, b)
-    shared = nnls_active_set(A, b, gram_matrix=P, corr=ell)
-    np.testing.assert_allclose(shared.x, direct.x, atol=1e-12)
-
-
 def test_gram_entry_point():
     rng = np.random.default_rng(17)
     A, b = random_nonneg_instance(rng, 9, 4)
@@ -117,8 +107,8 @@ def test_bad_inputs():
 
 
 def test_iteration_limit_carries_column():
-    exc = IterationLimit("pivot cap", column=3)
-    assert exc.column == 3
+    exc = IterationLimit("pivot cap", row=1, column=3)
+    assert (exc.row, exc.column) == (1, 3)
     assert IterationLimit("pivot cap").column is None
 
 
