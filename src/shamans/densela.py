@@ -107,6 +107,33 @@ def carry_inverse(P: np.ndarray, G: np.ndarray, K: np.ndarray, enter: np.ndarray
     return s
 
 
+def range_split(Q: np.ndarray, B: np.ndarray):
+    """Split the columns b of B against range(Q), Q with orthonormal columns.
+
+    Returns Z, whose row j holds the coordinates z = Q.T b of column j,
+    and the squared norms ||b - Q z||^2 of the parts outside the range,
+    each read from its residual so that no difference of squares cancels.
+    """
+    # Row-major products: a column-major B is read along its columns.
+    Z = B.T @ Q
+    perp = Z @ Q.T
+    perp -= B.T
+    return Z, np.einsum("ij,ij->i", perp, perp)
+
+
+def residual_sq(R: np.ndarray, Z: np.ndarray, perp_sq: np.ndarray,
+                X: np.ndarray) -> np.ndarray:
+    """||A x - b||^2 for each row x of X, given A = QR with Q orthonormal
+    and range_split(Q, B) = (Z, perp_sq), rows matched to X's.
+
+    b - Q Q.T b is orthogonal to range(A), so by Pythagoras the error is
+    ||b - Q z||^2 + ||z - R x||^2: two sums of squares, O(r^2) per row.
+    It holds for any A, rank deficient or with fewer rows than columns.
+    """
+    D = Z - X @ R.T
+    return perp_sq + np.einsum("ij,ij->i", D, D)
+
+
 def frob_norm(A: np.ndarray) -> float:
     """Square root of the sum of squared entries."""
     return float(np.sqrt(np.sum(np.square(A, dtype=np.float64))))

@@ -26,15 +26,22 @@ in lockstep, one breakpoint per round.  Each column carries G = P(K,K)^-1,
 zero off K, across breakpoints by densela.carry_inverse, so a round costs
 O(r^2) per column: G and one step of iterative refinement give a and b,
 P gives c and d, and nnls_gram, started from G, refits the supports whose
-least-squares solution goes negative.  1/G_ii is the Schur pivot of atom
-i against the rest of its support and bounds every Cholesky pivot of
-P(K,K) from below.  A column whose smallest Schur pivot falls below
-SCHUR_GUARD times the largest diagonal entry of P on its support has G
-re-seeded from one checked factorization and inverse of P(K,K), whose
-check decides whether the support is rank deficient.  The kernels take a
-(B, r) boolean support mask, one row per column, and full-space (B, r)
-coefficient arrays that are zero off the rows' supports (a, b) or on
-them (c, d).
+least-squares solution goes negative.  No round touches the m rows of A
+or b: with the thin QR factorization A = QR (Golub and Van Loan, Matrix
+Computations, 5.3) computed once per walk, and z = Q.T b and
+||b - Q z||^2 once per column, each refit's error is
+
+    ||A x - b||^2 = ||b - Q z||^2 + ||z - R x||^2,
+
+exactly, because b - Q z is orthogonal to range(A).  1/G_ii is the Schur
+pivot of atom i against the rest of its support and bounds every
+Cholesky pivot of P(K,K) from below.  A column whose smallest Schur
+pivot falls below SCHUR_GUARD times the largest diagonal entry of P on
+its support has G re-seeded from one checked factorization and inverse
+of P(K,K), whose check decides whether the support is rank deficient.
+The kernels take a (B, r) boolean support mask, one row per column, and
+full-space (B, r) coefficient arrays that are zero off the rows'
+supports (a, b) or on them (c, d).
 """
 
 from __future__ import annotations
@@ -45,9 +52,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import densela
-from .densela import as_matrix, as_vector, carry_inverse, spd_factor
+from .densela import as_matrix, as_vector, carry_inverse, range_split, residual_sq, spd_factor
 from .errors import IterationLimit, SingularSystem
-from .nnls import nnls_gram
+from .nnls import check_tol, nnls_gram
 
 LEAVE = 0
 ENTER = 1
@@ -72,7 +79,8 @@ def path_dtype(r: int) -> np.dtype:
     stops being optimal, the lower end of its optimality interval.
     ``solution`` is the unbiased refit on the support, zero elsewhere;
     ``error_sq`` its residual ||A x - b||^2 against the original system
-    and ``cardinality`` its number of nonzeros.  ``coeff_a`` and
+    (b @ b on the zero entry, else from densela.residual_sq) and
+    ``cardinality`` its number of nonzeros.  ``coeff_a`` and
     ``coeff_b`` are zero off the support and give the biased solution as
     a - lambda * b for any lambda inside the interval.
     """
@@ -147,7 +155,7 @@ def next_breakpoint(a, b, c, d, K, lambda_current, tol: float):
 
 
 def unbias(P: np.ndarray, ell: np.ndarray, K: np.ndarray, a: np.ndarray, G: np.ndarray,
-           A: np.ndarray, B: np.ndarray, tol: float = 1e-10):
+           tol: float = 1e-10):
     """Penalty-free least-squares refits on the supports K.
 
     ``a`` holds the least-squares solutions on K and G the (B, r, r)
@@ -155,16 +163,15 @@ def unbias(P: np.ndarray, ell: np.ndarray, K: np.ndarray, a: np.ndarray, G: np.n
     path entry).  A row keeps a when it is nonnegative; the rows where it
     is not are refit together by one call of the active-set solver, each
     restricted to its K and started from its G.  Returns the (B, r)
-    refits, their errors ||A x - b||^2 against the columns b of B (the
-    original right-hand sides), and the number of rows refit.
+    refits and the number of rows refit; densela.residual_sq gives their
+    errors.
     """
     X = a.copy()
     infeasible = (a < 0.0).any(axis=1)
     if infeasible.any():
         X[infeasible] = nnls_gram(P, ell[infeasible], K[infeasible], tol=tol,
                                   inverse=G[infeasible])
-    resid = A @ X.T - B
-    return X, np.einsum("ij,ij->j", resid, resid), int(np.count_nonzero(infeasible))
+    return X, int(np.count_nonzero(infeasible))
 
 
 def _support_inverse(P: np.ndarray, K: np.ndarray) -> np.ndarray:
@@ -217,10 +224,9 @@ class PathWalk:
 
     def __init__(self, A, B, tol: float = 1e-10, max_breakpoints: int | None = None,
                  gram_matrix=None, corr=None):
-        if not tol > 0:  # also NaN
-            raise ValueError("tol must be positive")
+        check_tol(tol)
         check_max_breakpoints(max_breakpoints)
-        self.A = A
+        self.Q, self.R = np.linalg.qr(A)
         self.B = B
         self.P = densela.gram(A) if gram_matrix is None else gram_matrix
         self.L = A.T @ B if corr is None else corr
@@ -243,7 +249,8 @@ class PathWalk:
         r = P.shape[0]
         diag = np.diagonal(P)
         ell = np.ascontiguousarray(self.L[:, start:stop].T)
-        rhs = self.B[:, start:stop]
+        rhs = self.B[:, start:stop]  # read here and by the zero entries only
+        Z, perp_sq = range_split(self.Q, rhs)
         width = stop - start
         tol_neg = tol * (1.0 + float(np.abs(P).max(initial=0.0)))
         dtype = path_dtype(r)
@@ -300,10 +307,10 @@ class PathWalk:
             c = np.where(K, 0.0, grad[:, 0])
             d = np.where(K, 0.0, grad[:, 1])
             lam_next, kind, index = next_breakpoint(a, b, c, d, K, lam, tol_neg)
-            X, err, refits = unbias(P, rhs2[:, 0], K, a, G, self.A, rhs[:, live], tol=tol)
+            X, refits = unbias(P, rhs2[:, 0], K, a, G, tol=tol)
             self.refits += refits
             lam_next[lam_next <= tol_lam] = 0.0
-            record(live, lam_next, err, K, X, a, b)
+            record(live, lam_next, residual_sq(self.R, Z[live], perp_sq[live], X), K, X, a, b)
             go = (kind != TERMINATE) & (lam_next != 0.0)
             if not go.all():
                 live, rhs2, tol_lam, K, G = (x[go] for x in (live, rhs2, tol_lam, K, G))
@@ -327,18 +334,18 @@ class PathWalk:
             except IterationLimit as exc:
                 exc.column = start + int(fell[exc.row])
                 raise
-            resid = self.A @ X.T - rhs[:, fell]
-            record(fell, 0.0, np.einsum("ij,ij->j", resid, resid), X > 0.0, X, X, 0.0)
+            record(fell, 0.0, residual_sq(self.R, Z[fell], perp_sq[fell], X), X > 0.0, X, X, 0.0)
             break
 
         # Records come in round order; a stable sort makes each path one slice.
         # dtype= spares numpy resolving the record type once per round.
         owner = np.concatenate(owners)
         entries = np.concatenate(records, dtype=dtype)[np.argsort(owner, kind="stable")]
-        ends = np.cumsum(np.bincount(owner, minlength=width))[:-1]
-        for p, path in enumerate(np.split(entries, ends)):
-            self._paths[start + p] = RegularizationPath(path, truncated=bool(truncated[p]),
-                                                        fallback=bool(over[p]))
+        ends = np.cumsum(np.bincount(owner, minlength=width)).tolist()
+        for p, (lo, hi, cut, capped) in enumerate(zip([0] + ends, ends, truncated.tolist(),
+                                                      over.tolist())):
+            self._paths[start + p] = RegularizationPath(entries[lo:hi], truncated=cut,
+                                                        fallback=capped)
 
     def path(self, j: int) -> RegularizationPath:
         if j not in self._paths:

@@ -20,6 +20,7 @@ from . import selector
 from .densela import as_matrix, frob_norm, gram
 from .errors import DimensionMismatch, ZeroColumnInDictionary, ZeroDataMatrix
 from .homotopy import PathWalk, check_max_breakpoints, regularization_path
+from .nnls import check_tol
 
 MODES = ("shamans", "ksparse", "unconstrained")
 
@@ -49,10 +50,9 @@ class SolveConfig:
             count = getattr(self, name)  # NumPy integers pass; None, 2.5 and NaN do not
             if self.mode == mode and not (isinstance(count, numbers.Integral) and count >= 0):
                 raise ValueError(f"{mode} mode needs a nonnegative integer {name}")
-        if not self.tol > 0:  # also NaN
-            raise ValueError("tol must be positive")
-        if not self.zero_threshold >= 0:  # also NaN
-            raise ValueError("zero_threshold must be nonnegative")
+        check_tol(self.tol)
+        if not (self.zero_threshold >= 0 and np.isfinite(self.zero_threshold)):  # also NaN
+            raise ValueError("zero_threshold must be nonnegative and finite")
         check_max_breakpoints(self.max_breakpoints)
 
 

@@ -34,6 +34,16 @@ class NnlsSolution:
     residual_sq: float
 
 
+def check_tol(tol) -> None:
+    """Reject a solver tolerance that is not a finite positive number.
+
+    An infinite tol would snap every coefficient and stop every solver at
+    once, returning zero solutions as if they were optimal.
+    """
+    if not (tol > 0 and np.isfinite(tol)):  # also NaN
+        raise ValueError("tol must be positive and finite")
+
+
 def nnls_gram(P: np.ndarray, ell: np.ndarray, mask: np.ndarray | None = None,
               tol: float = 1e-10, inverse: np.ndarray | None = None,
               on_iterate=None) -> np.ndarray:
@@ -166,8 +176,7 @@ def nnls_active_set(A, b, tol: float = 1e-10, on_iterate=None) -> NnlsSolution:
     b = as_vector(b, "b")
     if A.shape[0] != b.shape[0]:
         raise ValueError(f"A has {A.shape[0]} rows but b has {b.shape[0]}")
-    if not tol > 0:  # also NaN
-        raise ValueError("tol must be positive")
+    check_tol(tol)
     x = nnls_gram(gram(A), A.T @ b, tol=tol, on_iterate=on_iterate)
     resid = A @ x - b
     return NnlsSolution(x=x, support=np.flatnonzero(x > 0.0),

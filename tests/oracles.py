@@ -5,8 +5,9 @@ enumeration for NNLS, exhaustive cursor enumeration for the budgeted
 selection, a direct KKT evaluation of the penalized problem, a
 one-column-at-a-time homotopy walk for the lockstep engine, a
 one-column-at-a-time active-set NNLS for the block solver, a
-lazy-heap greedy for the sorted hull-segment selection, and a per-entry,
-per-level fold of the paths for the vectorized cost tables.
+lazy-heap greedy for the sorted hull-segment selection, a per-entry,
+per-level fold of the paths for the vectorized cost tables, and residuals
+formed in extended precision for the path entries' errors.
 """
 
 import heapq
@@ -186,6 +187,15 @@ def random_nonneg_instance(rng, m, r, noise=0.0):
     if noise:
         b = b + noise * np.abs(rng.standard_normal(m))
     return A, b
+
+
+def extended_residual_sq(A, B, X):
+    """||A x - b||^2 for each row x of X and matching column b of B, the
+    residual formed and summed in numpy's extended precision (np.longdouble,
+    which is plain float64 on platforms without a wider type)."""
+    E = np.longdouble
+    resid = np.asarray(A, E) @ np.asarray(X, E).T - np.asarray(B, E)
+    return (resid * resid).sum(axis=0)
 
 
 def random_spd(rng, k):

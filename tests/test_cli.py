@@ -335,6 +335,8 @@ class TestMain:
          "--map-height", "6"],
         ["--mode", "ksparse", "--k", "3", "--maps-dir", "m", "--map-width", "-2",
          "--map-height", "-3"],
+        ["--mode", "unconstrained", "--tol", "inf"],
+        ["--mode", "unconstrained", "--zero-thresh", "inf"],
     ])
     def test_bad_flag_values_are_usage_errors_before_any_read(self, demo_files, flags,
                                                                monkeypatch, capsys):

@@ -3,9 +3,12 @@ import pytest
 
 from shamans import densela
 from shamans.errors import NonFiniteEntry, SingularSystem
+from shamans.homotopy import PathWalk
 
 from demo_data import DEMO_W
-from oracles import random_spd, solve_spd
+from oracles import extended_residual_sq, random_spd, solve_spd
+
+EPS = np.finfo(float).eps
 
 
 class TestGram:
@@ -131,6 +134,96 @@ class TestCarryInverse:
         floor = densela.PIVOT_FLOOR * np.where(K, np.diagonal(P), 0.0).max(axis=1)
         assert pivot[0] < floor[0]
         assert pivot[1] > 1e-3 * floor[1] / densela.PIVOT_FLOOR  # independent
+
+
+def assert_kernel_errors(A, B, X, exact=False):
+    """residual_sq's errors of the rows of X against the matching columns
+    of B lie within 1e-12 relative of the extended-precision residual.  An
+    exact fit, whose residual is roundoff, gets an absolute floor of
+    64 eps ||b|| ||A x - b||."""
+    Q, R = np.linalg.qr(A)
+    got = densela.residual_sq(R, *densela.range_split(Q, B), X)
+    want = extended_residual_sq(A, B, X)
+    floor = 64 * EPS * np.linalg.norm(B, axis=0) * np.sqrt(want) if exact else 0.0
+    assert (np.abs(got - want) <= 1e-12 * want + floor).all(), np.abs(got - want) / want
+
+
+def least_squares(A, B):
+    """Row j: a least-squares solution for column j of B (may go negative)."""
+    return np.linalg.lstsq(A, B, rcond=None)[0].T
+
+
+def workload_like(rng, m, r, n):
+    """A rand + 0.05 dictionary and columns mixing a few of its atoms with
+    weights in [0.2, 1), plus 0.005 Gaussian noise clipped at 0."""
+    A = np.asfortranarray(rng.random((m, r)) + 0.05)
+    H = np.where(rng.random((r, n)) < 0.2, rng.uniform(0.2, 1.0, (r, n)), 0.0)
+    return A, np.clip(A @ H + 0.005 * rng.standard_normal((m, n)), 0.0, None)
+
+
+class TestResidualSq:
+    """The walk's error kernel ||b - Q z||^2 + ||z - R x||^2 against residuals
+    formed in extended precision.  Near fits (least squares, path ends) are
+    where a form that cancels, like ||b||^2 - 2 x.ell + x.P x, fails."""
+
+    def test_exact_dependency(self):
+        rng = np.random.default_rng(41)
+        A = rng.random((30, 6))
+        A[:, 4] = 0.5 * (A[:, 0] + A[:, 1])
+        B = A @ rng.random((6, 20)) + 1e-3 * rng.standard_normal((30, 20))
+        assert np.linalg.matrix_rank(A) == 5
+        assert_kernel_errors(A, B, least_squares(A, B))
+        assert_kernel_errors(A, B, rng.random((20, 6)))
+
+    def test_fewer_rows_than_atoms(self):
+        # Q is 3 x 3 and every column lies in range(A): least squares fits exactly.
+        rng = np.random.default_rng(42)
+        A = rng.random((3, 5)) + 0.05
+        B = rng.random((3, 20))
+        Q, R = np.linalg.qr(A)
+        assert Q.shape == (3, 3) and R.shape == (3, 5)
+        assert_kernel_errors(A, B, least_squares(A, B), exact=True)
+        assert_kernel_errors(A, B, rng.random((20, 5)))
+
+    def test_zero_column_and_exact_fit(self):
+        rng = np.random.default_rng(43)
+        A = rng.random((40, 6)) + 0.05
+        h = rng.random(6)
+        B = np.column_stack([np.zeros(40), A @ h])
+        Q, R = np.linalg.qr(A)
+        Z, perp_sq = densela.range_split(Q, B)
+        assert not Z[0].any() and perp_sq[0] == 0.0
+        assert (densela.residual_sq(R, Z, perp_sq, np.zeros((2, 6)))[0]) == 0.0
+        assert_kernel_errors(A, B, rng.random((2, 6)))
+        assert_kernel_errors(A, B, np.stack([np.zeros(6), h]), exact=True)
+        assert_kernel_errors(A, B, least_squares(A, B), exact=True)
+
+    @pytest.mark.parametrize("k_a, k_b", [(64, 64), (-64, -64), (64, -64), (-64, 64),
+                                          (0, 64), (-64, 0)])
+    def test_power_of_two_scales(self, k_a, k_b):
+        # A scaled by 2^k_a and B by 2^k_b, jointly and separately.
+        rng = np.random.default_rng(44)
+        A, B = workload_like(rng, 60, 6, 30)
+        X = least_squares(A, B)
+        scale_a, scale_b = 2.0**k_a, 2.0**k_b
+        A, B = scale_a * A, scale_b * B
+        assert_kernel_errors(A, B, scale_b / scale_a * X)
+        assert_kernel_errors(A, B, scale_b / scale_a * rng.random((30, 6)))
+
+    def test_workload_like_paths(self):
+        # Every entry the walk records, the near fits at the paths' ends
+        # among them, and least squares on the full dictionary.
+        rng = np.random.default_rng(45)
+        A, B = workload_like(rng, 200, 24, 60)
+        walk = PathWalk(A, B)
+        entries = [walk.path(j).entries for j in range(60)]
+        columns = np.repeat(np.arange(60), [len(e) for e in entries])
+        e = np.concatenate(entries)
+        assert len(e) > 300
+        want = extended_residual_sq(A, B[:, columns], e["solution"])
+        assert (np.abs(e["error_sq"] - want) <= 1e-12 * want).all()
+        assert_kernel_errors(A, B[:, columns], e["solution"])
+        assert_kernel_errors(A, B, least_squares(A, B))
 
 
 class TestFrobNorm:

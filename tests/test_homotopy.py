@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shamans.densela import gram
+from shamans.densela import gram, range_split, residual_sq
 from shamans.errors import IterationLimit, SingularSystem
 from shamans.homotopy import (ENTER, LEAVE, TERMINATE, PathWalk, _support_inverse, lambda_max,
                               next_breakpoint, regularization_path, unbias)
@@ -162,12 +162,18 @@ class TestNextBreakpoint:
         assert lam[0] == 0.0 and kind[0] == TERMINATE
 
 
+def kernel_errors(A, B, X):
+    """The walk's errors ||A x - b||^2 of the rows of X against the columns of B."""
+    Q, R = np.linalg.qr(A)
+    return residual_sq(R, *range_split(Q, B), X)
+
+
 class TestUnbias:
     def test_empty_support(self):
         b = dd.DEMO_M[:, 0]
         K = support_mask(4, [])
-        x, err, refits = unbias(DEMO_P, DEMO_ELL0[None], K, np.zeros((1, 4)),
-                                np.zeros((1, 4, 4)), dd.DEMO_W, b[:, None])
+        x, refits = unbias(DEMO_P, DEMO_ELL0[None], K, np.zeros((1, 4)), np.zeros((1, 4, 4)))
+        err = kernel_errors(dd.DEMO_W, b[:, None], x)
         assert refits == 0
         np.testing.assert_array_equal(x[0], np.zeros(4))
         assert err[0] == pytest.approx(float(b @ b), rel=1e-12)
@@ -178,8 +184,8 @@ class TestUnbias:
         K = np.array([1, 2, 3])
         a = coefficients(DEMO_P, DEMO_ELL0, K)[0]
         mask = support_mask(4, K)
-        x, err, refits = unbias(DEMO_P, DEMO_ELL0[None], mask, a,
-                                _support_inverse(DEMO_P, mask), dd.DEMO_W, b[:, None])
+        x, refits = unbias(DEMO_P, DEMO_ELL0[None], mask, a, _support_inverse(DEMO_P, mask))
+        err = kernel_errors(dd.DEMO_W, b[:, None], x)
         assert refits == 0
         x, err = x[0], err[0]
         ls, *_ = np.linalg.lstsq(dd.DEMO_W[:, K], b, rcond=None)
@@ -202,7 +208,8 @@ class TestUnbias:
         assert ls.min() < 0  # the construction really exercises the branch
         a = coefficients(P, ell, K)[0]
         mask = support_mask(3, K)
-        x, err, refits = unbias(P, ell[None], mask, a, _support_inverse(P, mask), A, b[:, None])
+        x, refits = unbias(P, ell[None], mask, a, _support_inverse(P, mask))
+        err = kernel_errors(A, b[:, None], x)
         assert refits == 1
         x, err = x[0], err[0]
         x_star, err_star = nnls_bruteforce(A[:, K], b)
@@ -230,8 +237,8 @@ class TestUnbias:
         e = np.concatenate(entries)
         K, a = e["support"], e["coeff_a"]
         assert ((a < 0.0).sum(axis=1) >= 2).sum() > 10
-        x, err, refits = unbias(P, L.T[columns], K, a, _support_inverse(P, K), A,
-                                B[:, columns])
+        x, refits = unbias(P, L.T[columns], K, a, _support_inverse(P, K))
+        err = kernel_errors(A, B[:, columns], x)
         assert refits == len(columns)
         np.testing.assert_allclose(x, e["solution"], rtol=0, atol=1e-12)
         for i, j in enumerate(columns):
@@ -352,10 +359,13 @@ class TestRegularizationPath:
         assert not last["coeff_b"].any()
         assert last["error_sq"] == pytest.approx(sol.residual_sq, rel=1e-12)
 
-    @pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0, np.inf])
     def test_bad_tol_rejected(self, tol):
-        with pytest.raises(ValueError, match="tol must be positive"):
+        # An infinite tol ended every path at its zero entry.
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
             regularization_path(dd.DEMO_W, dd.DEMO_M[:, 0], tol=tol)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            PathWalk(dd.DEMO_W, dd.DEMO_M, tol=tol)
 
     @pytest.mark.parametrize("cap", [0, -5, 2.5, np.nan, "3"])
     def test_bad_max_breakpoints_rejected(self, cap):

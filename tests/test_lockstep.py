@@ -18,7 +18,7 @@ from shamans.homotopy import (BLOCK, PathWalk, RegularizationPath, path_dtype,
 from shamans.nnls import nnls_active_set
 from shamans.selector import build_cost_tables
 
-from oracles import reference_path
+from oracles import extended_residual_sq, reference_path
 
 RTOL = 1e-12
 
@@ -291,6 +291,8 @@ def test_record_invariants():
         zero = e[0]
         assert zero["lam"] == walk.L[:, j].max()
         assert zero["error_sq"] == B[:, j] @ B[:, j]
+        want = extended_residual_sq(A, B[:, [j] * len(e)], e["solution"])
+        assert (np.abs(e["error_sq"] - want) <= 1e-12 * want).all(), j
         assert zero["cardinality"] == 0 and not zero["support"].any()
         assert (np.diff(e["lam"]) <= 0.0).all() and e["lam"][-1] == 0.0
         for field in ("solution", "coeff_a", "coeff_b"):

@@ -182,10 +182,13 @@ class TestValidation:
             SolveConfig(mode="ksparse")  # missing k
         with pytest.raises(ValueError):
             SolveConfig(mode="shamans", q=-1)
-        with pytest.raises(ValueError):
-            SolveConfig(mode="unconstrained", tol=0.0)
-        for threshold in (-1.0, np.nan):
-            with pytest.raises(ValueError, match="zero_threshold must be nonnegative"):
+        # tol = inf used to stop the unconstrained solve at the zero
+        # solution and list no column as inexact.
+        for tol in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                SolveConfig(mode="unconstrained", tol=tol)
+        for threshold in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="zero_threshold must be nonnegative and finite"):
                 SolveConfig(mode="unconstrained", zero_threshold=threshold)
         SolveConfig(mode="unconstrained", zero_threshold=0.0)  # counts every nonzero
         # k = 2.5 used to run as k = 2, and q = NaN passed every check and

@@ -101,8 +101,8 @@ def test_gram_entry_point():
 def test_bad_inputs():
     with pytest.raises(ValueError):
         nnls_active_set(DEMO_W, np.zeros(4))  # length mismatch
-    for tol in (np.nan, 0.0, -1.0):
-        with pytest.raises(ValueError, match="tol must be positive"):
+    for tol in (np.nan, 0.0, -1.0, np.inf):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
             nnls_active_set(DEMO_W, np.ones(5), tol=tol)
 
 
@@ -204,7 +204,7 @@ def test_refits_factor_nothing(monkeypatch):
     for name in ("solve", "cholesky", "inv"):
         monkeypatch.setattr(np.linalg, name, disabled)
     for X in (nnls_gram(P, ell, mask), nnls_gram(P, ell, mask, inverse=G),
-              unbias(P, ell, mask, a, G, A, B)[0]):
+              unbias(P, ell, mask, a, G)[0]):
         assert (np.abs(X - want) / scale).max() <= 1e-12
 
 
