@@ -22,14 +22,17 @@ always the zero solution at lambda_max and the last entry sits at
 lambda = 0 with the unconstrained NNLS solution.
 
 Every right-hand side shares P, so the walk advances a block of columns
-in lockstep, one breakpoint per round.  Each column carries G = P(K,K)^-1,
-zero off K, across breakpoints by densela.carry_inverse, so a round costs
-O(r^2) per column: G and one step of iterative refinement give a and b,
-P gives c and d, and nnls_gram, started from G, refits the supports whose
-least-squares solution goes negative.  No round touches the m rows of A
-or b: with the thin QR factorization A = QR (Golub and Van Loan, Matrix
-Computations, 5.3) computed once per walk, and z = Q.T b and
-||b - Q z||^2 once per column, each refit's error is
+in lockstep, one breakpoint per round; block_width sizes the block so
+that its carried inverses fill one working-set budget.  Each column
+carries G = P(K,K)^-1, zero off K, across breakpoints by
+densela.carry_inverse, so a round costs O(r^2) per column: G and one step
+of iterative refinement give a and b, and P gives c and d.  The entries
+whose least-squares solution goes negative are pooled across rounds and
+refit together, half a block at a time, by nnls_gram started from their
+G.  No round touches the m rows of A or b: with the thin QR
+factorization A = QR (Golub and Van Loan, Matrix Computations, 5.3)
+computed once per walk, and z = Q.T b and ||b - Q z||^2 once per column,
+each refit's error is
 
     ||A x - b||^2 = ||b - Q z||^2 + ||z - R x||^2,
 
@@ -60,9 +63,10 @@ LEAVE = 0
 ENTER = 1
 TERMINATE = 2
 
-# Columns walked together.  It bounds the (BLOCK, r, r) inverses a walk
-# carries; walking every column at once raised peak memory without saving time.
-BLOCK = 256
+# Float64 entries in the largest array a walk holds: the (columns, r, r)
+# inverses its block carries, and range_split's (columns, m) temporary.  It is
+# 256 columns at r = 24; fewer, larger blocks share each round's numpy calls.
+BUDGET = 256 * 24 * 24
 
 # Smallest Schur pivot, relative to the largest diagonal entry of P on the
 # support, at which the carried inverse is trusted.  It sits far above
@@ -70,6 +74,12 @@ BLOCK = 256
 # a wide margin, and one that would fail that check falls below it (the
 # smallest Schur pivot is at most r times the smallest Cholesky pivot).
 SCHUR_GUARD = 1e-6
+
+
+def block_width(r: int) -> int:
+    """Columns walked together over a dictionary of r atoms: as many as
+    keep their (columns, r, r) carried inverses within BUDGET."""
+    return max(1, BUDGET // max(1, r * r))
 
 
 def path_dtype(r: int) -> np.dtype:
@@ -164,7 +174,7 @@ def unbias(P: np.ndarray, ell: np.ndarray, K: np.ndarray, a: np.ndarray, G: np.n
     is not are refit together by one call of the active-set solver, each
     restricted to its K and started from its G.  Returns the (B, r)
     refits and the number of rows refit; densela.residual_sq gives their
-    errors.
+    errors.  PathWalk pools the negative rows of many rounds into one call.
     """
     X = a.copy()
     infeasible = (a < 0.0).any(axis=1)
@@ -203,6 +213,13 @@ def _below_guard(G: np.ndarray, K: np.ndarray, diag: np.ndarray) -> np.ndarray:
     return ~((g > 0.0) & (g <= bound[:, None]) | ~K).all(axis=1)
 
 
+def _at_column(exc: IterationLimit, column: int) -> IterationLimit:
+    """The IterationLimit of one row of a block solve, restated for the
+    data column that row holds."""
+    return IterationLimit(f"column {column} exceeded its active-set pivot limit",
+                          row=exc.row, column=column)
+
+
 def check_max_breakpoints(max_breakpoints) -> None:
     """Reject a breakpoint cap that is neither None nor a positive integer."""
     if max_breakpoints is not None and not (
@@ -213,13 +230,14 @@ def check_max_breakpoints(max_breakpoints) -> None:
 class PathWalk:
     """Regularization paths of every column of B over one dictionary A.
 
-    Columns are walked BLOCK at a time, in lockstep, when
+    Columns are walked block_width(r) at a time, in lockstep, when
     regularization_path first asks for a column of the block.  A column
     whose path exceeds ``max_breakpoints`` (default 50 r) ends at its NNLS
     solution with ``fallback`` set.  ``refits`` counts the path entries of
     the blocks walked so far whose least-squares solution went negative,
     i.e. the rows unbias sent to the active-set solver.  An IterationLimit
-    from a fallback's active-set solve leaves with ``column`` set.
+    from an active-set solve, a refit's or a fallback's, leaves with
+    ``column`` set to the data column.
     """
 
     def __init__(self, A, B, tol: float = 1e-10, max_breakpoints: int | None = None,
@@ -233,6 +251,7 @@ class PathWalk:
         self.tol = tol
         r = self.P.shape[0]
         self.max_breakpoints = 50 * r if max_breakpoints is None else max_breakpoints
+        self.block = block_width(r)  # columns walked together
         self._paths = {}  # column -> RegularizationPath
         self.refits = 0
 
@@ -240,18 +259,23 @@ class PathWalk:
         """Walk columns start..stop-1 in lockstep, one breakpoint per round.
 
         The arrays indexed by row describe the live columns ``live`` only;
-        a column leaves them when its path ends.  The columns still live
-        after ``max_breakpoints`` rounds drop their records past the zero
-        entry and end at the NNLS solution, found for all of them by one
-        call of the active-set solver.
+        a column leaves them when its path ends.  A round records every
+        live column's least-squares solution as its refit; the entries
+        where it goes negative are pooled, and once the pool holds half
+        the block one unbias call refits them and rewrites their records.
+        The columns still live after ``max_breakpoints`` rounds drop their
+        records past the zero entry and end at the NNLS solution, found
+        for all of them by one call of the active-set solver.
         """
         P, tol = self.P, self.tol
         r = P.shape[0]
         diag = np.diagonal(P)
         ell = np.ascontiguousarray(self.L[:, start:stop].T)
         rhs = self.B[:, start:stop]  # read here and by the zero entries only
-        Z, perp_sq = range_split(self.Q, rhs)
         width = stop - start
+        step = max(1, BUDGET // max(1, rhs.shape[0]))  # range_split's (step, m) temporary
+        Z, perp_sq = map(np.concatenate, zip(*(range_split(self.Q, rhs[:, i:i + step])
+                                              for i in range(0, width, step))))
         tol_neg = tol * (1.0 + float(np.abs(P).max(initial=0.0)))
         dtype = path_dtype(r)
         records, owners = [], []
@@ -263,6 +287,31 @@ class PathWalk:
                                                  err, K, X, a, b)):
                 records[-1][name] = value
             owners.append(cols)
+
+        pool = []  # (record array, its rows, columns, ell, K, a, G) awaiting refits
+        pooled = 0
+
+        def refit_pool():
+            """Refit the pooled entries by one unbias call and write their
+            refits, cardinalities and errors into their records."""
+            nonlocal pooled
+            if not pool:
+                return
+            arrays, at, cols, *unbias_args = zip(*pool)
+            cols = np.concatenate(cols)
+            try:
+                X, refits = unbias(P, *map(np.concatenate, unbias_args), tol=tol)
+            except IterationLimit as exc:
+                raise _at_column(exc, start + int(cols[exc.row])) from exc
+            self.refits += refits
+            err = residual_sq(self.R, Z[cols], perp_sq[cols], X)
+            ends = np.cumsum([rows.size for rows in at])[:-1]
+            for entries, rows, x, e in zip(arrays, at, np.split(X, ends), np.split(err, ends)):
+                entries["solution"][rows] = x
+                entries["cardinality"][rows] = np.count_nonzero(x, axis=1)
+                entries["error_sq"][rows] = e
+            pool.clear()
+            pooled = 0
 
         lam, first = lambda_max(ell)  # the zero entries
         record(np.arange(width), lam, [b @ b for b in rhs.T], False, np.zeros((width, r)),
@@ -307,10 +356,17 @@ class PathWalk:
             c = np.where(K, 0.0, grad[:, 0])
             d = np.where(K, 0.0, grad[:, 1])
             lam_next, kind, index = next_breakpoint(a, b, c, d, K, lam, tol_neg)
-            X, refits = unbias(P, rhs2[:, 0], K, a, G, tol=tol)
-            self.refits += refits
             lam_next[lam_next <= tol_lam] = 0.0
-            record(live, lam_next, residual_sq(self.R, Z[live], perp_sq[live], X), K, X, a, b)
+            record(live, lam_next, residual_sq(self.R, Z[live], perp_sq[live], a), K, a, a, b)
+            negative = np.flatnonzero((a < 0.0).any(axis=1))
+            if negative.size:
+                if pooled + negative.size > width:  # keep the pool within a block
+                    refit_pool()
+                pool.append((records[-1], negative, live[negative], rhs2[negative, 0],
+                             K[negative], a[negative], G[negative]))
+                pooled += negative.size
+                if 2 * pooled >= width:
+                    refit_pool()
             go = (kind != TERMINATE) & (lam_next != 0.0)
             if not go.all():
                 live, rhs2, tol_lam, K, G = (x[go] for x in (live, rhs2, tol_lam, K, G))
@@ -318,6 +374,7 @@ class PathWalk:
             fresh = _below_guard(G, K, diag)
             lam = lam_next[go]
             rounds += 1
+        refit_pool()  # before the records past the limit are dropped
 
         fell = np.flatnonzero(over)
         if fell.size:  # past the limit a path keeps only its zero entry of the walk
@@ -332,15 +389,17 @@ class PathWalk:
                 fell = np.delete(fell, exc.matrices)
                 continue
             except IterationLimit as exc:
-                exc.column = start + int(fell[exc.row])
-                raise
+                raise _at_column(exc, start + int(fell[exc.row])) from exc
             record(fell, 0.0, residual_sq(self.R, Z[fell], perp_sq[fell], X), X > 0.0, X, X, 0.0)
             break
 
         # Records come in round order; a stable sort makes each path one slice.
-        # dtype= spares numpy resolving the record type once per round.
+        # dtype= spares numpy resolving the record type once per round, and
+        # dropping the rounds' arrays before the gather keeps two copies, not three.
         owner = np.concatenate(owners)
-        entries = np.concatenate(records, dtype=dtype)[np.argsort(owner, kind="stable")]
+        entries = np.concatenate(records, dtype=dtype)
+        records.clear()
+        entries = entries[np.argsort(owner, kind="stable")]
         ends = np.cumsum(np.bincount(owner, minlength=width)).tolist()
         for p, (lo, hi, cut, capped) in enumerate(zip([0] + ends, ends, truncated.tolist(),
                                                       over.tolist())):
@@ -349,8 +408,8 @@ class PathWalk:
 
     def path(self, j: int) -> RegularizationPath:
         if j not in self._paths:
-            start = j - j % BLOCK
-            self._walk(start, min(start + BLOCK, self.B.shape[1]))
+            start = j - j % self.block
+            self._walk(start, min(start + self.block, self.B.shape[1]))
         return self._paths[j]
 
 

@@ -361,3 +361,41 @@ def reference_path(A, b, tol=1e-10, max_breakpoints=None):
             K = np.sort(np.append(K, Kbar[best[kind][1]]))
         lam = lam_next
     return RegularizationPath(np.array(entries, dtype=path_dtype(r)), truncated=truncated)
+
+
+def breakpoint_condition(A, b, entries):
+    """First-order relative condition number of each path entry's lam.
+
+    Entry i's support K stops being optimal at lam = c_j / d_j, where atom
+    j's complement gradient crosses zero (j enters), or at lam = a_j / b_j,
+    where its coefficient does (j leaves), with (a, b) the solutions of
+    P(K,K) [a b] = [ell(K) 1].  Perturbing every operation by a relative
+    eps moves lam by at most eps * kappa * |lam|, to first order, where
+    kappa adds the relative sensitivities of the quotient's two sides:
+    Skeel's componentwise bound |G| (|P(K,K)| |x| + |rhs|), G = P(K,K)^-1,
+    for the errors of a and b, and the sums of absolute terms over the
+    result for c = P(j,K) a - ell(j) and d = P(j,K) b - 1, which cancel
+    when the atoms are close to collinear.  The last entry, which ends the
+    path, gets 0.
+    """
+    P = gram(np.asfortranarray(A))
+    ell = A.T @ b
+    kappa = np.zeros(len(entries))
+    for i in range(len(entries) - 1):
+        K, after = entries["support"][i], entries["support"][i + 1]
+        k = np.flatnonzero(K)
+        a, bb = entries["coeff_a"][i][k], entries["coeff_b"][i][k]
+        G = np.abs(np.linalg.inv(P[np.ix_(k, k)])) if k.size else np.zeros((0, 0))
+        S = np.abs(P[np.ix_(k, k)])
+        err_a = G @ (S @ np.abs(a) + np.abs(ell[k]))
+        err_b = G @ (S @ np.abs(bb) + 1.0)
+        j = int(np.flatnonzero(K ^ after)[0])
+        if after[j]:
+            p = P[j, k]
+            c, d = p @ a - ell[j], p @ bb - 1.0
+            kappa[i] = ((np.abs(p) @ (np.abs(a) + err_a) + abs(ell[j])) / abs(c)
+                        + (np.abs(p) @ (np.abs(bb) + err_b) + 1.0) / abs(d))
+        else:
+            t = int(np.flatnonzero(k == j)[0])
+            kappa[i] = err_a[t] / abs(a[t]) + err_b[t] / abs(bb[t])
+    return kappa

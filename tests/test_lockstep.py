@@ -4,8 +4,11 @@ Columns of one dictionary are walked together through a PathWalk and
 read back with regularization_path; each must match reference_path on
 its own: identical support sequences and ``truncated`` flags, and lam,
 error and solution within 1e-12 relative to their largest value along
-the reference path.  The walk that carries each support's inverse across
-breakpoints is also checked against one that solves every support afresh.
+the reference path.  A breakpoint whose lam is ill-conditioned (a
+crossing ratio of sums that cancel) may also differ by r eps times its
+first-order condition number times |lam|.  The walk that carries each
+support's inverse across breakpoints is also checked against one that
+solves every support afresh.
 """
 
 import numpy as np
@@ -13,14 +16,21 @@ import pytest
 
 from shamans import homotopy
 from shamans.errors import IterationLimit, SingularSystem
-from shamans.homotopy import (BLOCK, PathWalk, RegularizationPath, path_dtype,
-                              regularization_path)
+from shamans.homotopy import PathWalk, RegularizationPath, path_dtype, regularization_path
 from shamans.nnls import nnls_active_set
 from shamans.selector import build_cost_tables
 
-from oracles import extended_residual_sq, reference_path
+from oracles import breakpoint_condition, extended_residual_sq, reference_path
 
 RTOL = 1e-12
+EPS = np.finfo(float).eps
+WIDTH = 256  # columns per block in the tests that cross block boundaries
+
+
+def blocks_of_width(monkeypatch, r):
+    """Size the walk's blocks over r atoms at WIDTH columns."""
+    monkeypatch.setattr(homotopy, "BUDGET", WIDTH * r * r)
+    assert homotopy.block_width(r) == WIDTH
 
 
 def walk_all(A, B, **kwargs):
@@ -41,12 +51,17 @@ def supports(path):
     return [tuple(np.flatnonzero(mask).tolist()) for mask in path.entries["support"]]
 
 
-def assert_same_path(got, want):
+def assert_same_path(got, want, lam_slack=0.0):
+    """Paths match; ``lam_slack`` widens the lam check breakpoint by breakpoint."""
     assert supports(got) == supports(want)
     assert got.truncated == want.truncated
     for field in ("lam", "error_sq", "solution"):
         w, g = want.entries[field], got.entries[field]
-        np.testing.assert_allclose(g, w, rtol=0, atol=RTOL * max(np.abs(w).max(), 1e-300))
+        atol = RTOL * max(np.abs(w).max(), 1e-300)
+        if field == "lam":
+            atol = np.maximum(atol, lam_slack)
+        off = np.abs(g - w) > atol
+        assert not off.any(), (field, np.argwhere(off), g[off], w[off])
     assert np.array_equal(got.entries["cardinality"], want.entries["cardinality"])
 
 
@@ -73,7 +88,9 @@ def assert_matches_reference(A, B, **kwargs):
             assert_nnls_entry(got.entries[1], A, B[:, j])
         else:
             assert not got.fallback
-            assert_same_path(got, want)
+            r = A.shape[1]
+            kappa = breakpoint_condition(A, B[:, j], want.entries)
+            assert_same_path(got, want, r * EPS * kappa * np.abs(want.entries["lam"]))
 
 
 def test_random_instances():
@@ -86,11 +103,12 @@ def test_random_instances():
         assert_matches_reference(A, B)
 
 
-def test_columns_across_block_boundaries():
+def test_columns_across_block_boundaries(monkeypatch):
+    blocks_of_width(monkeypatch, 6)
     rng = np.random.default_rng(62)
     A = rng.random((20, 6)) + 0.05
-    H = np.where(rng.random((6, BLOCK + 44)) < 0.4, rng.random((6, BLOCK + 44)), 0.0)
-    B = np.clip(A @ H + 0.01 * rng.standard_normal((20, BLOCK + 44)), 0.0, None)
+    H = np.where(rng.random((6, WIDTH + 44)) < 0.4, rng.random((6, WIDTH + 44)), 0.0)
+    B = np.clip(A @ H + 0.01 * rng.standard_normal((20, WIDTH + 44)), 0.0, None)
     assert_matches_reference(A, B)
 
 
@@ -182,16 +200,17 @@ def test_breakpoint_limit_of_one():
     assert not any(p.fallback for p in results[:6])
 
 
-def test_breakpoint_limit_across_block_boundaries():
+def test_breakpoint_limit_across_block_boundaries(monkeypatch):
     # Atom 4 is within 1e-9 of (W0 + W1)/2, so the NNLS of some columns
     # meets a rank-deficient passive set; every seventh column is a multiple
     # of atom 2 and finishes in one breakpoint.  Past the limit of two, a
     # path is its zero entry and the NNLS entry, or only the zero entry when
     # that NNLS is singular; every other path is the uncapped walk's.
+    blocks_of_width(monkeypatch, 5)
     rng = np.random.default_rng(0)
     A = rng.random((8, 5))
     A[:, 4] = 0.5 * (A[:, 0] + A[:, 1]) + 1e-9 * rng.random(8)
-    B = rng.random((8, BLOCK + 44))
+    B = rng.random((8, WIDTH + 44))
     B[:, ::7] = A[:, [2]] * rng.random(B[:, ::7].shape[1])
     capped, free = walk_all(A, B, max_breakpoints=2), walk_all(A, B)
     kinds = {"finished": set(), "fallback": set(), "singular": set()}
@@ -199,20 +218,129 @@ def test_breakpoint_limit_across_block_boundaries():
         if not got.fallback:
             assert got.entries.tobytes() == want.entries.tobytes()
             assert got.truncated == want.truncated
-            kinds["finished"].add(j >= BLOCK)
+            kinds["finished"].add(j >= WIDTH)
             continue
         assert got.entries[0].tobytes() == want.entries[0].tobytes()
         try:
             nnls_active_set(A, B[:, j])
         except SingularSystem:
             assert got.truncated and len(got.entries) == 1
-            kinds["singular"].add(j >= BLOCK)
+            kinds["singular"].add(j >= WIDTH)
             continue
         assert not got.truncated and len(got.entries) == 2
         assert_nnls_entry(got.entries[1], A, B[:, j])
-        kinds["fallback"].add(j >= BLOCK)
+        kinds["fallback"].add(j >= WIDTH)
     # Every kind of column occurs in both blocks.
     assert all(blocks == {False, True} for blocks in kinds.values())
+
+
+def test_block_widths():
+    # A block's carried inverses fill the budget, 256 columns at r = 24.
+    assert homotopy.BUDGET == 256 * 24 * 24
+    assert [homotopy.block_width(r) for r in (0, 1, 6, 24)] == [147_456, 147_456, 4_096, 256]
+
+
+def counted_refits(monkeypatch):
+    """Record the rows of every refit call of the walk."""
+    rows = []
+    nnls_gram = homotopy.nnls_gram
+
+    def counting(P, ell, mask=None, **kwargs):
+        if mask is not None:  # a refit, not the breakpoint-limit solve
+            rows.append(ell.shape[0])
+        return nnls_gram(P, ell, mask, **kwargs)
+
+    monkeypatch.setattr(homotopy, "nnls_gram", counting)
+    return rows
+
+
+def test_pooled_refits_span_flushes(monkeypatch):
+    # Data uncorrelated with a 12-atom dictionary: 300 columns in one block
+    # (block_width(12) is 1,024) whose refits fill half the block more than
+    # twice.  The records match those of a walk whose blocks hold one column
+    # each, which refits every round.
+    rng = np.random.default_rng(0)
+    A = np.asfortranarray(rng.random((40, 12)))
+    B = np.asfortranarray(rng.random((40, 300)))
+    calls = counted_refits(monkeypatch)
+    pooled = walk_all(A, B)
+    assert len(calls) >= 3 and min(calls[:-1]) >= 150
+    calls.clear()
+    monkeypatch.setattr(homotopy, "BUDGET", 12 * 12)
+    each_round = walk_all(A, B)
+    assert sum(calls) == sum(int((p.entries["coeff_a"] < 0.0).any(axis=1).sum())
+                             for p in each_round) > 300
+    for got, want in zip(pooled, each_round):
+        assert_same_path(got, want)
+        for field in ("coeff_a", "coeff_b"):
+            w, g = want.entries[field], got.entries[field]
+            np.testing.assert_allclose(g, w, rtol=0, atol=RTOL * np.abs(w).max())
+
+
+def test_refit_pool_stays_within_a_block(monkeypatch):
+    # Column 13 of this data pools refits at entries 4 and 5, and column 5,
+    # here in four copies, first at entry 8.  Six rows would overfill the
+    # block of five columns, so the two pooled rows are refit first.
+    rng = np.random.default_rng(0)
+    A = rng.random((40, 12))
+    B = rng.random((40, 20))[:, [13, 5, 5, 5, 5]]
+    calls = counted_refits(monkeypatch)
+    walk_all(A, B)
+    assert calls == [2, 4]
+
+
+def test_data_read_within_budget(monkeypatch):
+    # Tall data, m = 60 rows over r = 3 atoms: a block of 50 columns fills a
+    # budget of 450 entries with its inverses, and range_split's (columns, m)
+    # temporary keeps to it by reading the data 7 columns at a time.
+    rng = np.random.default_rng(5)
+    A = rng.random((60, 3)) + 0.05
+    B = np.clip(A @ rng.random((3, 50)) + 0.01 * rng.standard_normal((60, 50)), 0.0, None)
+    whole = walk_all(A, B)
+    widths = []
+    range_split = homotopy.range_split
+
+    def recording(Q, B):
+        widths.append(B.shape[1])
+        return range_split(Q, B)
+
+    monkeypatch.setattr(homotopy, "range_split", recording)
+    monkeypatch.setattr(homotopy, "BUDGET", 9 * 50)
+    chunked = walk_all(A, B)
+    assert widths == [7] * 7 + [1]
+    for got, want in zip(chunked, whole):
+        assert_same_path(got, want)
+
+
+def test_workload_shaped_dictionary():
+    # m = 200 and r = 24 with atoms rand + 0.05, close to collinear, and 300
+    # columns that each mix 2 to 6 atoms: long paths, crossing ratios whose
+    # sums cancel, and refits that drop atoms, pooled across rounds.
+    rng = np.random.default_rng(1)
+    A = rng.random((200, 24)) + 0.05
+    count = rng.integers(2, 7, 300)
+    rank = np.argsort(np.argsort(rng.random((24, 300)), axis=0), axis=0)
+    H = np.where(rank < count, rng.uniform(0.2, 1.0, (24, 300)), 0.0)
+    B = np.clip(A @ H + 0.005 * rng.standard_normal((200, 300)), 0.0, None)
+    entries = np.concatenate([p.entries for p in walk_all(A, B)])
+    assert (entries["cardinality"] < entries["support"].sum(axis=1)).sum() > 100
+    assert_matches_reference(A, B)
+
+
+def test_breakpoint_limit_keeps_pooled_refits():
+    # Data uncorrelated with a 12-atom dictionary, capped at 6 breakpoints:
+    # refits are still pooled when the rounds stop, for paths that finish
+    # and for paths past the limit, and the finished ones keep theirs.
+    rng = np.random.default_rng(0)
+    A = rng.random((40, 12))
+    B = rng.random((40, 100))
+    capped, free = walk_all(A, B, max_breakpoints=6), walk_all(A, B)
+    dropped = 0
+    for got, want in zip(capped, free):
+        if not got.fallback:
+            assert_same_path(got, want)
+            dropped += (got.entries["cardinality"] < got.entries["support"].sum(axis=1)).sum()
+    assert dropped > 0 and any(p.fallback for p in capped)
 
 
 def counted_fresh_solves(monkeypatch):
@@ -276,12 +404,13 @@ def test_schur_guard_decides_truncation_like_the_reference(monkeypatch):
     assert sum(fresh_rows) >= truncated
 
 
-def test_record_invariants():
+def test_record_invariants(monkeypatch):
     # Data uncorrelated with a 12-atom dictionary: many least-squares
     # solutions on a support go negative, and their refits drop atoms.
+    blocks_of_width(monkeypatch, 12)
     rng = np.random.default_rng(0)
     A = np.asfortranarray(rng.random((40, 12)))
-    B = np.asfortranarray(rng.random((40, BLOCK + 40)))
+    B = np.asfortranarray(rng.random((40, WIDTH + 40)))
     walk = PathWalk(A, B)
     paths = [walk.path(j) for j in range(B.shape[1])]
     assert walk.refits > 300
@@ -301,4 +430,4 @@ def test_record_invariants():
     # Refits with fewer nonzeros than their support, in both blocks.
     dropped = [int((p.entries["cardinality"] < p.entries["support"].sum(axis=1)).sum())
                for p in paths]
-    assert sum(dropped[:BLOCK]) > 0 and sum(dropped[BLOCK:]) > 0
+    assert sum(dropped[:WIDTH]) > 0 and sum(dropped[WIDTH:]) > 0

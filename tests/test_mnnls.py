@@ -334,6 +334,38 @@ class TestFallback:
         with pytest.raises(IterationLimit) as info:
             solve(M, W, cfg)
         assert info.value.column == 4
+        assert str(info.value).startswith("column 4 ")
+
+    def test_pooled_refit_limit_attaches_column(self, monkeypatch):
+        # Data uncorrelated with a 12-atom dictionary: many least-squares
+        # solutions go negative.  The walk pools their refits in round order
+        # and, within a round, in column order, and entry i of a path is
+        # recorded in round i - 1, so the rows of the first refit call are the
+        # first such entries in (entry, column) order; zero columns have none.
+        rng = np.random.default_rng(0)
+        W = rng.random((40, 12))
+        M = rng.random((40, 30))
+        M[:, [0, 5]] = 0.0
+        walk = PathWalk(W, M)
+        pooled = sorted((i, j) for j in range(M.shape[1])
+                        for i in np.flatnonzero((walk.path(j).entries["coeff_a"] < 0.0).any(axis=1)))
+        nnls_gram = homotopy_mod.nnls_gram
+        first = []
+
+        def explode(P, ell, mask=None, **kwargs):
+            if mask is not None and not first:  # the first refit call
+                first.append(ell.shape[0])
+                raise IterationLimit("no pivots for you", row=ell.shape[0] - 1)
+            return nnls_gram(P, ell, mask, **kwargs)
+
+        monkeypatch.setattr(homotopy_mod, "nnls_gram", explode)
+        with pytest.raises(IterationLimit) as info:
+            solve(M, W, SolveConfig(mode="unconstrained"))
+        row = first[0] - 1
+        entry, column = pooled[row]
+        assert entry > pooled[0][0]  # the call pools rows of several rounds
+        assert info.value.row == row and info.value.column == column
+        assert str(info.value).startswith(f"column {column} ")
 
 
 class TestPathReport:
