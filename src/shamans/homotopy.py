@@ -23,7 +23,8 @@ lambda = 0 with the unconstrained NNLS solution.
 
 Every right-hand side shares P, so the walk advances a block of columns
 in lockstep, one breakpoint per round; block_width sizes the block so
-that its carried inverses fill one working-set budget.  Each column
+that neither its carried inverses nor one round's records pass one
+working-set budget.  Each column
 carries G = P(K,K)^-1, zero off K, across breakpoints by
 densela.carry_inverse, so a round costs O(r^2) per column: G and one step
 of iterative refinement give a and b, and P gives c and d.  The entries
@@ -63,9 +64,11 @@ LEAVE = 0
 ENTER = 1
 TERMINATE = 2
 
-# Float64 entries in the largest array a walk holds: the (columns, r, r)
-# inverses its block carries, and range_split's (columns, m) temporary.  It is
-# 256 columns at r = 24; fewer, larger blocks share each round's numpy calls.
+# Float64 entries in the largest temporary of a walk: the (columns, r, r)
+# inverses a block carries, one round's records (24 + 25 r bytes per column,
+# the larger for r < 4) and range_split's (columns, m) temporary.  It is 256
+# columns at r = 24; fewer, larger blocks share each round's numpy calls.  The
+# block's records, the walk's output, grow with its width times path length.
 BUDGET = 256 * 24 * 24
 
 # Smallest Schur pivot, relative to the largest diagonal entry of P on the
@@ -78,8 +81,9 @@ SCHUR_GUARD = 1e-6
 
 def block_width(r: int) -> int:
     """Columns walked together over a dictionary of r atoms: as many as
-    keep their (columns, r, r) carried inverses within BUDGET."""
-    return max(1, BUDGET // max(1, r * r))
+    keep their (columns, r, r) carried inverses and one round's records
+    within BUDGET."""
+    return max(1, BUDGET // max(r * r, -(-path_dtype(r).itemsize // 8)))
 
 
 def path_dtype(r: int) -> np.dtype:
@@ -393,14 +397,19 @@ class PathWalk:
             record(fell, 0.0, residual_sq(self.R, Z[fell], perp_sq[fell], X), X > 0.0, X, X, 0.0)
             break
 
-        # Records come in round order; a stable sort makes each path one slice.
-        # dtype= spares numpy resolving the record type once per round, and
-        # dropping the rounds' arrays before the gather keeps two copies, not three.
-        owner = np.concatenate(owners)
-        entries = np.concatenate(records, dtype=dtype)
-        records.clear()
-        entries = entries[np.argsort(owner, kind="stable")]
-        ends = np.cumsum(np.bincount(owner, minlength=width)).tolist()
+        # Records come in round order, each column at most once per round, so
+        # scattering them round by round to the next free slot of their column
+        # makes each path one slice.  Each round's array is dropped once
+        # scattered, while the pages of the entry array are being filled.
+        counts = np.bincount(np.concatenate(owners), minlength=width)
+        ends = np.cumsum(counts)
+        slot = ends - counts
+        entries = np.empty(int(ends[-1]), dtype)
+        records.reverse()
+        for cols in owners:
+            entries[slot[cols]] = records.pop()
+            slot[cols] += 1
+        ends = ends.tolist()
         for p, (lo, hi, cut, capped) in enumerate(zip([0] + ends, ends, truncated.tolist(),
                                                       over.tolist())):
             self._paths[start + p] = RegularizationPath(entries[lo:hi], truncated=cut,

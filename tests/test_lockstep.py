@@ -60,7 +60,7 @@ def assert_same_path(got, want, lam_slack=0.0):
         atol = RTOL * max(np.abs(w).max(), 1e-300)
         if field == "lam":
             atol = np.maximum(atol, lam_slack)
-        off = np.abs(g - w) > atol
+        off = ~(np.abs(g - w) <= atol)  # NaN is off
         assert not off.any(), (field, np.argwhere(off), g[off], w[off])
     assert np.array_equal(got.entries["cardinality"], want.entries["cardinality"])
 
@@ -101,6 +101,17 @@ def test_random_instances():
         A = np.abs(rng.standard_normal((m, r)))
         B = np.abs(rng.standard_normal((m, 12)))
         assert_matches_reference(A, B)
+
+
+def test_same_path_rejects_nan():
+    rng = np.random.default_rng(68)
+    A = rng.random((8, 3)) + 0.1
+    want = reference_path(A, A @ np.array([1.0, 0.5, 0.2]))
+    for field in ("lam", "error_sq", "solution"):
+        got = RegularizationPath(want.entries.copy())
+        got.entries[field][-1] = np.nan
+        with pytest.raises(AssertionError):
+            assert_same_path(got, want, lam_slack=np.full(len(want.entries), 1.0))
 
 
 def test_columns_across_block_boundaries(monkeypatch):
@@ -235,9 +246,13 @@ def test_breakpoint_limit_across_block_boundaries(monkeypatch):
 
 
 def test_block_widths():
-    # A block's carried inverses fill the budget, 256 columns at r = 24.
+    # A block's carried inverses fill the budget, 256 columns at r = 24; below
+    # r = 4 one round's records, 24 + 25 r bytes per column, are the larger.
     assert homotopy.BUDGET == 256 * 24 * 24
-    assert [homotopy.block_width(r) for r in (0, 1, 6, 24)] == [147_456, 147_456, 4_096, 256]
+    assert [homotopy.block_width(r) for r in (0, 1, 6, 24)] == [49_152, 21_065, 4_096, 256]
+    for r in range(30):
+        width = homotopy.block_width(r)
+        assert width * max(r * r, homotopy.path_dtype(r).itemsize / 8) <= homotopy.BUDGET
 
 
 def counted_refits(monkeypatch):
@@ -290,12 +305,12 @@ def test_refit_pool_stays_within_a_block(monkeypatch):
 
 
 def test_data_read_within_budget(monkeypatch):
-    # Tall data, m = 60 rows over r = 3 atoms: a block of 50 columns fills a
-    # budget of 450 entries with its inverses, and range_split's (columns, m)
-    # temporary keeps to it by reading the data 7 columns at a time.
+    # Tall data, m = 60 rows over r = 4 atoms: a block of 50 columns fills a
+    # budget of 800 entries with its inverses, and range_split's (columns, m)
+    # temporary keeps to it by reading the data 13 columns at a time.
     rng = np.random.default_rng(5)
-    A = rng.random((60, 3)) + 0.05
-    B = np.clip(A @ rng.random((3, 50)) + 0.01 * rng.standard_normal((60, 50)), 0.0, None)
+    A = rng.random((60, 4)) + 0.05
+    B = np.clip(A @ rng.random((4, 50)) + 0.01 * rng.standard_normal((60, 50)), 0.0, None)
     whole = walk_all(A, B)
     widths = []
     range_split = homotopy.range_split
@@ -305,9 +320,9 @@ def test_data_read_within_budget(monkeypatch):
         return range_split(Q, B)
 
     monkeypatch.setattr(homotopy, "range_split", recording)
-    monkeypatch.setattr(homotopy, "BUDGET", 9 * 50)
+    monkeypatch.setattr(homotopy, "BUDGET", 16 * 50)
     chunked = walk_all(A, B)
-    assert widths == [7] * 7 + [1]
+    assert widths == [13] * 3 + [11]
     for got, want in zip(chunked, whole):
         assert_same_path(got, want)
 
