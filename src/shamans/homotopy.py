@@ -65,8 +65,8 @@ ENTER = 1
 TERMINATE = 2
 
 # Float64 entries in the largest temporary of a walk: the (columns, r, r)
-# inverses a block carries, one round's records (24 + 25 r bytes per column,
-# the larger for r < 4) and range_split's (columns, m) temporary.  It is 256
+# inverses a block carries, one round's records (16 + 9 r bytes per column,
+# the larger for r < 3) and range_split's (columns, m) temporary.  It is 256
 # columns at r = 24; fewer, larger blocks share each round's numpy calls.  The
 # block's records, the walk's output, grow with its width times path length.
 BUDGET = 256 * 24 * 24
@@ -81,8 +81,8 @@ SCHUR_GUARD = 1e-6
 
 def block_width(r: int) -> int:
     """Columns walked together over a dictionary of r atoms: as many as
-    keep their (columns, r, r) carried inverses and one round's records
-    within BUDGET."""
+    keep their (columns, r, r) carried inverses and one round's records,
+    16 + 9 r bytes per column, within BUDGET."""
     return max(1, BUDGET // max(r * r, -(-path_dtype(r).itemsize // 8)))
 
 
@@ -91,16 +91,15 @@ def path_dtype(r: int) -> np.dtype:
 
     ``lam`` is the penalty value at which ``support`` (an (r,) mask)
     stops being optimal, the lower end of its optimality interval.
-    ``solution`` is the unbiased refit on the support, zero elsewhere;
-    ``error_sq`` its residual ||A x - b||^2 against the original system
-    (b @ b on the zero entry, else from densela.residual_sq) and
-    ``cardinality`` its number of nonzeros.  ``coeff_a`` and
-    ``coeff_b`` are zero off the support and give the biased solution as
-    a - lambda * b for any lambda inside the interval.
+    ``solution`` is the unbiased refit on the support, zero elsewhere,
+    and ``error_sq`` its residual ||A x - b||^2 against the original
+    system (b @ b on the zero entry, else from densela.residual_sq).
+    Inside the interval the biased solution on the support K is
+    P(K,K)^-1 (ell(K) - lambda), so the breakpoints and supports define
+    the whole path.
     """
-    return np.dtype([("lam", np.float64), ("cardinality", np.int64), ("error_sq", np.float64),
-                     ("support", np.bool_, (r,)), ("solution", np.float64, (r,)),
-                     ("coeff_a", np.float64, (r,)), ("coeff_b", np.float64, (r,))])
+    return np.dtype([("lam", np.float64), ("error_sq", np.float64),
+                     ("support", np.bool_, (r,)), ("solution", np.float64, (r,))])
 
 
 @dataclass
@@ -173,12 +172,12 @@ def unbias(P: np.ndarray, ell: np.ndarray, K: np.ndarray, a: np.ndarray, G: np.n
     """Penalty-free least-squares refits on the supports K.
 
     ``a`` holds the least-squares solutions on K and G the (B, r, r)
-    inverses P(K_i, K_i)^-1, both zero off K (a is the ``coeff_a`` of a
-    path entry).  A row keeps a when it is nonnegative; the rows where it
-    is not are refit together by one call of the active-set solver, each
-    restricted to its K and started from its G.  Returns the (B, r)
-    refits and the number of rows refit; densela.residual_sq gives their
-    errors.  PathWalk pools the negative rows of many rounds into one call.
+    inverses P(K_i, K_i)^-1, both zero off K.  A row keeps a when it is
+    nonnegative; the rows where it is not are refit together by one call
+    of the active-set solver, each restricted to its K and started from
+    its G.  Returns the (B, r) refits and the number of rows refit;
+    densela.residual_sq gives their errors.  PathWalk pools the negative
+    rows of many rounds into one call.
     """
     X = a.copy()
     infeasible = (a < 0.0).any(axis=1)
@@ -284,11 +283,10 @@ class PathWalk:
         dtype = path_dtype(r)
         records, owners = [], []
 
-        def record(cols, lam, err, K, X, a, b):
+        def record(cols, lam, err, K, X):
             """Append one entry per column in ``cols``: refit X, errors err."""
             records.append(np.empty(cols.size, dtype))
-            for name, value in zip(dtype.names, (lam, np.count_nonzero(X, axis=1),
-                                                 err, K, X, a, b)):
+            for name, value in zip(dtype.names, (lam, err, K, X)):
                 records[-1][name] = value
             owners.append(cols)
 
@@ -297,7 +295,7 @@ class PathWalk:
 
         def refit_pool():
             """Refit the pooled entries by one unbias call and write their
-            refits, cardinalities and errors into their records."""
+            refits and errors into their records."""
             nonlocal pooled
             if not pool:
                 return
@@ -312,14 +310,12 @@ class PathWalk:
             ends = np.cumsum([rows.size for rows in at])[:-1]
             for entries, rows, x, e in zip(arrays, at, np.split(X, ends), np.split(err, ends)):
                 entries["solution"][rows] = x
-                entries["cardinality"][rows] = np.count_nonzero(x, axis=1)
                 entries["error_sq"][rows] = e
             pool.clear()
             pooled = 0
 
         lam, first = lambda_max(ell)  # the zero entries
-        record(np.arange(width), lam, [b @ b for b in rhs.T], False, np.zeros((width, r)),
-               0.0, 0.0)
+        record(np.arange(width), lam, [b @ b for b in rhs.T], False, 0.0)
         live = np.flatnonzero(first >= 0)
         lam, first = lam[live], first[live]
         # Row i holds the right-hand sides (ell, 1) of the pair (a, b).
@@ -361,7 +357,7 @@ class PathWalk:
             d = np.where(K, 0.0, grad[:, 1])
             lam_next, kind, index = next_breakpoint(a, b, c, d, K, lam, tol_neg)
             lam_next[lam_next <= tol_lam] = 0.0
-            record(live, lam_next, residual_sq(self.R, Z[live], perp_sq[live], a), K, a, a, b)
+            record(live, lam_next, residual_sq(self.R, Z[live], perp_sq[live], a), K, a)
             negative = np.flatnonzero((a < 0.0).any(axis=1))
             if negative.size:
                 if pooled + negative.size > width:  # keep the pool within a block
@@ -394,7 +390,7 @@ class PathWalk:
                 continue
             except IterationLimit as exc:
                 raise _at_column(exc, start + int(fell[exc.row])) from exc
-            record(fell, 0.0, residual_sq(self.R, Z[fell], perp_sq[fell], X), X > 0.0, X, X, 0.0)
+            record(fell, 0.0, residual_sq(self.R, Z[fell], perp_sq[fell], X), X > 0.0, X)
             break
 
         # Records come in round order, each column at most once per round, so

@@ -77,17 +77,18 @@ def build_cost_tables(paths: list[RegularizationPath], r: int, n: int) -> CostTa
 
     Cell (k, j) holds the best error among column j's path solutions with
     at most k nonzeros, so columns are nonincreasing by construction.  The
-    paths' cardinality, error and solution fields are concatenated once:
-    one scatter takes every level's minimum, then one carry down the
-    levels extends it to "at most k", keeping the entry earlier in path
-    order on ties.
+    paths' error and solution fields are concatenated once and each
+    entry's level is its solution's number of nonzeros: one scatter takes
+    every level's minimum, then one carry down the levels extends it to
+    "at most k", keeping the entry earlier in path order on ties.
     """
     if len(paths) != n:
         raise ValueError(f"expected {n} paths, got {len(paths)}")
     column = np.repeat(np.arange(n), [len(path.entries) for path in paths])
     # Field by field: concatenating the records would resolve their dtype per path.
-    card, err, solutions = (np.concatenate([path.entries[name] for path in paths])
-                            for name in ("cardinality", "error_sq", "solution"))
+    err, solutions = (np.concatenate([path.entries[name] for path in paths])
+                      for name in ("error_sq", "solution"))
+    card = np.count_nonzero(solutions, axis=1)
     first = np.flatnonzero(np.diff(column, prepend=-1))  # of every nonempty path
     bad = np.ones(n, dtype=bool)
     bad[column[first]] = card[first] != 0

@@ -2,12 +2,12 @@
 
 These deliberately avoid the code paths under test: brute-force support
 enumeration for NNLS, exhaustive cursor enumeration for the budgeted
-selection, a direct KKT evaluation of the penalized problem, a
-one-column-at-a-time homotopy walk for the lockstep engine, a
-one-column-at-a-time active-set NNLS for the block solver, a
-lazy-heap greedy for the sorted hull-segment selection, a per-entry,
-per-level fold of the paths for the vectorized cost tables, and residuals
-formed in extended precision for the path entries' errors.
+selection, a direct KKT evaluation of the penalized problem from each
+path entry's support, a one-column-at-a-time homotopy walk for the
+lockstep engine, a one-column-at-a-time active-set NNLS for the block
+solver, a lazy-heap greedy for the sorted hull-segment selection, a
+per-entry, per-level fold of the paths for the vectorized cost tables,
+and residuals formed in extended precision for the path entries' errors.
 """
 
 import heapq
@@ -47,26 +47,43 @@ def nnls_bruteforce(A, b):
     return best_x, best_err
 
 
+def support_coefficients(P, ell, K):
+    """Full-space (a, b) = P(K,K)^-1 [ell(K), 1] of the (r,) support mask K,
+    zero off K: the biased solution on K is a - lambda * b."""
+    k = np.flatnonzero(K)
+    a, b = np.zeros(ell.size), np.zeros(ell.size)
+    ab = solve_spd(P[np.ix_(k, k)], np.column_stack([ell[k], np.ones(k.size)]))
+    a[k], b[k] = ab[:, 0], ab[:, 1]
+    return a, b
+
+
+def refit_entries(entries):
+    """Path entries whose refit dropped an atom of the support: those whose
+    least-squares solution on the support went negative."""
+    return np.count_nonzero(entries["solution"], axis=1) < entries["support"].sum(axis=1)
+
+
 def kkt_midpoint_violation(P, ell, path):
     """Worst scaled violation of the penalized-problem optimality conditions.
 
-    For each pair of consecutive path entries, rebuild the biased solution
-    of the lower entry's support at the midpoint penalty from its
-    full-space coefficients (zero off the support) and measure:
-    negativity of the solution, negativity of the gradient
-    P x - ell + lambda, and the complementarity products, the latter
-    scaled by (1 + max|ell|).
+    For each pair of consecutive path entries, solve for the biased
+    solution of the lower entry's support at the midpoint penalty and at
+    both ends of its interval, where one coefficient or one gradient
+    component reaches zero, and measure: negativity of the solution,
+    negativity of the gradient P x - ell + lambda, and the
+    complementarity products, the latter scaled by (1 + max|ell|).
     """
     scale = 1.0 + float(np.abs(ell).max(initial=0.0))
     worst = 0.0
     for above, entry in zip(path.entries, path.entries[1:]):
-        lam = 0.5 * (above["lam"] + entry["lam"])
-        x = entry["coeff_a"] - lam * entry["coeff_b"]
-        g = P @ x - ell + lam
-        worst = max(worst,
-                    -float(x.min(initial=0.0)),
-                    -float(g.min(initial=0.0)),
-                    float(np.abs(x * g).max(initial=0.0)) / scale)
+        a, b = support_coefficients(P, ell, entry["support"])
+        for lam in (above["lam"], 0.5 * (above["lam"] + entry["lam"]), entry["lam"]):
+            x = a - lam * b
+            g = P @ x - ell + lam
+            worst = max(worst,
+                        -float(x.min(initial=0.0)),
+                        -float(g.min(initial=0.0)),
+                        float(np.abs(x * g).max(initial=0.0)) / scale)
     return worst
 
 
@@ -90,7 +107,7 @@ def reference_cost_tables(paths, r, n):
     """Cost table and per-cell entry index, one path entry and level at a time.
 
     The fold the vectorized build_cost_tables replaced: each entry of
-    cardinality k and error err updates rows k..r of its column wherever
+    k nonzeros and error err updates rows k..r of its column wherever
     it improves the stored value.  Returns (cost, source) with
     ``source[k, j]`` the index of the entry behind cost[k, j] among all
     paths' entries concatenated in path order.
@@ -102,11 +119,11 @@ def reference_cost_tables(paths, r, n):
     offset = 0
     for j, path in enumerate(paths):
         entries = path.entries
-        if not len(entries) or entries[0]["cardinality"] != 0:
+        if not len(entries) or np.count_nonzero(entries[0]["solution"]):
             raise MissingZeroEntry(f"path for column {j} lacks the zero-solution entry")
         col = cost[:, j]
         for index, e in enumerate(entries, start=offset):
-            k = int(e["cardinality"])
+            k = int(np.count_nonzero(e["solution"]))
             err = float(e["error_sq"])
             for i in range(k, r + 1):
                 if err < col[i]:
@@ -296,11 +313,11 @@ def reference_path(A, b, tol=1e-10, max_breakpoints=None):
     ell = A.T @ b
     r = ell.shape[0]
 
-    def record(lam, K, x, err, a_K, b_K):
-        """One path_dtype record of support K, coefficients zero off K."""
-        support, coeff_a, coeff_b = np.zeros(r, dtype=bool), np.zeros(r), np.zeros(r)
-        support[K], coeff_a[K], coeff_b[K] = True, a_K, b_K
-        return lam, int(np.count_nonzero(x)), err, support, x, coeff_a, coeff_b
+    def record(lam, K, x, err):
+        """One path_dtype record of support K."""
+        support = np.zeros(r, dtype=bool)
+        support[K] = True
+        return lam, err, support, x
 
     if max_breakpoints is None:
         max_breakpoints = 50 * r
@@ -308,8 +325,7 @@ def reference_path(A, b, tol=1e-10, max_breakpoints=None):
     first = int(np.argmax(ell))
     lam0 = max(float(ell[first]), 0.0)
     tol_lam = tol * (1.0 + lam0)
-    none = np.empty(0, dtype=np.int64)
-    entries = [record(lam0, none, np.zeros(r), float(b @ b), none, none)]
+    entries = [record(lam0, [], np.zeros(r), float(b @ b))]
     if lam0 == 0.0:
         return RegularizationPath(np.array(entries, dtype=path_dtype(r)))
 
@@ -352,7 +368,7 @@ def reference_path(A, b, tol=1e-10, max_breakpoints=None):
         resid = A @ x - b
         if lam_next <= tol_lam:
             lam_next = 0.0
-        entries.append(record(lam_next, K, x, float(resid @ resid), a_K, b_K))
+        entries.append(record(lam_next, K, x, float(resid @ resid)))
         if kind == "terminate" or lam_next == 0.0:
             break
         if kind == "leave":
@@ -384,7 +400,7 @@ def breakpoint_condition(A, b, entries):
     for i in range(len(entries) - 1):
         K, after = entries["support"][i], entries["support"][i + 1]
         k = np.flatnonzero(K)
-        a, bb = entries["coeff_a"][i][k], entries["coeff_b"][i][k]
+        a, bb = (v[k] for v in support_coefficients(P, ell, K))
         G = np.abs(np.linalg.inv(P[np.ix_(k, k)])) if k.size else np.zeros((0, 0))
         S = np.abs(P[np.ix_(k, k)])
         err_a = G @ (S @ np.abs(a) + np.abs(ell[k]))

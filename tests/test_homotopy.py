@@ -3,13 +3,14 @@ import pytest
 
 from shamans.densela import gram, range_split, residual_sq
 from shamans.errors import IterationLimit, SingularSystem
-from shamans.homotopy import (ENTER, LEAVE, TERMINATE, PathWalk, _support_inverse, lambda_max,
-                              next_breakpoint, regularization_path, unbias)
+from shamans.homotopy import (ENTER, LEAVE, TERMINATE, PathWalk, RegularizationPath,
+                              _support_inverse, lambda_max, next_breakpoint,
+                              regularization_path, unbias)
 from shamans.nnls import nnls_active_set
 
 import demo_data as dd
 from oracles import (kkt_midpoint_violation, nnls_bruteforce, random_nonneg_instance,
-                     reference_nnls_gram, reference_path)
+                     reference_nnls_gram, reference_path, refit_entries)
 
 DEMO_P = gram(np.asfortranarray(dd.DEMO_W))
 DEMO_ELL0 = dd.DEMO_W.T @ dd.DEMO_M[:, 0]
@@ -68,15 +69,17 @@ def block(a_K, b_K, c_K, d_K):
 
 
 class TestPathCoefficients:
-    """The walk's coeff_a and coeff_b against their closed forms."""
+    """The walk's path entries against closed forms solved from their supports."""
 
     def test_full_support_has_empty_complement(self):
         last = regularization_path(dd.DEMO_W, dd.DEMO_M[:, 0]).entries[-1]
         assert last["support"].all()
-        np.testing.assert_allclose(last["coeff_a"], np.linalg.solve(DEMO_P, DEMO_ELL0),
+        np.testing.assert_allclose(last["solution"], np.linalg.solve(DEMO_P, DEMO_ELL0),
                                    atol=1e-10)
 
     def test_singleton_closed_form(self):
+        # On the support {j}, a = ell_j / P_jj and b = 1 / P_jj; the interval
+        # ends where the first complement gradient c - lambda d reaches zero.
         rng = np.random.default_rng(21)
         A = np.abs(rng.standard_normal((6, 3)))
         b = np.abs(rng.standard_normal(6))
@@ -85,10 +88,12 @@ class TestPathCoefficients:
         first = regularization_path(A, b).entries[1]
         j = int(np.argmax(ell))
         assert np.flatnonzero(first["support"]).tolist() == [j]
-        assert first["coeff_a"][j] == pytest.approx(ell[j] / P[j, j], rel=1e-12)
-        assert first["coeff_b"][j] == pytest.approx(1.0 / P[j, j], rel=1e-12)
-        off = ~first["support"]
-        assert not first["coeff_a"][off].any() and not first["coeff_b"][off].any()
+        assert first["solution"][j] == pytest.approx(ell[j] / P[j, j], rel=1e-12)
+        assert not first["solution"][~first["support"]].any()
+        c, d = P[j] * ell[j] / P[j, j] - ell, P[j] / P[j, j] - 1.0
+        enter = (np.arange(3) != j) & (d < 0.0)
+        want = max((c[enter] / d[enter]).max(initial=0.0), 0.0)
+        assert want > 0.0 and first["lam"] == pytest.approx(want, rel=1e-12)
 
     def test_demo_first_support_boundary(self):
         # On [2.7502, 3.16) the support is {1}; the biased solution stays
@@ -97,10 +102,9 @@ class TestPathCoefficients:
         entry = regularization_path(dd.DEMO_W, dd.DEMO_M[:, 0]).entries[1]
         K = entry["support"]
         assert np.flatnonzero(K).tolist() == [1]
-        a, b = entry["coeff_a"], entry["coeff_b"]
-        c, d = a @ DEMO_P - DEMO_ELL0, b @ DEMO_P - 1.0
-        lam = dd.COL0_LAMBDAS[1]
-        assert entry["lam"] == pytest.approx(lam, abs=1e-9)
+        a, b, c, d = (v[0] for v in coefficients(DEMO_P, DEMO_ELL0, [1]))
+        lam = entry["lam"]
+        assert lam == pytest.approx(dd.COL0_LAMBDAS[1], abs=1e-9)
         assert np.all((a - lam * b)[K] >= -1e-12)
         slack = (c - lam * d)[~K]
         assert slack.min() == pytest.approx(0.0, abs=1e-10)
@@ -231,11 +235,13 @@ class TestUnbias:
         entries, columns = [], []
         for j in range(B.shape[1]):
             e = walk.path(j).entries
-            keep = (e["coeff_a"] < 0.0).any(axis=1)
+            keep = refit_entries(e)
             entries.append(e[keep])
             columns += [j] * int(keep.sum())
         e = np.concatenate(entries)
-        K, a = e["support"], e["coeff_a"]
+        K = e["support"]
+        a = np.concatenate([coefficients(P, L[:, j], np.flatnonzero(k))[0]
+                            for j, k in zip(columns, K)])
         assert ((a < 0.0).sum(axis=1) >= 2).sum() > 10
         x, refits = unbias(P, L.T[columns], K, a, _support_inverse(P, K))
         err = kernel_errors(A, B[:, columns], x)
@@ -255,7 +261,7 @@ class TestRegularizationPath:
         path = regularization_path(dd.DEMO_W, np.zeros(5))
         assert len(path.entries) == 1
         e = path.entries[0]
-        assert e["lam"] == 0.0 and e["cardinality"] == 0 and e["error_sq"] == 0.0
+        assert e["lam"] == 0.0 and not e["solution"].any() and e["error_sq"] == 0.0
 
     def test_empty_dictionary(self):
         path = regularization_path(np.zeros((5, 0)), np.ones(5))
@@ -263,14 +269,16 @@ class TestRegularizationPath:
 
     def test_demo_column0(self):
         path = regularization_path(dd.DEMO_W, dd.DEMO_M[:, 0])
-        assert path.entries["cardinality"].tolist() == dd.COL0_CARDINALITIES
+        assert np.count_nonzero(path.entries["solution"], axis=1).tolist() == \
+            dd.COL0_CARDINALITIES
         np.testing.assert_allclose(path.entries["lam"], dd.COL0_LAMBDAS, atol=1e-9)
         np.testing.assert_allclose(path.entries["error_sq"], dd.COL0_ERRORS, atol=1e-9)
         np.testing.assert_allclose(path.entries["solution"], dd.COL0_SOLUTIONS, atol=1e-9)
 
     def test_demo_column5(self):
         path = regularization_path(dd.DEMO_W, dd.DEMO_M[:, 5])
-        assert path.entries["cardinality"].tolist() == dd.COL5_CARDINALITIES
+        assert np.count_nonzero(path.entries["solution"], axis=1).tolist() == \
+            dd.COL5_CARDINALITIES
         np.testing.assert_allclose(path.entries["lam"], dd.COL5_LAMBDAS, atol=1e-9)
         np.testing.assert_allclose(path.entries["error_sq"], dd.COL5_ERRORS, atol=1e-9)
         np.testing.assert_allclose(path.entries["solution"], dd.COL5_SOLUTIONS, atol=1e-9)
@@ -281,7 +289,7 @@ class TestRegularizationPath:
             A, b = random_nonneg_instance(rng, 7, 4)
             path = regularization_path(A, b)
             e = path.entries[0]
-            assert e["cardinality"] == 0
+            assert not e["solution"].any()
             assert e["error_sq"] == pytest.approx(float(b @ b), rel=1e-12)
             assert e["lam"] == pytest.approx(max(float((A.T @ b).max()), 0.0))
 
@@ -352,11 +360,9 @@ class TestRegularizationPath:
             np.testing.assert_allclose(np.asarray(zero[field], float),
                                        np.asarray(want[field], float), rtol=1e-12, atol=0)
         sol = nnls_active_set(W, b)
-        assert last["lam"] == 0.0 and last["cardinality"] == sol.support.size
+        assert last["lam"] == 0.0 and np.count_nonzero(last["solution"]) == sol.support.size
         assert np.array_equal(np.flatnonzero(last["support"]), sol.support)
-        for field in ("solution", "coeff_a"):
-            np.testing.assert_allclose(last[field], sol.x, rtol=0, atol=1e-12)
-        assert not last["coeff_b"].any()
+        np.testing.assert_allclose(last["solution"], sol.x, rtol=0, atol=1e-12)
         assert last["error_sq"] == pytest.approx(sol.residual_sq, rel=1e-12)
 
     @pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0, np.inf])
@@ -375,14 +381,24 @@ class TestRegularizationPath:
             PathWalk(dd.DEMO_W, dd.DEMO_M, max_breakpoints=cap)
 
     def test_biased_coefficients_reconstruct_interval(self):
-        # Inside each interval the biased solution a - lambda*b matches a
-        # direct penalized solve on the support.
+        # Inside each interval a direct penalized solve on the entry's
+        # support is nonnegative.
         path = regularization_path(dd.DEMO_W, dd.DEMO_M[:, 0])
         for above, entry in zip(path.entries, path.entries[1:]):
             lam = 0.5 * (above["lam"] + entry["lam"])
             K = np.flatnonzero(entry["support"])
-            biased = (entry["coeff_a"] - lam * entry["coeff_b"])[K]
-            S = DEMO_P[np.ix_(K, K)]
-            direct = np.linalg.solve(S, DEMO_ELL0[K] - lam)
-            np.testing.assert_allclose(biased, direct, atol=1e-10)
-            assert np.all(biased >= -1e-10)
+            direct = np.linalg.solve(DEMO_P[np.ix_(K, K)], DEMO_ELL0[K] - lam)
+            assert np.all(direct >= -1e-10)
+
+    def test_kkt_certificate_flags_corrupted_paths(self):
+        # The certificate solves each interval's solution from its support,
+        # so a wrong support or a moved breakpoint shows in it.
+        path = regularization_path(dd.DEMO_W, dd.DEMO_M[:, 0])
+        assert kkt_midpoint_violation(DEMO_P, DEMO_ELL0, path) <= 1e-8
+        flipped = RegularizationPath(path.entries.copy())
+        flipped.entries["support"][2, 0] ^= True
+        assert kkt_midpoint_violation(DEMO_P, DEMO_ELL0, flipped) > 1e-8
+        for factor in (0.99, 1.01):
+            moved = RegularizationPath(path.entries.copy())
+            moved.entries["lam"][2] *= factor
+            assert kkt_midpoint_violation(DEMO_P, DEMO_ELL0, moved) > 1e-8

@@ -20,7 +20,7 @@ from shamans.homotopy import PathWalk, RegularizationPath, path_dtype, regulariz
 from shamans.nnls import nnls_active_set
 from shamans.selector import build_cost_tables
 
-from oracles import breakpoint_condition, extended_residual_sq, reference_path
+from oracles import breakpoint_condition, extended_residual_sq, reference_path, refit_entries
 
 RTOL = 1e-12
 EPS = np.finfo(float).eps
@@ -62,17 +62,16 @@ def assert_same_path(got, want, lam_slack=0.0):
             atol = np.maximum(atol, lam_slack)
         off = ~(np.abs(g - w) <= atol)  # NaN is off
         assert not off.any(), (field, np.argwhere(off), g[off], w[off])
-    assert np.array_equal(got.entries["cardinality"], want.entries["cardinality"])
+    assert np.array_equal(*(np.count_nonzero(p.entries["solution"], axis=1)
+                            for p in (got, want)))
 
 
 def assert_nnls_entry(entry, A, b):
     """``entry`` is the path entry at lambda = 0 of the NNLS solution."""
     sol = nnls_active_set(A, b)
-    assert entry["lam"] == 0.0 and entry["cardinality"] == sol.support.size
+    assert entry["lam"] == 0.0 and np.count_nonzero(entry["solution"]) == sol.support.size
     assert np.array_equal(np.flatnonzero(entry["support"]), sol.support)
-    for field in ("solution", "coeff_a"):
-        np.testing.assert_allclose(entry[field], sol.x, rtol=0, atol=1e-12)
-    assert not entry["coeff_b"].any()
+    np.testing.assert_allclose(entry["solution"], sol.x, rtol=0, atol=1e-12)
     assert entry["error_sq"] == pytest.approx(sol.residual_sq, rel=1e-12, abs=1e-300)
 
 
@@ -247,12 +246,15 @@ def test_breakpoint_limit_across_block_boundaries(monkeypatch):
 
 def test_block_widths():
     # A block's carried inverses fill the budget, 256 columns at r = 24; below
-    # r = 4 one round's records, 24 + 25 r bytes per column, are the larger.
+    # r = 3 one round's records, 16 + 9 r bytes per column, are the larger.
     assert homotopy.BUDGET == 256 * 24 * 24
-    assert [homotopy.block_width(r) for r in (0, 1, 6, 24)] == [49_152, 21_065, 4_096, 256]
+    assert [homotopy.block_width(r) for r in (0, 1, 6, 24)] == [73_728, 36_864, 4_096, 256]
     for r in range(30):
+        dtype = homotopy.path_dtype(r)
+        assert dtype.names == ("lam", "error_sq", "support", "solution")
+        assert dtype.itemsize == 16 + 9 * r
         width = homotopy.block_width(r)
-        assert width * max(r * r, homotopy.path_dtype(r).itemsize / 8) <= homotopy.BUDGET
+        assert width * max(r * r, dtype.itemsize / 8) <= homotopy.BUDGET
 
 
 def counted_refits(monkeypatch):
@@ -283,13 +285,9 @@ def test_pooled_refits_span_flushes(monkeypatch):
     calls.clear()
     monkeypatch.setattr(homotopy, "BUDGET", 12 * 12)
     each_round = walk_all(A, B)
-    assert sum(calls) == sum(int((p.entries["coeff_a"] < 0.0).any(axis=1).sum())
-                             for p in each_round) > 300
+    assert sum(calls) == sum(int(refit_entries(p.entries).sum()) for p in each_round) > 300
     for got, want in zip(pooled, each_round):
         assert_same_path(got, want)
-        for field in ("coeff_a", "coeff_b"):
-            w, g = want.entries[field], got.entries[field]
-            np.testing.assert_allclose(g, w, rtol=0, atol=RTOL * np.abs(w).max())
 
 
 def test_refit_pool_stays_within_a_block(monkeypatch):
@@ -338,7 +336,7 @@ def test_workload_shaped_dictionary():
     H = np.where(rank < count, rng.uniform(0.2, 1.0, (24, 300)), 0.0)
     B = np.clip(A @ H + 0.005 * rng.standard_normal((200, 300)), 0.0, None)
     entries = np.concatenate([p.entries for p in walk_all(A, B)])
-    assert (entries["cardinality"] < entries["support"].sum(axis=1)).sum() > 100
+    assert refit_entries(entries).sum() > 100
     assert_matches_reference(A, B)
 
 
@@ -354,7 +352,7 @@ def test_breakpoint_limit_keeps_pooled_refits():
     for got, want in zip(capped, free):
         if not got.fallback:
             assert_same_path(got, want)
-            dropped += (got.entries["cardinality"] < got.entries["support"].sum(axis=1)).sum()
+            dropped += refit_entries(got.entries).sum()
     assert dropped > 0 and any(p.fallback for p in capped)
 
 
@@ -391,7 +389,7 @@ def test_carried_inverse_matches_fresh_solves(monkeypatch):
     assert sum((np.diff(p.entries["support"].sum(axis=1)) < 0).any() for p in carried) > 100
     for got, want in zip(carried, fresh):
         assert supports(got) == supports(want)
-        for field in ("coeff_a", "coeff_b", "lam", "error_sq"):
+        for field in ("solution", "lam", "error_sq"):
             w, g = want.entries[field], got.entries[field]
             np.testing.assert_allclose(g, w, rtol=0, atol=RTOL * np.abs(w).max())
     got = build_cost_tables(carried, 24, 300).cost
@@ -437,12 +435,9 @@ def test_record_invariants(monkeypatch):
         assert zero["error_sq"] == B[:, j] @ B[:, j]
         want = extended_residual_sq(A, B[:, [j] * len(e)], e["solution"])
         assert (np.abs(e["error_sq"] - want) <= 1e-12 * want).all(), j
-        assert zero["cardinality"] == 0 and not zero["support"].any()
+        assert not zero["solution"].any() and not zero["support"].any()
         assert (np.diff(e["lam"]) <= 0.0).all() and e["lam"][-1] == 0.0
-        for field in ("solution", "coeff_a", "coeff_b"):
-            assert not e[field][~e["support"]].any(), (j, field)
-        assert np.array_equal(e["cardinality"], np.count_nonzero(e["solution"], axis=1))
+        assert not e["solution"][~e["support"]].any(), j
     # Refits with fewer nonzeros than their support, in both blocks.
-    dropped = [int((p.entries["cardinality"] < p.entries["support"].sum(axis=1)).sum())
-               for p in paths]
+    dropped = [int(refit_entries(p.entries).sum()) for p in paths]
     assert sum(dropped[:WIDTH]) > 0 and sum(dropped[WIDTH:]) > 0

@@ -11,7 +11,7 @@ from shamans.selector import build_cost_tables, init_gain, select_step
 from shamans.nnls import nnls_active_set
 
 import demo_data as dd
-from oracles import nnls_bruteforce, reference_path
+from oracles import nnls_bruteforce, reference_path, refit_entries
 
 
 def random_problem(rng, m, r, n, col_sparsity=None, noise=0.01):
@@ -338,17 +338,18 @@ class TestFallback:
 
     def test_pooled_refit_limit_attaches_column(self, monkeypatch):
         # Data uncorrelated with a 12-atom dictionary: many least-squares
-        # solutions go negative.  The walk pools their refits in round order
-        # and, within a round, in column order, and entry i of a path is
-        # recorded in round i - 1, so the rows of the first refit call are the
-        # first such entries in (entry, column) order; zero columns have none.
+        # solutions go negative, and their refits drop atoms of the support.
+        # The walk pools their refits in round order and, within a round, in
+        # column order, and entry i of a path is recorded in round i - 1, so
+        # the rows of the first refit call are the first such entries in
+        # (entry, column) order; zero columns have none.
         rng = np.random.default_rng(0)
         W = rng.random((40, 12))
         M = rng.random((40, 30))
         M[:, [0, 5]] = 0.0
         walk = PathWalk(W, M)
         pooled = sorted((i, j) for j in range(M.shape[1])
-                        for i in np.flatnonzero((walk.path(j).entries["coeff_a"] < 0.0).any(axis=1)))
+                        for i in np.flatnonzero(refit_entries(walk.path(j).entries)))
         nnls_gram = homotopy_mod.nnls_gram
         first = []
 
@@ -399,12 +400,13 @@ class TestPathReport:
 
     def test_refits_count_negative_least_squares_entries(self):
         # Counted independently: entries of the one-column reference walk
-        # whose least-squares solution on the support has a negative entry.
+        # whose least-squares solution on the support has a negative entry,
+        # so that their refit drops an atom of the support.
         rng = np.random.default_rng(3)
         W = rng.random((12, 8))
         M = rng.random((12, 300))
         H, report = solve(M, W, SolveConfig(mode="unconstrained"))
-        want = sum(int((reference_path(W, M[:, j]).entries["coeff_a"] < 0.0).any(axis=1).sum())
+        want = sum(int(refit_entries(reference_path(W, M[:, j]).entries).sum())
                    for j in range(300))
         assert want > 0
         assert report.refits == want

@@ -21,9 +21,9 @@ def synthetic_path(entries, r=4):
     leading nonzeros."""
     path = np.zeros(len(entries), path_dtype(r))
     for e, (lam, err, card) in zip(path, entries):
-        e["lam"], e["error_sq"], e["cardinality"] = lam, err, card
+        e["lam"], e["error_sq"] = lam, err
         e["support"][:card] = True
-        e["solution"][:card] = e["coeff_a"][:card] = 1.0
+        e["solution"][:card] = 1.0
     return RegularizationPath(path)
 
 
