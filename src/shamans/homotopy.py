@@ -167,26 +167,6 @@ def next_breakpoint(a, b, c, d, K, lambda_current, tol: float):
     return np.where(done, 0.0, np.minimum(lam, lambda_current)), kind, index
 
 
-def unbias(P: np.ndarray, ell: np.ndarray, K: np.ndarray, a: np.ndarray, G: np.ndarray,
-           tol: float = 1e-10):
-    """Penalty-free least-squares refits on the supports K.
-
-    ``a`` holds the least-squares solutions on K and G the (B, r, r)
-    inverses P(K_i, K_i)^-1, both zero off K.  A row keeps a when it is
-    nonnegative; the rows where it is not are refit together by one call
-    of the active-set solver, each restricted to its K and started from
-    its G.  Returns the (B, r) refits and the number of rows refit;
-    densela.residual_sq gives their errors.  PathWalk pools the negative
-    rows of many rounds into one call.
-    """
-    X = a.copy()
-    infeasible = (a < 0.0).any(axis=1)
-    if infeasible.any():
-        X[infeasible] = nnls_gram(P, ell[infeasible], K[infeasible], tol=tol,
-                                  inverse=G[infeasible])
-    return X, int(np.count_nonzero(infeasible))
-
-
 def _support_inverse(P: np.ndarray, K: np.ndarray) -> np.ndarray:
     """P(K_i, K_i)^-1 for every row of the (B, r) support mask K, embedded
     in a (B, r, r) stack that is zero off K_i.
@@ -238,19 +218,18 @@ class PathWalk:
     whose path exceeds ``max_breakpoints`` (default 50 r) ends at its NNLS
     solution with ``fallback`` set.  ``refits`` counts the path entries of
     the blocks walked so far whose least-squares solution went negative,
-    i.e. the rows unbias sent to the active-set solver.  An IterationLimit
-    from an active-set solve, a refit's or a fallback's, leaves with
-    ``column`` set to the data column.
+    i.e. the rows refit by nnls_gram.  An IterationLimit from an
+    active-set solve, a refit's or a fallback's, leaves with ``column``
+    set to the data column.
     """
 
-    def __init__(self, A, B, tol: float = 1e-10, max_breakpoints: int | None = None,
-                 gram_matrix=None, corr=None):
+    def __init__(self, A, B, tol: float = 1e-10, max_breakpoints: int | None = None):
         check_tol(tol)
         check_max_breakpoints(max_breakpoints)
         self.Q, self.R = np.linalg.qr(A)
         self.B = B
-        self.P = densela.gram(A) if gram_matrix is None else gram_matrix
-        self.L = A.T @ B if corr is None else corr
+        self.P = densela.gram(A)
+        self.L = A.T @ B
         self.tol = tol
         r = self.P.shape[0]
         self.max_breakpoints = 50 * r if max_breakpoints is None else max_breakpoints
@@ -265,7 +244,7 @@ class PathWalk:
         a column leaves them when its path ends.  A round records every
         live column's least-squares solution as its refit; the entries
         where it goes negative are pooled, and once the pool holds half
-        the block one unbias call refits them and rewrites their records.
+        the block one nnls_gram call refits them and rewrites their records.
         The columns still live after ``max_breakpoints`` rounds drop their
         records past the zero entry and end at the NNLS solution, found
         for all of them by one call of the active-set solver.
@@ -290,22 +269,24 @@ class PathWalk:
                 records[-1][name] = value
             owners.append(cols)
 
-        pool = []  # (record array, its rows, columns, ell, K, a, G) awaiting refits
+        pool = []  # (record array, its rows, columns, G) awaiting refits
         pooled = 0
 
         def refit_pool():
-            """Refit the pooled entries by one unbias call and write their
-            refits and errors into their records."""
+            """Refit the pooled entries on their supports by one nnls_gram
+            call, each started from its G, and write their refits and errors
+            into their records."""
             nonlocal pooled
             if not pool:
                 return
-            arrays, at, cols, *unbias_args = zip(*pool)
+            arrays, at, cols, inverses = zip(*pool)
             cols = np.concatenate(cols)
+            mask = np.concatenate([entries["support"][rows] for entries, rows in zip(arrays, at)])
             try:
-                X, refits = unbias(P, *map(np.concatenate, unbias_args), tol=tol)
+                X = nnls_gram(P, ell[cols], mask, tol=tol, inverse=np.concatenate(inverses))
             except IterationLimit as exc:
                 raise _at_column(exc, start + int(cols[exc.row])) from exc
-            self.refits += refits
+            self.refits += cols.size
             err = residual_sq(self.R, Z[cols], perp_sq[cols], X)
             ends = np.cumsum([rows.size for rows in at])[:-1]
             for entries, rows, x, e in zip(arrays, at, np.split(X, ends), np.split(err, ends)):
@@ -362,8 +343,7 @@ class PathWalk:
             if negative.size:
                 if pooled + negative.size > width:  # keep the pool within a block
                     refit_pool()
-                pool.append((records[-1], negative, live[negative], rhs2[negative, 0],
-                             K[negative], a[negative], G[negative]))
+                pool.append((records[-1], negative, live[negative], G[negative]))
                 pooled += negative.size
                 if 2 * pooled >= width:
                     refit_pool()
@@ -413,8 +393,11 @@ class PathWalk:
 
     def path(self, j: int) -> RegularizationPath:
         if j not in self._paths:
+            n = self.B.shape[1]
+            if not 0 <= j < n:
+                raise IndexError(f"column {j} is out of range for a walk over {n} columns")
             start = j - j % self.block
-            self._walk(start, min(start + self.block, self.B.shape[1]))
+            self._walk(start, min(start + self.block, n))
         return self._paths[j]
 
 
@@ -432,7 +415,8 @@ def regularization_path(A, b, tol: float = 1e-10, max_breakpoints: int | None = 
     walks the column's block on first use) and the other arguments are the
     walk's.
 
-    The first entry is (lambda_max, empty support, 0, ||b||^2);
+    The first entry is (lambda_max, ||b||^2, empty support, 0), in
+    path_dtype's field order (lam, error_sq, support, solution);
     consecutive supports differ by one index; the last entry sits at
     lambda = 0 with the unconstrained NNLS solution.  On a rank-deficient
     support the path ends at the last sound entry with ``truncated`` set.

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import selector
-from .densela import as_matrix, frob_norm, gram
+from .densela import as_matrix, frob_norm
 from .errors import DimensionMismatch, ZeroColumnInDictionary, ZeroDataMatrix
 from .homotopy import PathWalk, check_max_breakpoints, regularization_path
 from .nnls import check_tol
@@ -61,18 +61,19 @@ class UnmixReport:
     """Quality and cost summary of one solve.
 
     ``timings_ms`` maps each stage of the solve to its wall time in
-    milliseconds, in order: validate, gram (W.T W and W.T M), paths,
-    tables, select, assemble and metrics.  ``breakpoints`` totals the path
-    steps of all columns, and entry k of ``breakpoint_histogram`` counts
-    the columns whose path took k steps; ``refits`` counts the steps whose
-    unbiased refit needed the active-set solver, because least squares on
-    the support went negative.  Columns listed in ``fallback_columns`` hit
-    the breakpoint limit, so their path holds only its two ends, the zero
-    and the NNLS solution; those in ``truncated_columns`` ended their path
-    early on a rank-deficient support.  ``inexact_columns`` lists the
-    columns of H that are neither a solution of their full path nor the
-    NNLS optimum: every truncated column, and the fallback columns outside
-    unconstrained mode (whose path has nothing between its two ends).
+    milliseconds, in order: validate, gram (W.T W, W.T M and the thin QR
+    of W), paths, tables, select, assemble and metrics.  ``breakpoints``
+    totals the path steps of all columns, and entry k of
+    ``breakpoint_histogram`` counts the columns whose path took k steps;
+    ``refits`` counts the steps whose unbiased refit needed the active-set
+    solver, because least squares on the support went negative.  Columns
+    listed in ``fallback_columns`` hit the breakpoint limit, so their path
+    holds only its two ends, the zero and the NNLS solution; those in
+    ``truncated_columns`` ended their path early on a rank-deficient
+    support.  ``inexact_columns`` lists the columns of H that are neither
+    a solution of their full path nor the NNLS optimum: every truncated
+    column, and the fallback columns outside unconstrained mode (whose
+    path has nothing between its two ends).
 
     In shamans mode ``picks`` counts the greedy steps, ``overshoot`` is
     the sum of the selected sparsity levels minus q (negative when no
@@ -161,12 +162,9 @@ def solve(M, W, cfg: SolveConfig):
         raise ValueError(f"k={cfg.k} exceeds the dictionary size r={r}")
     lap("validate")
 
-    P = gram(W)
-    L = W.T @ M
+    walk = PathWalk(W, M, tol=cfg.tol, max_breakpoints=cfg.max_breakpoints)
     lap("gram")
 
-    walk = PathWalk(W, M, tol=cfg.tol, max_breakpoints=cfg.max_breakpoints,
-                    gram_matrix=P, corr=L)
     # Every path passes the public per-column call, where the benchmark's
     # trace counts breakpoints; a block is walked on its first read.
     paths = [regularization_path(W, M[:, j], walk=walk, column=j) for j in range(n)]

@@ -5,8 +5,8 @@ from shamans.densela import gram, range_split, residual_sq
 from shamans.errors import IterationLimit, SingularSystem
 from shamans.homotopy import (ENTER, LEAVE, TERMINATE, PathWalk, RegularizationPath,
                               _support_inverse, lambda_max, next_breakpoint,
-                              regularization_path, unbias)
-from shamans.nnls import nnls_active_set
+                              regularization_path)
+from shamans.nnls import nnls_active_set, nnls_gram
 
 import demo_data as dd
 from oracles import (kkt_midpoint_violation, nnls_bruteforce, random_nonneg_instance,
@@ -173,12 +173,14 @@ def kernel_errors(A, B, X):
 
 
 class TestUnbias:
+    """The walk's unbiased refit: nnls_gram confined to a support and
+    started from the inverse of P on it."""
+
     def test_empty_support(self):
         b = dd.DEMO_M[:, 0]
         K = support_mask(4, [])
-        x, refits = unbias(DEMO_P, DEMO_ELL0[None], K, np.zeros((1, 4)), np.zeros((1, 4, 4)))
+        x = nnls_gram(DEMO_P, DEMO_ELL0[None], K, inverse=np.zeros((1, 4, 4)))
         err = kernel_errors(dd.DEMO_W, b[:, None], x)
-        assert refits == 0
         np.testing.assert_array_equal(x[0], np.zeros(4))
         assert err[0] == pytest.approx(float(b @ b), rel=1e-12)
         assert err[0] == pytest.approx(4.3187, abs=1e-12)
@@ -186,11 +188,9 @@ class TestUnbias:
     def test_demo_three_element_support(self):
         b = dd.DEMO_M[:, 0]
         K = np.array([1, 2, 3])
-        a = coefficients(DEMO_P, DEMO_ELL0, K)[0]
         mask = support_mask(4, K)
-        x, refits = unbias(DEMO_P, DEMO_ELL0[None], mask, a, _support_inverse(DEMO_P, mask))
+        x = nnls_gram(DEMO_P, DEMO_ELL0[None], mask, inverse=_support_inverse(DEMO_P, mask))
         err = kernel_errors(dd.DEMO_W, b[:, None], x)
-        assert refits == 0
         x, err = x[0], err[0]
         ls, *_ = np.linalg.lstsq(dd.DEMO_W[:, K], b, rcond=None)
         np.testing.assert_allclose(x[K], ls, atol=1e-10)
@@ -210,11 +210,9 @@ class TestUnbias:
         K = np.array([0, 1])
         ls, *_ = np.linalg.lstsq(A[:, K], b, rcond=None)
         assert ls.min() < 0  # the construction really exercises the branch
-        a = coefficients(P, ell, K)[0]
         mask = support_mask(3, K)
-        x, refits = unbias(P, ell[None], mask, a, _support_inverse(P, mask))
+        x = nnls_gram(P, ell[None], mask, inverse=_support_inverse(P, mask))
         err = kernel_errors(A, b[:, None], x)
-        assert refits == 1
         x, err = x[0], err[0]
         x_star, err_star = nnls_bruteforce(A[:, K], b)
         np.testing.assert_allclose(x[K], x_star, atol=1e-8)
@@ -243,9 +241,8 @@ class TestUnbias:
         a = np.concatenate([coefficients(P, L[:, j], np.flatnonzero(k))[0]
                             for j, k in zip(columns, K)])
         assert ((a < 0.0).sum(axis=1) >= 2).sum() > 10
-        x, refits = unbias(P, L.T[columns], K, a, _support_inverse(P, K))
+        x = nnls_gram(P, L.T[columns], K, inverse=_support_inverse(P, K))
         err = kernel_errors(A, B[:, columns], x)
-        assert refits == len(columns)
         np.testing.assert_allclose(x, e["solution"], rtol=0, atol=1e-12)
         for i, j in enumerate(columns):
             k = np.flatnonzero(K[i])
@@ -379,6 +376,19 @@ class TestRegularizationPath:
             regularization_path(dd.DEMO_W, dd.DEMO_M[:, 0], max_breakpoints=cap)
         with pytest.raises(ValueError, match="max_breakpoints must be a positive integer"):
             PathWalk(dd.DEMO_W, dd.DEMO_M, max_breakpoints=cap)
+
+    @pytest.mark.parametrize("column", [5, -1])
+    def test_column_out_of_range(self, column):
+        # A column outside 0..n-1 is refused before any block is walked, and
+        # the walk reads its columns afterwards as a fresh one does.
+        M = np.asfortranarray(dd.DEMO_M[:, :5])
+        walk, fresh = PathWalk(dd.DEMO_W, M), PathWalk(dd.DEMO_W, M)
+        with pytest.raises(IndexError, match=f"column {column} is out of range .* 5 columns"):
+            regularization_path(dd.DEMO_W, M[:, 0], walk=walk, column=column)
+        for j in range(5):
+            got = regularization_path(dd.DEMO_W, M[:, j], walk=walk, column=j)
+            assert got.entries.tobytes() == fresh.path(j).entries.tobytes()
+        assert walk.refits == fresh.refits
 
     def test_biased_coefficients_reconstruct_interval(self):
         # Inside each interval a direct penalized solve on the entry's

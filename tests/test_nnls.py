@@ -3,7 +3,6 @@ import pytest
 
 from shamans.densela import gram
 from shamans.errors import IterationLimit, SingularSystem
-from shamans.homotopy import unbias
 from shamans.nnls import nnls_active_set, nnls_gram
 
 from demo_data import DEMO_M, DEMO_W
@@ -179,7 +178,7 @@ def test_block_matches_per_column_reference():
 
 def test_refits_factor_nothing(monkeypatch):
     # Block refits on supports of a 12-atom dictionary, with and without
-    # the inverses on the masks, and through unbias: with numpy's solve,
+    # the inverses on the masks (the walk's refit): with numpy's solve,
     # Cholesky and inverse disabled, every row still matches the
     # per-column solver on its mask.
     rng = np.random.default_rng(19)
@@ -203,8 +202,7 @@ def test_refits_factor_nothing(monkeypatch):
 
     for name in ("solve", "cholesky", "inv"):
         monkeypatch.setattr(np.linalg, name, disabled)
-    for X in (nnls_gram(P, ell, mask), nnls_gram(P, ell, mask, inverse=G),
-              unbias(P, ell, mask, a, G)[0]):
+    for X in (nnls_gram(P, ell, mask), nnls_gram(P, ell, mask, inverse=G)):
         assert (np.abs(X - want) / scale).max() <= 1e-12
 
 
