@@ -270,13 +270,11 @@ class PathWalk:
             owners.append(cols)
 
         pool = []  # (record array, its rows, columns, G) awaiting refits
-        pooled = 0
 
         def refit_pool():
             """Refit the pooled entries on their supports by one nnls_gram
             call, each started from its G, and write their refits and errors
             into their records."""
-            nonlocal pooled
             if not pool:
                 return
             arrays, at, cols, inverses = zip(*pool)
@@ -293,21 +291,17 @@ class PathWalk:
                 entries["solution"][rows] = x
                 entries["error_sq"][rows] = e
             pool.clear()
-            pooled = 0
 
         lam, first = lambda_max(ell)  # the zero entries
         record(np.arange(width), lam, [b @ b for b in rhs.T], False, 0.0)
-        live = np.flatnonzero(first >= 0)
-        lam, first = lam[live], first[live]
-        # Row i holds the right-hand sides (ell, 1) of the pair (a, b).
-        rhs2 = np.stack((ell[live], np.ones((live.size, r))), axis=1)
-        rows = np.arange(live.size)
-        K = np.zeros((live.size, r), dtype=bool)
-        K[rows, first] = True
-        G = np.zeros((live.size, r, r))
-        G[rows, first, first] = 1.0 / diag[first]
-        fresh = _below_guard(G, K, diag)
         tol_lam = tol * (1.0 + lam)
+        # Row i holds the right-hand sides (ell, 1) of column i's pair (a, b).
+        pairs = np.stack((ell, np.ones((width, r))), axis=1)
+        live = np.flatnonzero(first >= 0)
+        lam = lam[live]
+        K = np.zeros((live.size, r), dtype=bool)
+        G = np.zeros((live.size, r, r))
+        carry_inverse(P, G, K, np.ones(live.size, dtype=bool), first[live])
         truncated = np.zeros(width, dtype=bool)
         over = np.zeros(width, dtype=bool)
 
@@ -316,7 +310,7 @@ class PathWalk:
             if rounds >= self.max_breakpoints:
                 over[live] = True
                 break
-            redo = np.flatnonzero(fresh)
+            redo = np.flatnonzero(_below_guard(G, K, diag))
             if redo.size:
                 try:
                     G[redo] = _support_inverse(P, K[redo])
@@ -324,11 +318,11 @@ class PathWalk:
                     keep = np.ones(live.size, dtype=bool)
                     keep[redo[exc.matrices]] = False
                     truncated[live[~keep]] = True
-                    live, rhs2, lam, tol_lam, K, G, fresh = (
-                        x[keep] for x in (live, rhs2, lam, tol_lam, K, G, fresh))
+                    live, lam, K, G = (x[keep] for x in (live, lam, K, G))
                     continue
             # x.G is G x (G is symmetric).  One step of iterative refinement
             # keeps a and b as accurate as a fresh solve.
+            rhs2 = pairs[live]
             ab = np.matmul(rhs2, G)
             grad = (ab.reshape(-1, r) @ P).reshape(ab.shape) - rhs2
             ab -= np.matmul(np.where(K[:, None, :], grad, 0.0), G)
@@ -337,21 +331,19 @@ class PathWalk:
             c = np.where(K, 0.0, grad[:, 0])
             d = np.where(K, 0.0, grad[:, 1])
             lam_next, kind, index = next_breakpoint(a, b, c, d, K, lam, tol_neg)
-            lam_next[lam_next <= tol_lam] = 0.0
+            lam_next[lam_next <= tol_lam[live]] = 0.0
             record(live, lam_next, residual_sq(self.R, Z[live], perp_sq[live], a), K, a)
             negative = np.flatnonzero((a < 0.0).any(axis=1))
-            if negative.size:
-                if pooled + negative.size > width:  # keep the pool within a block
+            if negative.size:  # the pool holds at most a block
+                if sum(rows.size for _, rows, _, _ in pool) + negative.size > width:
                     refit_pool()
                 pool.append((records[-1], negative, live[negative], G[negative]))
-                pooled += negative.size
-                if 2 * pooled >= width:
+                if 2 * sum(rows.size for _, rows, _, _ in pool) >= width:
                     refit_pool()
             go = (kind != TERMINATE) & (lam_next != 0.0)
             if not go.all():
-                live, rhs2, tol_lam, K, G = (x[go] for x in (live, rhs2, tol_lam, K, G))
+                live, K, G = (x[go] for x in (live, K, G))
             carry_inverse(P, G, K, kind[go] == ENTER, index[go])
-            fresh = _below_guard(G, K, diag)
             lam = lam_next[go]
             rounds += 1
         refit_pool()  # before the records past the limit are dropped
