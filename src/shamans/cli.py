@@ -174,8 +174,13 @@ def _solve_config(args) -> SolveConfig:
         if given != (flag == needed):
             raise UsageError(f"--{flag} does not apply to {args.mode} mode" if given
                              else f"--mode {args.mode} requires --{flag}")
+    if args.strict_budget and args.mode != "shamans":
+        raise UsageError(f"--strict-budget does not apply to {args.mode} mode")
     sizes = (args.map_width, args.map_height)
-    if args.maps_dir is not None and not all(size is not None and size > 0 for size in sizes):
+    if args.maps_dir is None:
+        if any(size is not None for size in sizes):
+            raise UsageError("--map-width and --map-height apply only with --maps-dir")
+    elif not all(size is not None and size > 0 for size in sizes):
         raise UsageError("--maps-dir requires a positive --map-width and --map-height")
     return SolveConfig(mode=args.mode, q=args.budget, k=args.k, tol=args.tol,
                        zero_threshold=args.zero_thresh, strict_budget=args.strict_budget)

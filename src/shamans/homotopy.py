@@ -57,7 +57,7 @@ import numpy as np
 
 from . import densela
 from .densela import as_matrix, as_vector, carry_inverse, range_split, residual_sq, spd_factor
-from .errors import IterationLimit, SingularSystem
+from .errors import IterationLimit, NonFiniteEntry, SingularSystem
 from .nnls import check_tol, nnls_gram
 
 LEAVE = 0
@@ -220,7 +220,8 @@ class PathWalk:
     the blocks walked so far whose least-squares solution went negative,
     i.e. the rows refit by nnls_gram.  An IterationLimit from an
     active-set solve, a refit's or a fallback's, leaves with ``column``
-    set to the data column.
+    set to the data column.  A.T A, A.T B and every column's b @ b must
+    be finite: an overflow raises NonFiniteEntry before any walk.
     """
 
     def __init__(self, A, B, tol: float = 1e-10, max_breakpoints: int | None = None):
@@ -228,8 +229,13 @@ class PathWalk:
         check_max_breakpoints(max_breakpoints)
         self.Q, self.R = np.linalg.qr(A)
         self.B = B
-        self.P = densela.gram(A)
-        self.L = A.T @ B
+        with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+            self.P = densela.gram(A)
+            self.L = A.T @ B
+            self.norm_sq = np.array([b @ b for b in B.T])  # the zero entries' errors
+        if not all(np.isfinite(x).all() for x in (self.P, self.L, self.norm_sq)):
+            raise NonFiniteEntry("A.T A, A.T B or the squared norm of a column of B "
+                                 "overflows to a non-finite value")
         self.tol = tol
         r = self.P.shape[0]
         self.max_breakpoints = 50 * r if max_breakpoints is None else max_breakpoints
@@ -240,11 +246,17 @@ class PathWalk:
     def _walk(self, start: int, stop: int) -> None:
         """Walk columns start..stop-1 in lockstep, one breakpoint per round.
 
-        The arrays indexed by row describe the live columns ``live`` only;
-        a column leaves them when its path ends.  A round records every
-        live column's least-squares solution as its refit; the entries
-        where it goes negative are pooled, and once the pool holds half
-        the block one nnls_gram call refits them and rewrites their records.
+        The loop carries four arrays, one row per live column: ``live``
+        (its column), ``lam``, the support mask ``K`` and its inverse ``G``;
+        a column leaves them when its path ends.  The first atom enters an
+        empty support through carry_inverse, like every later one.  Each
+        round reads the rest through ``live`` from arrays of the whole
+        block, the right-hand sides (ell, 1) and the tolerances on lambda,
+        and recomputes the rows below the Schur guard, which it re-seeds
+        before solving.  A round records every live column's
+        least-squares solution as its refit; the entries where it goes
+        negative are pooled, and once the pool holds half the block one
+        nnls_gram call refits them and rewrites their records.
         The columns still live after ``max_breakpoints`` rounds drop their
         records past the zero entry and end at the NNLS solution, found
         for all of them by one call of the active-set solver.
@@ -253,7 +265,7 @@ class PathWalk:
         r = P.shape[0]
         diag = np.diagonal(P)
         ell = np.ascontiguousarray(self.L[:, start:stop].T)
-        rhs = self.B[:, start:stop]  # read here and by the zero entries only
+        rhs = self.B[:, start:stop]  # read here only
         width = stop - start
         step = max(1, BUDGET // max(1, rhs.shape[0]))  # range_split's (step, m) temporary
         Z, perp_sq = map(np.concatenate, zip(*(range_split(self.Q, rhs[:, i:i + step])
@@ -293,7 +305,7 @@ class PathWalk:
             pool.clear()
 
         lam, first = lambda_max(ell)  # the zero entries
-        record(np.arange(width), lam, [b @ b for b in rhs.T], False, 0.0)
+        record(np.arange(width), lam, self.norm_sq[start:stop], False, 0.0)
         tol_lam = tol * (1.0 + lam)
         # Row i holds the right-hand sides (ell, 1) of column i's pair (a, b).
         pairs = np.stack((ell, np.ones((width, r))), axis=1)

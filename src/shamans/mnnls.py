@@ -106,12 +106,18 @@ class UnmixReport:
 def metrics(M, W, H, zero_threshold: float = 1e-3) -> UnmixReport:
     """Relative Frobenius error and sparsity statistics of a solution.
 
+    Raises DimensionMismatch unless M (m, n), W (m, r) and H (r, n) fit.
     ``avg_sparsity`` and the per-column histogram count entries above
     ``zero_threshold``; ``nnz`` counts exact nonzeros.
     """
     M = as_matrix(M, "M")
     W = as_matrix(W, "W")
     H = as_matrix(H, "H")
+    if M.shape[0] != W.shape[0]:
+        raise DimensionMismatch(f"M has shape {M.shape} but W has shape {W.shape}")
+    if H.shape != (W.shape[1], M.shape[1]):
+        raise DimensionMismatch(f"H has shape {H.shape} but W {W.shape} and M {M.shape} "
+                                f"need {(W.shape[1], M.shape[1])}")
     return _summary(H, frob_norm(M - W @ H), frob_norm(M), zero_threshold)
 
 
@@ -154,7 +160,9 @@ def solve(M, W, cfg: SolveConfig):
     r = W.shape[1]
     if n == 0 or r == 0:
         raise DimensionMismatch("M and W must be nonempty")
-    if not np.all((W * W).sum(axis=0) > 0.0):
+    with np.errstate(over="ignore"):  # PathWalk reports an overflow
+        nonzero = (W * W).sum(axis=0) > 0.0
+    if not nonzero.all():
         raise ZeroColumnInDictionary("dictionary has an all-zero column")
     if cfg.mode == "shamans" and cfg.q > r * n:
         raise ValueError(f"budget q={cfg.q} exceeds r*n={r * n}")

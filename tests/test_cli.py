@@ -337,6 +337,12 @@ class TestMain:
          "--map-height", "-3"],
         ["--mode", "unconstrained", "--tol", "inf"],
         ["--mode", "unconstrained", "--zero-thresh", "inf"],
+        # Flags that do not apply are refused, not ignored.
+        ["--mode", "unconstrained", "--strict-budget"],
+        ["--mode", "ksparse", "--k", "3", "--strict-budget"],
+        ["--mode", "ksparse", "--k", "3", "--map-width", "3", "--map-height", "2"],
+        ["--mode", "ksparse", "--k", "3", "--map-width", "3"],
+        ["--mode", "ksparse", "--k", "3", "--map-height", "2"],
     ])
     def test_bad_flag_values_are_usage_errors_before_any_read(self, demo_files, flags,
                                                                monkeypatch, capsys):
@@ -348,6 +354,17 @@ class TestMain:
         assert code == 1 and reads == []
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp / "H.csv").exists() and not (tmp / "m").exists()
+
+    def test_overflowing_gram_is_data_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        wpath, mpath, out = tmp_path / "W.csv", tmp_path / "M.csv", tmp_path / "H.csv"
+        write_csv_matrix(1e160 * (rng.random((10, 4)) + 0.05), wpath)
+        write_csv_matrix(rng.random((10, 7)), mpath)
+        code = main(["--dict", str(wpath), "--data", str(mpath), "--mode", "unconstrained",
+                     "--out", str(out)])
+        assert code == 2
+        assert "overflows" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_budget_above_rn_is_data_error(self, demo_files):
         wpath, mpath, tmp = demo_files

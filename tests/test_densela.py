@@ -251,3 +251,11 @@ class TestValidation:
     def test_as_vector_rejects_2d(self):
         with pytest.raises(ValueError):
             densela.as_vector(np.eye(2))
+
+    def test_as_matrix_rejects_1d(self):
+        with pytest.raises(ValueError, match="must be 2-D, got ndim=1"):
+            densela.as_matrix(np.ones(3))
+
+    def test_as_vector_rejects_inf(self):
+        with pytest.raises(NonFiniteEntry):
+            densela.as_vector(np.array([1.0, np.inf]))

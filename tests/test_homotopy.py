@@ -370,6 +370,10 @@ class TestRegularizationPath:
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             PathWalk(dd.DEMO_W, dd.DEMO_M, tol=tol)
 
+    def test_row_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="A has 5 rows but b has 4"):
+            regularization_path(dd.DEMO_W, dd.DEMO_M[:4, 0])
+
     @pytest.mark.parametrize("cap", [0, -5, 2.5, np.nan, "3"])
     def test_bad_max_breakpoints_rejected(self, cap):
         with pytest.raises(ValueError, match="max_breakpoints must be a positive integer"):

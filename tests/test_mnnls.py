@@ -3,7 +3,7 @@ import pytest
 
 import shamans.homotopy as homotopy_mod
 import shamans.mnnls as mnnls_mod
-from shamans.errors import (DimensionMismatch, IterationLimit,
+from shamans.errors import (DimensionMismatch, IterationLimit, NonFiniteEntry,
                             ZeroColumnInDictionary, ZeroDataMatrix)
 from shamans.homotopy import PathWalk, regularization_path
 from shamans.mnnls import SolveConfig, metrics, solve
@@ -108,6 +108,16 @@ class TestMetrics:
         with pytest.raises(ZeroDataMatrix):
             metrics(np.zeros((5, 6)), W, np.zeros((4, 6)))
 
+    def test_shape_mismatch_names_both_shapes(self):
+        rng = np.random.default_rng(0)
+        W, M = rng.random((10, 4)), rng.random((10, 7))
+        with pytest.raises(DimensionMismatch, match=r"H has shape \(3, 7\) but W \(10, 4\)"):
+            metrics(M, W, rng.random((3, 7)))
+        with pytest.raises(DimensionMismatch, match=r"M has shape \(5, 7\) but W has shape \(10, 4\)"):
+            metrics(M[:5], W, rng.random((4, 7)))
+        with pytest.raises(DimensionMismatch, match=r"H has shape \(4, 5\)"):
+            metrics(M, W, rng.random((4, 5)))
+
 
 class TestProperties:
     def test_mode_dominance(self):
@@ -165,6 +175,22 @@ class TestValidation:
         M, W = demo
         with pytest.raises(DimensionMismatch):
             solve(M[:4, :], W, SolveConfig(mode="unconstrained"))
+        for M_, W_ in ((M[:, :0], W), (M, W[:, :0])):
+            with pytest.raises(DimensionMismatch, match="M and W must be nonempty"):
+                solve(M_, W_, SolveConfig(mode="unconstrained"))
+
+    @pytest.mark.parametrize("scale_M, scale_W", [(1.0, 1e160), (1e160, 1.0)])
+    @pytest.mark.parametrize("kwargs", [{"mode": "unconstrained"}, {"mode": "shamans", "q": 10},
+                                        {"mode": "ksparse", "k": 2}])
+    def test_overflowing_products_raise(self, scale_M, scale_W, kwargs):
+        # W.T W or a column's squared norm overflows: the solve used to crash
+        # in assemble or return an all-zero H.
+        rng = np.random.default_rng(0)
+        W, M = scale_W * (rng.random((10, 4)) + 0.05), scale_M * rng.random((10, 7))
+        with pytest.raises(NonFiniteEntry, match="overflows"):
+            solve(M, W, SolveConfig(**kwargs))
+        with pytest.raises(NonFiniteEntry, match="overflows"):
+            regularization_path(W, M[:, 0])
 
     def test_zero_column_dictionary(self, demo):
         M, W = demo

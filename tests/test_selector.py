@@ -122,6 +122,11 @@ class TestBuildCostTables:
         with pytest.raises(MissingZeroEntry, match="column 1 "):
             build_cost_tables([good, synthetic_path([]), good], 4, 3)
 
+    def test_path_count_must_match(self):
+        good = synthetic_path([(1.0, 5.0, 0)])
+        with pytest.raises(ValueError, match="expected 2 paths, got 1"):
+            build_cost_tables([good], 4, 2)
+
 
 class TestFoldMatchesReference:
     def assert_same_tables(self, paths, r, n):
