@@ -113,7 +113,7 @@ class TestMetrics:
         W, M = rng.random((10, 4)), rng.random((10, 7))
         with pytest.raises(DimensionMismatch, match=r"H has shape \(3, 7\) but W \(10, 4\)"):
             metrics(M, W, rng.random((3, 7)))
-        with pytest.raises(DimensionMismatch, match=r"M has shape \(5, 7\) but W has shape \(10, 4\)"):
+        with pytest.raises(DimensionMismatch, match=r"M has shape \(5, 7\) but W has shape"):
             metrics(M[:5], W, rng.random((4, 7)))
         with pytest.raises(DimensionMismatch, match=r"H has shape \(4, 5\)"):
             metrics(M, W, rng.random((4, 5)))
