@@ -76,35 +76,56 @@ def spd_factor(S: np.ndarray) -> np.ndarray:
     return L
 
 
-def carry_inverse(P: np.ndarray, G: np.ndarray, K: np.ndarray, enter: np.ndarray,
-                  index: np.ndarray) -> np.ndarray:
-    """Move row i of the (B, r) support mask K across atom index[i], in
-    place: it enters when enter[i], else it leaves.  G[i] = P(K_i, K_i)^-1,
-    zero off K_i, follows by one rank-one update (Osborne, Presnell and
-    Turlach, IMA J. Numer. Anal. 2000):
+def carry_inverse(P: np.ndarray, G: np.ndarray, atoms: np.ndarray, enter: np.ndarray,
+                  index: np.ndarray):
+    """Move atom index[i] into row i's support when enter[i], else out of it.
 
-        enter j:  G + v v^T / s,   v = G p - e_j,  p = P(K, j),  s = P_jj - p.G p
-        leave j:  G - g g^T / g_jj, g = G e_j, then row and column j zeroed
+    Supports are held in slot coordinates.  Row i of the (B, k) ``atoms``
+    names the atom in each of its slots, r in an empty one, and G[i] is
+    P(K_i, K_i)^-1 in that slot order, zero in the rows and columns of
+    empty slots.  P is the (r + 1, r + 1) Gram matrix with a zero row and
+    column appended at index r, so a gather through an empty slot reads 0.
+    An entering atom takes its own slot when that slot is free, else the
+    first free one; a leaving atom frees its slot.  With k = r and atom j in
+    slot j, G is the full-space inverse, zero off K_i.  G follows by one
+    rank-one update (Osborne, Presnell and Turlach, IMA J. Numer. Anal.
+    2000), j entering or leaving slot t:
 
-    Returns s, the entering Schur pivot (-g_jj on a leaving row).  An s
-    below PIVOT_FLOOR times the largest diagonal entry of P on the new
-    support means a rank-deficient support, whose G is not to be trusted.
+        enter:  G + v v^T / s,   v = G p - e_t,  p = P(j, atoms),  s = P_jj - p.G p
+        leave:  G - g g^T / g_tt, g = G e_t, then row and column t zeroed
+
+    Returns (G, atoms, s).  G and atoms are updated in place, or replaced by
+    stacks one slot larger when an entering row has no free slot.  s is the
+    entering Schur pivot (-g_tt on a leaving row).  An s below PIVOT_FLOOR
+    times the largest diagonal entry of P on the new support means a
+    rank-deficient support, whose G is not to be trusted.
     """
-    rows = np.arange(K.shape[0])
-    e = np.arange(K.shape[1]) == index[:, None]
-    # A leaving row takes p = e_j, so that u = G e_j is the g of its update.
-    p = np.where(enter[:, None], np.where(K, P[index], 0.0), e)
+    B, k = atoms.shape
+    r = P.shape[0] - 1
+    target = np.where(enter, r, index)[:, None]  # an empty slot, or the leaving atom's
+    hit = atoms == target
+    if not hit.any(axis=1).all():  # an entering row has no free slot: add one
+        wider = np.zeros((B, k + 1, k + 1))
+        wider[:, :k, :k] = G
+        G, k = wider, k + 1
+        atoms = np.column_stack((atoms, np.full(B, r)))
+        hit = atoms == target
+    slots = np.arange(k)
+    slot = (hit * (1 + (slots == index[:, None]))).argmax(axis=1)  # its own slot first
+    e = slots == slot[:, None]
+    # A leaving row takes p = e_t, so that u = G e_t is the g of its update.
+    p = np.where(enter[:, None], P[index[:, None], atoms], e)
     u = np.matmul(p[:, None, :], G)[:, 0]  # p.G = G p: G is symmetric
     v = u - (enter[:, None] & e)
     s = np.where(enter, P[index, index], 0.0) - np.einsum("bi,bi->b", p, u)
     with np.errstate(divide="ignore", invalid="ignore"):
         w = 1.0 / s
         G += np.einsum("bi,bj->bij", v * w[:, None], v)
-    leave = rows[~enter]
-    G[leave, index[leave], :] = 0.0
-    G[leave, :, index[leave]] = 0.0
-    K[rows, index] ^= True
-    return s
+    leave = np.flatnonzero(~enter)
+    G[leave, slot[leave], :] = 0.0
+    G[leave, :, slot[leave]] = 0.0
+    atoms[np.arange(B), slot] = np.where(enter, index, r)
+    return G, atoms, s
 
 
 def range_split(Q: np.ndarray, B: np.ndarray):

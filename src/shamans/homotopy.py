@@ -23,17 +23,22 @@ lambda = 0 with the unconstrained NNLS solution.
 
 Every right-hand side shares P, so the walk advances a block of columns
 in lockstep, one breakpoint per round; block_width sizes the block so
-that neither its carried inverses nor one round's records pass one
-working-set budget.  Each column
-carries G = P(K,K)^-1, zero off K, across breakpoints by
-densela.carry_inverse, so a round costs O(r^2) per column: G and one step
-of iterative refinement give a and b, and P gives c and d.  The entries
-whose least-squares solution goes negative are pooled across rounds and
-refit together, half a block at a time, by nnls_gram started from their
-G.  No round touches the m rows of A or b: with the thin QR
-factorization A = QR (Golub and Van Loan, Matrix Computations, 5.3)
-computed once per walk, and z = Q.T b and ||b - Q z||^2 once per column,
-each refit's error is
+that one round's arrays stay within one working-set budget.  Each column
+carries G = P(K,K)^-1 across breakpoints by densela.carry_inverse, in
+support ("slot") coordinates, as LARS and homotopy codes keep their
+factor (Osborne, Presnell and Turlach, IMA J. Numer. Anal. 2000; Efron et
+al., Ann. Statist. 2004): a (B, k) index names the atom in each slot, k
+the largest support of the block's group of live columns, and G is a
+(B, k, k) stack in that order.  A round gathers the right-hand sides
+through the slots, and G and one step of iterative refinement give a and
+b there; scattered back to full space, they give c and d through P.  So a
+round costs O(k^2 + r k) per column.  A group whose stack would pass the
+budget walks on in two halves.  The entries whose least-squares solution
+goes negative are pooled across rounds and refit together by nnls_gram,
+started from their G in full space.  No round touches the m rows of A or
+b: with the thin QR factorization A = QR (Golub and Van Loan, Matrix
+Computations, 5.3) computed once per walk, and z = Q.T b and
+||b - Q z||^2 once per column, each refit's error is
 
     ||A x - b||^2 = ||b - Q z||^2 + ||z - R x||^2,
 
@@ -43,9 +48,9 @@ Cholesky pivot of P(K,K) from below.  A column whose smallest Schur
 pivot falls below SCHUR_GUARD times the largest diagonal entry of P on
 its support has G re-seeded from one checked factorization and inverse
 of P(K,K), whose check decides whether the support is rank deficient.
-The kernels take a (B, r) boolean support mask, one row per column, and
-full-space (B, r) coefficient arrays that are zero off the rows'
-supports (a, b) or on them (c, d).
+next_breakpoint and the records take a (B, r) boolean support mask, one
+row per column, and full-space (B, r) coefficient arrays that are zero
+off the rows' supports (a, b) or on them (c, d).
 """
 
 from __future__ import annotations
@@ -64,11 +69,15 @@ LEAVE = 0
 ENTER = 1
 TERMINATE = 2
 
-# Float64 entries in the largest temporary of a walk: the (columns, r, r)
-# inverses a block carries, one round's records (16 + 9 r bytes per column,
-# the larger for r < 3) and range_split's (columns, m) temporary.  It is 256
-# columns at r = 24; fewer, larger blocks share each round's numpy calls.  The
-# block's records, the walk's output, grow with its width times path length.
+# Float64 entries in the largest temporary of a walk.  It bounds a block's
+# width by one round's three (columns, 2, r) arrays, its right-hand sides,
+# solutions and gradients, and by its records, 16 + 9 r bytes per column:
+# 1,024 columns at r = 24, so wider blocks share each round's numpy calls.
+# It bounds each group's (columns, k, k) inverses: a group that would pass
+# it walks on with half its columns and sets the other half aside.  It
+# bounds the refit pool's full-space inverses, at most BUDGET // r^2 rows,
+# and range_split's (columns, m) temporary.  The block's records, the
+# walk's output, grow with its width times path length.
 BUDGET = 256 * 24 * 24
 
 # Smallest Schur pivot, relative to the largest diagonal entry of P on the
@@ -81,9 +90,9 @@ SCHUR_GUARD = 1e-6
 
 def block_width(r: int) -> int:
     """Columns walked together over a dictionary of r atoms: as many as
-    keep their (columns, r, r) carried inverses and one round's records,
-    16 + 9 r bytes per column, within BUDGET."""
-    return max(1, BUDGET // max(r * r, -(-path_dtype(r).itemsize // 8)))
+    keep one round's three (columns, 2, r) arrays and its records, 16 + 9 r
+    bytes per column, within BUDGET."""
+    return max(1, BUDGET // max(6 * r, -(-path_dtype(r).itemsize // 8)))
 
 
 def path_dtype(r: int) -> np.dtype:
@@ -167,33 +176,44 @@ def next_breakpoint(a, b, c, d, K, lambda_current, tol: float):
     return np.where(done, 0.0, np.minimum(lam, lambda_current)), kind, index
 
 
-def _support_inverse(P: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """P(K_i, K_i)^-1 for every row of the (B, r) support mask K, embedded
-    in a (B, r, r) stack that is zero off K_i.
+def _support_inverse(P: np.ndarray, atoms: np.ndarray) -> np.ndarray:
+    """P(K_i, K_i)^-1 for every row of the (B, k) slot index ``atoms``
+    (carry_inverse's layout, P.shape[0] in an empty slot): a (B, k, k)
+    stack in the rows' slot order, zero in the rows and columns of empty
+    slots.
 
     Raises SingularSystem when some P(K_i, K_i) is numerically rank
     deficient; its ``matrices`` lists the offending rows, which callers
     must treat as degenerate supports.
     """
-    # Off K_i the system is diagonal, equal to the largest diagonal entry
+    # An empty slot's system is diagonal, equal to the largest diagonal entry
     # of P on K_i, so spd_factor's relative floor stays that of P(K_i, K_i).
-    on = K[:, :, None] & K[:, None, :]
-    S = np.where(on, P, 0.0)
-    pad = np.where(K, np.diagonal(P), 0.0).max(axis=1)
-    diagonal = np.arange(K.shape[1])
-    S[:, diagonal, diagonal] += np.where(K, 0.0, pad[:, None])
+    on = atoms < P.shape[0]
+    S = np.pad(P, (0, 1))[atoms[:, :, None], atoms[:, None, :]]
+    pad = np.where(on, np.diagonal(S, axis1=1, axis2=2), 0.0).max(axis=1, initial=0.0)
+    slots = np.arange(atoms.shape[1])
+    S[:, slots, slots] += np.where(on, 0.0, pad[:, None])
     spd_factor(S)
-    G = np.where(on, np.linalg.inv(S), 0.0)
+    G = np.where(on[:, :, None] & on[:, None, :], np.linalg.inv(S), 0.0)
     return 0.5 * (G + G.transpose(0, 2, 1))
 
 
-def _below_guard(G: np.ndarray, K: np.ndarray, diag: np.ndarray) -> np.ndarray:
+def _below_guard(G: np.ndarray, atoms: np.ndarray, diag: np.ndarray) -> np.ndarray:
     """Rows whose smallest Schur pivot 1/G_ii on the support is below
     SCHUR_GUARD times the largest diagonal entry of P there (or is not a
-    positive number)."""
+    positive number).  ``diag`` is the diagonal of P with 0 appended, so
+    that it reads 0 through an empty slot."""
     g = np.diagonal(G, axis1=1, axis2=2)
-    bound = 1.0 / (SCHUR_GUARD * np.where(K, diag, 0.0).max(axis=1, initial=0.0))
-    return ~((g > 0.0) & (g <= bound[:, None]) | ~K).all(axis=1)
+    bound = 1.0 / (SCHUR_GUARD * diag[atoms].max(axis=1, initial=0.0))
+    return ~((g > 0.0) & (g <= bound[:, None]) | (atoms == diag.size - 1)).all(axis=1)
+
+
+def _full_space(G: np.ndarray, atoms: np.ndarray, r: int) -> np.ndarray:
+    """The (B, r, r) full-space inverses, zero off K, of the slot-coordinate
+    stack G over r atoms."""
+    F = np.zeros((G.shape[0], r + 1, r + 1))
+    F[np.arange(G.shape[0])[:, None, None], atoms[:, :, None], atoms[:, None, :]] = G
+    return F[:, :r, :r]
 
 
 def _at_column(exc: IterationLimit, column: int) -> IterationLimit:
@@ -232,7 +252,8 @@ class PathWalk:
         with np.errstate(over="ignore", invalid="ignore"):  # reported just below
             self.P = densela.gram(A)
             self.L = A.T @ B
-            self.norm_sq = np.array([b @ b for b in B.T])  # the zero entries' errors
+            # The zero entries' errors b @ b, all columns' dot products in one call.
+            self.norm_sq = np.matmul(B.T[:, None, :], B.T[:, :, None])[:, 0, 0]
         if not all(np.isfinite(x).all() for x in (self.P, self.L, self.norm_sq)):
             raise NonFiniteEntry("A.T A, A.T B or the squared norm of a column of B "
                                  "overflows to a non-finite value")
@@ -246,24 +267,31 @@ class PathWalk:
     def _walk(self, start: int, stop: int) -> None:
         """Walk columns start..stop-1 in lockstep, one breakpoint per round.
 
-        The loop carries four arrays, one row per live column: ``live``
-        (its column), ``lam``, the support mask ``K`` and its inverse ``G``;
-        a column leaves them when its path ends.  The first atom enters an
-        empty support through carry_inverse, like every later one.  Each
-        round reads the rest through ``live`` from arrays of the whole
-        block, the right-hand sides (ell, 1) and the tolerances on lambda,
-        and recomputes the rows below the Schur guard, which it re-seeds
-        before solving.  A round records every live column's
-        least-squares solution as its refit; the entries where it goes
-        negative are pooled, and once the pool holds half the block one
-        nnls_gram call refits them and rewrites their records.
-        The columns still live after ``max_breakpoints`` rounds drop their
-        records past the zero entry and end at the NNLS solution, found
-        for all of them by one call of the active-set solver.
+        A group of columns carries four arrays, one row per live column:
+        ``live`` (its column), ``lam``, the slot index ``atoms`` and the
+        inverse ``G`` in slot coordinates; a column leaves them when its
+        path ends.  The first atom enters a one-slot stack through
+        carry_inverse, like every later one.  Each round reads the rest
+        through ``live`` from arrays of the whole block, the right-hand
+        sides (ell, 1) and the tolerances on lambda, rebuilds the support
+        mask from ``atoms``, and recomputes the rows below the Schur guard,
+        which it re-seeds before solving.  A group whose live columns times
+        its slots squared could pass BUDGET this round walks on with its
+        first half; the second half, set aside without its inverses, is
+        re-seeded when its turn comes, and keeps its round count.  A round
+        records every live column's least-squares solution as its refit;
+        the entries where it goes negative are pooled, with their inverses
+        in full space, and once the pool holds half its rows (the block's
+        width or BUDGET // r^2, the smaller) one nnls_gram call refits them
+        and rewrites their records.  The columns still live after
+        ``max_breakpoints`` rounds of their group drop their records past
+        the zero entry and end at the NNLS solution, found for all of them
+        by one call of the active-set solver.
         """
         P, tol = self.P, self.tol
         r = P.shape[0]
-        diag = np.diagonal(P)
+        Pz = np.pad(P, (0, 1))  # carry_inverse's layout: zero row and column at r
+        diag = np.diagonal(Pz)
         ell = np.ascontiguousarray(self.L[:, start:stop].T)
         rhs = self.B[:, start:stop]  # read here only
         width = stop - start
@@ -281,7 +309,8 @@ class PathWalk:
                 records[-1][name] = value
             owners.append(cols)
 
-        pool = []  # (record array, its rows, columns, G) awaiting refits
+        pool = []  # (record array, its rows, columns, full-space G) awaiting refits
+        cap = min(width, max(1, BUDGET // max(1, r * r)))  # rows the pool holds
 
         def refit_pool():
             """Refit the pooled entries on their supports by one nnls_gram
@@ -307,57 +336,78 @@ class PathWalk:
         lam, first = lambda_max(ell)  # the zero entries
         record(np.arange(width), lam, self.norm_sq[start:stop], False, 0.0)
         tol_lam = tol * (1.0 + lam)
-        # Row i holds the right-hand sides (ell, 1) of column i's pair (a, b).
-        pairs = np.stack((ell, np.ones((width, r))), axis=1)
+        # Row i holds the right-hand sides (ell, 1) of column i's pair (a, b),
+        # and 0 at index r, where an empty slot reads.
+        pairs = np.zeros((width, 2, r + 1))
+        pairs[:, 0, :r] = ell
+        pairs[:, 1, :r] = 1.0
         live = np.flatnonzero(first >= 0)
-        lam = lam[live]
-        K = np.zeros((live.size, r), dtype=bool)
-        G = np.zeros((live.size, r, r))
-        carry_inverse(P, G, K, np.ones(live.size, dtype=bool), first[live])
+        G, atoms, _ = carry_inverse(Pz, np.zeros((live.size, 1, 1)), np.full((live.size, 1), r),
+                                    np.ones(live.size, dtype=bool), first[live])
         truncated = np.zeros(width, dtype=bool)
         over = np.zeros(width, dtype=bool)
 
-        rounds = 0
-        while live.size:
-            if rounds >= self.max_breakpoints:
-                over[live] = True
-                break
-            redo = np.flatnonzero(_below_guard(G, K, diag))
-            if redo.size:
-                try:
-                    G[redo] = _support_inverse(P, K[redo])
-                except SingularSystem as exc:
-                    keep = np.ones(live.size, dtype=bool)
-                    keep[redo[exc.matrices]] = False
-                    truncated[live[~keep]] = True
-                    live, lam, K, G = (x[keep] for x in (live, lam, K, G))
+        groups = [(0, live, lam[live], atoms, G)]  # (rounds walked, live, lam, atoms, G)
+        while groups:
+            rounds, live, lam, atoms, G = groups.pop()
+            if G is None:  # set aside by a split: every row fails the guard
+                G = np.zeros((live.size,) + 2 * atoms.shape[1:])
+            while live.size:
+                if rounds >= self.max_breakpoints:
+                    over[live] = True
+                    break
+                if live.size > 1 and live.size * min(atoms.shape[1] + 1, r) ** 2 > BUDGET:
+                    # An entering atom may add a slot: walk on with the first
+                    # half, and set the second aside without its inverses.
+                    half = live.size // 2
+                    groups.append((rounds, live[half:], lam[half:], atoms[half:], None))
+                    live, lam, atoms, G = live[:half], lam[:half], atoms[:half], G[:half].copy()
                     continue
-            # x.G is G x (G is symmetric).  One step of iterative refinement
-            # keeps a and b as accurate as a fresh solve.
-            rhs2 = pairs[live]
-            ab = np.matmul(rhs2, G)
-            grad = (ab.reshape(-1, r) @ P).reshape(ab.shape) - rhs2
-            ab -= np.matmul(np.where(K[:, None, :], grad, 0.0), G)
-            grad = (ab.reshape(-1, r) @ P).reshape(ab.shape) - rhs2
-            a, b = ab[:, 0], ab[:, 1]
-            c = np.where(K, 0.0, grad[:, 0])
-            d = np.where(K, 0.0, grad[:, 1])
-            lam_next, kind, index = next_breakpoint(a, b, c, d, K, lam, tol_neg)
-            lam_next[lam_next <= tol_lam[live]] = 0.0
-            record(live, lam_next, residual_sq(self.R, Z[live], perp_sq[live], a), K, a)
-            negative = np.flatnonzero((a < 0.0).any(axis=1))
-            if negative.size:  # the pool holds at most a block
-                if sum(rows.size for _, rows, _, _ in pool) + negative.size > width:
-                    refit_pool()
-                pool.append((records[-1], negative, live[negative], G[negative]))
-                if 2 * sum(rows.size for _, rows, _, _ in pool) >= width:
-                    refit_pool()
-            go = (kind != TERMINATE) & (lam_next != 0.0)
-            if not go.all():
-                live, K, G = (x[go] for x in (live, K, G))
-            carry_inverse(P, G, K, kind[go] == ENTER, index[go])
-            lam = lam_next[go]
-            rounds += 1
+                redo = np.flatnonzero(_below_guard(G, atoms, diag))
+                if redo.size:
+                    try:
+                        G[redo] = _support_inverse(P, atoms[redo])
+                    except SingularSystem as exc:
+                        keep = np.ones(live.size, dtype=bool)
+                        keep[redo[exc.matrices]] = False
+                        truncated[live[~keep]] = True
+                        live, lam, atoms, G = (x[keep] for x in (live, lam, atoms, G))
+                        continue
+                # x.G is G x (G is symmetric).  One step of iterative refinement
+                # keeps a and b as accurate as a fresh solve.  Gathers through
+                # the slots read (B, 2, k) from full space; scatters write back.
+                rhs2 = pairs[live]
+                at = atoms[:, None, :] + (r + 1) * np.arange(2 * live.size).reshape(-1, 2, 1)
+                ab = np.matmul(rhs2.take(at), G)
+                full = np.zeros(rhs2.shape)
+                full.put(at, ab)
+                grad = (full.reshape(-1, r + 1) @ Pz).reshape(full.shape) - rhs2
+                ab -= np.matmul(grad.take(at), G)
+                full.put(at, ab)
+                grad = (full.reshape(-1, r + 1) @ Pz).reshape(full.shape) - rhs2
+                K = np.zeros((live.size, r + 1), dtype=bool)
+                K[np.arange(live.size)[:, None], atoms] = True
+                K = K[:, :r]
+                a, b = full[:, 0, :r], full[:, 1, :r]
+                c = np.where(K, 0.0, grad[:, 0, :r])
+                d = np.where(K, 0.0, grad[:, 1, :r])
+                lam_next, kind, index = next_breakpoint(a, b, c, d, K, lam, tol_neg)
+                lam_next[lam_next <= tol_lam[live]] = 0.0
+                record(live, lam_next, residual_sq(self.R, Z[live], perp_sq[live], a), K, a)
+                negative = np.flatnonzero((ab[:, 0] < 0.0).any(axis=1))
+                for rows in (negative[i:i + cap] for i in range(0, negative.size, cap)):
+                    if sum(held.size for _, held, _, _ in pool) + rows.size > cap:
+                        refit_pool()
+                    inverse = _full_space(G[rows], atoms[rows], r)
+                    pool.append((records[-1], rows, live[rows], inverse))
+                    if 2 * sum(held.size for _, held, _, _ in pool) >= cap:
+                        refit_pool()
+                go = (kind != TERMINATE) & (lam_next != 0.0)
+                if not go.all():
+                    live, atoms, G = (x[go] for x in (live, atoms, G))
+                G, atoms, _ = carry_inverse(Pz, G, atoms, kind[go] == ENTER, index[go])
+                lam = lam_next[go]
+                rounds += 1
         refit_pool()  # before the records past the limit are dropped
 
         fell = np.flatnonzero(over)

@@ -80,6 +80,7 @@ def nnls_gram(P: np.ndarray, ell: np.ndarray, mask: np.ndarray | None = None,
     X = np.zeros(L.shape)
     passive = np.zeros(L.shape, dtype=bool) if inverse is None else mask.copy()
     G = np.zeros((n, r, r)) if inverse is None else np.array(inverse).reshape(n, r, r)
+    Pz = np.pad(P, (0, 1))  # carry_inverse's layout: zero row and column at r
 
     def solve_on(rows):
         """Least squares on the rows' passive sets, their nonpositive
@@ -91,9 +92,10 @@ def nnls_gram(P: np.ndarray, ell: np.ndarray, mask: np.ndarray | None = None,
         return Z, neg, ~neg.any(axis=1)
 
     def carry(rows, index, enter):
-        g, K = G[rows], passive[rows]
-        s = carry_inverse(P, g, K, np.full(rows.size, enter), index)
-        G[rows], passive[rows] = g, K
+        # G is in full space: atom j keeps slot j.
+        atoms = np.where(passive[rows], np.arange(r), r)
+        G[rows], _, s = carry_inverse(Pz, G[rows], atoms, np.full(rows.size, enter), index)
+        passive[rows, index] = enter
         return s
 
     def drop(rows, out):

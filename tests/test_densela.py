@@ -96,7 +96,7 @@ def embedded_inverse(P, k):
 class TestCarryInverse:
     def test_random_enter_leave_sequence(self):
         # Eight rows at r = 24 each toggle a random atom 300 times, with no
-        # fresh inverse in between.
+        # fresh inverse in between, in full space: atom j keeps slot j.
         rng = np.random.default_rng(6)
         P = densela.gram(rng.random((60, 24)) + 0.05)
         rows = np.arange(8)
@@ -108,8 +108,11 @@ class TestCarryInverse:
             want_K = K.copy()
             want_K[rows, index] = enter
             old = [embedded_inverse(P, k) for k in K]
-            pivot = densela.carry_inverse(P, G, K, enter, index)
-            assert np.array_equal(K, want_K)
+            atoms = np.where(K, np.arange(24), 24)
+            carried, atoms, pivot = densela.carry_inverse(np.pad(P, (0, 1)), G, atoms, enter, index)
+            assert carried is G
+            assert np.array_equal(atoms, np.where(want_K, np.arange(24), 24))
+            K = want_K
             for i in rows:
                 want = embedded_inverse(P, K[i])
                 np.testing.assert_allclose(G[i], want, rtol=0,
@@ -122,6 +125,58 @@ class TestCarryInverse:
                     assert pivot[i] == pytest.approx(schur, rel=1e-10)
         assert K.sum(axis=1).max() >= 12
 
+    def test_slot_coordinates(self):
+        # Twelve rows over r = 10 atoms start with no slots, and each walks its
+        # own random history of 400 enters and leaves, some rows entering and
+        # others leaving in one call.  A leave frees a slot that a later atom
+        # takes, and the stacks grow by one slot when an entering row has none
+        # free.  An entering atom takes its own slot when that one is free.
+        rng = np.random.default_rng(8)
+        r, n = 10, 12
+        P = densela.gram(rng.random((30, r)) + 0.05)
+        rows = np.arange(n)
+        G, atoms = np.zeros((n, 0, 0)), np.zeros((n, 0), dtype=np.intp)
+        used = np.zeros((n, 0), dtype=bool)  # slots that have held an atom
+        reused = grown = mixed = 0
+        for _ in range(400):
+            K = np.zeros((n, r + 1), dtype=bool)
+            K[rows[:, None], atoms] = True
+            size = K[:, :r].sum(axis=1)
+            enter = (size == 0) | (size < r) & (rng.random(n) < 0.6)
+            index = np.array([rng.choice(np.flatnonzero(K[i, :r] != enter[i])) for i in rows])
+            before = atoms.copy()
+            G, atoms, pivot = densela.carry_inverse(np.pad(P, (0, 1)), G, atoms, enter, index)
+            grow = atoms.shape[1] - before.shape[1]
+            assert grow == (enter & (before != r).all(axis=1)).any()
+            assert G.shape == (n,) + 2 * atoms.shape[1:]
+            grown += grow
+            mixed += enter.any() and not enter.all()
+            used = np.pad(used, ((0, 0), (0, grow)))
+            for i in rows:
+                j = index[i]
+                was = np.pad(before[i], (0, grow), constant_values=r)
+                free = was == r
+                # The Schur pivot of j against the rest of the old support.
+                rest = was[~free & (was != j)]
+                schur = P[j, j] - P[j, rest] @ np.linalg.solve(P[np.ix_(rest, rest)], P[rest, j])
+                if enter[i]:
+                    slot = j if j < was.size and free[j] else np.flatnonzero(free)[0]
+                    reused += used[i, slot]
+                    assert pivot[i] == pytest.approx(schur, rel=1e-10)
+                else:
+                    slot = np.flatnonzero(was == j)[0]
+                    assert pivot[i] == pytest.approx(-1.0 / schur, rel=1e-10)
+                used[i, slot] = True
+                was[slot] = j if enter[i] else r
+                assert np.array_equal(atoms[i], was)
+                on = was < r
+                want = np.linalg.inv(P[np.ix_(was[on], was[on])])
+                atol = 1e-10 * np.abs(want).max(initial=0.0)
+                np.testing.assert_allclose(G[i][np.ix_(on, on)], want, rtol=0, atol=atol)
+                np.testing.assert_allclose(G[i], G[i].T, rtol=0, atol=atol)
+                assert not G[i][~on].any() and not G[i][:, ~on].any()
+        assert reused > 100 and grown == r and mixed > 300
+
     def test_dependent_atom_pivot_falls_below_floor(self):
         # Integer atoms make atom 3 = atom 0 + atom 1 exact.
         rng = np.random.default_rng(7)
@@ -130,7 +185,8 @@ class TestCarryInverse:
         P = densela.gram(A)
         K = np.array([[True, True, False, False], [False, True, True, False]])
         G = np.stack([embedded_inverse(P, k) for k in K])
-        pivot = densela.carry_inverse(P, G, K, np.array([True, True]), np.array([3, 3]))
+        _, _, pivot = densela.carry_inverse(np.pad(P, (0, 1)), G, np.where(K, np.arange(4), 4),
+                                            np.array([True, True]), np.array([3, 3]))
         floor = densela.PIVOT_FLOOR * np.where(K, np.diagonal(P), 0.0).max(axis=1)
         assert pivot[0] < floor[0]
         assert pivot[1] > 1e-3 * floor[1] / densela.PIVOT_FLOOR  # independent

@@ -48,6 +48,13 @@ def support_mask(r, K):
     return mask
 
 
+def full_slots(mask):
+    """carry_inverse's slot index of a (B, r) support mask in full space:
+    atom j in slot j, r in the slots off the mask."""
+    r = mask.shape[1]
+    return np.where(mask, np.arange(r), r)
+
+
 def coefficients(P, ell, K):
     """Full-space one-row (a, b, c, d) of the support K (an index set),
     from a direct solve on P(K, K)."""
@@ -113,7 +120,7 @@ class TestPathCoefficients:
         A = np.column_stack([np.ones(4), np.ones(4), np.arange(4.0)])
         P = gram(np.asfortranarray(A))
         with pytest.raises(SingularSystem):
-            _support_inverse(P, support_mask(3, [0, 1]))
+            _support_inverse(P, full_slots(support_mask(3, [0, 1])))
 
     def test_mixed_stack_names_the_deficient_rows(self):
         # Atoms 0 and 1 are equal and atom 3 is their sum with atom 2.
@@ -125,10 +132,10 @@ class TestPathCoefficients:
         K = np.array([[1, 0, 1, 0], [1, 1, 0, 0], [0, 1, 1, 0],
                       [1, 0, 1, 1], [0, 0, 0, 1], [0, 1, 1, 1]], dtype=bool)
         with pytest.raises(SingularSystem) as exc:
-            _support_inverse(P, K)
+            _support_inverse(P, full_slots(K))
         assert exc.value.matrices.tolist() == [1, 3, 5]
         sound = K[[0, 2, 4]]
-        G = _support_inverse(P, sound)
+        G = _support_inverse(P, full_slots(sound))
         for g, k in zip(G, sound):
             on = np.ix_(k, k)
             np.testing.assert_allclose(g[on] @ P[on], np.eye(k.sum()), atol=1e-10)
@@ -189,7 +196,8 @@ class TestUnbias:
         b = dd.DEMO_M[:, 0]
         K = np.array([1, 2, 3])
         mask = support_mask(4, K)
-        x = nnls_gram(DEMO_P, DEMO_ELL0[None], mask, inverse=_support_inverse(DEMO_P, mask))
+        G = _support_inverse(DEMO_P, full_slots(mask))
+        x = nnls_gram(DEMO_P, DEMO_ELL0[None], mask, inverse=G)
         err = kernel_errors(dd.DEMO_W, b[:, None], x)
         x, err = x[0], err[0]
         ls, *_ = np.linalg.lstsq(dd.DEMO_W[:, K], b, rcond=None)
@@ -211,7 +219,7 @@ class TestUnbias:
         ls, *_ = np.linalg.lstsq(A[:, K], b, rcond=None)
         assert ls.min() < 0  # the construction really exercises the branch
         mask = support_mask(3, K)
-        x = nnls_gram(P, ell[None], mask, inverse=_support_inverse(P, mask))
+        x = nnls_gram(P, ell[None], mask, inverse=_support_inverse(P, full_slots(mask)))
         err = kernel_errors(A, b[:, None], x)
         x, err = x[0], err[0]
         x_star, err_star = nnls_bruteforce(A[:, K], b)
@@ -241,7 +249,7 @@ class TestUnbias:
         a = np.concatenate([coefficients(P, L[:, j], np.flatnonzero(k))[0]
                             for j, k in zip(columns, K)])
         assert ((a < 0.0).sum(axis=1) >= 2).sum() > 10
-        x = nnls_gram(P, L.T[columns], K, inverse=_support_inverse(P, K))
+        x = nnls_gram(P, L.T[columns], K, inverse=_support_inverse(P, full_slots(K)))
         err = kernel_errors(A, B[:, columns], x)
         np.testing.assert_allclose(x, e["solution"], rtol=0, atol=1e-12)
         for i, j in enumerate(columns):

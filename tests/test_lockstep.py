@@ -29,7 +29,7 @@ WIDTH = 256  # columns per block in the tests that cross block boundaries
 
 def blocks_of_width(monkeypatch, r):
     """Size the walk's blocks over r atoms at WIDTH columns."""
-    monkeypatch.setattr(homotopy, "BUDGET", WIDTH * r * r)
+    monkeypatch.setattr(homotopy, "BUDGET", WIDTH * 6 * r)
     assert homotopy.block_width(r) == WIDTH
 
 
@@ -245,16 +245,18 @@ def test_breakpoint_limit_across_block_boundaries(monkeypatch):
 
 
 def test_block_widths():
-    # A block's carried inverses fill the budget, 256 columns at r = 24; below
-    # r = 3 one round's records, 16 + 9 r bytes per column, are the larger.
+    # A round's three (columns, 2, r) arrays fill the budget, 1,024 columns at
+    # r = 24; at r = 0 one round's records, 16 + 9 r bytes per column, are the
+    # larger.
     assert homotopy.BUDGET == 256 * 24 * 24
-    assert [homotopy.block_width(r) for r in (0, 1, 6, 24)] == [73_728, 36_864, 4_096, 256]
+    assert [homotopy.block_width(r) for r in (0, 1, 4, 6, 24)] == [
+        73_728, 24_576, 6_144, 4_096, 1_024]
     for r in range(30):
         dtype = homotopy.path_dtype(r)
         assert dtype.names == ("lam", "error_sq", "support", "solution")
         assert dtype.itemsize == 16 + 9 * r
         width = homotopy.block_width(r)
-        assert width * max(r * r, dtype.itemsize / 8) <= homotopy.BUDGET
+        assert width * max(6 * r, dtype.itemsize / 8) <= homotopy.BUDGET
 
 
 def counted_refits(monkeypatch):
@@ -273,7 +275,7 @@ def counted_refits(monkeypatch):
 
 def test_pooled_refits_span_flushes(monkeypatch):
     # Data uncorrelated with a 12-atom dictionary: 300 columns in one block
-    # (block_width(12) is 1,024) whose refits fill half the block more than
+    # (block_width(12) is 2,048) whose refits fill half the block more than
     # twice.  The records match those of a walk whose blocks hold one column
     # each, which refits every round.
     rng = np.random.default_rng(0)
@@ -283,7 +285,8 @@ def test_pooled_refits_span_flushes(monkeypatch):
     pooled = walk_all(A, B)
     assert len(calls) >= 3 and min(calls[:-1]) >= 150
     calls.clear()
-    monkeypatch.setattr(homotopy, "BUDGET", 12 * 12)
+    monkeypatch.setattr(homotopy, "BUDGET", 6 * 12)
+    assert homotopy.block_width(12) == 1
     each_round = walk_all(A, B)
     assert sum(calls) == sum(int(refit_entries(p.entries).sum()) for p in each_round) > 300
     for got, want in zip(pooled, each_round):
@@ -304,8 +307,9 @@ def test_refit_pool_stays_within_a_block(monkeypatch):
 
 def test_data_read_within_budget(monkeypatch):
     # Tall data, m = 60 rows over r = 4 atoms: a block of 50 columns fills a
-    # budget of 800 entries with its inverses, and range_split's (columns, m)
-    # temporary keeps to it by reading the data 13 columns at a time.
+    # budget of 1,200 entries with one round's (columns, 2, r) arrays, and
+    # range_split's (columns, m) temporary keeps to it by reading the data
+    # 20 columns at a time.
     rng = np.random.default_rng(5)
     A = rng.random((60, 4)) + 0.05
     B = np.clip(A @ rng.random((4, 50)) + 0.01 * rng.standard_normal((60, 50)), 0.0, None)
@@ -318,9 +322,10 @@ def test_data_read_within_budget(monkeypatch):
         return range_split(Q, B)
 
     monkeypatch.setattr(homotopy, "range_split", recording)
-    monkeypatch.setattr(homotopy, "BUDGET", 16 * 50)
+    monkeypatch.setattr(homotopy, "BUDGET", 24 * 50)
+    assert homotopy.block_width(4) == 50
     chunked = walk_all(A, B)
-    assert widths == [13] * 3 + [11]
+    assert widths == [20, 20, 10]
     for got, want in zip(chunked, whole):
         assert_same_path(got, want)
 
@@ -415,6 +420,57 @@ def test_schur_guard_decides_truncation_like_the_reference(monkeypatch):
             truncated += want.truncated
     assert truncated > 0
     assert sum(fresh_rows) >= truncated
+
+
+def test_split_groups_keep_the_inverses_within_budget(monkeypatch):
+    # r = 24 and 64 columns, one block under a budget of 64 x 144: three in
+    # four columns mix all 24 atoms, the rest 16, so the group's live
+    # columns times its slots squared passes the budget near the 13th atom
+    # and again in the first half near the 19th.  The halves set aside are
+    # re-seeded when they resume, and each keeps its own round count: under
+    # a cap of 22 breakpoints some paths finish and the rest fall back in
+    # every group.  Paths match the reference and the walk without splits.
+    # The refit pool holds at most 16 rows, whose full-space inverses fill
+    # the budget.
+    rng = np.random.default_rng(4)
+    r, m, n = 24, 60, 64
+    A = rng.random((m, r)) + 0.05
+    count = np.where(np.arange(n) % 4 == 3, 16, 24)
+    rank = np.argsort(np.argsort(rng.random((r, n)), axis=0), axis=0)
+    H = np.where(rank < count, rng.uniform(0.2, 1.0, (r, n)), 0.0)
+    B = np.clip(A @ H + 0.005 * rng.standard_normal((m, n)), 0.0, None)
+    whole = {cap: walk_all(A, B, max_breakpoints=cap) for cap in (None, 22)}
+    sizes = []
+    carry_inverse, support_inverse = homotopy.carry_inverse, homotopy._support_inverse
+
+    def carrying(P, G, atoms, enter, index):
+        sizes.append(G.size)
+        out = carry_inverse(P, G, atoms, enter, index)
+        sizes.append(out[0].size)
+        return out
+
+    def seeding(P, atoms):
+        rows.append(atoms.shape[0])
+        return support_inverse(P, atoms)
+
+    monkeypatch.setattr(homotopy, "carry_inverse", carrying)
+    monkeypatch.setattr(homotopy, "_support_inverse", seeding)
+    refits = counted_refits(monkeypatch)
+    monkeypatch.setattr(homotopy, "BUDGET", n * 144)
+    assert homotopy.block_width(r) == n
+    for cap, free in whole.items():
+        rows = []
+        split = walk_all(A, B, max_breakpoints=cap)
+        assert rows == [16, 32, 16]  # the halves set aside, re-seeded on resuming
+        assert max(sizes) == homotopy.BUDGET
+        # The refit pool's full-space inverses keep to the budget too.
+        assert 0 < max(refits) <= homotopy.BUDGET // r**2
+        for got, want in zip(split, free):
+            assert got.fallback == want.fallback
+            assert_same_path(got, want)
+        assert_matches_reference(A, B, max_breakpoints=cap)
+    fell = np.array([p.fallback for p in split])
+    assert all(fell[g].any() and not fell[g].all() for g in np.split(np.arange(n), 4))
 
 
 def test_record_invariants(monkeypatch):
