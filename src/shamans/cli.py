@@ -123,6 +123,8 @@ def export_abundance_maps(H: np.ndarray, width: int, height: int, out_dir) -> No
 
 
 def _check_map_shape(width: int, height: int, n: int) -> None:
+    if not (width > 0 and height > 0):  # a product alone lets (-2)(-3) = 6 pass
+        raise ShapeMismatch(f"map sizes must be positive, got {width} x {height}")
     if width * height != n:
         raise ShapeMismatch(f"width*height = {width * height} but H has {n} columns")
 

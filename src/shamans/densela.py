@@ -85,11 +85,9 @@ def carry_inverse(P: np.ndarray, G: np.ndarray, atoms: np.ndarray, enter: np.nda
     P(K_i, K_i)^-1 in that slot order, zero in the rows and columns of
     empty slots.  P is the (r + 1, r + 1) Gram matrix with a zero row and
     column appended at index r, so a gather through an empty slot reads 0.
-    An entering atom takes its own slot when that slot is free, else the
-    first free one; a leaving atom frees its slot.  With k = r and atom j in
-    slot j, G is the full-space inverse, zero off K_i.  G follows by one
-    rank-one update (Osborne, Presnell and Turlach, IMA J. Numer. Anal.
-    2000), j entering or leaving slot t:
+    An entering atom takes the first free slot; a leaving atom frees its
+    slot.  G follows by one rank-one update (Osborne, Presnell and Turlach,
+    IMA J. Numer. Anal. 2000), j entering or leaving slot t:
 
         enter:  G + v v^T / s,   v = G p - e_t,  p = P(j, atoms),  s = P_jj - p.G p
         leave:  G - g g^T / g_tt, g = G e_t, then row and column t zeroed
@@ -110,9 +108,8 @@ def carry_inverse(P: np.ndarray, G: np.ndarray, atoms: np.ndarray, enter: np.nda
         G, k = wider, k + 1
         atoms = np.column_stack((atoms, np.full(B, r)))
         hit = atoms == target
-    slots = np.arange(k)
-    slot = (hit * (1 + (slots == index[:, None]))).argmax(axis=1)  # its own slot first
-    e = slots == slot[:, None]
+    slot = hit.argmax(axis=1)
+    e = np.arange(k) == slot[:, None]
     # A leaving row takes p = e_t, so that u = G e_t is the g of its update.
     p = np.where(enter[:, None], P[index[:, None], atoms], e)
     u = np.matmul(p[:, None, :], G)[:, 0]  # p.G = G p: G is symmetric
@@ -126,6 +123,22 @@ def carry_inverse(P: np.ndarray, G: np.ndarray, atoms: np.ndarray, enter: np.nda
     G[leave, :, slot[leave]] = 0.0
     atoms[np.arange(B), slot] = np.where(enter, index, r)
     return G, atoms, s
+
+
+def support_solve(P: np.ndarray, G: np.ndarray, atoms: np.ndarray,
+                  rhs: np.ndarray) -> np.ndarray:
+    """Solutions of P(K_i, K_i) x = rhs(K_i) for the (B, c, r + 1) right-hand
+    sides of each row i of carry_inverse's stack, as G rhs(K_i) plus one step
+    of iterative refinement, which keeps x as accurate as a fresh solve.
+    Returns them in full space, (B, c, r + 1), zero off K_i."""
+    B, c, n = rhs.shape
+    at = atoms[:, None, :] + n * np.arange(B * c).reshape(B, c, 1)  # flat, per slot
+    x = np.matmul(rhs.take(at), G)  # x.G = G x: G is symmetric
+    full = np.zeros(rhs.shape)
+    full.put(at, x)
+    x -= np.matmul(((full.reshape(-1, n) @ P).reshape(full.shape) - rhs).take(at), G)
+    full.put(at, x)
+    return full
 
 
 def range_split(Q: np.ndarray, B: np.ndarray):

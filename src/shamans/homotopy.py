@@ -29,13 +29,12 @@ support ("slot") coordinates, as LARS and homotopy codes keep their
 factor (Osborne, Presnell and Turlach, IMA J. Numer. Anal. 2000; Efron et
 al., Ann. Statist. 2004): a (B, k) index names the atom in each slot, k
 the largest support of the block's group of live columns, and G is a
-(B, k, k) stack in that order.  A round gathers the right-hand sides
-through the slots, and G and one step of iterative refinement give a and
-b there; scattered back to full space, they give c and d through P.  So a
-round costs O(k^2 + r k) per column.  A group whose stack would pass the
-budget walks on in two halves.  The entries whose least-squares solution
-goes negative are pooled across rounds and refit together by nnls_gram,
-started from their G in full space.  No round touches the m rows of A or
+(B, k, k) stack in that order.  A round solves for a and b on the slots
+(densela.support_solve), and P gives c and d from them, so a round costs
+O(k^2 + r k) per column.  A group whose stack would pass the budget walks
+on in two halves.  The entries whose least-squares solution goes negative
+are pooled across rounds and refit together by nnls_gram, which carries
+their G on in the same layout.  No round touches the m rows of A or
 b: with the thin QR factorization A = QR (Golub and Van Loan, Matrix
 Computations, 5.3) computed once per walk, and z = Q.T b and
 ||b - Q z||^2 once per column, each refit's error is
@@ -75,7 +74,7 @@ TERMINATE = 2
 # 1,024 columns at r = 24, so wider blocks share each round's numpy calls.
 # It bounds each group's (columns, k, k) inverses: a group that would pass
 # it walks on with half its columns and sets the other half aside.  It
-# bounds the refit pool's full-space inverses, at most BUDGET // r^2 rows,
+# bounds the refit pool, at most BUDGET // r^2 rows of (k, k) inverses,
 # and range_split's (columns, m) temporary.  The block's records, the
 # walk's output, grow with its width times path length.
 BUDGET = 256 * 24 * 24
@@ -208,14 +207,6 @@ def _below_guard(G: np.ndarray, atoms: np.ndarray, diag: np.ndarray) -> np.ndarr
     return ~((g > 0.0) & (g <= bound[:, None]) | (atoms == diag.size - 1)).all(axis=1)
 
 
-def _full_space(G: np.ndarray, atoms: np.ndarray, r: int) -> np.ndarray:
-    """The (B, r, r) full-space inverses, zero off K, of the slot-coordinate
-    stack G over r atoms."""
-    F = np.zeros((G.shape[0], r + 1, r + 1))
-    F[np.arange(G.shape[0])[:, None, None], atoms[:, :, None], atoms[:, None, :]] = G
-    return F[:, :r, :r]
-
-
 def _at_column(exc: IterationLimit, column: int) -> IterationLimit:
     """The IterationLimit of one row of a block solve, restated for the
     data column that row holds."""
@@ -238,7 +229,8 @@ class PathWalk:
     whose path exceeds ``max_breakpoints`` (default 50 r) ends at its NNLS
     solution with ``fallback`` set.  ``refits`` counts the path entries of
     the blocks walked so far whose least-squares solution went negative,
-    i.e. the rows refit by nnls_gram.  An IterationLimit from an
+    i.e. the rows refit by nnls_gram, on the paths that keep them (not
+    past the breakpoint limit).  An IterationLimit from an
     active-set solve, a refit's or a fallback's, leaves with ``column``
     set to the data column.  A.T A, A.T B and every column's b @ b must
     be finite: an overflow raises NonFiniteEntry before any walk.
@@ -280,13 +272,13 @@ class PathWalk:
         first half; the second half, set aside without its inverses, is
         re-seeded when its turn comes, and keeps its round count.  A round
         records every live column's least-squares solution as its refit;
-        the entries where it goes negative are pooled, with their inverses
-        in full space, and once the pool holds half its rows (the block's
-        width or BUDGET // r^2, the smaller) one nnls_gram call refits them
-        and rewrites their records.  The columns still live after
-        ``max_breakpoints`` rounds of their group drop their records past
-        the zero entry and end at the NNLS solution, found for all of them
-        by one call of the active-set solver.
+        the entries where it goes negative are pooled with their G and
+        atoms, and once the pool holds half its rows (the block's width or
+        BUDGET // r^2, the smaller) one nnls_gram call refits them, padded
+        to the pool's largest k, and rewrites their records.  The columns
+        still live after ``max_breakpoints`` rounds of their group drop
+        their records past the zero entry and end at the NNLS solution,
+        found for all of them by one call of the active-set solver.
         """
         P, tol = self.P, self.tol
         r = P.shape[0]
@@ -309,23 +301,28 @@ class PathWalk:
                 records[-1][name] = value
             owners.append(cols)
 
-        pool = []  # (record array, its rows, columns, full-space G) awaiting refits
+        pool = []  # (record array, its rows, columns, G, atoms) awaiting refits
         cap = min(width, max(1, BUDGET // max(1, r * r)))  # rows the pool holds
+        refitted = np.zeros(width, dtype=np.int64)  # pooled entries per column
 
         def refit_pool():
             """Refit the pooled entries on their supports by one nnls_gram
-            call, each started from its G, and write their refits and errors
-            into their records."""
+            call, each started from its G, padded to the pool's largest k,
+            and write their refits and errors into their records."""
             if not pool:
                 return
-            arrays, at, cols, inverses = zip(*pool)
+            arrays, at, cols, inverses, slots = zip(*pool)
             cols = np.concatenate(cols)
             mask = np.concatenate([entries["support"][rows] for entries, rows in zip(arrays, at)])
+            grow = [max(g.shape[1] for g in inverses) - g.shape[1] for g in inverses]
+            G = np.concatenate([np.pad(g, ((0, 0), (0, t), (0, t)))
+                                for g, t in zip(inverses, grow)])
+            atoms = np.concatenate([np.pad(x, ((0, 0), (0, t)), constant_values=r)
+                                    for x, t in zip(slots, grow)])
             try:
-                X = nnls_gram(P, ell[cols], mask, tol=tol, inverse=np.concatenate(inverses))
+                X = nnls_gram(P, ell[cols], mask, tol=tol, inverse=(G, atoms))
             except IterationLimit as exc:
                 raise _at_column(exc, start + int(cols[exc.row])) from exc
-            self.refits += cols.size
             err = residual_sq(self.R, Z[cols], perp_sq[cols], X)
             ends = np.cumsum([rows.size for rows in at])[:-1]
             for entries, rows, x, e in zip(arrays, at, np.split(X, ends), np.split(err, ends)):
@@ -373,17 +370,8 @@ class PathWalk:
                         truncated[live[~keep]] = True
                         live, lam, atoms, G = (x[keep] for x in (live, lam, atoms, G))
                         continue
-                # x.G is G x (G is symmetric).  One step of iterative refinement
-                # keeps a and b as accurate as a fresh solve.  Gathers through
-                # the slots read (B, 2, k) from full space; scatters write back.
                 rhs2 = pairs[live]
-                at = atoms[:, None, :] + (r + 1) * np.arange(2 * live.size).reshape(-1, 2, 1)
-                ab = np.matmul(rhs2.take(at), G)
-                full = np.zeros(rhs2.shape)
-                full.put(at, ab)
-                grad = (full.reshape(-1, r + 1) @ Pz).reshape(full.shape) - rhs2
-                ab -= np.matmul(grad.take(at), G)
-                full.put(at, ab)
+                full = densela.support_solve(Pz, G, atoms, rhs2)
                 grad = (full.reshape(-1, r + 1) @ Pz).reshape(full.shape) - rhs2
                 K = np.zeros((live.size, r + 1), dtype=bool)
                 K[np.arange(live.size)[:, None], atoms] = True
@@ -394,13 +382,13 @@ class PathWalk:
                 lam_next, kind, index = next_breakpoint(a, b, c, d, K, lam, tol_neg)
                 lam_next[lam_next <= tol_lam[live]] = 0.0
                 record(live, lam_next, residual_sq(self.R, Z[live], perp_sq[live], a), K, a)
-                negative = np.flatnonzero((ab[:, 0] < 0.0).any(axis=1))
+                negative = np.flatnonzero((a < 0.0).any(axis=1))
+                refitted[live[negative]] += 1
                 for rows in (negative[i:i + cap] for i in range(0, negative.size, cap)):
-                    if sum(held.size for _, held, _, _ in pool) + rows.size > cap:
+                    if sum(held.size for _, held, _, _, _ in pool) + rows.size > cap:
                         refit_pool()
-                    inverse = _full_space(G[rows], atoms[rows], r)
-                    pool.append((records[-1], rows, live[rows], inverse))
-                    if 2 * sum(held.size for _, held, _, _ in pool) >= cap:
+                    pool.append((records[-1], rows, live[rows], G[rows], atoms[rows]))
+                    if 2 * sum(held.size for _, held, _, _, _ in pool) >= cap:
                         refit_pool()
                 go = (kind != TERMINATE) & (lam_next != 0.0)
                 if not go.all():
@@ -409,6 +397,7 @@ class PathWalk:
                 lam = lam_next[go]
                 rounds += 1
         refit_pool()  # before the records past the limit are dropped
+        self.refits += int(refitted[~over].sum())
 
         fell = np.flatnonzero(over)
         if fell.size:  # past the limit a path keeps only its zero entry of the walk

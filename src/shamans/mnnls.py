@@ -66,7 +66,8 @@ class UnmixReport:
     totals the path steps of all columns, and entry k of
     ``breakpoint_histogram`` counts the columns whose path took k steps;
     ``refits`` counts the steps whose unbiased refit needed the active-set
-    solver, because least squares on the support went negative.  Columns
+    solver, because least squares on the support went negative, on the
+    paths that keep them (a fallback column's are dropped).  Columns
     listed in ``fallback_columns`` hit the breakpoint limit, so their path
     holds only its two ends, the zero and the NNLS solution; those in
     ``truncated_columns`` ended their path early on a rank-deficient

@@ -8,7 +8,7 @@ NNLS of Van Benthem and Keenan (J. Chemometrics 2004), a block of
 right-hand sides runs through one loop in lockstep.  A passive set gains
 or loses one index at a time (Lawson and Hanson, Solving Least Squares
 Problems, 1974, ch. 23), so each row carries the inverse of P on it by
-densela.carry_inverse, and nothing is factored.
+densela.carry_inverse, in slot coordinates, and nothing is factored.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densela import PIVOT_FLOOR, as_matrix, as_vector, carry_inverse, gram
+from .densela import PIVOT_FLOOR, as_matrix, as_vector, carry_inverse, gram, support_solve
 from .errors import IterationLimit, SingularSystem
 
 
@@ -45,7 +45,7 @@ def check_tol(tol) -> None:
 
 
 def nnls_gram(P: np.ndarray, ell: np.ndarray, mask: np.ndarray | None = None,
-              tol: float = 1e-10, inverse: np.ndarray | None = None,
+              tol: float = 1e-10, inverse: tuple | None = None,
               on_iterate=None) -> np.ndarray:
     """Active-set NNLS given normal-equation data only.
 
@@ -55,12 +55,12 @@ def nnls_gram(P: np.ndarray, ell: np.ndarray, mask: np.ndarray | None = None,
     Row i of the optional (B, r) boolean ``mask`` confines row i to the
     unknowns mask[i], the rest staying 0: the problem on P(mask_i, mask_i).
 
-    Each row starts from the empty passive set or, given the (B, r, r)
-    ``inverse`` of P(mask_i, mask_i) (zero off mask_i), from the
+    Each row starts from the empty passive set or, given ``inverse`` =
+    (G, atoms), P(mask_i, mask_i)^-1 in densela.carry_inverse's slot layout
+    (any slot order, k at least each row's mask size), from the
     least-squares solution on its mask with nonpositive entries dropped
-    until it is feasible.  Each solve is G ell plus one step of iterative
-    refinement.  Ties on the entering variable break toward the smallest
-    index.  ``on_iterate`` gets a copy of every outer iterate.
+    until it is feasible.  Ties on the entering variable break toward the
+    smallest index.  ``on_iterate`` gets a copy of every outer iterate.
 
     Raises IterationLimit, whose ``row`` names the row, once a row makes
     more than 10 k (k+1) pivots, k the size of its mask (cycling or heavy
@@ -79,22 +79,22 @@ def nnls_gram(P: np.ndarray, ell: np.ndarray, mask: np.ndarray | None = None,
     pivots = np.zeros(n, dtype=np.int64)
     X = np.zeros(L.shape)
     passive = np.zeros(L.shape, dtype=bool) if inverse is None else mask.copy()
-    G = np.zeros((n, r, r)) if inverse is None else np.array(inverse).reshape(n, r, r)
-    Pz = np.pad(P, (0, 1))  # carry_inverse's layout: zero row and column at r
+    k = int(size.max(initial=0))
+    G, atoms = (np.zeros((n, k, k)), np.full((n, k), r)) if inverse is None else inverse
+    atoms = np.array(atoms).reshape(n, -1)  # copies, carried in place
+    G = np.array(G, dtype=np.float64).reshape(atoms.shape + atoms.shape[1:])
+    Pz, Lz = np.pad(P, (0, 1)), np.pad(L, ((0, 0), (0, 1)))  # carry_inverse's layout
 
     def solve_on(rows):
         """Least squares on the rows' passive sets, their nonpositive
         entries, and which rows have none."""
-        K, g, ell_k = passive[rows], G[rows], L[rows]
-        Z = np.matmul(ell_k[:, None], g)[:, 0]  # ell.G = G ell: G is symmetric
-        Z = np.where(K, Z - np.matmul((Z @ P - ell_k)[:, None], g)[:, 0], 0.0)
-        neg = K & (Z <= 0.0)
+        Z = support_solve(Pz, G[rows], atoms[rows], Lz[rows, None])[:, 0, :r]
+        neg = passive[rows] & (Z <= 0.0)
         return Z, neg, ~neg.any(axis=1)
 
     def carry(rows, index, enter):
-        # G is in full space: atom j keeps slot j.
-        atoms = np.where(passive[rows], np.arange(r), r)
-        G[rows], _, s = carry_inverse(Pz, G[rows], atoms, np.full(rows.size, enter), index)
+        G[rows], atoms[rows], s = carry_inverse(Pz, G[rows], atoms[rows],
+                                                np.full(rows.size, enter), index)
         passive[rows, index] = enter
         return s
 

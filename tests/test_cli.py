@@ -232,6 +232,13 @@ class TestAbundanceMaps:
     def test_shape_mismatch(self, tmp_path):
         with pytest.raises(ShapeMismatch):
             export_abundance_maps(np.zeros((2, 5)), 2, 2, tmp_path)
+        # Nonpositive sizes whose product matches are refused before the
+        # directory is made.
+        for width, height in ((-2, -3), (0, 0)):
+            out = tmp_path / f"maps_{width}_{height}"
+            with pytest.raises(ShapeMismatch, match="map sizes must be positive"):
+                export_abundance_maps(np.zeros((2, width * height)), width, height, out)
+            assert not out.exists()
 
 
 class TestMain:

@@ -85,52 +85,73 @@ class TestSolveSpd:
             np.testing.assert_allclose(Li, densela.spd_factor(S), rtol=1e-14)
 
 
-def embedded_inverse(P, k):
-    """P(k, k)^-1 embedded in an r x r matrix that is zero off the mask k."""
-    G = np.zeros_like(P)
-    if k.any():
-        G[np.ix_(k, k)] = np.linalg.inv(P[np.ix_(k, k)])
+def slot_inverse(P, atoms):
+    """P(K, K)^-1 in the slot order of the (k,) index ``atoms`` (r in an
+    empty slot), zero in the rows and columns of empty slots."""
+    on = atoms < P.shape[0]
+    G = np.zeros((atoms.size, atoms.size))
+    if on.any():
+        G[np.ix_(on, on)] = np.linalg.inv(P[np.ix_(atoms[on], atoms[on])])
     return G
+
+
+def first_free(atoms, index, enter, r):
+    """carry_inverse's slot index after row i's index[i] enters the first
+    free slot, or leaves its own, per enter[i]."""
+    atoms = atoms.copy()
+    for i, (j, entering) in enumerate(zip(index, enter)):
+        slot = np.flatnonzero(atoms[i] == (r if entering else j))[0]
+        atoms[i, slot] = j if entering else r
+    return atoms
 
 
 class TestCarryInverse:
     def test_random_enter_leave_sequence(self):
         # Eight rows at r = 24 each toggle a random atom 300 times, with no
-        # fresh inverse in between, in full space: atom j keeps slot j.
+        # fresh inverse in between, in a stack of 24 slots: an entering atom
+        # takes the first free slot, and a leaving one frees its own.
         rng = np.random.default_rng(6)
         P = densela.gram(rng.random((60, 24)) + 0.05)
+        Pz = np.pad(P, (0, 1))
         rows = np.arange(8)
         K = np.zeros((8, 24), dtype=bool)
         G = np.zeros((8, 24, 24))
+        atoms = np.full((8, 24), 24)
+        moved = 0  # entering atoms whose slot is not their own
         for _ in range(300):
             index = rng.integers(0, 24, size=8)
             enter = ~K[rows, index]
             want_K = K.copy()
             want_K[rows, index] = enter
-            old = [embedded_inverse(P, k) for k in K]
-            atoms = np.where(K, np.arange(24), 24)
-            carried, atoms, pivot = densela.carry_inverse(np.pad(P, (0, 1)), G, atoms, enter, index)
+            before = atoms.copy()
+            old = [slot_inverse(P, a) for a in before]
+            want_atoms = first_free(before, index, enter, 24)
+            # Entering atoms kept out of their own slot although it is free.
+            own_free = before[rows, index] == 24
+            moved += (enter & own_free & (want_atoms[rows, index] != index)).sum()
+            carried, atoms, pivot = densela.carry_inverse(Pz, G, atoms, enter, index)
             assert carried is G
-            assert np.array_equal(atoms, np.where(want_K, np.arange(24), 24))
+            assert np.array_equal(atoms, want_atoms)
             K = want_K
             for i in rows:
-                want = embedded_inverse(P, K[i])
+                assert np.array_equal(np.sort(atoms[i][atoms[i] < 24]), np.flatnonzero(K[i]))
+                want = slot_inverse(P, atoms[i])
                 np.testing.assert_allclose(G[i], want, rtol=0,
                                            atol=1e-10 * np.abs(want).max(initial=1.0))
                 if enter[i]:
                     j = index[i]
-                    p = np.where(K[i], P[j], 0.0)
-                    p[j] = 0.0
+                    p = np.pad(P[j], (0, 1))[before[i]]  # j is not in before[i]
                     schur = P[j, j] - p @ old[i] @ p
                     assert pivot[i] == pytest.approx(schur, rel=1e-10)
         assert K.sum(axis=1).max() >= 12
+        assert moved > 100
 
     def test_slot_coordinates(self):
         # Twelve rows over r = 10 atoms start with no slots, and each walks its
         # own random history of 400 enters and leaves, some rows entering and
         # others leaving in one call.  A leave frees a slot that a later atom
         # takes, and the stacks grow by one slot when an entering row has none
-        # free.  An entering atom takes its own slot when that one is free.
+        # free.  An entering atom takes the first free slot.
         rng = np.random.default_rng(8)
         r, n = 10, 12
         P = densela.gram(rng.random((30, r)) + 0.05)
@@ -160,7 +181,7 @@ class TestCarryInverse:
                 rest = was[~free & (was != j)]
                 schur = P[j, j] - P[j, rest] @ np.linalg.solve(P[np.ix_(rest, rest)], P[rest, j])
                 if enter[i]:
-                    slot = j if j < was.size and free[j] else np.flatnonzero(free)[0]
+                    slot = np.flatnonzero(free)[0]
                     reused += used[i, slot]
                     assert pivot[i] == pytest.approx(schur, rel=1e-10)
                 else:
@@ -184,8 +205,9 @@ class TestCarryInverse:
         A[:, 3] = A[:, 0] + A[:, 1]
         P = densela.gram(A)
         K = np.array([[True, True, False, False], [False, True, True, False]])
-        G = np.stack([embedded_inverse(P, k) for k in K])
-        _, _, pivot = densela.carry_inverse(np.pad(P, (0, 1)), G, np.where(K, np.arange(4), 4),
+        atoms = np.where(K, np.arange(4), 4)
+        G = np.stack([slot_inverse(P, a) for a in atoms])
+        _, _, pivot = densela.carry_inverse(np.pad(P, (0, 1)), G, atoms,
                                             np.array([True, True]), np.array([3, 3]))
         floor = densela.PIVOT_FLOOR * np.where(K, np.diagonal(P), 0.0).max(axis=1)
         assert pivot[0] < floor[0]

@@ -186,7 +186,8 @@ class TestUnbias:
     def test_empty_support(self):
         b = dd.DEMO_M[:, 0]
         K = support_mask(4, [])
-        x = nnls_gram(DEMO_P, DEMO_ELL0[None], K, inverse=np.zeros((1, 4, 4)))
+        empty = np.zeros((1, 0, 0)), np.zeros((1, 0))  # no slots
+        x = nnls_gram(DEMO_P, DEMO_ELL0[None], K, inverse=empty)
         err = kernel_errors(dd.DEMO_W, b[:, None], x)
         np.testing.assert_array_equal(x[0], np.zeros(4))
         assert err[0] == pytest.approx(float(b @ b), rel=1e-12)
@@ -196,8 +197,9 @@ class TestUnbias:
         b = dd.DEMO_M[:, 0]
         K = np.array([1, 2, 3])
         mask = support_mask(4, K)
-        G = _support_inverse(DEMO_P, full_slots(mask))
-        x = nnls_gram(DEMO_P, DEMO_ELL0[None], mask, inverse=G)
+        atoms = K[None]  # carry_inverse's layout, one slot per atom
+        G = _support_inverse(DEMO_P, atoms)
+        x = nnls_gram(DEMO_P, DEMO_ELL0[None], mask, inverse=(G, atoms))
         err = kernel_errors(dd.DEMO_W, b[:, None], x)
         x, err = x[0], err[0]
         ls, *_ = np.linalg.lstsq(dd.DEMO_W[:, K], b, rcond=None)
@@ -219,7 +221,8 @@ class TestUnbias:
         ls, *_ = np.linalg.lstsq(A[:, K], b, rcond=None)
         assert ls.min() < 0  # the construction really exercises the branch
         mask = support_mask(3, K)
-        x = nnls_gram(P, ell[None], mask, inverse=_support_inverse(P, full_slots(mask)))
+        atoms = K[None]
+        x = nnls_gram(P, ell[None], mask, inverse=(_support_inverse(P, atoms), atoms))
         err = kernel_errors(A, b[:, None], x)
         x, err = x[0], err[0]
         x_star, err_star = nnls_bruteforce(A[:, K], b)
@@ -249,7 +252,8 @@ class TestUnbias:
         a = np.concatenate([coefficients(P, L[:, j], np.flatnonzero(k))[0]
                             for j, k in zip(columns, K)])
         assert ((a < 0.0).sum(axis=1) >= 2).sum() > 10
-        x = nnls_gram(P, L.T[columns], K, inverse=_support_inverse(P, full_slots(K)))
+        slots = full_slots(K)
+        x = nnls_gram(P, L.T[columns], K, inverse=(_support_inverse(P, slots), slots))
         err = kernel_errors(A, B[:, columns], x)
         np.testing.assert_allclose(x, e["solution"], rtol=0, atol=1e-12)
         for i, j in enumerate(columns):

@@ -305,6 +305,51 @@ def test_refit_pool_stays_within_a_block(monkeypatch):
     assert calls == [2, 4]
 
 
+def test_one_refit_call_pads_the_pooled_stacks(monkeypatch):
+    # Nearly disjoint atoms (entries of rand ** 6) over 40 columns: the walk
+    # pools 15 refits from rounds whose stacks held from 4 to 11 slots, and
+    # refits them all in one nnls_gram call at the end of the block.  Each
+    # row enters that call in its own slot order, padded with empty slots
+    # to the widest stack, and the paths match the reference.
+    rng = np.random.default_rng(6)
+    r, m, n = 12, 40, 40
+    A = rng.random((m, r)) ** 6
+    H = np.where(rng.random((r, n)) < 0.3, rng.uniform(0.2, 1.0, (r, n)), 0.0)
+    B = np.clip(A @ H + 0.001 * rng.standard_normal((m, n)), 0.0, None)
+    calls, widths = [], []
+    nnls_gram, carry_inverse = homotopy.nnls_gram, homotopy.carry_inverse
+
+    def capturing(P, ell, mask=None, **kwargs):
+        calls.append((mask, *kwargs["inverse"]))
+        return nnls_gram(P, ell, mask, **kwargs)
+
+    def carrying(P, G, atoms, enter, index):
+        out = carry_inverse(P, G, atoms, enter, index)
+        widths.append(out[1].shape[1])  # the stack's slots in the next round
+        return out
+
+    monkeypatch.setattr(homotopy, "nnls_gram", capturing)
+    monkeypatch.setattr(homotopy, "carry_inverse", carrying)
+    paths = walk_all(A, B)
+    assert len(calls) == 1
+    mask, G, atoms = calls[0]
+    # Pool order: by round, then by column.  Entry e comes from round e - 1.
+    pooled = sorted((e - 1, j) for j, p in enumerate(paths)
+                    for e in np.flatnonzero(refit_entries(p.entries)))
+    assert len(pooled) == atoms.shape[0] == 15
+    held = [widths[t] for t, _ in pooled]
+    assert atoms.shape[1] == max(held) == 11 and min(held) == 4
+    for i, ((t, j), k) in enumerate(zip(pooled, held)):
+        assert np.array_equal(mask[i], paths[j].entries[t + 1]["support"])
+        assert (atoms[i, k:] == r).all() and not G[i, k:].any() and not G[i, :, k:].any()
+        on = atoms[i] < r
+        assert np.array_equal(np.sort(atoms[i, on]), np.flatnonzero(mask[i]))
+        want = np.linalg.inv((A.T @ A)[np.ix_(atoms[i, on], atoms[i, on])])
+        np.testing.assert_allclose(G[i][np.ix_(on, on)], want, rtol=0,
+                                   atol=1e-10 * np.abs(want).max())
+    assert_matches_reference(A, B)
+
+
 def test_data_read_within_budget(monkeypatch):
     # Tall data, m = 60 rows over r = 4 atoms: a block of 50 columns fills a
     # budget of 1,200 entries with one round's (columns, 2, r) arrays, and
@@ -430,8 +475,8 @@ def test_split_groups_keep_the_inverses_within_budget(monkeypatch):
     # re-seeded when they resume, and each keeps its own round count: under
     # a cap of 22 breakpoints some paths finish and the rest fall back in
     # every group.  Paths match the reference and the walk without splits.
-    # The refit pool holds at most 16 rows, whose full-space inverses fill
-    # the budget.
+    # The refit pool holds at most 16 rows, whose inverses, of at most r^2
+    # entries each, keep to the budget.
     rng = np.random.default_rng(4)
     r, m, n = 24, 60, 64
     A = rng.random((m, r)) + 0.05
@@ -463,7 +508,7 @@ def test_split_groups_keep_the_inverses_within_budget(monkeypatch):
         split = walk_all(A, B, max_breakpoints=cap)
         assert rows == [16, 32, 16]  # the halves set aside, re-seeded on resuming
         assert max(sizes) == homotopy.BUDGET
-        # The refit pool's full-space inverses keep to the budget too.
+        # The refit pool's inverses keep to the budget too.
         assert 0 < max(refits) <= homotopy.BUDGET // r**2
         for got, want in zip(split, free):
             assert got.fallback == want.fallback

@@ -437,6 +437,23 @@ class TestPathReport:
         assert want > 0
         assert report.refits == want
 
+    def test_refits_leave_out_columns_past_the_limit(self):
+        # A column past the breakpoint limit drops its pooled refits with its
+        # records, so they are not counted: with and without a cap, the
+        # count is that of the refit entries the paths keep.
+        rng = np.random.default_rng(29)
+        W = np.asfortranarray(rng.random((200, 24)) + 0.05)
+        H0 = np.where(rng.random((24, 300)) < 0.2, rng.uniform(0.2, 1.0, (24, 300)), 0.0)
+        M = np.clip(W @ H0 + 0.005 * rng.standard_normal((200, 300)), 0.0, None)
+        counts = []
+        for cap in (None, 20):
+            _, report = solve(M, W, SolveConfig(mode="unconstrained", max_breakpoints=cap))
+            walk = PathWalk(W, M, max_breakpoints=cap)
+            kept = sum(int(refit_entries(walk.path(j).entries).sum()) for j in range(300))
+            assert report.refits == walk.refits == kept
+            counts.append((kept, len(report.fallback_columns)))
+        assert counts[0][0] > counts[1][0] > 0 and counts[0][1] == 0 < counts[1][1]
+
 
 class TestBreakpointHistogram:
     def assert_matches_paths(self, M, W, report):

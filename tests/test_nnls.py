@@ -202,8 +202,41 @@ def test_refits_factor_nothing(monkeypatch):
 
     for name in ("solve", "cholesky", "inv"):
         monkeypatch.setattr(np.linalg, name, disabled)
-    for X in (nnls_gram(P, ell, mask), nnls_gram(P, ell, mask, inverse=G)):
+    slots = np.where(mask, np.arange(12), 12)  # atom j in slot j
+    for X in (nnls_gram(P, ell, mask), nnls_gram(P, ell, mask, inverse=(G, slots))):
         assert (np.abs(X - want) / scale).max() <= 1e-12
+
+
+def test_inverse_in_any_slot_order():
+    # One masked block started from its inverses in three slot layouts:
+    # carry_inverse's first-free order, each row's slots reversed (empty
+    # slots first), and padded with two empty slots at either end.  Every
+    # layout gives X within 1e-12 of the per-column solver on the mask.
+    rng = np.random.default_rng(23)
+    A = np.asfortranarray(rng.random((30, 12)) + 0.05)
+    B = rng.random((30, 200))
+    P, ell = gram(A), (A.T @ B).T
+    mask = rng.random((200, 12)) < rng.uniform(0.2, 0.8, (200, 1))
+    mask[np.arange(200), rng.integers(0, 12, 200)] = True
+    k = mask.sum(axis=1).max()
+    first = np.sort(np.where(mask, np.arange(12), 12), axis=1)[:, :k]
+    want = np.zeros((200, 12))
+    negative = 0  # rows whose warm start drops atoms
+    for i, m in enumerate(mask):
+        want[i, m] = reference_nnls_gram(P[np.ix_(m, m)], ell[i, m])
+        negative += np.linalg.solve(P[np.ix_(m, m)], ell[i, m]).min() < 0.0
+    assert negative > 50
+    scale = 1.0 + np.abs(np.where(mask, ell, 0.0)).max(axis=1, keepdims=True)
+    assert mask.sum(axis=1).min() < k  # rows with empty slots in every layout
+    for atoms in (first, first[:, ::-1], np.pad(first, ((0, 0), (2, 2)), constant_values=12)):
+        G = np.zeros(atoms.shape + atoms.shape[1:])
+        for i, a in enumerate(atoms):
+            on = a < 12
+            G[i][np.ix_(on, on)] = np.linalg.inv(P[np.ix_(a[on], a[on])])
+        held = G.copy(), atoms.copy()
+        X = nnls_gram(P, ell, mask, inverse=(G, atoms))
+        assert (np.abs(X - want) / scale).max() <= 1e-12
+        assert np.array_equal(G, held[0]) and np.array_equal(atoms, held[1])  # not written
 
 
 def test_rank_deficient_entering_atom_names_its_rows():
