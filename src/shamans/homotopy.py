@@ -75,8 +75,9 @@ TERMINATE = 2
 # It bounds each group's (columns, k, k) inverses: a group that would pass
 # it walks on with half its columns and sets the other half aside.  It
 # bounds the refit pool, at most BUDGET // r^2 rows of (k, k) inverses,
-# and range_split's (columns, m) temporary.  The block's records, the
-# walk's output, grow with its width times path length.
+# the block NNLS of PathWalk.nnls, BUDGET // r^2 rows of (r, r) inverses
+# per call, and range_split's (columns, m) temporary.  The block's
+# records, the walk's output, grow with its width times path length.
 BUDGET = 256 * 24 * 24
 
 # Smallest Schur pivot, relative to the largest diagonal entry of P on the
@@ -278,18 +279,15 @@ class PathWalk:
         to the pool's largest k, and rewrites their records.  The columns
         still live after ``max_breakpoints`` rounds of their group drop
         their records past the zero entry and end at the NNLS solution,
-        found for all of them by one call of the active-set solver.
+        found for all of them by ``nnls``.
         """
         P, tol = self.P, self.tol
         r = P.shape[0]
         Pz = np.pad(P, (0, 1))  # carry_inverse's layout: zero row and column at r
         diag = np.diagonal(Pz)
         ell = np.ascontiguousarray(self.L[:, start:stop].T)
-        rhs = self.B[:, start:stop]  # read here only
         width = stop - start
-        step = max(1, BUDGET // max(1, rhs.shape[0]))  # range_split's (step, m) temporary
-        Z, perp_sq = map(np.concatenate, zip(*(range_split(self.Q, rhs[:, i:i + step])
-                                              for i in range(0, width, step))))
+        Z, perp_sq = self.range_split(start, stop)
         tol_neg = tol * (1.0 + float(np.abs(P).max(initial=0.0)))
         dtype = path_dtype(r)
         records, owners = [], []
@@ -404,17 +402,10 @@ class PathWalk:
             for i in range(1, len(records)):
                 keep = ~over[owners[i]]
                 records[i], owners[i] = records[i][keep], owners[i][keep]
-        while fell.size:
-            try:
-                X = nnls_gram(P, ell[fell], tol=tol)
-            except SingularSystem as exc:  # a rank-deficient passive set
-                truncated[fell[exc.matrices]] = True
-                fell = np.delete(fell, exc.matrices)
-                continue
-            except IterationLimit as exc:
-                raise _at_column(exc, start + int(fell[exc.row])) from exc
+            X, singular = self.nnls(start + fell)
+            truncated[fell[singular]] = True
+            X, fell = X[~singular], fell[~singular]
             record(fell, 0.0, residual_sq(self.R, Z[fell], perp_sq[fell], X), X > 0.0, X)
-            break
 
         # Records come in round order, each column at most once per round, so
         # scattering them round by round to the next free slot of their column
@@ -433,6 +424,41 @@ class PathWalk:
                                                       over.tolist())):
             self._paths[start + p] = RegularizationPath(entries[lo:hi], truncated=cut,
                                                         fallback=capped)
+
+    def range_split(self, start: int, stop: int):
+        """densela.range_split of columns start..stop-1 of B, BUDGET // m columns
+        at a time to bound its (columns, m) temporary."""
+        step = max(1, BUDGET // max(1, self.B.shape[0]))
+        return tuple(map(np.concatenate, zip(*(
+            range_split(self.Q, self.B[:, i:min(i + step, stop)])
+            for i in range(start, stop, step)))))
+
+    def nnls(self, cols: np.ndarray):
+        """NNLS optima of the data columns ``cols`` by the block active-set
+        solver, BUDGET // r^2 rows per call, so that its (rows, r, r)
+        inverses stay within BUDGET.
+
+        Returns (X, singular): row i of X solves column cols[i], and is
+        zero where ``singular`` marks a column whose passive set became rank
+        deficient; those rows are deleted from their call and the rest
+        solved again.  An IterationLimit leaves with ``column`` set.
+        """
+        r = self.P.shape[0]
+        X = np.zeros((cols.size, r))
+        singular = np.zeros(cols.size, dtype=bool)
+        step = max(1, BUDGET // (r * r))
+        for lo in range(0, cols.size, step):
+            rows = np.arange(lo, min(lo + step, cols.size))
+            while rows.size:
+                try:
+                    X[rows] = nnls_gram(self.P, self.L.T[cols[rows]], tol=self.tol)
+                    break
+                except SingularSystem as exc:
+                    singular[rows[exc.matrices]] = True
+                    rows = np.delete(rows, exc.matrices)
+                except IterationLimit as exc:
+                    raise _at_column(exc, int(cols[rows[exc.row]])) from exc
+        return X, singular
 
     def path(self, j: int) -> RegularizationPath:
         if j not in self._paths:

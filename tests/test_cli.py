@@ -180,7 +180,7 @@ class TestReportJson:
                              "per_column_sparsity", "timings_ms", "mode", "budget",
                              "breakpoints", "breakpoint_histogram", "refits",
                              "fallback_columns", "truncated_columns",
-                             "inexact_columns", "picks", "overshoot",
+                             "inexact_columns", "kkt_violation", "picks", "overshoot",
                              "stopped_short", "last_gain"}
         assert data["timings_ms"] == {"paths": 1.5, "select": 0.4}
         assert data["inexact_columns"] == [1, 3, 4]
@@ -272,6 +272,20 @@ class TestMain:
                                             "metrics"]
         assert data["timings_ms"]["read"] > 0.0
         assert (data["picks"], data["overshoot"], data["stopped_short"]) == (17, 0, False)
+
+    def test_end_to_end_unconstrained(self, demo_files):
+        # No paths are walked: the path keys are null, the certificate is
+        # there, and the timings list the stages that ran.
+        wpath, mpath, tmp = demo_files
+        report = tmp / "report.json"
+        assert main(["--dict", wpath, "--data", mpath, "--mode", "unconstrained",
+                     "--out", str(tmp / "H.csv"), "--report", str(report)]) == 0
+        data = json.loads(report.read_text())
+        assert data["rel_error"] == pytest.approx(dd.DEMO_REL_UNCONSTRAINED, abs=1e-12)
+        assert (data["breakpoints"], data["breakpoint_histogram"], data["refits"],
+                data["fallback_columns"]) == (None, None, None, None)
+        assert 0.0 <= data["kkt_violation"] < 1e-12 and data["inexact_columns"] == []
+        assert list(data["timings_ms"]) == ["read", "validate", "gram", "nnls", "metrics"]
 
     def test_end_to_end_maps(self, demo_files):
         wpath, mpath, tmp = demo_files

@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,7 +10,7 @@ import shamans.mnnls as mnnls_mod
 from shamans.errors import (DimensionMismatch, IterationLimit, NonFiniteEntry,
                             ZeroColumnInDictionary, ZeroDataMatrix)
 from shamans.homotopy import PathWalk, regularization_path
-from shamans.mnnls import SolveConfig, metrics, solve
+from shamans.mnnls import KKT_BOUND, SolveConfig, metrics, solve
 from shamans.selector import build_cost_tables, init_gain, select_step
 from shamans.nnls import nnls_active_set
 
@@ -43,12 +47,16 @@ class TestSolveDemo:
         assert report.inexact_columns == []
 
     def test_timings_cover_every_stage(self, demo):
+        # Each mode lists the stages that ran; unconstrained mode walks no
+        # paths, so it builds no tables and selects nothing.
         M, W = demo
-        for cfg in (SolveConfig(mode="shamans", q=18), SolveConfig(mode="ksparse", k=3),
-                    SolveConfig(mode="unconstrained")):
+        walked = ["validate", "gram", "paths", "tables", "select", "assemble", "metrics"]
+        for cfg, stages in ((SolveConfig(mode="shamans", q=18), walked),
+                            (SolveConfig(mode="ksparse", k=3), walked),
+                            (SolveConfig(mode="unconstrained"),
+                             ["validate", "gram", "nnls", "metrics"])):
             _, report = solve(M, W, cfg)
-            assert list(report.timings_ms) == ["validate", "gram", "paths", "tables",
-                                               "select", "assemble", "metrics"]
+            assert list(report.timings_ms) == stages
             assert all(t >= 0.0 for t in report.timings_ms.values())
 
     def test_ksparse(self, demo):
@@ -235,7 +243,8 @@ class TestValidation:
                 SolveConfig(mode="unconstrained", max_breakpoints=cap)
         M, W = demo
         for cap in (None, 1, np.int64(40)):
-            _, report = solve(M, W, SolveConfig(mode="unconstrained", max_breakpoints=cap))
+            _, report = solve(M, W, SolveConfig(mode="ksparse", k=dd.DEMO_R,
+                                                max_breakpoints=cap))
             assert report.fallback_columns == ([] if cap != 1 else list(range(6)))
 
     def test_budget_exceeding_capacity(self, demo):
@@ -293,7 +302,7 @@ class TestSelectionStatistics:
 class TestFallback:
     def test_breakpoint_limit_falls_back_to_active_set(self, demo):
         M, W = demo
-        cfg = SolveConfig(mode="unconstrained", max_breakpoints=1)
+        cfg = SolveConfig(mode="ksparse", k=dd.DEMO_R, max_breakpoints=1)
         H, report = solve(M, W, cfg)
         assert report.fallback_columns == list(range(6))
         for j in range(6):
@@ -311,8 +320,10 @@ class TestFallback:
     def test_fallback_columns_are_inexact_outside_unconstrained(self, demo):
         M, W = demo
         _, exact = solve(M, W, SolveConfig(mode="unconstrained", max_breakpoints=1))
+        _, level_r = solve(M, W, SolveConfig(mode="ksparse", k=dd.DEMO_R, max_breakpoints=1))
         _, budgeted = solve(M, W, SolveConfig(mode="ksparse", k=2, max_breakpoints=1))
         assert exact.inexact_columns == []
+        assert level_r.inexact_columns == [] and level_r.fallback_columns == list(range(6))
         assert budgeted.inexact_columns == budgeted.fallback_columns == list(range(6))
 
     def test_singular_fallback_column_keeps_its_zero_entry(self):
@@ -325,7 +336,7 @@ class TestFallback:
         W[:, 4] = 0.5 * (W[:, 0] + W[:, 1]) + 1e-9 * rng.random(8)
         M = rng.random((8, 10))
         others = [0, 2, 3, 5, 6, 7, 8, 9]
-        for cfg in (SolveConfig(mode="unconstrained", max_breakpoints=1),
+        for cfg in (SolveConfig(mode="ksparse", k=5, max_breakpoints=1),
                     SolveConfig(mode="ksparse", k=2, max_breakpoints=1),
                     SolveConfig(mode="shamans", q=20, max_breakpoints=1)):
             H, report = solve(M, W, cfg)
@@ -334,9 +345,9 @@ class TestFallback:
             assert {1, 4} <= set(report.inexact_columns)
             assert len(set(report.inexact_columns)) == len(report.inexact_columns)
             assert not H[:, [1, 4]].any()
-        H_rest, rest = solve(M[:, others], W, SolveConfig(mode="unconstrained",
+        H_rest, rest = solve(M[:, others], W, SolveConfig(mode="ksparse", k=5,
                                                           max_breakpoints=1))
-        H, report = solve(M, W, SolveConfig(mode="unconstrained", max_breakpoints=1))
+        H, report = solve(M, W, SolveConfig(mode="ksparse", k=5, max_breakpoints=1))
         np.testing.assert_allclose(H[:, others], H_rest, rtol=0, atol=1e-12)
         assert report.inexact_columns == [1, 4] and rest.inexact_columns == []
         assert report.fallback_columns == sorted([1, 4] + [others[j] for j in
@@ -356,7 +367,7 @@ class TestFallback:
             return nnls_gram(P, ell, mask, **kwargs)
 
         monkeypatch.setattr(homotopy_mod, "nnls_gram", explode)
-        cfg = SolveConfig(mode="unconstrained", max_breakpoints=1)
+        cfg = SolveConfig(mode="ksparse", k=dd.DEMO_R, max_breakpoints=1)
         with pytest.raises(IterationLimit) as info:
             solve(M, W, cfg)
         assert info.value.column == 4
@@ -387,7 +398,7 @@ class TestFallback:
 
         monkeypatch.setattr(homotopy_mod, "nnls_gram", explode)
         with pytest.raises(IterationLimit) as info:
-            solve(M, W, SolveConfig(mode="unconstrained"))
+            solve(M, W, SolveConfig(mode="ksparse", k=12))
         row = first[0] - 1
         entry, column = pooled[row]
         assert entry > pooled[0][0]  # the call pools rows of several rounds
@@ -404,25 +415,46 @@ class TestPathReport:
         W = rng.random((8, 5))
         W[:, 4] = 0.5 * (W[:, 0] + W[:, 1]) + 1e-9 * rng.random(8)
         M = np.column_stack([rng.random(8) for _ in range(4)])
-        H, report = solve(M, W, SolveConfig(mode="unconstrained"))
+        H, report = solve(M, W, SolveConfig(mode="ksparse", k=5))
         truncated = [j for j in range(4) if regularization_path(W, M[:, j]).truncated]
         assert truncated == [2]
         assert report.truncated_columns == truncated
         assert report.fallback_columns == []
 
-    def test_unconstrained_lists_truncated_columns_as_inexact(self):
+    def test_level_r_lists_truncated_columns_as_inexact(self):
         # The same near-dependent dictionary: column 2's path stops before
-        # lambda reaches 0, so its column of H is not the NNLS optimum the
-        # mode promises; every other column is.
+        # lambda reaches 0, so its level-r cell is not the NNLS optimum;
+        # every other column's is.
         rng = np.random.default_rng(0)
         W = rng.random((8, 5))
         W[:, 4] = 0.5 * (W[:, 0] + W[:, 1]) + 1e-9 * rng.random(8)
         M = np.column_stack([rng.random(8) for _ in range(4)])
-        H, report = solve(M, W, SolveConfig(mode="unconstrained"))
+        H, report = solve(M, W, SolveConfig(mode="ksparse", k=5))
         assert report.inexact_columns == report.truncated_columns == [2]
         for j in (0, 1, 3):
             x, _ = nnls_bruteforce(W, M[:, j])
             np.testing.assert_allclose(H[:, j], x, atol=1e-8)
+
+    def test_block_nnls_solves_the_truncated_column(self):
+        # Unconstrained mode walks no path: the block NNLS returns column
+        # 2's optimum, where the walk truncates, and certifies every column.
+        # Column 3 has two supports within 1.3e-10 of its optimal error
+        # (atom 4 against atoms 0 and 1), and the solver's tolerance stops
+        # it on the other one.
+        rng = np.random.default_rng(0)
+        W = rng.random((8, 5))
+        W[:, 4] = 0.5 * (W[:, 0] + W[:, 1]) + 1e-9 * rng.random(8)
+        M = np.column_stack([rng.random(8) for _ in range(4)])
+        _, walked = solve(M, W, SolveConfig(mode="ksparse", k=5))
+        H, report = solve(M, W, SolveConfig(mode="unconstrained"))
+        assert walked.truncated_columns == [2]
+        assert report.inexact_columns == report.truncated_columns == []
+        for j in range(4):
+            x, best = nnls_bruteforce(W, M[:, j])
+            if j < 3:
+                np.testing.assert_allclose(H[:, j], x, atol=1e-8)
+            resid = M[:, j] - W @ H[:, j]
+            assert abs(resid @ resid - best) <= 1e-9 * best
 
     def test_refits_count_negative_least_squares_entries(self):
         # Counted independently: entries of the one-column reference walk
@@ -431,7 +463,7 @@ class TestPathReport:
         rng = np.random.default_rng(3)
         W = rng.random((12, 8))
         M = rng.random((12, 300))
-        H, report = solve(M, W, SolveConfig(mode="unconstrained"))
+        H, report = solve(M, W, SolveConfig(mode="ksparse", k=8))
         want = sum(int(refit_entries(reference_path(W, M[:, j]).entries).sum())
                    for j in range(300))
         assert want > 0
@@ -447,12 +479,128 @@ class TestPathReport:
         M = np.clip(W @ H0 + 0.005 * rng.standard_normal((200, 300)), 0.0, None)
         counts = []
         for cap in (None, 20):
-            _, report = solve(M, W, SolveConfig(mode="unconstrained", max_breakpoints=cap))
+            _, report = solve(M, W, SolveConfig(mode="ksparse", k=24, max_breakpoints=cap))
             walk = PathWalk(W, M, max_breakpoints=cap)
             kept = sum(int(refit_entries(walk.path(j).entries).sum()) for j in range(300))
             assert report.refits == walk.refits == kept
             counts.append((kept, len(report.fallback_columns)))
         assert counts[0][0] > counts[1][0] > 0 and counts[0][1] == 0 < counts[1][1]
+
+
+def generated_workloads():
+    """perfbench's workload generator, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # where its dataclass looks itself up
+    spec.loader.exec_module(module)
+    return module
+
+
+def assert_matches_level_r(M, W):
+    """Unconstrained H against the walk's level-r cells (ksparse k = r):
+    the same supports, and entries within 1e-12 of max|H|."""
+    H, report = solve(M, W, SolveConfig(mode="unconstrained"))
+    H_r, _ = solve(M, W, SolveConfig(mode="ksparse", k=W.shape[1]))
+    assert np.array_equal(H > 0.0, H_r > 0.0)
+    assert np.abs(H - H_r).max() <= 1e-12 * np.abs(H_r).max()
+    return report
+
+
+class TestUnconstrained:
+    def test_matches_level_r_on_random_problems(self):
+        rng = np.random.default_rng(47)
+        for _ in range(40):
+            r = int(rng.integers(1, 9))
+            M, W, _ = random_problem(rng, int(rng.integers(r, 30)), r, int(rng.integers(1, 40)))
+            report = assert_matches_level_r(M, W)
+            assert report.inexact_columns == report.truncated_columns == []
+
+    @pytest.mark.parametrize("name", ["pixels-r6", "dict-r24", "tall-io"])
+    def test_matches_level_r_on_workloads(self, name):
+        # Every column is certified in unconstrained mode and in the
+        # workload's own mode.
+        workloads = generated_workloads()
+        w = workloads.WORKLOADS[name]
+        for seed in (1, 2, 3):
+            M, W = workloads.generate(w, seed)
+            report = assert_matches_level_r(M, W)
+            assert report.inexact_columns == [] and report.kkt_violation <= KKT_BOUND
+            own = SolveConfig(mode=w.mode, q=w.q, k=w.k)
+            _, report = solve(M, W, own)
+            assert report.inexact_columns == [] and report.kkt_violation <= KKT_BOUND
+
+    def test_report_describes_no_paths(self, demo):
+        M, W = demo
+        _, report = solve(M, W, SolveConfig(mode="unconstrained", max_breakpoints=1))
+        assert (report.breakpoints, report.breakpoint_histogram, report.refits,
+                report.fallback_columns) == (None, None, None, None)
+        assert report.inexact_columns == report.truncated_columns == []
+        assert 0.0 <= report.kkt_violation <= KKT_BOUND
+
+    def test_singular_passive_set_is_listed(self):
+        # The dictionary of TestFallback: the NNLS of columns 1 and 4 meets
+        # a rank-deficient passive set.  Those columns are listed and left
+        # at 0, and the rest solve as they do without them.
+        rng = np.random.default_rng(0)
+        W = rng.random((8, 5))
+        W[:, 4] = 0.5 * (W[:, 0] + W[:, 1]) + 1e-9 * rng.random(8)
+        M = rng.random((8, 10))
+        others = [0, 2, 3, 5, 6, 7, 8, 9]
+        H, report = solve(M, W, SolveConfig(mode="unconstrained"))
+        assert report.truncated_columns == report.inexact_columns == [1, 4]
+        assert not H[:, [1, 4]].any()
+        H_rest, rest = solve(M[:, others], W, SolveConfig(mode="unconstrained"))
+        np.testing.assert_allclose(H[:, others], H_rest, rtol=0, atol=1e-12)
+        assert rest.inexact_columns == []
+
+    def test_calls_stay_within_budget(self, demo, monkeypatch):
+        # With room for three rows of (r, r) inverses per call, the demo's
+        # six columns take two calls; the result does not change, and an
+        # IterationLimit in the second call names its data column.
+        M, W = demo
+        H, _ = solve(M, W, SolveConfig(mode="unconstrained"))
+        monkeypatch.setattr(homotopy_mod, "BUDGET", 3 * dd.DEMO_R ** 2)
+        nnls_gram = homotopy_mod.nnls_gram
+        calls = []
+
+        def spy(P, ell, mask=None, **kwargs):
+            calls.append(ell.shape[0])
+            return nnls_gram(P, ell, mask, **kwargs)
+
+        monkeypatch.setattr(homotopy_mod, "nnls_gram", spy)
+        H_split, _ = solve(M, W, SolveConfig(mode="unconstrained"))
+        assert calls == [3, 3]
+        np.testing.assert_allclose(H_split, H, rtol=0, atol=1e-12)
+
+        def explode(P, ell, mask=None, **kwargs):
+            calls.append(ell.shape[0])
+            if len(calls) == 2:
+                raise IterationLimit("no pivots for you", row=1)
+            return nnls_gram(P, ell, mask, **kwargs)
+
+        calls.clear()
+        monkeypatch.setattr(homotopy_mod, "nnls_gram", explode)
+        with pytest.raises(IterationLimit) as info:
+            solve(M, W, SolveConfig(mode="unconstrained"))
+        assert (info.value.row, info.value.column) == (1, 4)
+        assert str(info.value).startswith("column 4 ")
+
+    def test_scaled_probe_lists_its_columns(self):
+        # At 1e-5 the solver's absolute tolerances swamp the data, and the
+        # block NNLS stops short of the optimum; the certificate lists every
+        # column it left.  Unscaled, every column is certified.
+        rng = np.random.default_rng(3)
+        W = rng.random((30, 5)) + 0.05
+        M = rng.random((30, 40))
+        best = np.column_stack([nnls_bruteforce(W, M[:, j])[0] for j in range(40)])
+        H, report = solve(M, W, SolveConfig(mode="unconstrained"))
+        np.testing.assert_allclose(H, best, rtol=0, atol=1e-12)
+        assert report.inexact_columns == []
+        H, report = solve(1e-5 * M, 1e-5 * W, SolveConfig(mode="unconstrained"))
+        far = [j for j in range(40) if np.abs(H[:, j] - best[:, j]).max() > 1e-8]
+        assert far and set(far) <= set(report.inexact_columns)
+        assert report.kkt_violation > KKT_BOUND
 
 
 class TestBreakpointHistogram:
@@ -492,7 +640,7 @@ class TestReportFromTables:
             assert (report.nnz, report.avg_sparsity, report.per_column_sparsity) == \
                 (want.nnz, want.avg_sparsity, want.per_column_sparsity)
 
-    def test_unconstrained_reads_level_r(self):
+    def test_level_r_reads_first_entry_of_least_error(self):
         # Level r holds the first entry of least error, so a refit that ties
         # or undercuts the terminal entry by roundoff is taken instead of it
         # (a few columns of this problem).
@@ -500,7 +648,7 @@ class TestReportFromTables:
         W = rng.random((40, 8)) + 0.05
         H0 = np.where(rng.random((8, 300)) < 0.5, rng.uniform(0.2, 1.0, (8, 300)), 0.0)
         M = np.clip(W @ H0 + 0.005 * rng.standard_normal((40, 300)), 0.0, None)
-        H, report = solve(M, W, SolveConfig(mode="unconstrained"))
+        H, report = solve(M, W, SolveConfig(mode="ksparse", k=8))
         assert report.inexact_columns == []
         walk = PathWalk(np.asfortranarray(W), np.asfortranarray(M))
         earlier = 0
