@@ -28,16 +28,16 @@ carries G = P(K,K)^-1 across breakpoints by densela.carry_inverse, in
 support ("slot") coordinates, as LARS and homotopy codes keep their
 factor (Osborne, Presnell and Turlach, IMA J. Numer. Anal. 2000; Efron et
 al., Ann. Statist. 2004): a (B, k) index names the atom in each slot, k
-the largest support of the block's group of live columns, and G is a
+the largest support of the block's live columns so far, and G is a
 (B, k, k) stack in that order.  A round solves for a and b on the slots
 (densela.support_solve), and P gives c and d from them, so a round costs
-O(k^2 + r k) per column.  A group whose stack would pass the budget walks
-on in two halves.  The entries whose least-squares solution goes negative
-are pooled across rounds and refit together by nnls_gram, which carries
-their G on in the same layout.  No round touches the m rows of A or
-b: with the thin QR factorization A = QR (Golub and Van Loan, Matrix
-Computations, 5.3) computed once per walk, and z = Q.T b and
-||b - Q z||^2 once per column, each refit's error is
+O(k^2 + r k) per column.  The entries whose least-squares solution goes
+negative are pooled across rounds until they fill half the block's
+width, then refit together by nnls_gram, which carries their G on in the
+same layout.  No round touches the m rows of A or b: with the thin QR
+factorization A = QR (Golub and Van Loan, Matrix Computations, 5.3)
+computed once per walk, and z = Q.T b and ||b - Q z||^2 once per column,
+each refit's error is
 
     ||A x - b||^2 = ||b - Q z||^2 + ||z - R x||^2,
 
@@ -68,16 +68,16 @@ LEAVE = 0
 ENTER = 1
 TERMINATE = 2
 
-# Float64 entries in the largest temporary of a walk.  It bounds a block's
-# width by one round's three (columns, 2, r) arrays, its right-hand sides,
-# solutions and gradients, and by its records, 16 + 9 r bytes per column:
-# 1,024 columns at r = 24, so wider blocks share each round's numpy calls.
-# It bounds each group's (columns, k, k) inverses: a group that would pass
-# it walks on with half its columns and sets the other half aside.  It
-# bounds the refit pool, at most BUDGET // r^2 rows of (k, k) inverses,
-# the block NNLS of PathWalk.nnls, BUDGET // r^2 rows of (r, r) inverses
-# per call, and range_split's (columns, m) temporary.  The block's
-# records, the walk's output, grow with its width times path length.
+# A walk's working set, in float64 entries.  It bounds two things:
+# a block's width, by one round's three (columns, 2, r) arrays, its
+# right-hand sides, solutions and gradients, and by its records, 16 + 9 r
+# bytes per column (1,024 columns at r = 24, so wider blocks share each
+# round's numpy calls), and range_split's (columns, m) temporary.  The
+# inverse stacks are bounded by the block instead, at width r^2 entries on
+# full supports, 4 BUDGET at r = 24: the live columns' (columns, k, k) and
+# one PathWalk.nnls call's (columns, r, r); the refit pool holds under 1.5
+# widths of (k, k).  The block's records, the walk's output, grow with its
+# width times path length.
 BUDGET = 256 * 24 * 24
 
 # Smallest Schur pivot, relative to the largest diagonal entry of P on the
@@ -260,7 +260,7 @@ class PathWalk:
     def _walk(self, start: int, stop: int) -> None:
         """Walk columns start..stop-1 in lockstep, one breakpoint per round.
 
-        A group of columns carries four arrays, one row per live column:
+        The block carries four arrays, one row per live column:
         ``live`` (its column), ``lam``, the slot index ``atoms`` and the
         inverse ``G`` in slot coordinates; a column leaves them when its
         path ends.  The first atom enters a one-slot stack through
@@ -268,18 +268,16 @@ class PathWalk:
         through ``live`` from arrays of the whole block, the right-hand
         sides (ell, 1) and the tolerances on lambda, rebuilds the support
         mask from ``atoms``, and recomputes the rows below the Schur guard,
-        which it re-seeds before solving.  A group whose live columns times
-        its slots squared could pass BUDGET this round walks on with its
-        first half; the second half, set aside without its inverses, is
-        re-seeded when its turn comes, and keeps its round count.  A round
-        records every live column's least-squares solution as its refit;
-        the entries where it goes negative are pooled with their G and
-        atoms, and once the pool holds half its rows (the block's width or
-        BUDGET // r^2, the smaller) one nnls_gram call refits them, padded
-        to the pool's largest k, and rewrites their records.  The columns
-        still live after ``max_breakpoints`` rounds of their group drop
-        their records past the zero entry and end at the NNLS solution,
-        found for all of them by ``nnls``.
+        which it re-seeds before solving; a row that fails the re-seed ends
+        truncated, and that round is not counted.  A round records every
+        live column's least-squares solution as its refit; the entries
+        where it goes negative are pooled whole with their G and atoms,
+        and once the pool holds half the block's width (so at most 1.5
+        widths) one nnls_gram call refits them, padded to the pool's
+        largest k, and rewrites their records.  The columns still live
+        after ``max_breakpoints`` rounds drop their records past the zero
+        entry and end at the NNLS solution, found for all of them by
+        ``nnls``.
         """
         P, tol = self.P, self.tol
         r = P.shape[0]
@@ -300,7 +298,6 @@ class PathWalk:
             owners.append(cols)
 
         pool = []  # (record array, its rows, columns, G, atoms) awaiting refits
-        cap = min(width, max(1, BUDGET // max(1, r * r)))  # rows the pool holds
         refitted = np.zeros(width, dtype=np.int64)  # pooled entries per column
 
         def refit_pool():
@@ -337,63 +334,49 @@ class PathWalk:
         pairs[:, 0, :r] = ell
         pairs[:, 1, :r] = 1.0
         live = np.flatnonzero(first >= 0)
+        lam = lam[live]
         G, atoms, _ = carry_inverse(Pz, np.zeros((live.size, 1, 1)), np.full((live.size, 1), r),
                                     np.ones(live.size, dtype=bool), first[live])
         truncated = np.zeros(width, dtype=bool)
         over = np.zeros(width, dtype=bool)
 
-        groups = [(0, live, lam[live], atoms, G)]  # (rounds walked, live, lam, atoms, G)
-        while groups:
-            rounds, live, lam, atoms, G = groups.pop()
-            if G is None:  # set aside by a split: every row fails the guard
-                G = np.zeros((live.size,) + 2 * atoms.shape[1:])
-            while live.size:
-                if rounds >= self.max_breakpoints:
-                    over[live] = True
-                    break
-                if live.size > 1 and live.size * min(atoms.shape[1] + 1, r) ** 2 > BUDGET:
-                    # An entering atom may add a slot: walk on with the first
-                    # half, and set the second aside without its inverses.
-                    half = live.size // 2
-                    groups.append((rounds, live[half:], lam[half:], atoms[half:], None))
-                    live, lam, atoms, G = live[:half], lam[:half], atoms[:half], G[:half].copy()
+        rounds = 0
+        while live.size and rounds < self.max_breakpoints:
+            redo = np.flatnonzero(_below_guard(G, atoms, diag))
+            if redo.size:
+                try:
+                    G[redo] = _support_inverse(P, atoms[redo])
+                except SingularSystem as exc:
+                    keep = np.ones(live.size, dtype=bool)
+                    keep[redo[exc.matrices]] = False
+                    truncated[live[~keep]] = True
+                    live, lam, atoms, G = (x[keep] for x in (live, lam, atoms, G))
                     continue
-                redo = np.flatnonzero(_below_guard(G, atoms, diag))
-                if redo.size:
-                    try:
-                        G[redo] = _support_inverse(P, atoms[redo])
-                    except SingularSystem as exc:
-                        keep = np.ones(live.size, dtype=bool)
-                        keep[redo[exc.matrices]] = False
-                        truncated[live[~keep]] = True
-                        live, lam, atoms, G = (x[keep] for x in (live, lam, atoms, G))
-                        continue
-                rhs2 = pairs[live]
-                full = densela.support_solve(Pz, G, atoms, rhs2)
-                grad = (full.reshape(-1, r + 1) @ Pz).reshape(full.shape) - rhs2
-                K = np.zeros((live.size, r + 1), dtype=bool)
-                K[np.arange(live.size)[:, None], atoms] = True
-                K = K[:, :r]
-                a, b = full[:, 0, :r], full[:, 1, :r]
-                c = np.where(K, 0.0, grad[:, 0, :r])
-                d = np.where(K, 0.0, grad[:, 1, :r])
-                lam_next, kind, index = next_breakpoint(a, b, c, d, K, lam, tol_neg)
-                lam_next[lam_next <= tol_lam[live]] = 0.0
-                record(live, lam_next, residual_sq(self.R, Z[live], perp_sq[live], a), K, a)
-                negative = np.flatnonzero((a < 0.0).any(axis=1))
+            rhs2 = pairs[live]
+            full = densela.support_solve(Pz, G, atoms, rhs2)
+            grad = (full.reshape(-1, r + 1) @ Pz).reshape(full.shape) - rhs2
+            K = np.zeros((live.size, r + 1), dtype=bool)
+            K[np.arange(live.size)[:, None], atoms] = True
+            K = K[:, :r]
+            a, b = full[:, 0, :r], full[:, 1, :r]
+            c = np.where(K, 0.0, grad[:, 0, :r])
+            d = np.where(K, 0.0, grad[:, 1, :r])
+            lam_next, kind, index = next_breakpoint(a, b, c, d, K, lam, tol_neg)
+            lam_next[lam_next <= tol_lam[live]] = 0.0
+            record(live, lam_next, residual_sq(self.R, Z[live], perp_sq[live], a), K, a)
+            negative = np.flatnonzero((a < 0.0).any(axis=1))
+            if negative.size:
                 refitted[live[negative]] += 1
-                for rows in (negative[i:i + cap] for i in range(0, negative.size, cap)):
-                    if sum(held.size for _, held, _, _, _ in pool) + rows.size > cap:
-                        refit_pool()
-                    pool.append((records[-1], rows, live[rows], G[rows], atoms[rows]))
-                    if 2 * sum(held.size for _, held, _, _, _ in pool) >= cap:
-                        refit_pool()
-                go = (kind != TERMINATE) & (lam_next != 0.0)
-                if not go.all():
-                    live, atoms, G = (x[go] for x in (live, atoms, G))
-                G, atoms, _ = carry_inverse(Pz, G, atoms, kind[go] == ENTER, index[go])
-                lam = lam_next[go]
-                rounds += 1
+                pool.append((records[-1], negative, live[negative], G[negative], atoms[negative]))
+                if 2 * sum(held.size for _, held, _, _, _ in pool) >= width:
+                    refit_pool()
+            go = (kind != TERMINATE) & (lam_next != 0.0)
+            if not go.all():
+                live, atoms, G = (x[go] for x in (live, atoms, G))
+            G, atoms, _ = carry_inverse(Pz, G, atoms, kind[go] == ENTER, index[go])
+            lam = lam_next[go]
+            rounds += 1
+        over[live] = True
         refit_pool()  # before the records past the limit are dropped
         self.refits += int(refitted[~over].sum())
 
@@ -435,8 +418,8 @@ class PathWalk:
 
     def nnls(self, cols: np.ndarray):
         """NNLS optima of the data columns ``cols`` by the block active-set
-        solver, BUDGET // r^2 rows per call, so that its (rows, r, r)
-        inverses stay within BUDGET.
+        solver, one block of rows per call, so that its (rows, r, r)
+        inverses stay within the walk's.
 
         Returns (X, singular): row i of X solves column cols[i], and is
         zero where ``singular`` marks a column whose passive set became rank
@@ -446,9 +429,8 @@ class PathWalk:
         r = self.P.shape[0]
         X = np.zeros((cols.size, r))
         singular = np.zeros(cols.size, dtype=bool)
-        step = max(1, BUDGET // (r * r))
-        for lo in range(0, cols.size, step):
-            rows = np.arange(lo, min(lo + step, cols.size))
+        for lo in range(0, cols.size, self.block):
+            rows = np.arange(lo, min(lo + self.block, cols.size))
             while rows.size:
                 try:
                     X[rows] = nnls_gram(self.P, self.L.T[cols[rows]], tol=self.tol)

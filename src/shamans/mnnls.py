@@ -63,9 +63,14 @@ class SolveConfig:
             if self.mode == mode and not (isinstance(count, numbers.Integral) and count >= 0):
                 raise ValueError(f"{mode} mode needs a nonnegative integer {name}")
         check_tol(self.tol)
-        if not (self.zero_threshold >= 0 and np.isfinite(self.zero_threshold)):  # also NaN
-            raise ValueError("zero_threshold must be nonnegative and finite")
+        _check_zero_threshold(self.zero_threshold)
         check_max_breakpoints(self.max_breakpoints)
+
+
+def _check_zero_threshold(zero_threshold) -> None:
+    """Reject a sparsity threshold that is not a finite nonnegative number."""
+    if not (zero_threshold >= 0 and np.isfinite(zero_threshold)):  # also NaN
+        raise ValueError("zero_threshold must be nonnegative and finite")
 
 
 @dataclass
@@ -129,8 +134,10 @@ def metrics(M, W, H, zero_threshold: float = 1e-3) -> UnmixReport:
 
     Raises DimensionMismatch unless M (m, n), W (m, r) and H (r, n) fit.
     ``avg_sparsity`` and the per-column histogram count entries above
-    ``zero_threshold``; ``nnz`` counts exact nonzeros.
+    ``zero_threshold``, which must be finite and nonnegative; ``nnz``
+    counts exact nonzeros.
     """
+    _check_zero_threshold(zero_threshold)
     M = as_matrix(M, "M")
     W = as_matrix(W, "W")
     H = as_matrix(H, "H")

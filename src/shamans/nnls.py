@@ -45,8 +45,7 @@ def check_tol(tol) -> None:
 
 
 def nnls_gram(P: np.ndarray, ell: np.ndarray, mask: np.ndarray | None = None,
-              tol: float = 1e-10, inverse: tuple | None = None,
-              on_iterate=None) -> np.ndarray:
+              tol: float = 1e-10, inverse: tuple | None = None) -> np.ndarray:
     """Active-set NNLS given normal-equation data only.
 
     Solves min ||Ax - b||^2 s.t. x >= 0 where P = A.T A and ell = A.T b,
@@ -60,7 +59,7 @@ def nnls_gram(P: np.ndarray, ell: np.ndarray, mask: np.ndarray | None = None,
     (any slot order, k at least each row's mask size), from the
     least-squares solution on its mask with nonpositive entries dropped
     until it is feasible.  Ties on the entering variable break toward the
-    smallest index.  ``on_iterate`` gets a copy of every outer iterate.
+    smallest index.
 
     Raises IterationLimit, whose ``row`` names the row, once a row makes
     more than 10 k (k+1) pivots, k the size of its mask (cycling or heavy
@@ -125,8 +124,6 @@ def nnls_gram(P: np.ndarray, ell: np.ndarray, mask: np.ndarray | None = None,
     diag = np.diagonal(P)
     live = np.arange(n)
     while True:
-        if on_iterate is not None:
-            on_iterate(X.reshape(np.shape(ell)).copy())
         w = np.where(mask[live] & ~passive[live], L[live] - X[live] @ P.T, -np.inf)
         entering = w.argmax(axis=1)  # first maximum, i.e. smallest index
         grow = w[np.arange(live.size), entering] > floor[live]
@@ -172,14 +169,14 @@ def nnls_gram(P: np.ndarray, ell: np.ndarray, mask: np.ndarray | None = None,
     return X.reshape(np.shape(ell))
 
 
-def nnls_active_set(A, b, tol: float = 1e-10, on_iterate=None) -> NnlsSolution:
+def nnls_active_set(A, b, tol: float = 1e-10) -> NnlsSolution:
     """Solve min ||Ax - b||^2 subject to x >= 0."""
     A = as_matrix(A, "A")
     b = as_vector(b, "b")
     if A.shape[0] != b.shape[0]:
         raise ValueError(f"A has {A.shape[0]} rows but b has {b.shape[0]}")
     check_tol(tol)
-    x = nnls_gram(gram(A), A.T @ b, tol=tol, on_iterate=on_iterate)
+    x = nnls_gram(gram(A), A.T @ b, tol=tol)
     resid = A @ x - b
     return NnlsSolution(x=x, support=np.flatnonzero(x > 0.0),
                         residual_sq=float(resid @ resid))

@@ -294,15 +294,23 @@ def test_pooled_refits_span_flushes(monkeypatch):
 
 
 def test_refit_pool_stays_within_a_block(monkeypatch):
-    # Column 13 of this data pools refits at entries 4 and 5, and column 5,
-    # here in four copies, first at entry 8.  Six rows would overfill the
-    # block of five columns, so the two pooled rows are refit first.
+    # A round pools its negative rows whole, and the pool is refit once it
+    # holds half the block's width, so no call holds 1.5 widths.  Column 13
+    # of this data pools refits at entries 4 and 5, under half a block of
+    # five columns, and column 5, here in four copies, first at entry 8:
+    # one call refits all six rows, more than the block's width.  All 20
+    # columns in one block take two calls.
     rng = np.random.default_rng(0)
     A = rng.random((40, 12))
-    B = rng.random((40, 20))[:, [13, 5, 5, 5, 5]]
+    B = rng.random((40, 20))
     calls = counted_refits(monkeypatch)
-    walk_all(A, B)
-    assert calls == [2, 4]
+    for columns, want in (([13, 5, 5, 5, 5], [6]), (range(20), [10, 10])):
+        calls.clear()
+        walk_all(A, B[:, columns])
+        width = len(columns)
+        assert calls == want
+        assert all(2 * rows >= width for rows in calls[:-1])
+        assert all(rows < 1.5 * width for rows in calls)
 
 
 def test_one_refit_call_pads_the_pooled_stacks(monkeypatch):
@@ -469,14 +477,11 @@ def test_schur_guard_decides_truncation_like_the_reference(monkeypatch):
 
 def test_split_groups_keep_the_inverses_within_budget(monkeypatch):
     # r = 24 and 64 columns, one block under a budget of 64 x 144: three in
-    # four columns mix all 24 atoms, the rest 16, so the group's live
-    # columns times its slots squared passes the budget near the 13th atom
-    # and again in the first half near the 19th.  The halves set aside are
-    # re-seeded when they resume, and each keeps its own round count: under
-    # a cap of 22 breakpoints some paths finish and the rest fall back in
-    # every group.  Paths match the reference and the walk without splits.
-    # The refit pool holds at most 16 rows, whose inverses, of at most r^2
-    # entries each, keep to the budget.
+    # four columns mix all 24 atoms, the rest 16.  The live columns times
+    # their slots squared pass the budget near the 13th atom, and the
+    # whole block walks on: no row is re-seeded, and the block bounds the
+    # carried stack at width x r^2 entries.  Under a cap of 22 breakpoints
+    # some paths finish and the rest fall back.  Paths match the reference.
     rng = np.random.default_rng(4)
     r, m, n = 24, 60, 64
     A = rng.random((m, r)) + 0.05
@@ -484,8 +489,7 @@ def test_split_groups_keep_the_inverses_within_budget(monkeypatch):
     rank = np.argsort(np.argsort(rng.random((r, n)), axis=0), axis=0)
     H = np.where(rank < count, rng.uniform(0.2, 1.0, (r, n)), 0.0)
     B = np.clip(A @ H + 0.005 * rng.standard_normal((m, n)), 0.0, None)
-    whole = {cap: walk_all(A, B, max_breakpoints=cap) for cap in (None, 22)}
-    sizes = []
+    sizes, rows = [], []
     carry_inverse, support_inverse = homotopy.carry_inverse, homotopy._support_inverse
 
     def carrying(P, G, atoms, enter, index):
@@ -500,22 +504,15 @@ def test_split_groups_keep_the_inverses_within_budget(monkeypatch):
 
     monkeypatch.setattr(homotopy, "carry_inverse", carrying)
     monkeypatch.setattr(homotopy, "_support_inverse", seeding)
-    refits = counted_refits(monkeypatch)
     monkeypatch.setattr(homotopy, "BUDGET", n * 144)
     assert homotopy.block_width(r) == n
-    for cap, free in whole.items():
-        rows = []
-        split = walk_all(A, B, max_breakpoints=cap)
-        assert rows == [16, 32, 16]  # the halves set aside, re-seeded on resuming
-        assert max(sizes) == homotopy.BUDGET
-        # The refit pool's inverses keep to the budget too.
-        assert 0 < max(refits) <= homotopy.BUDGET // r**2
-        for got, want in zip(split, free):
-            assert got.fallback == want.fallback
-            assert_same_path(got, want)
+    for cap in (None, 22):
+        sizes.clear()
         assert_matches_reference(A, B, max_breakpoints=cap)
-    fell = np.array([p.fallback for p in split])
-    assert all(fell[g].any() and not fell[g].all() for g in np.split(np.arange(n), 4))
+        assert rows == []  # no row is re-seeded
+        assert homotopy.BUDGET < max(sizes) <= n * r**2
+    fell = np.array([p.fallback for p in walk_all(A, B, max_breakpoints=22)])
+    assert fell.any() and not fell.all()
 
 
 def test_record_invariants(monkeypatch):

@@ -111,6 +111,14 @@ class TestMetrics:
         rep2 = metrics(M, W, H, zero_threshold=1e-5)
         assert rep2.avg_sparsity == 4.0
 
+    def test_rejects_a_threshold_solve_rejects(self, demo):
+        # NaN and inf used to count no entry, and -1 every zero, as nonzero.
+        M, W = demo
+        for threshold in (np.nan, -1.0, np.inf):
+            with pytest.raises(ValueError, match="zero_threshold must be nonnegative and finite"):
+                metrics(M, W, np.zeros((4, 6)), zero_threshold=threshold)
+        assert metrics(M, W, np.zeros((4, 6)), zero_threshold=0.0).avg_sparsity == 0.0
+
     def test_zero_data_matrix(self, demo):
         _, W = demo
         with pytest.raises(ZeroDataMatrix):
@@ -555,12 +563,13 @@ class TestUnconstrained:
         assert rest.inexact_columns == []
 
     def test_calls_stay_within_budget(self, demo, monkeypatch):
-        # With room for three rows of (r, r) inverses per call, the demo's
-        # six columns take two calls; the result does not change, and an
-        # IterationLimit in the second call names its data column.
+        # With blocks three columns wide, the demo's six columns take two
+        # calls; the result does not change, and an IterationLimit in the
+        # second call names its data column.
         M, W = demo
         H, _ = solve(M, W, SolveConfig(mode="unconstrained"))
-        monkeypatch.setattr(homotopy_mod, "BUDGET", 3 * dd.DEMO_R ** 2)
+        monkeypatch.setattr(homotopy_mod, "BUDGET", 3 * 6 * dd.DEMO_R)
+        assert homotopy_mod.block_width(dd.DEMO_R) == 3
         nnls_gram = homotopy_mod.nnls_gram
         calls = []
 
