@@ -103,18 +103,21 @@ def carry_inverse(P: np.ndarray, G: np.ndarray, atoms: np.ndarray, enter: np.nda
     target = np.where(enter, r, index)[:, None]  # an empty slot, or the leaving atom's
     hit = atoms == target
     if not hit.any(axis=1).all():  # an entering row has no free slot: add one
-        wider = np.zeros((B, k + 1, k + 1))
+        wider = np.empty((B, k + 1, k + 1))
         wider[:, :k, :k] = G
+        wider[:, k, :] = 0.0
+        wider[:, :k, k] = 0.0
         G, k = wider, k + 1
         atoms = np.column_stack((atoms, np.full(B, r)))
         hit = atoms == target
     slot = hit.argmax(axis=1)
     e = np.arange(k) == slot[:, None]
     # A leaving row takes p = e_t, so that u = G e_t is the g of its update.
-    p = np.where(enter[:, None], P[index[:, None], atoms], e)
+    # P(j, atoms) and P_jj are read by flat index, which numpy gathers faster.
+    p = np.where(enter[:, None], P.take(index[:, None] * (r + 1) + atoms), e)
     u = np.matmul(p[:, None, :], G)[:, 0]  # p.G = G p: G is symmetric
     v = u - (enter[:, None] & e)
-    s = np.where(enter, P[index, index], 0.0) - np.einsum("bi,bi->b", p, u)
+    s = np.where(enter, P.take(index * (r + 2)), 0.0) - np.einsum("bi,bi->b", p, u)
     with np.errstate(divide="ignore", invalid="ignore"):
         w = 1.0 / s
         G += np.einsum("bi,bj->bij", v * w[:, None], v)
@@ -133,11 +136,14 @@ def support_solve(P: np.ndarray, G: np.ndarray, atoms: np.ndarray,
     Returns them in full space, (B, c, r + 1), zero off K_i."""
     B, c, n = rhs.shape
     at = atoms[:, None, :] + n * np.arange(B * c).reshape(B, c, 1)  # flat, per slot
-    x = np.matmul(rhs.take(at), G)  # x.G = G x: G is symmetric
+    rhs_k = rhs.take(at)  # rhs(K_i) in slot order
+    x = np.matmul(rhs_k, G)  # x.G = G x: G is symmetric
     full = np.zeros(rhs.shape)
-    full.put(at, x)
-    x -= np.matmul(((full.reshape(-1, n) @ P).reshape(full.shape) - rhs).take(at), G)
-    full.put(at, x)
+    full.reshape(-1)[at] = x
+    resid = (full.reshape(-1, n) @ P).take(at)
+    resid -= rhs_k
+    x -= np.matmul(resid, G)
+    full.reshape(-1)[at] = x
     return full
 
 

@@ -33,8 +33,9 @@ the largest support of the block's live columns so far, and G is a
 (densela.support_solve), and P gives c and d from them, so a round costs
 O(k^2 + r k) per column.  The entries whose least-squares solution goes
 negative are pooled across rounds until they fill half the block's
-width, then refit together by nnls_gram, which carries their G on in the
-same layout.  No round touches the m rows of A or b: with the thin QR
+width, then refit together by nnls_gram, which starts from the
+least-squares solutions their rounds recorded and carries their G on in
+the same layout.  No round touches the m rows of A or b: with the thin QR
 factorization A = QR (Golub and Van Loan, Matrix Computations, 5.3)
 computed once per walk, and z = Q.T b and ||b - Q z||^2 once per column,
 each refit's error is
@@ -48,13 +49,15 @@ pivot falls below SCHUR_GUARD times the largest diagonal entry of P on
 its support has G re-seeded from one checked factorization and inverse
 of P(K,K), whose check decides whether the support is rank deficient.
 next_breakpoint and the records take a (B, r) boolean support mask, one
-row per column, and full-space (B, r) coefficient arrays that are zero
-off the rows' supports (a, b) or on them (c, d).
+row per column, and full-space (B, r) coefficient arrays.  next_breakpoint
+reads a and b only on the rows' supports and c and d only off them, so a
+round passes its solutions and gradients as they are, unmasked.
 """
 
 from __future__ import annotations
 
 import numbers
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,24 +156,30 @@ def next_breakpoint(a, b, c, d, K, lambda_current, tol: float):
     of LEAVE, ENTER or TERMINATE and index the atom that leaves or enters
     (-1 on TERMINATE).  A LEAVE candidate is a support index with
     b < -tol, an ENTER candidate a complement index with d < -tol; among
-    equal ratios the smallest index wins.  When no candidate has a
+    equal ratios the smallest index wins.  Only the support's cells of
+    ``a`` and ``b`` and the complement's cells of ``c`` and ``d`` are read:
+    the others may hold anything, zeros included.  When no candidate has a
     positive crossing the support stays optimal all the way down and the
     row terminates at 0.  Exact ties between the two cases resolve to LEAVE.
     """
-    rows = np.arange(K.shape[0])
-    leave = np.full(K.shape, -np.inf)
-    np.divide(a, b, out=leave, where=K & (b < -tol))
-    enter = np.full(K.shape, -np.inf)
-    np.divide(c, d, out=enter, where=~K & (d < -tol))
-    i_leave = leave.argmax(axis=1)  # first maximum: smallest-index tie rule
-    i_enter = enter.argmax(axis=1)
-    lam_leave = leave[rows, i_leave]
-    lam_enter = enter[rows, i_enter]
-    is_leave = lam_leave >= lam_enter
-    lam = np.where(is_leave, lam_leave, lam_enter)
+    n, r = K.shape
+    # Each row's leave ratios, then its enter ratios: the first maximum of the
+    # row is then its smallest leaving index on a tie.  Every ratio is taken;
+    # fmin against a bound of -inf, which ignores a NaN, then clears each cell
+    # that holds no candidate, and a bound of +inf keeps each one that does.
+    den = np.concatenate((b, d), axis=1)
+    ratio = np.concatenate((a, c), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio /= den
+        bound = np.subtract((den < -tol) & np.concatenate((K, ~K), axis=1), 0.5, out=den)
+    bound *= np.inf
+    np.fmin(ratio, bound, out=ratio)
+    best = ratio.argmax(axis=1)
+    lam = ratio[np.arange(n), best]
+    kind, index = np.divmod(best, r)  # LEAVE = 0 and ENTER = 1
     done = lam <= 0.0
-    kind = np.where(done, TERMINATE, np.where(is_leave, LEAVE, ENTER))
-    index = np.where(done, -1, np.where(is_leave, i_leave, i_enter))
+    kind[done] = TERMINATE
+    index[done] = -1
     # Roundoff can push the ratio marginally above the current breakpoint;
     # treat that as a tie at lambda_current.
     return np.where(done, 0.0, np.minimum(lam, lambda_current)), kind, index
@@ -256,6 +265,11 @@ class PathWalk:
         self.block = block_width(r)  # columns walked together
         self._paths = {}  # column -> RegularizationPath
         self.refits = 0
+        # What the walks so far did: lockstep rounds, rows re-seeded below
+        # SCHUR_GUARD, refit calls and their milliseconds, and
+        # breakpoint-limit NNLS calls.
+        self.stats = {"rounds": 0, "reseeded_rows": 0, "refit_calls": 0, "refit_ms": 0.0,
+                      "fallback_calls": 0}
 
     def _walk(self, start: int, stop: int) -> None:
         """Walk columns start..stop-1 in lockstep, one breakpoint per round.
@@ -274,7 +288,8 @@ class PathWalk:
         where it goes negative are pooled whole with their G and atoms,
         and once the pool holds half the block's width (so at most 1.5
         widths) one nnls_gram call refits them, padded to the pool's
-        largest k, and rewrites their records.  The columns still live
+        largest k and started from the solutions their records hold, and
+        rewrites their records.  The columns still live
         after ``max_breakpoints`` rounds drop their records past the zero
         entry and end at the NNLS solution, found for all of them by
         ``nnls``.
@@ -302,25 +317,31 @@ class PathWalk:
 
         def refit_pool():
             """Refit the pooled entries on their supports by one nnls_gram
-            call, each started from its G, padded to the pool's largest k,
-            and write their refits and errors into their records."""
+            call, each started from its recorded least-squares solution and
+            its G, padded to the pool's largest k, and write their refits
+            and errors into their records."""
             if not pool:
                 return
             arrays, at, cols, inverses, slots = zip(*pool)
             cols = np.concatenate(cols)
-            mask = np.concatenate([entries["support"][rows] for entries, rows in zip(arrays, at)])
-            grow = [max(g.shape[1] for g in inverses) - g.shape[1] for g in inverses]
-            G = np.concatenate([np.pad(g, ((0, 0), (0, t), (0, t)))
-                                for g, t in zip(inverses, grow)])
-            atoms = np.concatenate([np.pad(x, ((0, 0), (0, t)), constant_values=r)
-                                    for x, t in zip(slots, grow)])
+            mask, Z0 = (np.concatenate([entries[name][rows] for entries, rows in zip(arrays, at)])
+                        for name in ("support", "solution"))  # least squares, before the refit
+            k = max(g.shape[1] for g in inverses)
+            G, atoms = np.zeros((cols.size, k, k)), np.full((cols.size, k), r)
+            ends = np.cumsum([rows.size for rows in at]).tolist()
+            for lo, hi, g, x in zip([0] + ends, ends, inverses, slots):
+                G[lo:hi, :g.shape[1], :g.shape[1]] = g
+                atoms[lo:hi, :x.shape[1]] = x
+            clock = time.perf_counter()
             try:
-                X = nnls_gram(P, ell[cols], mask, tol=tol, inverse=(G, atoms))
+                X = nnls_gram(P, ell[cols], mask, tol=tol, start=(G, atoms, Z0))
             except IterationLimit as exc:
                 raise _at_column(exc, start + int(cols[exc.row])) from exc
+            self.stats["refit_ms"] += (time.perf_counter() - clock) * 1e3
+            self.stats["refit_calls"] += 1
             err = residual_sq(self.R, Z[cols], perp_sq[cols], X)
-            ends = np.cumsum([rows.size for rows in at])[:-1]
-            for entries, rows, x, e in zip(arrays, at, np.split(X, ends), np.split(err, ends)):
+            for entries, rows, x, e in zip(arrays, at, np.split(X, ends[:-1]),
+                                           np.split(err, ends[:-1])):
                 entries["solution"][rows] = x
                 entries["error_sq"][rows] = e
             pool.clear()
@@ -344,6 +365,7 @@ class PathWalk:
         while live.size and rounds < self.max_breakpoints:
             redo = np.flatnonzero(_below_guard(G, atoms, diag))
             if redo.size:
+                self.stats["reseeded_rows"] += redo.size
                 try:
                     G[redo] = _support_inverse(P, atoms[redo])
                 except SingularSystem as exc:
@@ -354,14 +376,14 @@ class PathWalk:
                     continue
             rhs2 = pairs[live]
             full = densela.support_solve(Pz, G, atoms, rhs2)
-            grad = (full.reshape(-1, r + 1) @ Pz).reshape(full.shape) - rhs2
+            grad = (full.reshape(-1, r + 1) @ Pz).reshape(full.shape)
+            grad -= rhs2
             K = np.zeros((live.size, r + 1), dtype=bool)
-            K[np.arange(live.size)[:, None], atoms] = True
+            K.reshape(-1)[atoms + (r + 1) * np.arange(live.size)[:, None]] = True
             K = K[:, :r]
-            a, b = full[:, 0, :r], full[:, 1, :r]
-            c = np.where(K, 0.0, grad[:, 0, :r])
-            d = np.where(K, 0.0, grad[:, 1, :r])
-            lam_next, kind, index = next_breakpoint(a, b, c, d, K, lam, tol_neg)
+            a = full[:, 0, :r]
+            lam_next, kind, index = next_breakpoint(a, full[:, 1, :r], grad[:, 0, :r],
+                                                    grad[:, 1, :r], K, lam, tol_neg)
             lam_next[lam_next <= tol_lam[live]] = 0.0
             record(live, lam_next, residual_sq(self.R, Z[live], perp_sq[live], a), K, a)
             negative = np.flatnonzero((a < 0.0).any(axis=1))
@@ -379,6 +401,7 @@ class PathWalk:
         over[live] = True
         refit_pool()  # before the records past the limit are dropped
         self.refits += int(refitted[~over].sum())
+        self.stats["rounds"] += rounds
 
         fell = np.flatnonzero(over)
         if fell.size:  # past the limit a path keeps only its zero entry of the walk
@@ -386,6 +409,7 @@ class PathWalk:
                 keep = ~over[owners[i]]
                 records[i], owners[i] = records[i][keep], owners[i][keep]
             X, singular = self.nnls(start + fell)
+            self.stats["fallback_calls"] += 1
             truncated[fell[singular]] = True
             X, fell = X[~singular], fell[~singular]
             record(fell, 0.0, residual_sq(self.R, Z[fell], perp_sq[fell], X), X > 0.0, X)
@@ -393,20 +417,21 @@ class PathWalk:
         # Records come in round order, each column at most once per round, so
         # scattering them round by round to the next free slot of their column
         # makes each path one slice.  Each round's array is dropped once
-        # scattered, while the pages of the entry array are being filled.
+        # scattered, while the pages of the entry array are being filled;
+        # records move as opaque bytes, which numpy copies whole.
         counts = np.bincount(np.concatenate(owners), minlength=width)
         ends = np.cumsum(counts)
         slot = ends - counts
         entries = np.empty(int(ends[-1]), dtype)
+        raw = np.dtype((np.void, dtype.itemsize))
         records.reverse()
         for cols in owners:
-            entries[slot[cols]] = records.pop()
+            entries.view(raw)[slot[cols]] = records.pop().view(raw)
             slot[cols] += 1
         ends = ends.tolist()
         for p, (lo, hi, cut, capped) in enumerate(zip([0] + ends, ends, truncated.tolist(),
                                                       over.tolist())):
-            self._paths[start + p] = RegularizationPath(entries[lo:hi], truncated=cut,
-                                                        fallback=capped)
+            self._paths[start + p] = RegularizationPath(entries[lo:hi], cut, capped)
 
     def range_split(self, start: int, stop: int):
         """densela.range_split of columns start..stop-1 of B, BUDGET // m columns

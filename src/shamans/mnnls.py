@@ -87,8 +87,12 @@ class UnmixReport:
     solver, because least squares on the support went negative, on the
     paths that keep them (a fallback column's are dropped).  Columns
     listed in ``fallback_columns`` hit the breakpoint limit, so their path
-    holds only its two ends, the zero and the NNLS solution.  The four
-    describe paths, so they are None in unconstrained mode.
+    holds only its two ends, the zero and the NNLS solution.  ``walk``
+    says what the lockstep walk did: ``rounds`` walked, ``reseeded_rows``
+    re-seeded below the Schur guard, ``refit_calls`` to the active-set
+    solver and the ``refit_ms`` they took, and ``fallback_calls`` that
+    solved breakpoint-limit columns.  The five describe paths, so they
+    are None in unconstrained mode.
     ``truncated_columns`` lists the columns that met a rank-deficient
     support: their path ended early, or in unconstrained mode their NNLS
     solve did, leaving H's column 0.  ``kkt_violation`` is the worst
@@ -119,6 +123,7 @@ class UnmixReport:
     breakpoints: int | None = None
     breakpoint_histogram: list | None = None
     refits: int | None = None
+    walk: dict | None = None
     fallback_columns: list | None = None
     truncated_columns: list = field(default_factory=list)
     inexact_columns: list = field(default_factory=list)
@@ -244,6 +249,7 @@ def solve(M, W, cfg: SolveConfig):
         report.breakpoints = int(steps.sum())
         report.breakpoint_histogram = [int(c) for c in np.bincount(steps)]
         report.refits = walk.refits
+        report.walk = dict(walk.stats)
     violation = _kkt_violation(walk.P, walk.L, H, cfg.mode == "unconstrained")
     lap("metrics")
     report.timings_ms = timings

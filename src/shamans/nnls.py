@@ -45,7 +45,7 @@ def check_tol(tol) -> None:
 
 
 def nnls_gram(P: np.ndarray, ell: np.ndarray, mask: np.ndarray | None = None,
-              tol: float = 1e-10, inverse: tuple | None = None) -> np.ndarray:
+              tol: float = 1e-10, start: tuple | None = None) -> np.ndarray:
     """Active-set NNLS given normal-equation data only.
 
     Solves min ||Ax - b||^2 s.t. x >= 0 where P = A.T A and ell = A.T b,
@@ -54,12 +54,15 @@ def nnls_gram(P: np.ndarray, ell: np.ndarray, mask: np.ndarray | None = None,
     Row i of the optional (B, r) boolean ``mask`` confines row i to the
     unknowns mask[i], the rest staying 0: the problem on P(mask_i, mask_i).
 
-    Each row starts from the empty passive set or, given ``inverse`` =
-    (G, atoms), P(mask_i, mask_i)^-1 in densela.carry_inverse's slot layout
-    (any slot order, k at least each row's mask size), from the
-    least-squares solution on its mask with nonpositive entries dropped
-    until it is feasible.  Ties on the entering variable break toward the
-    smallest index.
+    Each row starts from the empty passive set or, given ``start`` =
+    (G, atoms, Z), from Z[i], the least-squares solution on its mask (zero
+    off it), with P(mask_i, mask_i)^-1 in densela.carry_inverse's slot
+    layout as G and atoms (any slot order, k at least each row's mask
+    size): nonpositive entries are dropped and the rest solved again until
+    the solution is feasible.  G (float64) and atoms are the solver's
+    working stacks, carried in place: on return row i holds P^-1 on the
+    support of its solution.  Ties on the entering variable break toward
+    the smallest index.
 
     Raises IterationLimit, whose ``row`` names the row, once a row makes
     more than 10 k (k+1) pivots, k the size of its mask (cycling or heavy
@@ -77,19 +80,24 @@ def nnls_gram(P: np.ndarray, ell: np.ndarray, mask: np.ndarray | None = None,
     max_pivots = 10 * size * (size + 1)
     pivots = np.zeros(n, dtype=np.int64)
     X = np.zeros(L.shape)
-    passive = np.zeros(L.shape, dtype=bool) if inverse is None else mask.copy()
+    passive = np.zeros(L.shape, dtype=bool) if start is None else mask.copy()
     k = int(size.max(initial=0))
-    G, atoms = (np.zeros((n, k, k)), np.full((n, k), r)) if inverse is None else inverse
-    atoms = np.array(atoms).reshape(n, -1)  # copies, carried in place
-    G = np.array(G, dtype=np.float64).reshape(atoms.shape + atoms.shape[1:])
-    Pz, Lz = np.pad(P, (0, 1)), np.pad(L, ((0, 0), (0, 1)))  # carry_inverse's layout
+    G, atoms, Z = (np.zeros((n, k, k)), np.full((n, k), r), X) if start is None else start
+    Z = np.reshape(Z, L.shape)
+    atoms = np.asarray(atoms).reshape(n, -1)  # carried in place
+    G = np.asarray(G, dtype=np.float64).reshape(atoms.shape + atoms.shape[1:])
+    Pz, Lz = np.zeros((r + 1, r + 1)), np.zeros((n, r + 1))  # carry_inverse's layout
+    Pz[:r, :r], Lz[:, :r] = P, L
 
-    def solve_on(rows):
-        """Least squares on the rows' passive sets, their nonpositive
-        entries, and which rows have none."""
-        Z = support_solve(Pz, G[rows], atoms[rows], Lz[rows, None])[:, 0, :r]
+    def feasible(rows, Z):
+        """Z, the rows' nonpositive passive entries in it, and which rows
+        have none."""
         neg = passive[rows] & (Z <= 0.0)
         return Z, neg, ~neg.any(axis=1)
+
+    def solve_on(rows):
+        """feasible() of the least squares on the rows' passive sets."""
+        return feasible(rows, support_solve(Pz, G[rows], atoms[rows], Lz[rows, None])[:, 0, :r])
 
     def carry(rows, index, enter):
         G[rows], atoms[rows], s = carry_inverse(Pz, G[rows], atoms[rows],
@@ -114,12 +122,13 @@ def nnls_gram(P: np.ndarray, ell: np.ndarray, mask: np.ndarray | None = None,
 
     # Warm start: drop nonpositive coefficients until the solve is feasible.
     rows = np.flatnonzero(passive.any(axis=1))
+    Z, neg, ok = feasible(rows, Z[rows])
     while rows.size:
-        Z, neg, ok = solve_on(rows)
         X[rows[ok]] = Z[ok]
         rows = rows[~ok]
         drop(rows, neg[~ok])
         rows = rows[passive[rows].any(axis=1)]
+        Z, neg, ok = solve_on(rows)
 
     diag = np.diagonal(P)
     live = np.arange(n)

@@ -57,6 +57,20 @@ def support_coefficients(P, ell, K):
     return a, b
 
 
+def warm_start(G, atoms, ell):
+    """nnls_gram's ``start`` from inverses in carry_inverse's slot layout:
+    (G, atoms, Z), row i of Z the least-squares solution G[i] ell_i(atoms_i)
+    on row i's slots, in full space."""
+    ell = np.atleast_2d(ell)
+    r = ell.shape[1]
+    Z = np.zeros(ell.shape)
+    for i, (g, a) in enumerate(zip(G, atoms)):
+        on = a < r
+        k = a[on].astype(np.intp)
+        Z[i, k] = g[np.ix_(on, on)] @ ell[i, k]
+    return G, atoms, Z
+
+
 def refit_entries(entries):
     """Path entries whose refit dropped an atom of the support: those whose
     least-squares solution on the support went negative."""

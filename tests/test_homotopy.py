@@ -10,7 +10,7 @@ from shamans.nnls import nnls_active_set, nnls_gram
 
 import demo_data as dd
 from oracles import (kkt_midpoint_violation, nnls_bruteforce, random_nonneg_instance,
-                     reference_nnls_gram, reference_path, refit_entries)
+                     reference_nnls_gram, reference_path, refit_entries, warm_start)
 
 DEMO_P = gram(np.asfortranarray(dd.DEMO_W))
 DEMO_ELL0 = dd.DEMO_W.T @ dd.DEMO_M[:, 0]
@@ -166,6 +166,31 @@ class TestNextBreakpoint:
         lam, kind, _ = next_breakpoint(a, b, c, d, K, 5.0, 1e-12)
         assert lam[0] == 5.0 and kind[0] == LEAVE
 
+    def test_ignored_cells_are_not_read(self):
+        # Only a and b on the support and c and d off it are read.  The
+        # other cells hold zeros, then arbitrary values, NaN and infinities
+        # among them, and (lam, kind, index) stay identical; under the
+        # suite's error::RuntimeWarning filter an unguarded divide by those
+        # cells fails the test.
+        rng = np.random.default_rng(5)
+        n, r = 300, 12
+        K = rng.random((n, r)) < 0.4
+        a, b, c, d = (rng.standard_normal((n, r)) for _ in range(4))
+        current = rng.uniform(0.5, 4.0, n)
+
+        def filled(fill):
+            return (np.where(K, a, fill), np.where(K, b, fill), np.where(K, fill, c),
+                    np.where(K, fill, d), K, current, 1e-12)
+
+        want = next_breakpoint(*filled(0.0))
+        assert set(want[1].tolist()) == {LEAVE, ENTER, TERMINATE}
+        assert (want[0] == current).any()  # some rows clamped to the current lambda
+        for fill in (np.nan, np.inf, -np.inf, 1e300, -1e-300, rng.standard_normal((n, r)),
+                     rng.standard_normal((n, r)) * 1e3):
+            got = next_breakpoint(*filled(fill))
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+
     def test_negative_maxima_terminate(self):
         # crossing at lambda = -3, not reachable
         a, b, c, d, K = block([3.0], [-1.0], [], [])
@@ -187,7 +212,7 @@ class TestUnbias:
         b = dd.DEMO_M[:, 0]
         K = support_mask(4, [])
         empty = np.zeros((1, 0, 0)), np.zeros((1, 0))  # no slots
-        x = nnls_gram(DEMO_P, DEMO_ELL0[None], K, inverse=empty)
+        x = nnls_gram(DEMO_P, DEMO_ELL0[None], K, start=warm_start(*empty, DEMO_ELL0))
         err = kernel_errors(dd.DEMO_W, b[:, None], x)
         np.testing.assert_array_equal(x[0], np.zeros(4))
         assert err[0] == pytest.approx(float(b @ b), rel=1e-12)
@@ -197,9 +222,9 @@ class TestUnbias:
         b = dd.DEMO_M[:, 0]
         K = np.array([1, 2, 3])
         mask = support_mask(4, K)
-        atoms = K[None]  # carry_inverse's layout, one slot per atom
+        atoms = K[None].copy()  # carry_inverse's layout, one slot per atom
         G = _support_inverse(DEMO_P, atoms)
-        x = nnls_gram(DEMO_P, DEMO_ELL0[None], mask, inverse=(G, atoms))
+        x = nnls_gram(DEMO_P, DEMO_ELL0[None], mask, start=warm_start(G, atoms, DEMO_ELL0))
         err = kernel_errors(dd.DEMO_W, b[:, None], x)
         x, err = x[0], err[0]
         ls, *_ = np.linalg.lstsq(dd.DEMO_W[:, K], b, rcond=None)
@@ -221,8 +246,8 @@ class TestUnbias:
         ls, *_ = np.linalg.lstsq(A[:, K], b, rcond=None)
         assert ls.min() < 0  # the construction really exercises the branch
         mask = support_mask(3, K)
-        atoms = K[None]
-        x = nnls_gram(P, ell[None], mask, inverse=(_support_inverse(P, atoms), atoms))
+        atoms = K[None].copy()
+        x = nnls_gram(P, ell[None], mask, start=warm_start(_support_inverse(P, atoms), atoms, ell))
         err = kernel_errors(A, b[:, None], x)
         x, err = x[0], err[0]
         x_star, err_star = nnls_bruteforce(A[:, K], b)
@@ -253,7 +278,8 @@ class TestUnbias:
                             for j, k in zip(columns, K)])
         assert ((a < 0.0).sum(axis=1) >= 2).sum() > 10
         slots = full_slots(K)
-        x = nnls_gram(P, L.T[columns], K, inverse=(_support_inverse(P, slots), slots))
+        x = nnls_gram(P, L.T[columns], K,
+                       start=warm_start(_support_inverse(P, slots), slots, L.T[columns]))
         err = kernel_errors(A, B[:, columns], x)
         np.testing.assert_allclose(x, e["solution"], rtol=0, atol=1e-12)
         for i, j in enumerate(columns):

@@ -318,7 +318,8 @@ def test_one_refit_call_pads_the_pooled_stacks(monkeypatch):
     # pools 15 refits from rounds whose stacks held from 4 to 11 slots, and
     # refits them all in one nnls_gram call at the end of the block.  Each
     # row enters that call in its own slot order, padded with empty slots
-    # to the widest stack, and the paths match the reference.
+    # to the widest stack, and with the least-squares solution its round
+    # recorded, and the paths match the reference.
     rng = np.random.default_rng(6)
     r, m, n = 12, 40, 40
     A = rng.random((m, r)) ** 6
@@ -328,7 +329,7 @@ def test_one_refit_call_pads_the_pooled_stacks(monkeypatch):
     nnls_gram, carry_inverse = homotopy.nnls_gram, homotopy.carry_inverse
 
     def capturing(P, ell, mask=None, **kwargs):
-        calls.append((mask, *kwargs["inverse"]))
+        calls.append((mask, *map(np.copy, kwargs["start"])))  # before they are carried
         return nnls_gram(P, ell, mask, **kwargs)
 
     def carrying(P, G, atoms, enter, index):
@@ -340,7 +341,7 @@ def test_one_refit_call_pads_the_pooled_stacks(monkeypatch):
     monkeypatch.setattr(homotopy, "carry_inverse", carrying)
     paths = walk_all(A, B)
     assert len(calls) == 1
-    mask, G, atoms = calls[0]
+    mask, G, atoms, Z = calls[0]
     # Pool order: by round, then by column.  Entry e comes from round e - 1.
     pooled = sorted((e - 1, j) for j, p in enumerate(paths)
                     for e in np.flatnonzero(refit_entries(p.entries)))
@@ -355,6 +356,11 @@ def test_one_refit_call_pads_the_pooled_stacks(monkeypatch):
         want = np.linalg.inv((A.T @ A)[np.ix_(atoms[i, on], atoms[i, on])])
         np.testing.assert_allclose(G[i][np.ix_(on, on)], want, rtol=0,
                                    atol=1e-10 * np.abs(want).max())
+        # The start is the least-squares solution the round recorded.
+        z = np.zeros(r)
+        z[atoms[i, on]] = want @ (A.T @ B[:, j])[atoms[i, on]]
+        np.testing.assert_allclose(Z[i], z, rtol=0, atol=1e-10 * np.abs(z).max())
+        assert (Z[i] < 0.0).any()
     assert_matches_reference(A, B)
 
 

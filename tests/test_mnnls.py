@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
@@ -495,6 +496,89 @@ class TestPathReport:
         assert counts[0][0] > counts[1][0] > 0 and counts[0][1] == 0 < counts[1][1]
 
 
+class TestWalkReport:
+    """The report's ``walk`` entry against the walk's kernel calls, counted
+    from outside: a round is one next_breakpoint call, a re-seed passes its
+    rows to _support_inverse, a refit is an nnls_gram call with a start,
+    and a breakpoint-limit fallback is one PathWalk.nnls call."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        counts = dict.fromkeys(("rounds", "reseeded_rows", "refit_calls", "fallback_calls"), 0)
+        next_breakpoint, nnls_gram = homotopy_mod.next_breakpoint, homotopy_mod.nnls_gram
+        support_inverse, nnls = homotopy_mod._support_inverse, PathWalk.nnls
+
+        def rounds(*args):
+            counts["rounds"] += 1
+            return next_breakpoint(*args)
+
+        def refits(P, ell, mask=None, **kwargs):
+            counts["refit_calls"] += "start" in kwargs
+            return nnls_gram(P, ell, mask, **kwargs)
+
+        def reseeds(P, atoms):
+            counts["reseeded_rows"] += atoms.shape[0]
+            return support_inverse(P, atoms)
+
+        def fallbacks(walk, cols):
+            counts["fallback_calls"] += 1
+            return nnls(walk, cols)
+
+        monkeypatch.setattr(homotopy_mod, "next_breakpoint", rounds)
+        monkeypatch.setattr(homotopy_mod, "nnls_gram", refits)
+        monkeypatch.setattr(homotopy_mod, "_support_inverse", reseeds)
+        monkeypatch.setattr(PathWalk, "nnls", fallbacks)
+        return counts
+
+    @staticmethod
+    def assert_matches(counts, report):
+        walk = report.walk
+        assert set(walk) == set(counts) | {"refit_ms"}
+        assert {key: walk[key] for key in counts} == counts
+        assert all(type(walk[key]) is int for key in counts)
+        assert type(walk["refit_ms"]) is float
+        assert (walk["refit_ms"] > 0.0) == (walk["refit_calls"] > 0)
+        assert walk["refit_ms"] <= report.timings_ms["paths"]
+
+    @pytest.mark.parametrize("name", ["pixels-r6", "dict-r24"])
+    def test_workload_shaped_problems(self, name, monkeypatch):
+        # 300 columns of each walking workload, on seeds 1-3, and under a
+        # cap of 4 breakpoints, which sends some columns to the fallback.
+        workloads = generated_workloads()
+        w = workloads.WORKLOADS[name]
+        w = dataclasses.replace(w, n=300)
+        total = dict.fromkeys(("refit_calls", "fallback_calls"), 0)
+        for seed, cap in ((1, None), (2, None), (3, None), (1, 4)):
+            M, W = workloads.generate(w, seed)
+            counts = self.counted(monkeypatch)
+            _, report = solve(M, W, SolveConfig(mode=w.mode, q=w.q, k=w.k, max_breakpoints=cap))
+            self.assert_matches(counts, report)
+            assert counts["rounds"] > 0 and counts["reseeded_rows"] == 0
+            assert counts["fallback_calls"] == (len(report.fallback_columns) > 0)
+            for key in total:
+                total[key] += counts[key]
+        assert total["fallback_calls"] > 0
+        assert total["refit_calls"] > 0 or name == "pixels-r6"
+
+    def test_reseeded_rows(self, monkeypatch):
+        # Atom 4 is within 1e-9 of (W0 + W1)/2 and atom 5 duplicates atom 2,
+        # so supports fall below the Schur guard and are re-seeded, and some
+        # of those paths end truncated.
+        rng = np.random.default_rng(72)
+        reseeded = truncated = 0
+        for _ in range(10):
+            W = rng.random((8, 6))
+            W[:, 4] = 0.5 * (W[:, 0] + W[:, 1]) + 1e-9 * rng.random(8)
+            W[:, 5] = W[:, 2]
+            M = rng.random((8, 10))
+            counts = self.counted(monkeypatch)
+            _, report = solve(M, W, SolveConfig(mode="ksparse", k=6))
+            self.assert_matches(counts, report)
+            reseeded += counts["reseeded_rows"]
+            truncated += len(report.truncated_columns)
+        assert reseeded >= truncated > 0
+
+
 def generated_workloads():
     """perfbench's workload generator, loaded from its file."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -541,8 +625,8 @@ class TestUnconstrained:
     def test_report_describes_no_paths(self, demo):
         M, W = demo
         _, report = solve(M, W, SolveConfig(mode="unconstrained", max_breakpoints=1))
-        assert (report.breakpoints, report.breakpoint_histogram, report.refits,
-                report.fallback_columns) == (None, None, None, None)
+        assert (report.breakpoints, report.breakpoint_histogram, report.refits, report.walk,
+                report.fallback_columns) == (None, None, None, None, None)
         assert report.inexact_columns == report.truncated_columns == []
         assert 0.0 <= report.kkt_violation <= KKT_BOUND
 

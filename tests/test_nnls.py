@@ -7,7 +7,7 @@ from shamans.errors import IterationLimit, SingularSystem
 from shamans.nnls import nnls_active_set, nnls_gram
 
 from demo_data import DEMO_M, DEMO_W
-from oracles import nnls_bruteforce, random_nonneg_instance, reference_nnls_gram
+from oracles import nnls_bruteforce, random_nonneg_instance, reference_nnls_gram, warm_start
 
 
 def test_zero_rhs():
@@ -214,7 +214,7 @@ def test_refits_factor_nothing(monkeypatch):
     for name in ("solve", "cholesky", "inv"):
         monkeypatch.setattr(np.linalg, name, disabled)
     slots = np.where(mask, np.arange(12), 12)  # atom j in slot j
-    for X in (nnls_gram(P, ell, mask), nnls_gram(P, ell, mask, inverse=(G, slots))):
+    for X in (nnls_gram(P, ell, mask), nnls_gram(P, ell, mask, start=(G, slots, a))):
         assert (np.abs(X - want) / scale).max() <= 1e-12
 
 
@@ -222,7 +222,8 @@ def test_inverse_in_any_slot_order():
     # One masked block started from its inverses in three slot layouts:
     # carry_inverse's first-free order, each row's slots reversed (empty
     # slots first), and padded with two empty slots at either end.  Every
-    # layout gives X within 1e-12 of the per-column solver on the mask.
+    # layout gives X within 1e-12 of the per-column solver on the mask, and
+    # leaves in its stacks the inverse of P on each row's solution support.
     rng = np.random.default_rng(23)
     A = np.asfortranarray(rng.random((30, 12)) + 0.05)
     B = rng.random((30, 200))
@@ -239,15 +240,21 @@ def test_inverse_in_any_slot_order():
     assert negative > 50
     scale = 1.0 + np.abs(np.where(mask, ell, 0.0)).max(axis=1, keepdims=True)
     assert mask.sum(axis=1).min() < k  # rows with empty slots in every layout
-    for atoms in (first, first[:, ::-1], np.pad(first, ((0, 0), (2, 2)), constant_values=12)):
+    for layout in (first, first[:, ::-1], np.pad(first, ((0, 0), (2, 2)), constant_values=12)):
+        atoms = layout.copy()
         G = np.zeros(atoms.shape + atoms.shape[1:])
         for i, a in enumerate(atoms):
             on = a < 12
             G[i][np.ix_(on, on)] = np.linalg.inv(P[np.ix_(a[on], a[on])])
-        held = G.copy(), atoms.copy()
-        X = nnls_gram(P, ell, mask, inverse=(G, atoms))
+        X = nnls_gram(P, ell, mask, start=warm_start(G, atoms, ell))
         assert (np.abs(X - want) / scale).max() <= 1e-12
-        assert np.array_equal(G, held[0]) and np.array_equal(atoms, held[1])  # not written
+        # Carried in place: each row's slots now hold P^-1 on its solution's support.
+        for i, (a, g) in enumerate(zip(atoms, G)):
+            on = a < 12
+            assert np.array_equal(np.sort(a[on]), np.flatnonzero(X[i] > 0.0))
+            np.testing.assert_allclose(g[np.ix_(on, on)], np.linalg.inv(P[np.ix_(a[on], a[on])]),
+                                       rtol=0, atol=1e-9 * np.abs(g).max())
+            assert not g[~on].any() and not g[:, ~on].any()
 
 
 def test_rank_deficient_entering_atom_names_its_rows():
