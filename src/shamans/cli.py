@@ -53,7 +53,9 @@ def _scan_csv_matrix(path) -> np.ndarray:
     """Line-by-line read of a matrix file, token by token with ``float``."""
     rows = []
     width = None
-    with open(path, "rt", encoding="ascii") as fh:
+    # A byte outside ASCII, a UTF-8 byte order mark's too, reaches float as
+    # a lone surrogate, which it refuses: the error names the field.
+    with open(path, "rt", encoding="ascii", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

@@ -56,7 +56,6 @@ round passes its solutions and gradients as they are, unmasked.
 
 from __future__ import annotations
 
-import numbers
 import time
 from dataclasses import dataclass
 
@@ -224,20 +223,14 @@ def _at_column(exc: IterationLimit, column: int) -> IterationLimit:
                           row=exc.row, column=column)
 
 
-def check_max_breakpoints(max_breakpoints) -> None:
-    """Reject a breakpoint cap that is neither None nor a positive integer."""
-    if max_breakpoints is not None and not (
-            isinstance(max_breakpoints, numbers.Integral) and max_breakpoints > 0):
-        raise ValueError("max_breakpoints must be a positive integer")
-
-
 class PathWalk:
     """Regularization paths of every column of B over one dictionary A.
 
     Columns are walked block_width(r) at a time, in lockstep, when
     regularization_path first asks for a column of the block.  A column
-    whose path exceeds ``max_breakpoints`` (default 50 r) ends at its NNLS
-    solution with ``fallback`` set.  ``refits`` counts the path entries of
+    whose path exceeds ``max_breakpoints``, 50 r, ends at its NNLS solution
+    with ``fallback`` set; the cap only guards against cycling, and no
+    argument sets it.  ``refits`` counts the path entries of
     the blocks walked so far whose least-squares solution went negative,
     i.e. the rows refit by nnls_gram, on the paths that keep them (not
     past the breakpoint limit).  An IterationLimit from an
@@ -246,9 +239,8 @@ class PathWalk:
     be finite: an overflow raises NonFiniteEntry before any walk.
     """
 
-    def __init__(self, A, B, tol: float = 1e-10, max_breakpoints: int | None = None):
+    def __init__(self, A, B, tol: float = 1e-10):
         check_tol(tol)
-        check_max_breakpoints(max_breakpoints)
         self.Q, self.R = np.linalg.qr(A)
         self.B = B
         with np.errstate(over="ignore", invalid="ignore"):  # reported just below
@@ -261,7 +253,7 @@ class PathWalk:
                                  "overflows to a non-finite value")
         self.tol = tol
         r = self.P.shape[0]
-        self.max_breakpoints = 50 * r if max_breakpoints is None else max_breakpoints
+        self.max_breakpoints = 50 * r
         self.block = block_width(r)  # columns walked together
         self._paths = {}  # column -> RegularizationPath
         self.refits = 0
@@ -477,19 +469,19 @@ class PathWalk:
         return self._paths[j]
 
 
-def regularization_path(A, b, tol: float = 1e-10, max_breakpoints: int | None = None,
-                        walk: PathWalk | None = None, column: int = 0) -> RegularizationPath:
+def regularization_path(A, b, tol: float = 1e-10, walk: PathWalk | None = None,
+                        column: int = 0) -> RegularizationPath:
     """Every breakpoint of the L1-penalized NNLS path of the (m, r)
     dictionary A and the (m,) right-hand side b.
 
     ``tol`` is the base tolerance; negativity thresholds are scaled by
     (1 + max|P|) so ratios never divide by a near-zero coefficient.  A
-    path longer than ``max_breakpoints`` (default 50 r) is replaced by the
-    two entries at its ends, the zero solution and the NNLS solution, with
-    ``fallback`` set.  Given a PathWalk over many right-hand sides of A, of
-    which b is column ``column``, the path is read from the walk (which
-    walks the column's block on first use) and the other arguments are the
-    walk's.
+    path longer than 50 r breakpoints, PathWalk's fixed guard against
+    cycling, is replaced by the two entries at its ends, the zero solution
+    and the NNLS solution, with ``fallback`` set.  Given a PathWalk over
+    many right-hand sides of A, of which b is column ``column``, the path
+    is read from the walk (which walks the column's block on first use)
+    and the other arguments are the walk's.
 
     The first entry is (lambda_max, ||b||^2, empty support, 0), in
     path_dtype's field order (lam, error_sq, support, solution);
@@ -502,5 +494,5 @@ def regularization_path(A, b, tol: float = 1e-10, max_breakpoints: int | None = 
         b = as_vector(b, "b")
         if A.shape[0] != b.shape[0]:
             raise ValueError(f"A has {A.shape[0]} rows but b has {b.shape[0]}")
-        walk = PathWalk(A, b[:, None], tol=tol, max_breakpoints=max_breakpoints)
+        walk = PathWalk(A, b[:, None], tol=tol)
     return walk.path(column)

@@ -23,7 +23,7 @@ import numpy as np
 from . import selector
 from .densela import as_matrix, frob_norm, residual_sq
 from .errors import DimensionMismatch, ZeroColumnInDictionary, ZeroDataMatrix
-from .homotopy import PathWalk, check_max_breakpoints, regularization_path
+from .homotopy import PathWalk, regularization_path
 from .nnls import check_tol
 
 MODES = ("shamans", "ksparse", "unconstrained")
@@ -42,9 +42,9 @@ class SolveConfig:
     Exactly one of ``q`` (total nonzero budget, shamans mode) or ``k``
     (per-column sparsity, ksparse mode) applies.  ``zero_threshold`` only
     affects sparsity reporting, never the solve itself.  ``strict_budget``
-    forbids the final selection step from overshooting q.
-    ``max_breakpoints`` caps each column's path (PathWalk); it has no
-    effect in unconstrained mode, which walks no paths.
+    forbids the final selection step from overshooting q.  Each column's
+    path is capped at 50 r breakpoints (PathWalk), a guard against cycling
+    that no field sets; unconstrained mode walks no paths.
     """
 
     mode: str = "shamans"
@@ -53,18 +53,18 @@ class SolveConfig:
     tol: float = 1e-10
     zero_threshold: float = 1e-3
     strict_budget: bool = False
-    max_breakpoints: int | None = None
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}, expected one of {MODES}")
         for mode, name in (("shamans", "q"), ("ksparse", "k")):
-            count = getattr(self, name)  # NumPy integers pass; None, 2.5 and NaN do not
-            if self.mode == mode and not (isinstance(count, numbers.Integral) and count >= 0):
-                raise ValueError(f"{mode} mode needs a nonnegative integer {name}")
+            if self.mode == mode:
+                count = getattr(self, name)  # NumPy integers pass; None, 2.5 and NaN do not
+                if not (isinstance(count, numbers.Integral) and count >= 0):
+                    raise ValueError(f"{mode} mode needs a nonnegative integer {name}")
+                setattr(self, name, int(count))  # so that the report's counts are JSON ints
         check_tol(self.tol)
         _check_zero_threshold(self.zero_threshold)
-        check_max_breakpoints(self.max_breakpoints)
 
 
 def _check_zero_threshold(zero_threshold) -> None:
@@ -205,7 +205,7 @@ def solve(M, W, cfg: SolveConfig):
         raise ValueError(f"k={cfg.k} exceeds the dictionary size r={r}")
     lap("validate")
 
-    walk = PathWalk(W, M, tol=cfg.tol, max_breakpoints=cfg.max_breakpoints)
+    walk = PathWalk(W, M, tol=cfg.tol)
     lap("gram")
 
     if cfg.mode == "unconstrained":

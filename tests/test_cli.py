@@ -11,7 +11,7 @@ from shamans.cli import (_scan_csv_matrix, export_abundance_maps, main,
                          read_csv_matrix, write_csv_matrix, write_report_json)
 from shamans.errors import (NegativeEntry, NonFiniteEntry, ParseError,
                             RaggedRows, ShapeMismatch)
-from shamans.mnnls import UnmixReport
+from shamans.mnnls import SolveConfig, UnmixReport, solve
 
 import demo_data as dd
 
@@ -58,6 +58,18 @@ class TestReadCsv:
         with pytest.raises(ParseError) as info:
             read_csv_matrix(write(tmp_path / "m.csv", "1,2\n3,x\n"))
         assert (info.value.line, info.value.column) == (2, 2)
+
+    @pytest.mark.parametrize("data, position", [
+        (b"\xef\xbb\xbf1,2\n3,4\n", (1, 1)),  # a UTF-8 byte order mark
+        (b"1,2\n3,4\xe9\n", (2, 2)),  # a latin-1 byte
+    ], ids=["bom", "latin-1"])
+    def test_non_ascii_byte_position(self, tmp_path, data, position):
+        # Such a byte used to escape as a bare UnicodeDecodeError.
+        path = tmp_path / "m.csv"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match=rf"m\.csv:{position[0]}:{position[1]}: ") as info:
+            read_csv_matrix(path)
+        assert (info.value.line, info.value.column) == position
 
     def test_negative_rejected(self, tmp_path):
         with pytest.raises(NegativeEntry):
@@ -198,6 +210,21 @@ class TestReportJson:
                                 "refit_ms": 0.75, "fallback_calls": 1}
         assert (data["picks"], data["overshoot"], data["stopped_short"],
                 data["last_gain"]) == (4, -2, True, 0.25)
+
+    @pytest.mark.parametrize("cfg", [SolveConfig(mode="shamans", q=np.int64(18)),
+                                     SolveConfig(mode="ksparse", k=np.int64(2))],
+                             ids=["shamans", "ksparse"])
+    def test_numpy_counts_roundtrip(self, tmp_path, cfg):
+        # NumPy counts used to reach the report as NumPy scalars, which the
+        # JSON writer refuses.
+        _, rep = solve(dd.DEMO_M, dd.DEMO_W, cfg)
+        p = tmp_path / "report.json"
+        write_report_json(rep, p)
+        with open(p) as fh:
+            data = json.load(fh)
+        assert data["budget"] == rep.budget and type(rep.budget) is int
+        assert (data["overshoot"], data["stopped_short"]) == (
+            (0, False) if cfg.mode == "shamans" else (None, None))
 
     def test_readme_lists_every_key(self, tmp_path):
         # The README's "The JSON report carries ..." sentence names exactly

@@ -383,11 +383,15 @@ class TestRegularizationPath:
 
     def test_breakpoint_limit_falls_back(self):
         # The one-column reference walk gives up at the limit; the path
-        # keeps its zero entry and ends at the NNLS solution.
+        # keeps its zero entry and ends at the NNLS solution.  The walk
+        # reads its cap when it walks the block, so it is set before the
+        # first path is read.
         W, b = dd.DEMO_W, dd.DEMO_M[:, 0]
         with pytest.raises(IterationLimit):
             reference_path(W, b, max_breakpoints=1)
-        path = regularization_path(W, b, max_breakpoints=1)
+        walk = PathWalk(W, b[:, None])
+        walk.max_breakpoints = 1
+        path = regularization_path(W, b, walk=walk)
         assert path.fallback and not path.truncated and len(path.entries) == 2
         zero, last = path.entries
         want = reference_path(W, b).entries[0]
@@ -412,12 +416,13 @@ class TestRegularizationPath:
         with pytest.raises(ValueError, match="A has 5 rows but b has 4"):
             regularization_path(dd.DEMO_W, dd.DEMO_M[:4, 0])
 
-    @pytest.mark.parametrize("cap", [0, -5, 2.5, np.nan, "3"])
-    def test_bad_max_breakpoints_rejected(self, cap):
-        with pytest.raises(ValueError, match="max_breakpoints must be a positive integer"):
-            regularization_path(dd.DEMO_W, dd.DEMO_M[:, 0], max_breakpoints=cap)
-        with pytest.raises(ValueError, match="max_breakpoints must be a positive integer"):
-            PathWalk(dd.DEMO_W, dd.DEMO_M, max_breakpoints=cap)
+    def test_breakpoint_cap_is_fifty_r(self):
+        # The cap guards against cycling; no argument sets it.
+        assert PathWalk(dd.DEMO_W, dd.DEMO_M).max_breakpoints == 50 * dd.DEMO_R
+        with pytest.raises(TypeError):
+            regularization_path(dd.DEMO_W, dd.DEMO_M[:, 0], max_breakpoints=1)
+        with pytest.raises(TypeError):
+            PathWalk(dd.DEMO_W, dd.DEMO_M, max_breakpoints=1)
 
     @pytest.mark.parametrize("column", [5, -1])
     def test_column_out_of_range(self, column):

@@ -33,9 +33,12 @@ def blocks_of_width(monkeypatch, r):
     assert homotopy.block_width(r) == WIDTH
 
 
-def walk_all(A, B, **kwargs):
-    """Every column's path from one lockstep walk."""
-    walk = PathWalk(np.asfortranarray(A), np.asfortranarray(B), **kwargs)
+def walk_all(A, B, cap=None):
+    """Every column's path from one lockstep walk; given ``cap``, a path
+    longer than that many breakpoints ends at its NNLS solution."""
+    walk = PathWalk(np.asfortranarray(A), np.asfortranarray(B))
+    if cap is not None:
+        walk.max_breakpoints = cap  # read when a block is walked, on its first path
     return [regularization_path(A, B[:, j], walk=walk, column=j) for j in range(B.shape[1])]
 
 
@@ -75,11 +78,12 @@ def assert_nnls_entry(entry, A, b):
     assert entry["error_sq"] == pytest.approx(sol.residual_sq, rel=1e-12, abs=1e-300)
 
 
-def assert_matches_reference(A, B, **kwargs):
+def assert_matches_reference(A, B, cap=None):
     """Each column's path matches the reference walk; where that walk passes
-    the breakpoint limit, the path is its zero entry and the NNLS entry."""
-    for j, got in enumerate(walk_all(A, B, **kwargs)):
-        want = reference(A, B[:, j], **kwargs)
+    the breakpoint limit ``cap``, the path is its zero entry and the NNLS
+    entry."""
+    for j, got in enumerate(walk_all(A, B, cap)):
+        want = reference(A, B[:, j], max_breakpoints=cap)
         if isinstance(want, IterationLimit):
             assert got.fallback and len(got.entries) == 2
             zero = reference_path(A, B[:, j]).entries[:1]
@@ -204,8 +208,8 @@ def test_breakpoint_limit_of_one():
     B = rng.random((8, 40))
     B[:, :3] = 0.0
     B[:, 3:6] = A[:, [0]]  # the dominant atom alone: one breakpoint
-    results = walk_all(A, B, max_breakpoints=1)
-    assert_matches_reference(A, B, max_breakpoints=1)
+    results = walk_all(A, B, cap=1)
+    assert_matches_reference(A, B, cap=1)
     assert any(p.fallback for p in results)
     assert not any(p.fallback for p in results[:6])
 
@@ -222,7 +226,7 @@ def test_breakpoint_limit_across_block_boundaries(monkeypatch):
     A[:, 4] = 0.5 * (A[:, 0] + A[:, 1]) + 1e-9 * rng.random(8)
     B = rng.random((8, WIDTH + 44))
     B[:, ::7] = A[:, [2]] * rng.random(B[:, ::7].shape[1])
-    capped, free = walk_all(A, B, max_breakpoints=2), walk_all(A, B)
+    capped, free = walk_all(A, B, cap=2), walk_all(A, B)
     kinds = {"finished": set(), "fallback": set(), "singular": set()}
     for j, (got, want) in enumerate(zip(capped, free)):
         if not got.fallback:
@@ -411,7 +415,7 @@ def test_breakpoint_limit_keeps_pooled_refits():
     rng = np.random.default_rng(0)
     A = rng.random((40, 12))
     B = rng.random((40, 100))
-    capped, free = walk_all(A, B, max_breakpoints=6), walk_all(A, B)
+    capped, free = walk_all(A, B, cap=6), walk_all(A, B)
     dropped = 0
     for got, want in zip(capped, free):
         if not got.fallback:
@@ -514,10 +518,10 @@ def test_split_groups_keep_the_inverses_within_budget(monkeypatch):
     assert homotopy.block_width(r) == n
     for cap in (None, 22):
         sizes.clear()
-        assert_matches_reference(A, B, max_breakpoints=cap)
+        assert_matches_reference(A, B, cap)
         assert rows == []  # no row is re-seeded
         assert homotopy.BUDGET < max(sizes) <= n * r**2
-    fell = np.array([p.fallback for p in walk_all(A, B, max_breakpoints=22)])
+    fell = np.array([p.fallback for p in walk_all(A, B, cap=22)])
     assert fell.any() and not fell.all()
 
 

@@ -30,6 +30,20 @@ def random_problem(rng, m, r, n, col_sparsity=None, noise=0.01):
     return M, W, H0
 
 
+@pytest.fixture
+def breakpoint_cap(monkeypatch):
+    """A function that caps the paths of the walks solve builds at a given
+    number of breakpoints; None restores PathWalk's own 50 r."""
+    def cap_at(cap):
+        class Capped(PathWalk):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.max_breakpoints = cap  # read when a block is walked
+
+        monkeypatch.setattr(mnnls_mod, "PathWalk", PathWalk if cap is None else Capped)
+    return cap_at
+
+
 class TestSolveDemo:
     def test_shamans(self, demo):
         M, W = demo
@@ -243,18 +257,8 @@ class TestValidation:
                 SolveConfig(**bad)
         assert SolveConfig(mode="shamans", q=np.int64(18)).q == 18
         assert SolveConfig(mode="ksparse", k=np.int32(2)).k == 2
-
-    def test_max_breakpoints_must_be_a_positive_integer(self, demo):
-        # 0 or -5 used to send every demo column to the fallback and 2.5
-        # ran; each is now rejected when the configuration is built.
-        for cap in (0, -5, 2.5, np.nan, "3"):
-            with pytest.raises(ValueError, match="max_breakpoints must be a positive integer"):
-                SolveConfig(mode="unconstrained", max_breakpoints=cap)
-        M, W = demo
-        for cap in (None, 1, np.int64(40)):
-            _, report = solve(M, W, SolveConfig(mode="ksparse", k=dd.DEMO_R,
-                                                max_breakpoints=cap))
-            assert report.fallback_columns == ([] if cap != 1 else list(range(6)))
+        with pytest.raises(TypeError):  # the breakpoint cap is PathWalk's 50 r
+            SolveConfig(mode="ksparse", k=2, max_breakpoints=1)
 
     def test_budget_exceeding_capacity(self, demo):
         M, W = demo
@@ -309,33 +313,36 @@ class TestSelectionStatistics:
 
 
 class TestFallback:
-    def test_breakpoint_limit_falls_back_to_active_set(self, demo):
+    def test_breakpoint_limit_falls_back_to_active_set(self, demo, breakpoint_cap):
         M, W = demo
-        cfg = SolveConfig(mode="ksparse", k=dd.DEMO_R, max_breakpoints=1)
+        breakpoint_cap(1)
+        cfg = SolveConfig(mode="ksparse", k=dd.DEMO_R)
         H, report = solve(M, W, cfg)
         assert report.fallback_columns == list(range(6))
         for j in range(6):
             sol = nnls_active_set(W, M[:, j])
             np.testing.assert_allclose(H[:, j], sol.x, atol=1e-10)
 
-    def test_fallback_paths_feed_selection(self, demo):
+    def test_fallback_paths_feed_selection(self, demo, breakpoint_cap):
         M, W = demo
-        cfg = SolveConfig(mode="shamans", q=18, max_breakpoints=1)
+        breakpoint_cap(1)
+        cfg = SolveConfig(mode="shamans", q=18)
         H, report = solve(M, W, cfg)
         assert report.fallback_columns == list(range(6))
         assert report.nnz <= 18 + 3
         assert report.rel_error < 0.05
 
-    def test_fallback_columns_are_inexact_outside_unconstrained(self, demo):
+    def test_fallback_columns_are_inexact_outside_unconstrained(self, demo, breakpoint_cap):
         M, W = demo
-        _, exact = solve(M, W, SolveConfig(mode="unconstrained", max_breakpoints=1))
-        _, level_r = solve(M, W, SolveConfig(mode="ksparse", k=dd.DEMO_R, max_breakpoints=1))
-        _, budgeted = solve(M, W, SolveConfig(mode="ksparse", k=2, max_breakpoints=1))
+        breakpoint_cap(1)
+        _, exact = solve(M, W, SolveConfig(mode="unconstrained"))
+        _, level_r = solve(M, W, SolveConfig(mode="ksparse", k=dd.DEMO_R))
+        _, budgeted = solve(M, W, SolveConfig(mode="ksparse", k=2))
         assert exact.inexact_columns == []
         assert level_r.inexact_columns == [] and level_r.fallback_columns == list(range(6))
         assert budgeted.inexact_columns == budgeted.fallback_columns == list(range(6))
 
-    def test_singular_fallback_column_keeps_its_zero_entry(self):
+    def test_singular_fallback_column_keeps_its_zero_entry(self, breakpoint_cap):
         # Atom 4 is within 1e-9 of (W0 + W1)/2.  With one breakpoint allowed,
         # the NNLS fallback of columns 1 and 4 meets a rank-deficient passive
         # set; those columns keep their zero solution and are inexact in every
@@ -345,24 +352,23 @@ class TestFallback:
         W[:, 4] = 0.5 * (W[:, 0] + W[:, 1]) + 1e-9 * rng.random(8)
         M = rng.random((8, 10))
         others = [0, 2, 3, 5, 6, 7, 8, 9]
-        for cfg in (SolveConfig(mode="ksparse", k=5, max_breakpoints=1),
-                    SolveConfig(mode="ksparse", k=2, max_breakpoints=1),
-                    SolveConfig(mode="shamans", q=20, max_breakpoints=1)):
+        breakpoint_cap(1)
+        for cfg in (SolveConfig(mode="ksparse", k=5), SolveConfig(mode="ksparse", k=2),
+                    SolveConfig(mode="shamans", q=20)):
             H, report = solve(M, W, cfg)
             assert report.truncated_columns == [1, 4]
             assert {1, 4} <= set(report.fallback_columns)
             assert {1, 4} <= set(report.inexact_columns)
             assert len(set(report.inexact_columns)) == len(report.inexact_columns)
             assert not H[:, [1, 4]].any()
-        H_rest, rest = solve(M[:, others], W, SolveConfig(mode="ksparse", k=5,
-                                                          max_breakpoints=1))
-        H, report = solve(M, W, SolveConfig(mode="ksparse", k=5, max_breakpoints=1))
+        H_rest, rest = solve(M[:, others], W, SolveConfig(mode="ksparse", k=5))
+        H, report = solve(M, W, SolveConfig(mode="ksparse", k=5))
         np.testing.assert_allclose(H[:, others], H_rest, rtol=0, atol=1e-12)
         assert report.inexact_columns == [1, 4] and rest.inexact_columns == []
         assert report.fallback_columns == sorted([1, 4] + [others[j] for j in
                                                            rest.fallback_columns])
 
-    def test_nested_limit_attaches_column(self, demo, monkeypatch):
+    def test_nested_limit_attaches_column(self, demo, monkeypatch, breakpoint_cap):
         # Zero columns never fall back, so the walk's NNLS solves columns
         # 1, 3, 4, ... as rows 0, 1, 2, ...; its row 2 is data column 4.
         M, W = demo
@@ -376,7 +382,8 @@ class TestFallback:
             return nnls_gram(P, ell, mask, **kwargs)
 
         monkeypatch.setattr(homotopy_mod, "nnls_gram", explode)
-        cfg = SolveConfig(mode="ksparse", k=dd.DEMO_R, max_breakpoints=1)
+        breakpoint_cap(1)
+        cfg = SolveConfig(mode="ksparse", k=dd.DEMO_R)
         with pytest.raises(IterationLimit) as info:
             solve(M, W, cfg)
         assert info.value.column == 4
@@ -478,7 +485,7 @@ class TestPathReport:
         assert want > 0
         assert report.refits == want
 
-    def test_refits_leave_out_columns_past_the_limit(self):
+    def test_refits_leave_out_columns_past_the_limit(self, breakpoint_cap):
         # A column past the breakpoint limit drops its pooled refits with its
         # records, so they are not counted: with and without a cap, the
         # count is that of the refit entries the paths keep.
@@ -488,8 +495,9 @@ class TestPathReport:
         M = np.clip(W @ H0 + 0.005 * rng.standard_normal((200, 300)), 0.0, None)
         counts = []
         for cap in (None, 20):
-            _, report = solve(M, W, SolveConfig(mode="ksparse", k=24, max_breakpoints=cap))
-            walk = PathWalk(W, M, max_breakpoints=cap)
+            breakpoint_cap(cap)
+            _, report = solve(M, W, SolveConfig(mode="ksparse", k=24))
+            walk = mnnls_mod.PathWalk(W, M)  # capped as the walk solve builds
             kept = sum(int(refit_entries(walk.path(j).entries).sum()) for j in range(300))
             assert report.refits == walk.refits == kept
             counts.append((kept, len(report.fallback_columns)))
@@ -541,7 +549,7 @@ class TestWalkReport:
         assert walk["refit_ms"] <= report.timings_ms["paths"]
 
     @pytest.mark.parametrize("name", ["pixels-r6", "dict-r24"])
-    def test_workload_shaped_problems(self, name, monkeypatch):
+    def test_workload_shaped_problems(self, name, monkeypatch, breakpoint_cap):
         # 300 columns of each walking workload, on seeds 1-3, and under a
         # cap of 4 breakpoints, which sends some columns to the fallback.
         workloads = generated_workloads()
@@ -551,7 +559,8 @@ class TestWalkReport:
         for seed, cap in ((1, None), (2, None), (3, None), (1, 4)):
             M, W = workloads.generate(w, seed)
             counts = self.counted(monkeypatch)
-            _, report = solve(M, W, SolveConfig(mode=w.mode, q=w.q, k=w.k, max_breakpoints=cap))
+            breakpoint_cap(cap)
+            _, report = solve(M, W, SolveConfig(mode=w.mode, q=w.q, k=w.k))
             self.assert_matches(counts, report)
             assert counts["rounds"] > 0 and counts["reseeded_rows"] == 0
             assert counts["fallback_calls"] == (len(report.fallback_columns) > 0)
@@ -622,9 +631,10 @@ class TestUnconstrained:
             _, report = solve(M, W, own)
             assert report.inexact_columns == [] and report.kkt_violation <= KKT_BOUND
 
-    def test_report_describes_no_paths(self, demo):
+    def test_report_describes_no_paths(self, demo, breakpoint_cap):
         M, W = demo
-        _, report = solve(M, W, SolveConfig(mode="unconstrained", max_breakpoints=1))
+        breakpoint_cap(1)
+        _, report = solve(M, W, SolveConfig(mode="unconstrained"))
         assert (report.breakpoints, report.breakpoint_histogram, report.refits, report.walk,
                 report.fallback_columns) == (None, None, None, None, None)
         assert report.inexact_columns == report.truncated_columns == []
