@@ -153,8 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="total nonzero budget q (shamans mode)")
     p.add_argument("--k", type=int, default=None,
                    help="per-column sparsity k (ksparse mode)")
-    p.add_argument("--tol", type=float, default=1e-10,
-                   help="solver tolerance (default 1e-10)")
     p.add_argument("--zero-thresh", type=float, default=1e-3,
                    help="reporting threshold for nonzero counts (default 1e-3)")
     p.add_argument("--strict-budget", action="store_true",
@@ -186,7 +184,7 @@ def _solve_config(args) -> SolveConfig:
             raise UsageError("--map-width and --map-height apply only with --maps-dir")
     elif not all(size is not None and size > 0 for size in sizes):
         raise UsageError("--maps-dir requires a positive --map-width and --map-height")
-    return SolveConfig(mode=args.mode, q=args.budget, k=args.k, tol=args.tol,
+    return SolveConfig(mode=args.mode, q=args.budget, k=args.k,
                        zero_threshold=args.zero_thresh, strict_budget=args.strict_budget)
 
 

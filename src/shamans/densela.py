@@ -11,8 +11,11 @@ import numpy as np
 
 from .errors import NonFiniteEntry, SingularSystem
 
-# Relative floor under which a pivot means a rank-deficient support.
+# Relative floor under which a pivot means a rank-deficient support, and the
+# relative tolerance of the solvers' sign tests, each against a scale of the
+# data in the units of what it tests (homotopy.PathWalk, nnls.nnls_gram).
 PIVOT_FLOOR = 1e-12
+TOL = 1e-10
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:

@@ -62,9 +62,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import densela
-from .densela import as_matrix, as_vector, carry_inverse, range_split, residual_sq, spd_factor
+from .densela import TOL, as_matrix, as_vector, carry_inverse, range_split, residual_sq, spd_factor
 from .errors import IterationLimit, NonFiniteEntry, SingularSystem
-from .nnls import check_tol, nnls_gram
+from .nnls import nnls_gram
 
 LEAVE = 0
 ENTER = 1
@@ -148,14 +148,16 @@ def lambda_max(ell: np.ndarray):
     return np.where(positive, lam, 0.0), np.where(positive, index, -1)
 
 
-def next_breakpoint(a, b, c, d, K, lambda_current, tol: float):
+def next_breakpoint(a, b, c, d, K, lambda_current, tol: np.ndarray):
     """Largest penalties below ``lambda_current`` where the supports change.
 
     Returns (lambda_next, kind, index), one entry per row, with kind one
     of LEAVE, ENTER or TERMINATE and index the atom that leaves or enters
-    (-1 on TERMINATE).  A LEAVE candidate is a support index with
-    b < -tol, an ENTER candidate a complement index with d < -tol; among
-    equal ratios the smallest index wins.  Only the support's cells of
+    (-1 on TERMINATE).  ``tol`` is a (2r,) row: a LEAVE candidate is a
+    support index i with b_i < -tol_i, an ENTER candidate a complement
+    index i with d_i < -tol_(r+i) (the walk passes TOL / max|P| for b, in
+    units of 1/P, and TOL for d, which has none); among equal ratios the
+    smallest index wins.  Only the support's cells of
     ``a`` and ``b`` and the complement's cells of ``c`` and ``d`` are read:
     the others may hold anything, zeros included.  When no candidate has a
     positive crossing the support stays optimal all the way down and the
@@ -236,11 +238,13 @@ class PathWalk:
     past the breakpoint limit).  An IterationLimit from an
     active-set solve, a refit's or a fallback's, leaves with ``column``
     set to the data column.  A.T A, A.T B and every column's b @ b must
-    be finite: an overflow raises NonFiniteEntry before any walk.
+    be finite: an overflow raises NonFiniteEntry before any walk.  No
+    threshold has an absolute term (next_breakpoint, nnls_gram; a breakpoint
+    at or below TOL lambda_max is 0), so under A -> 2^k A and B -> 2^j B
+    every decision repeats, and every solution scales by exactly 2^(j-k).
     """
 
-    def __init__(self, A, B, tol: float = 1e-10):
-        check_tol(tol)
+    def __init__(self, A, B):
         self.Q, self.R = np.linalg.qr(A)
         self.B = B
         with np.errstate(over="ignore", invalid="ignore"):  # reported just below
@@ -251,7 +255,6 @@ class PathWalk:
         if not all(np.isfinite(x).all() for x in (self.P, self.L, self.norm_sq)):
             raise NonFiniteEntry("A.T A, A.T B or the squared norm of a column of B "
                                  "overflows to a non-finite value")
-        self.tol = tol
         r = self.P.shape[0]
         self.max_breakpoints = 50 * r
         self.block = block_width(r)  # columns walked together
@@ -286,14 +289,16 @@ class PathWalk:
         entry and end at the NNLS solution, found for all of them by
         ``nnls``.
         """
-        P, tol = self.P, self.tol
+        P = self.P
         r = P.shape[0]
         Pz = np.pad(P, (0, 1))  # carry_inverse's layout: zero row and column at r
         diag = np.diagonal(Pz)
         ell = np.ascontiguousarray(self.L[:, start:stop].T)
         width = stop - start
         Z, perp_sq = self.range_split(start, stop)
-        tol_neg = tol * (1.0 + float(np.abs(P).max(initial=0.0)))
+        # next_breakpoint's thresholds: TOL in the units of b (1/P), then of d.
+        with np.errstate(divide="ignore"):  # P = 0 leaves no column live
+            tol = np.repeat([TOL / np.abs(P).max(initial=0.0), TOL], r)
         dtype = path_dtype(r)
         records, owners = [], []
 
@@ -326,7 +331,7 @@ class PathWalk:
                 atoms[lo:hi, :x.shape[1]] = x
             clock = time.perf_counter()
             try:
-                X = nnls_gram(P, ell[cols], mask, tol=tol, start=(G, atoms, Z0))
+                X = nnls_gram(P, ell[cols], mask, start=(G, atoms, Z0))
             except IterationLimit as exc:
                 raise _at_column(exc, start + int(cols[exc.row])) from exc
             self.stats["refit_ms"] += (time.perf_counter() - clock) * 1e3
@@ -340,7 +345,7 @@ class PathWalk:
 
         lam, first = lambda_max(ell)  # the zero entries
         record(np.arange(width), lam, self.norm_sq[start:stop], False, 0.0)
-        tol_lam = tol * (1.0 + lam)
+        tol_lam = TOL * lam  # a breakpoint this close to 0 is 0
         # Row i holds the right-hand sides (ell, 1) of column i's pair (a, b),
         # and 0 at index r, where an empty slot reads.
         pairs = np.zeros((width, 2, r + 1))
@@ -375,7 +380,7 @@ class PathWalk:
             K = K[:, :r]
             a = full[:, 0, :r]
             lam_next, kind, index = next_breakpoint(a, full[:, 1, :r], grad[:, 0, :r],
-                                                    grad[:, 1, :r], K, lam, tol_neg)
+                                                    grad[:, 1, :r], K, lam, tol)
             lam_next[lam_next <= tol_lam[live]] = 0.0
             record(live, lam_next, residual_sq(self.R, Z[live], perp_sq[live], a), K, a)
             negative = np.flatnonzero((a < 0.0).any(axis=1))
@@ -450,7 +455,7 @@ class PathWalk:
             rows = np.arange(lo, min(lo + self.block, cols.size))
             while rows.size:
                 try:
-                    X[rows] = nnls_gram(self.P, self.L.T[cols[rows]], tol=self.tol)
+                    X[rows] = nnls_gram(self.P, self.L.T[cols[rows]])
                     break
                 except SingularSystem as exc:
                     singular[rows[exc.matrices]] = True
@@ -469,19 +474,19 @@ class PathWalk:
         return self._paths[j]
 
 
-def regularization_path(A, b, tol: float = 1e-10, walk: PathWalk | None = None,
+def regularization_path(A, b, walk: PathWalk | None = None,
                         column: int = 0) -> RegularizationPath:
     """Every breakpoint of the L1-penalized NNLS path of the (m, r)
     dictionary A and the (m,) right-hand side b.
 
-    ``tol`` is the base tolerance; negativity thresholds are scaled by
-    (1 + max|P|) so ratios never divide by a near-zero coefficient.  A
-    path longer than 50 r breakpoints, PathWalk's fixed guard against
-    cycling, is replaced by the two entries at its ends, the zero solution
-    and the NNLS solution, with ``fallback`` set.  Given a PathWalk over
-    many right-hand sides of A, of which b is column ``column``, the path
-    is read from the walk (which walks the column's block on first use)
-    and the other arguments are the walk's.
+    The walk's sign tests are relative to the data (PathWalk), so A and b
+    may come in any units.  A path longer than 50 r breakpoints,
+    PathWalk's fixed guard against cycling, is replaced by the two entries
+    at its ends, the zero solution and the NNLS solution, with
+    ``fallback`` set.  Given a PathWalk over many right-hand sides of A,
+    of which b is column ``column``, the path is read from the walk (which
+    walks the column's block on first use) and the other arguments are the
+    walk's.
 
     The first entry is (lambda_max, ||b||^2, empty support, 0), in
     path_dtype's field order (lam, error_sq, support, solution);
@@ -494,5 +499,5 @@ def regularization_path(A, b, tol: float = 1e-10, walk: PathWalk | None = None,
         b = as_vector(b, "b")
         if A.shape[0] != b.shape[0]:
             raise ValueError(f"A has {A.shape[0]} rows but b has {b.shape[0]}")
-        walk = PathWalk(A, b[:, None], tol=tol)
+        walk = PathWalk(A, b[:, None])
     return walk.path(column)

@@ -24,14 +24,13 @@ from . import selector
 from .densela import as_matrix, frob_norm, residual_sq
 from .errors import DimensionMismatch, ZeroColumnInDictionary, ZeroDataMatrix
 from .homotopy import PathWalk, regularization_path
-from .nnls import check_tol
 
 MODES = ("shamans", "ksparse", "unconstrained")
 
 # Largest scaled optimality violation (_kkt_violation) of a column that is
 # reported exact.  Roundoff stays below 6e-16 on the benchmark workloads and
-# the test suites; the solvers' stopping tests admit up to tol (1 + 1/max|ell|),
-# below it at the default tol while max|ell| >= 0.01.
+# the test suites; the solvers' stopping tests admit up to about densela.TOL,
+# 1e-10, of the same scale, whatever the data's units.
 KKT_BOUND = 1e-8
 
 
@@ -50,7 +49,6 @@ class SolveConfig:
     mode: str = "shamans"
     q: int | None = None
     k: int | None = None
-    tol: float = 1e-10
     zero_threshold: float = 1e-3
     strict_budget: bool = False
 
@@ -59,11 +57,10 @@ class SolveConfig:
             raise ValueError(f"unknown mode {self.mode!r}, expected one of {MODES}")
         for mode, name in (("shamans", "q"), ("ksparse", "k")):
             if self.mode == mode:
-                count = getattr(self, name)  # NumPy integers pass; None, 2.5 and NaN do not
-                if not (isinstance(count, numbers.Integral) and count >= 0):
+                count = getattr(self, name)  # NumPy integers pass; None, 2.5, NaN and bools do not
+                if not isinstance(count, numbers.Integral) or isinstance(count, bool) or count < 0:
                     raise ValueError(f"{mode} mode needs a nonnegative integer {name}")
                 setattr(self, name, int(count))  # so that the report's counts are JSON ints
-        check_tol(self.tol)
         _check_zero_threshold(self.zero_threshold)
 
 
@@ -205,7 +202,7 @@ def solve(M, W, cfg: SolveConfig):
         raise ValueError(f"k={cfg.k} exceeds the dictionary size r={r}")
     lap("validate")
 
-    walk = PathWalk(W, M, tol=cfg.tol)
+    walk = PathWalk(W, M)
     lap("gram")
 
     if cfg.mode == "unconstrained":

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densela import PIVOT_FLOOR, as_matrix, as_vector, carry_inverse, gram, support_solve
+from .densela import PIVOT_FLOOR, TOL, as_matrix, as_vector, carry_inverse, gram, support_solve
 from .errors import IterationLimit, SingularSystem
 
 
@@ -25,8 +25,8 @@ from .errors import IterationLimit, SingularSystem
 class NnlsSolution:
     """Solution of min ||Ax - b||^2 subject to x >= 0.
 
-    ``x`` is zero exactly outside ``support`` (entries below the solver
-    tolerance are snapped to 0), and ``residual_sq`` is ||Ax - b||^2.
+    ``x`` is zero exactly outside ``support`` (entries below the solver's
+    coefficient floor are snapped to 0), and ``residual_sq`` is ||Ax - b||^2.
     """
 
     x: np.ndarray
@@ -34,18 +34,8 @@ class NnlsSolution:
     residual_sq: float
 
 
-def check_tol(tol) -> None:
-    """Reject a solver tolerance that is not a finite positive number.
-
-    An infinite tol would snap every coefficient and stop every solver at
-    once, returning zero solutions as if they were optimal.
-    """
-    if not (tol > 0 and np.isfinite(tol)):  # also NaN
-        raise ValueError("tol must be positive and finite")
-
-
 def nnls_gram(P: np.ndarray, ell: np.ndarray, mask: np.ndarray | None = None,
-              tol: float = 1e-10, start: tuple | None = None) -> np.ndarray:
+              start: tuple | None = None) -> np.ndarray:
     """Active-set NNLS given normal-equation data only.
 
     Solves min ||Ax - b||^2 s.t. x >= 0 where P = A.T A and ell = A.T b,
@@ -68,14 +58,20 @@ def nnls_gram(P: np.ndarray, ell: np.ndarray, mask: np.ndarray | None = None,
     more than 10 k (k+1) pivots, k the size of its mask (cycling or heavy
     degeneracy), and SingularSystem, whose ``matrices`` lists the rows,
     when an entering Schur pivot falls below PIVOT_FLOOR times the largest
-    diagonal entry of P on the new passive set.  Coefficients that end below
-    tol * (1 + max|ell|) over the row's mask are set to zero and the rest
-    solved again, so the result stays a stationary refit.
+    diagonal entry of P on the new passive set.  A gradient coordinate
+    enters above TOL max|ell|, and a coefficient below TOL max|ell| / max|P|
+    counts as zero, both over the row's mask (max|P| its largest diagonal
+    entry of P), so rescaling P and ell by powers of two repeats every
+    decision.  Coefficients that end below that floor are set to zero and
+    the rest solved again, so the result stays a stationary refit.
     """
     L = np.atleast_2d(ell)
     n, r = L.shape
     mask = np.ones(L.shape, dtype=bool) if mask is None else np.atleast_2d(mask)
-    floor = tol * (1.0 + np.abs(np.where(mask, L, 0.0)).max(axis=1, initial=0.0))
+    diag = np.diagonal(P)
+    grad_floor = TOL * np.abs(np.where(mask, L, 0.0)).max(axis=1, initial=0.0)
+    p_max = np.where(mask, diag, 0.0).max(axis=1, initial=0.0)
+    floor = np.divide(grad_floor, p_max, out=np.zeros(n), where=p_max > 0.0)
     size = mask.sum(axis=1)
     max_pivots = 10 * size * (size + 1)
     pivots = np.zeros(n, dtype=np.int64)
@@ -130,12 +126,11 @@ def nnls_gram(P: np.ndarray, ell: np.ndarray, mask: np.ndarray | None = None,
         rows = rows[passive[rows].any(axis=1)]
         Z, neg, ok = solve_on(rows)
 
-    diag = np.diagonal(P)
     live = np.arange(n)
     while True:
         w = np.where(mask[live] & ~passive[live], L[live] - X[live] @ P.T, -np.inf)
         entering = w.argmax(axis=1)  # first maximum, i.e. smallest index
-        grow = w[np.arange(live.size), entering] > floor[live]
+        grow = w[np.arange(live.size), entering] > grad_floor[live]
         live = live[grow]
         if not live.size:
             break
@@ -178,14 +173,13 @@ def nnls_gram(P: np.ndarray, ell: np.ndarray, mask: np.ndarray | None = None,
     return X.reshape(np.shape(ell))
 
 
-def nnls_active_set(A, b, tol: float = 1e-10) -> NnlsSolution:
+def nnls_active_set(A, b) -> NnlsSolution:
     """Solve min ||Ax - b||^2 subject to x >= 0."""
     A = as_matrix(A, "A")
     b = as_vector(b, "b")
     if A.shape[0] != b.shape[0]:
         raise ValueError(f"A has {A.shape[0]} rows but b has {b.shape[0]}")
-    check_tol(tol)
-    x = nnls_gram(gram(A), A.T @ b, tol=tol)
+    x = nnls_gram(gram(A), A.T @ b)
     resid = A @ x - b
     return NnlsSolution(x=x, support=np.flatnonzero(x > 0.0),
                         residual_sq=float(resid @ resid))

@@ -16,7 +16,7 @@ import itertools
 import numpy as np
 from scipy.linalg.lapack import dpotrs
 
-from shamans.densela import gram, spd_factor
+from shamans.densela import TOL, gram, spd_factor
 from shamans.errors import IterationLimit, MissingZeroEntry, SingularSystem
 from shamans.homotopy import RegularizationPath, path_dtype
 
@@ -250,7 +250,7 @@ def random_cost_table(rng, r, n):
     return cost
 
 
-def reference_nnls_gram(P, ell, tol=1e-10):
+def reference_nnls_gram(P, ell):
     """Active-set NNLS of one right-hand side from normal-equation data.
 
     The per-column Lawson-Hanson solver the block ``nnls_gram`` replaced:
@@ -260,14 +260,16 @@ def reference_nnls_gram(P, ell, tol=1e-10):
 
     Raises IterationLimit after 10 r (r+1) pivots, which signals cycling
     or heavy degeneracy, and propagates SingularSystem from the inner
-    solve on a rank-deficient passive set.  Coefficients that end below
-    tol * (1 + max|ell|) are set to zero and the rest solved again on
-    their own support, so the result stays a stationary refit.
+    solve on a rank-deficient passive set.  A gradient enters above
+    TOL max|ell|; coefficients that end below TOL max|ell| / max|P| are
+    set to zero and the rest solved again on their own support, so the
+    result stays a stationary refit.
     """
     r = ell.shape[0]
     x = np.zeros(r)
     passive = np.zeros(r, dtype=bool)
-    scale = 1.0 + float(np.abs(ell).max(initial=0.0))
+    grad_floor = TOL * float(np.abs(ell).max(initial=0.0))
+    floor = grad_floor / float(np.abs(P).max(initial=0.0)) if r else 0.0
     max_pivots = 10 * r * (r + 1)
     pivots = 0
 
@@ -275,7 +277,7 @@ def reference_nnls_gram(P, ell, tol=1e-10):
         w = ell - P @ x
         w = np.where(passive, -np.inf, w)
         entering = int(np.argmax(w))  # first maximum, i.e. smallest index
-        if not np.isfinite(w[entering]) or w[entering] <= tol * scale:
+        if not np.isfinite(w[entering]) or w[entering] <= grad_floor:
             break
         passive[entering] = True
         pivots += 1
@@ -296,14 +298,14 @@ def reference_nnls_gram(P, ell, tol=1e-10):
             steps = np.where(denom > 0.0, xk[neg] / np.where(denom > 0.0, denom, 1.0), 0.0)
             alpha = float(steps.min())
             x[K] = xk + alpha * (z - xk)
-            drop = K[x[K] <= tol * scale]
+            drop = K[x[K] <= floor]
             x[drop] = 0.0
             passive[drop] = False
             pivots += drop.size
             if pivots > max_pivots:
                 raise IterationLimit(f"active-set pivot limit {max_pivots} exceeded")
 
-    snapped = (x != 0.0) & (x < tol * scale)
+    snapped = (x != 0.0) & (x < floor)
     if snapped.any():
         # Zeroing a coefficient moves the others' optimum: refit on the rest.
         x[snapped] = 0.0
@@ -315,13 +317,15 @@ def reference_nnls_gram(P, ell, tol=1e-10):
     return x
 
 
-def reference_path(A, b, tol=1e-10, max_breakpoints=None):
+def reference_path(A, b, max_breakpoints=None):
     """Regularization path of (A, b) walked one breakpoint at a time.
 
     The per-column walk the lockstep engine replaced: index-set supports,
     one factorization and solve per breakpoint, the smallest-index tie
     rule, LEAVE on exact ties, ratios clamped to the current breakpoint,
     and a rank-deficient support ending the path with ``truncated`` set.
+    A LEAVE candidate has b < -TOL / max|P|, an ENTER candidate d < -TOL,
+    and a breakpoint at or below TOL lambda_max is 0.
     """
     P = gram(np.asfortranarray(A))
     ell = A.T @ b
@@ -335,14 +339,13 @@ def reference_path(A, b, tol=1e-10, max_breakpoints=None):
 
     if max_breakpoints is None:
         max_breakpoints = 50 * r
-    tol_neg = tol * (1.0 + float(np.abs(P).max(initial=0.0)))
     first = int(np.argmax(ell))
     lam0 = max(float(ell[first]), 0.0)
-    tol_lam = tol * (1.0 + lam0)
     entries = [record(lam0, [], np.zeros(r), float(b @ b))]
     if lam0 == 0.0:
         return RegularizationPath(np.array(entries, dtype=path_dtype(r)))
 
+    leave_tol = TOL / float(np.abs(P).max())
     K = np.array([first], dtype=np.int64)
     lam = lam0
     truncated = False
@@ -360,8 +363,8 @@ def reference_path(A, b, tol=1e-10, max_breakpoints=None):
         d_K = P[np.ix_(Kbar, K)] @ b_K - 1.0
 
         best = {}  # kind -> (ratio, position), first maximum among candidates
-        for kind, num, den in (("leave", a_K, b_K), ("enter", c_K, d_K)):
-            pos = np.flatnonzero(den < -tol_neg)
+        for kind, num, den, tol in (("leave", a_K, b_K, leave_tol), ("enter", c_K, d_K, TOL)):
+            pos = np.flatnonzero(den < -tol)
             if pos.size:
                 ratios = num[pos] / den[pos]
                 i = int(np.argmax(ratios))
@@ -378,9 +381,9 @@ def reference_path(A, b, tol=1e-10, max_breakpoints=None):
         if a_K.min() >= 0.0:
             x[K] = a_K
         else:
-            x[K] = reference_nnls_gram(P[np.ix_(K, K)], ell[K], tol=tol)
+            x[K] = reference_nnls_gram(P[np.ix_(K, K)], ell[K])
         resid = A @ x - b
-        if lam_next <= tol_lam:
+        if lam_next <= TOL * lam0:
             lam_next = 0.0
         entries.append(record(lam_next, K, x, float(resid @ resid)))
         if kind == "terminate" or lam_next == 0.0:

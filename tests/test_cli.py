@@ -380,14 +380,15 @@ class TestMain:
     @pytest.mark.parametrize("flags", [
         ["--mode", "shamans", "--budget", "-1"],
         ["--mode", "ksparse", "--k", "-2"],
-        ["--mode", "unconstrained", "--tol", "0"],
-        ["--mode", "unconstrained", "--tol", "nan"],
+        # No tolerance flag: every threshold is relative to the data.
+        ["--mode", "unconstrained", "--tol", "1e-10"],
+        ["--mode", "unconstrained", "--zero-thresh", "nan"],
         ["--mode", "unconstrained", "--zero-thresh", "-1"],
         ["--mode", "ksparse", "--k", "3", "--maps-dir", "m", "--map-width", "0",
          "--map-height", "6"],
         ["--mode", "ksparse", "--k", "3", "--maps-dir", "m", "--map-width", "-2",
          "--map-height", "-3"],
-        ["--mode", "unconstrained", "--tol", "inf"],
+        ["--mode", "ksparse", "--k", "3", "--maps-dir", "m"],
         ["--mode", "unconstrained", "--zero-thresh", "inf"],
         # Flags that do not apply are refused, not ignored.
         ["--mode", "unconstrained", "--strict-budget"],

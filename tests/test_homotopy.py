@@ -406,11 +406,20 @@ class TestRegularizationPath:
 
     @pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0, np.inf])
     def test_bad_tol_rejected(self, tol):
-        # An infinite tol ended every path at its zero entry.
-        with pytest.raises(ValueError, match="tol must be positive and finite"):
+        # No tolerance is taken, good or bad: every threshold is relative
+        # to the data's scale.
+        with pytest.raises(TypeError, match="tol"):
             regularization_path(dd.DEMO_W, dd.DEMO_M[:, 0], tol=tol)
-        with pytest.raises(ValueError, match="tol must be positive and finite"):
+        with pytest.raises(TypeError, match="tol"):
             PathWalk(dd.DEMO_W, dd.DEMO_M, tol=tol)
+
+    def test_zero_dictionary_keeps_only_the_zero_entry(self):
+        # max|P| = 0: nothing correlates, and the leave threshold TOL / max|P|
+        # is never used.
+        b = dd.DEMO_M[:, 0]
+        path = regularization_path(np.zeros((5, 3)), b)
+        assert len(path.entries) == 1 and path.entries["lam"][0] == 0.0
+        assert path.entries["error_sq"][0] == pytest.approx(b @ b, rel=1e-15)
 
     def test_row_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="A has 5 rows but b has 4"):

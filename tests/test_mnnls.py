@@ -239,11 +239,8 @@ class TestValidation:
             SolveConfig(mode="ksparse")  # missing k
         with pytest.raises(ValueError):
             SolveConfig(mode="shamans", q=-1)
-        # tol = inf used to stop the unconstrained solve at the zero
-        # solution and list no column as inexact.
-        for tol in (0.0, np.nan, np.inf):
-            with pytest.raises(ValueError, match="tol must be positive and finite"):
-                SolveConfig(mode="unconstrained", tol=tol)
+        with pytest.raises(TypeError):  # every threshold is relative to the data
+            SolveConfig(mode="unconstrained", tol=1e-10)
         for threshold in (-1.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="zero_threshold must be nonnegative and finite"):
                 SolveConfig(mode="unconstrained", zero_threshold=threshold)
@@ -259,6 +256,13 @@ class TestValidation:
         assert SolveConfig(mode="ksparse", k=np.int32(2)).k == 2
         with pytest.raises(TypeError):  # the breakpoint cap is PathWalk's 50 r
             SolveConfig(mode="ksparse", k=2, max_breakpoints=1)
+
+    def test_booleans_are_not_counts(self, demo):
+        # bool is a numbers.Integral: q = True ran as q = 1, k = False as k = 0.
+        for bad in ({"mode": "shamans", "q": True}, {"mode": "ksparse", "k": False},
+                    {"mode": "ksparse", "k": np.True_}):
+            with pytest.raises(ValueError, match="nonnegative integer"):
+                SolveConfig(**bad)
 
     def test_budget_exceeding_capacity(self, demo):
         M, W = demo
@@ -689,21 +693,18 @@ class TestUnconstrained:
         assert (info.value.row, info.value.column) == (1, 4)
         assert str(info.value).startswith("column 4 ")
 
-    def test_scaled_probe_lists_its_columns(self):
-        # At 1e-5 the solver's absolute tolerances swamp the data, and the
-        # block NNLS stops short of the optimum; the certificate lists every
-        # column it left.  Unscaled, every column is certified.
+    def test_scaled_probe_is_exact(self):
+        # W and M scaled alike leave H unchanged.  Thresholds with an absolute
+        # term once stopped the block NNLS short of the optimum at 1e-5, and
+        # made it cycle to its pivot limit at 1e5 and 1e10.
         rng = np.random.default_rng(3)
         W = rng.random((30, 5)) + 0.05
         M = rng.random((30, 40))
         best = np.column_stack([nnls_bruteforce(W, M[:, j])[0] for j in range(40)])
-        H, report = solve(M, W, SolveConfig(mode="unconstrained"))
-        np.testing.assert_allclose(H, best, rtol=0, atol=1e-12)
-        assert report.inexact_columns == []
-        H, report = solve(1e-5 * M, 1e-5 * W, SolveConfig(mode="unconstrained"))
-        far = [j for j in range(40) if np.abs(H[:, j] - best[:, j]).max() > 1e-8]
-        assert far and set(far) <= set(report.inexact_columns)
-        assert report.kkt_violation > KKT_BOUND
+        for scale in (1.0, 1e-5, 1e5, 1e10):
+            H, report = solve(scale * M, scale * W, SolveConfig(mode="unconstrained"))
+            np.testing.assert_allclose(H, best, rtol=0, atol=1e-12)
+            assert report.inexact_columns == []
 
 
 class TestBreakpointHistogram:

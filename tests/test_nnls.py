@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from shamans import nnls
-from shamans.densela import gram, support_solve
+from shamans.densela import TOL, gram, support_solve
 from shamans.errors import IterationLimit, SingularSystem
 from shamans.nnls import nnls_active_set, nnls_gram
 
@@ -111,9 +111,10 @@ def test_gram_entry_point():
 def test_bad_inputs():
     with pytest.raises(ValueError):
         nnls_active_set(DEMO_W, np.zeros(4))  # length mismatch
-    for tol in (np.nan, 0.0, -1.0, np.inf):
-        with pytest.raises(ValueError, match="tol must be positive and finite"):
-            nnls_active_set(DEMO_W, np.ones(5), tol=tol)
+    with pytest.raises(TypeError):  # every threshold is relative to the data
+        nnls_active_set(DEMO_W, np.ones(5), tol=1e-10)
+    with pytest.raises(TypeError):
+        nnls_gram(gram(DEMO_W), DEMO_W.T @ np.ones(5), tol=1e-10)
 
 
 def test_iteration_limit_carries_column():
@@ -123,15 +124,16 @@ def test_iteration_limit_carries_column():
 
 
 def test_snapped_coefficient_leaves_a_stationary_refit():
-    # b is A @ (1, 1, eps) with eps under the snapping threshold
-    # tol * (1 + max|ell|).  Atom 2 carries the largest correlation, so it
+    # b is A @ (1, 1, eps) with eps under the coefficient floor
+    # TOL max|ell| / max|P|.  Atom 2 carries the largest correlation, so it
     # enters and ends at eps; once it is set to zero, the other two must be
     # solved again or their gradient keeps a residue of order eps.
     A = np.array([[1.0, 0.0, 1.1], [0.0, 1.0, 0.9], [0.2, 0.4, 0.7], [0.5, 0.1, 0.5]])
     base = A[:, 0] + A[:, 1]
-    eps = 0.3 * 1e-10 * (1.0 + float((A.T @ base).max()))
+    P = gram(A)
+    eps = 0.3 * TOL * float((A.T @ base).max()) / float(np.abs(P).max())
     b = base + eps * A[:, 2]
-    P, ell = gram(A), A.T @ b
+    ell = A.T @ b
     assert int(np.argmax(ell)) == 2
     x = nnls_gram(P, ell)
     assert x[2] == 0.0 and x[0] > 0.0 and x[1] > 0.0
