@@ -19,30 +19,39 @@ TOL = 1e-10
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and convert to a 2-D float64 column-major array."""
+    """Convert to a 2-D float64 column-major array; exponent checks the entries."""
     out = np.asfortranarray(a, dtype=np.float64)
     if out.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got ndim={out.ndim}")
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteEntry(f"{name} contains NaN or infinite entries")
     return out
 
 
 def as_vector(a, name: str = "vector") -> np.ndarray:
-    """Validate and convert to a 1-D float64 array."""
+    """Convert to a 1-D float64 array; exponent checks the entries."""
     out = np.ascontiguousarray(a, dtype=np.float64)
     if out.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got ndim={out.ndim}")
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteEntry(f"{name} contains NaN or infinite entries")
     return out
 
 
-def gram(A: np.ndarray) -> np.ndarray:
-    """Gram matrix A.T @ A, symmetrized so S == S.T holds exactly.
+def exponent(A: np.ndarray, name: str = "matrix") -> int:
+    """The e with max|A| 2^-e in [0.5, 1) (0 for a zero A).  Its max and min
+    pass is also A's finite check: a NaN or infinite entry raises NonFiniteEntry."""
+    top, low = A.max(initial=0.0), A.min(initial=0.0)
+    if not (np.isfinite(top) and np.isfinite(low)):
+        raise NonFiniteEntry(f"{name} contains NaN or infinite entries")
+    return int(np.frexp(max(top, -low))[1])
 
-    Computed once per dictionary and shared by every column subproblem.
-    """
+
+def unscale(X: np.ndarray, e: int, name: str) -> np.ndarray:
+    """X 2^e for X >= 0, or NonFiniteEntry if that overflows; NaN passes."""
+    if np.frexp(np.fmax.reduce(X, axis=None, initial=0.0))[1] + e > 1024:
+        raise NonFiniteEntry(f"{name} overflows the float range")
+    return np.ldexp(X, e)
+
+
+def gram(A: np.ndarray) -> np.ndarray:
+    """Gram matrix A.T @ A, symmetrized so S == S.T holds exactly."""
     S = A.T @ A
     return np.asfortranarray((S + S.T) * 0.5)
 
@@ -177,6 +186,8 @@ def residual_sq(R: np.ndarray, Z: np.ndarray, perp_sq: np.ndarray,
     return perp_sq + np.einsum("ij,ij->i", D, D)
 
 
-def frob_norm(A: np.ndarray) -> float:
-    """Square root of the sum of squared entries."""
-    return float(np.sqrt(np.sum(np.square(A, dtype=np.float64))))
+def frob_norm(A: np.ndarray, name: str = "matrix") -> float:
+    """Square root of the sum of squared entries, summed over A 2^-e
+    (exponent), where no square overflows or underflows against the largest."""
+    e = exponent(A, name)
+    return float(np.ldexp(np.sqrt(np.sum(np.square(np.ldexp(A, -e)))), e))

@@ -17,9 +17,8 @@ complement gradient component
 
 hits zero (that index enters).  Each recorded entry pairs a support with
 the breakpoint at which it stops being optimal, together with the unbiased
-(penalty-free) least-squares refit on that support.  The first entry is
-always the zero solution at lambda_max and the last entry sits at
-lambda = 0 with the unconstrained NNLS solution.
+(penalty-free) least-squares refit on that support, from the zero
+solution at lambda_max to the NNLS solution at lambda = 0.
 
 Every right-hand side shares P, so the walk advances a block of columns
 in lockstep, one breakpoint per round; block_width sizes the block so
@@ -42,16 +41,10 @@ each refit's error is
 
     ||A x - b||^2 = ||b - Q z||^2 + ||z - R x||^2,
 
-exactly, because b - Q z is orthogonal to range(A).  1/G_ii is the Schur
-pivot of atom i against the rest of its support and bounds every
-Cholesky pivot of P(K,K) from below.  A column whose smallest Schur
-pivot falls below SCHUR_GUARD times the largest diagonal entry of P on
-its support has G re-seeded from one checked factorization and inverse
-of P(K,K), whose check decides whether the support is rank deficient.
-next_breakpoint and the records take a (B, r) boolean support mask, one
-row per column, and full-space (B, r) coefficient arrays.  next_breakpoint
-reads a and b only on the rows' supports and c and d only off them, so a
-round passes its solutions and gradients as they are, unmasked.
+exactly, because b - Q z is orthogonal to range(A).  A column whose
+smallest Schur pivot 1/G_ii falls below SCHUR_GUARD has G re-seeded from
+one checked factorization of P(K,K), which decides whether the support
+is rank deficient.
 """
 
 from __future__ import annotations
@@ -63,7 +56,7 @@ import numpy as np
 
 from . import densela
 from .densela import TOL, as_matrix, as_vector, carry_inverse, range_split, residual_sq, spd_factor
-from .errors import IterationLimit, NonFiniteEntry, SingularSystem
+from .errors import IterationLimit, SingularSystem
 from .nnls import nnls_gram
 
 LEAVE = 0
@@ -74,7 +67,7 @@ TERMINATE = 2
 # a block's width, by one round's three (columns, 2, r) arrays, its
 # right-hand sides, solutions and gradients, and by its records, 16 + 9 r
 # bytes per column (1,024 columns at r = 24, so wider blocks share each
-# round's numpy calls), and range_split's (columns, m) temporary.  The
+# round's numpy calls), and PathWalk's scaled (m, columns) reads of B.  The
 # inverse stacks are bounded by the block instead, at width r^2 entries on
 # full supports, 4 BUDGET at r = 24: the live columns' (columns, k, k) and
 # one PathWalk.nnls call's (columns, r, r); the refit pool holds under 1.5
@@ -91,9 +84,7 @@ SCHUR_GUARD = 1e-6
 
 
 def block_width(r: int) -> int:
-    """Columns walked together over a dictionary of r atoms: as many as
-    keep one round's three (columns, 2, r) arrays and its records, 16 + 9 r
-    bytes per column, within BUDGET."""
+    """Columns walked together over a dictionary of r atoms (BUDGET)."""
     return max(1, BUDGET // max(6 * r, -(-path_dtype(r).itemsize // 8)))
 
 
@@ -105,9 +96,6 @@ def path_dtype(r: int) -> np.dtype:
     ``solution`` is the unbiased refit on the support, zero elsewhere,
     and ``error_sq`` its residual ||A x - b||^2 against the original
     system (b @ b on the zero entry, else from densela.residual_sq).
-    Inside the interval the biased solution on the support K is
-    P(K,K)^-1 (ell(K) - lambda), so the breakpoints and supports define
-    the whole path.
     """
     return np.dtype([("lam", np.float64), ("error_sq", np.float64),
                      ("support", np.bool_, (r,)), ("solution", np.float64, (r,))])
@@ -232,37 +220,40 @@ class PathWalk:
     regularization_path first asks for a column of the block.  A column
     whose path exceeds ``max_breakpoints``, 50 r, ends at its NNLS solution
     with ``fallback`` set; the cap only guards against cycling, and no
-    argument sets it.  ``refits`` counts the path entries of
-    the blocks walked so far whose least-squares solution went negative,
-    i.e. the rows refit by nnls_gram, on the paths that keep them (not
-    past the breakpoint limit).  An IterationLimit from an
-    active-set solve, a refit's or a fallback's, leaves with ``column``
-    set to the data column.  A.T A, A.T B and every column's b @ b must
-    be finite: an overflow raises NonFiniteEntry before any walk.  No
-    threshold has an absolute term (next_breakpoint, nnls_gram; a breakpoint
-    at or below TOL lambda_max is 0), so under A -> 2^k A and B -> 2^j B
-    every decision repeats, and every solution scales by exactly 2^(j-k).
+    argument sets it.  ``refits`` and ``stats`` say what the blocks walked
+    so far did, as mnnls.UnmixReport's ``refits`` and ``walk``.  An
+    IterationLimit from an active-set solve, a refit's or a fallback's,
+    leaves with ``column`` set to the data column.
+
+    The walk runs on A 2^-a and B 2^-b, ``exponents`` (a, b) from
+    densela.exponent (which raises NonFiniteEntry on a NaN or infinite
+    entry), so P, A.T B and b @ b are at most m.  All it holds is in these
+    units: P, L, the QR factors, ``norm_sq``, ``Z`` and ``perp_sq``
+    (range_split of each column), and its paths, whose lam, error_sq and
+    solution are A's and B's times 2^-(a+b), 2^-2b and 2^(a-b).  No
+    threshold has an absolute term (next_breakpoint, nnls_gram; a
+    breakpoint at or below TOL lambda_max is 0), so no power-of-two scale
+    of A or B changes a decision.
     """
 
     def __init__(self, A, B):
+        a, b = self.exponents = (densela.exponent(A, "the dictionary"),
+                                 densela.exponent(B, "the data"))
+        A = np.ldexp(A, -a)
         self.Q, self.R = np.linalg.qr(A)
-        self.B = B
-        with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-            self.P = densela.gram(A)
-            self.L = A.T @ B
-            # The zero entries' errors b @ b, all columns' dot products in one call.
-            self.norm_sq = np.matmul(B.T[:, None, :], B.T[:, :, None])[:, 0, 0]
-        if not all(np.isfinite(x).all() for x in (self.P, self.L, self.norm_sq)):
-            raise NonFiniteEntry("A.T A, A.T B or the squared norm of a column of B "
-                                 "overflows to a non-finite value")
+        self.P = densela.gram(A)
+        self.L = np.ldexp(A, -b).T @ B  # A.T B 2^-b, with no scaled copy of B
+        # The zero entries' errors b @ b and range_split, BUDGET // m columns at a time.
+        step = max(1, BUDGET // max(1, B.shape[0]))
+        blocks = (np.ldexp(B[:, i:i + step], -b) for i in range(0, max(1, B.shape[1]), step))
+        self.norm_sq, self.Z, self.perp_sq = map(np.concatenate, zip(*(
+            (np.matmul(x.T[:, None, :], x.T[:, :, None])[:, 0, 0], *range_split(self.Q, x))
+            for x in blocks)))
         r = self.P.shape[0]
         self.max_breakpoints = 50 * r
         self.block = block_width(r)  # columns walked together
         self._paths = {}  # column -> RegularizationPath
         self.refits = 0
-        # What the walks so far did: lockstep rounds, rows re-seeded below
-        # SCHUR_GUARD, refit calls and their milliseconds, and
-        # breakpoint-limit NNLS calls.
         self.stats = {"rounds": 0, "reseeded_rows": 0, "refit_calls": 0, "refit_ms": 0.0,
                       "fallback_calls": 0}
 
@@ -273,21 +264,14 @@ class PathWalk:
         ``live`` (its column), ``lam``, the slot index ``atoms`` and the
         inverse ``G`` in slot coordinates; a column leaves them when its
         path ends.  The first atom enters a one-slot stack through
-        carry_inverse, like every later one.  Each round reads the rest
-        through ``live`` from arrays of the whole block, the right-hand
-        sides (ell, 1) and the tolerances on lambda, rebuilds the support
-        mask from ``atoms``, and recomputes the rows below the Schur guard,
-        which it re-seeds before solving; a row that fails the re-seed ends
-        truncated, and that round is not counted.  A round records every
-        live column's least-squares solution as its refit; the entries
-        where it goes negative are pooled whole with their G and atoms,
-        and once the pool holds half the block's width (so at most 1.5
-        widths) one nnls_gram call refits them, padded to the pool's
-        largest k and started from the solutions their records hold, and
-        rewrites their records.  The columns still live
-        after ``max_breakpoints`` rounds drop their records past the zero
-        entry and end at the NNLS solution, found for all of them by
-        ``nnls``.
+        carry_inverse, like every later one.  Each round re-seeds the rows
+        below the Schur guard before solving (a row that fails ends
+        truncated, and that round is not counted), records every live
+        column's least-squares solution as its refit, and pools the entries
+        where it goes negative, whole with their G and atoms, for
+        refit_pool once they fill half the block's width.  The columns
+        still live after ``max_breakpoints`` rounds drop their records past
+        the zero entry and end at the NNLS solution, found by ``nnls``.
         """
         P = self.P
         r = P.shape[0]
@@ -295,7 +279,7 @@ class PathWalk:
         diag = np.diagonal(Pz)
         ell = np.ascontiguousarray(self.L[:, start:stop].T)
         width = stop - start
-        Z, perp_sq = self.range_split(start, stop)
+        Z, perp_sq = self.Z[start:stop], self.perp_sq[start:stop]
         # next_breakpoint's thresholds: TOL in the units of b (1/P), then of d.
         with np.errstate(divide="ignore"):  # P = 0 leaves no column live
             tol = np.repeat([TOL / np.abs(P).max(initial=0.0), TOL], r)
@@ -430,18 +414,10 @@ class PathWalk:
                                                       over.tolist())):
             self._paths[start + p] = RegularizationPath(entries[lo:hi], cut, capped)
 
-    def range_split(self, start: int, stop: int):
-        """densela.range_split of columns start..stop-1 of B, BUDGET // m columns
-        at a time to bound its (columns, m) temporary."""
-        step = max(1, BUDGET // max(1, self.B.shape[0]))
-        return tuple(map(np.concatenate, zip(*(
-            range_split(self.Q, self.B[:, i:min(i + step, stop)])
-            for i in range(start, stop, step)))))
-
     def nnls(self, cols: np.ndarray):
-        """NNLS optima of the data columns ``cols`` by the block active-set
-        solver, one block of rows per call, so that its (rows, r, r)
-        inverses stay within the walk's.
+        """NNLS optima of the data columns ``cols``, in the walk's units, by
+        the block active-set solver, one block of rows per call, so that its
+        (rows, r, r) inverses stay within the walk's.
 
         Returns (X, singular): row i of X solves column cols[i], and is
         zero where ``singular`` marks a column whose passive set became rank
@@ -466,12 +442,23 @@ class PathWalk:
 
     def path(self, j: int) -> RegularizationPath:
         if j not in self._paths:
-            n = self.B.shape[1]
+            n = self.L.shape[1]
             if not 0 <= j < n:
                 raise IndexError(f"column {j} is out of range for a walk over {n} columns")
             start = j - j % self.block
             self._walk(start, min(start + self.block, n))
         return self._paths[j]
+
+    def unscaled_path(self, j: int) -> RegularizationPath:
+        """Column j's path in the units of A and B, a copy: lam times
+        2^(a+b), error_sq times 2^2b and solution times 2^(b-a), for
+        ``exponents`` (a, b).  Raises NonFiniteEntry where one overflows."""
+        path = self.path(j)
+        a, b = self.exponents
+        entries = path.entries.copy()
+        for name, shift in (("lam", a + b), ("error_sq", 2 * b), ("solution", b - a)):
+            entries[name] = densela.unscale(entries[name], shift, f"the path's {name}")
+        return RegularizationPath(entries, path.truncated, path.fallback)
 
 
 def regularization_path(A, b, walk: PathWalk | None = None,
@@ -479,14 +466,12 @@ def regularization_path(A, b, walk: PathWalk | None = None,
     """Every breakpoint of the L1-penalized NNLS path of the (m, r)
     dictionary A and the (m,) right-hand side b.
 
-    The walk's sign tests are relative to the data (PathWalk), so A and b
-    may come in any units.  A path longer than 50 r breakpoints,
-    PathWalk's fixed guard against cycling, is replaced by the two entries
-    at its ends, the zero solution and the NNLS solution, with
-    ``fallback`` set.  Given a PathWalk over many right-hand sides of A,
-    of which b is column ``column``, the path is read from the walk (which
-    walks the column's block on first use) and the other arguments are the
-    walk's.
+    A and b may come in any units (PathWalk); NonFiniteEntry marks an
+    entry past the float range.  A path longer than 50 r breakpoints,
+    PathWalk's guard against cycling, is its two ends with ``fallback``
+    set.  Given a PathWalk over many right-hand sides of A, of which b is
+    column ``column``, the path is read from the walk, in the walk's units,
+    and the other arguments are the walk's.
 
     The first entry is (lambda_max, ||b||^2, empty support, 0), in
     path_dtype's field order (lam, error_sq, support, solution);
@@ -495,9 +480,8 @@ def regularization_path(A, b, walk: PathWalk | None = None,
     support the path ends at the last sound entry with ``truncated`` set.
     """
     if walk is None:
-        A = as_matrix(A, "A")
-        b = as_vector(b, "b")
+        A, b = as_matrix(A, "A"), as_vector(b, "b")
         if A.shape[0] != b.shape[0]:
             raise ValueError(f"A has {A.shape[0]} rows but b has {b.shape[0]}")
-        walk = PathWalk(A, b[:, None])
+        return PathWalk(A, b[:, None]).unscaled_path(0)
     return walk.path(column)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import selector
-from .densela import as_matrix, frob_norm, residual_sq
+from .densela import as_matrix, frob_norm, residual_sq, unscale
 from .errors import DimensionMismatch, ZeroColumnInDictionary, ZeroDataMatrix
 from .homotopy import PathWalk, regularization_path
 
@@ -41,9 +41,7 @@ class SolveConfig:
     Exactly one of ``q`` (total nonzero budget, shamans mode) or ``k``
     (per-column sparsity, ksparse mode) applies.  ``zero_threshold`` only
     affects sparsity reporting, never the solve itself.  ``strict_budget``
-    forbids the final selection step from overshooting q.  Each column's
-    path is capped at 50 r breakpoints (PathWalk), a guard against cycling
-    that no field sets; unconstrained mode walks no paths.
+    forbids the final selection step from overshooting q.
     """
 
     mode: str = "shamans"
@@ -75,9 +73,11 @@ class UnmixReport:
     """Quality and cost summary of one solve.
 
     ``timings_ms`` maps each stage of the solve that ran to its wall time
-    in milliseconds, in order: validate, gram (W.T W, W.T M and the thin
-    QR of W), then paths, tables, select and assemble, or in unconstrained
-    mode nnls, and last metrics (the report and the certificate).
+    in milliseconds, in order: validate (shapes and counts), gram (the
+    PathWalk: the scale and finite check of W and M, W.T W, W.T M, the thin
+    QR of W and M's coordinates in it), then paths, tables, select and
+    assemble, or in unconstrained mode nnls, and last metrics (the report
+    and the certificate).
     ``breakpoints`` totals the path steps of all columns, and entry k of
     ``breakpoint_histogram`` counts the columns whose path took k steps;
     ``refits`` counts the steps whose unbiased refit needed the active-set
@@ -99,14 +99,14 @@ class UnmixReport:
     columns of H that are neither a solution of their full path nor the
     NNLS optimum: every truncated column, every fallback column read
     below level r (its path has nothing between its two ends), and every
-    column whose violation passes KKT_BOUND.
+    column whose violation is not within KKT_BOUND (NaN included).
 
     In shamans mode ``picks`` counts the greedy steps, ``overshoot`` is
     the sum of the selected sparsity levels minus q (negative when no
     positive gain or, in strict mode, no fitting advance was left),
-    ``stopped_short``
-    says that selection ended below q, and ``last_gain`` is the error
-    decrease per added nonzero of the last pick (None without one).
+    ``stopped_short`` says that selection ended below q, and ``last_gain``
+    is the error decrease per added nonzero of the last pick (None
+    without one, inf past the float range).
     The four are None in the other modes.
     """
 
@@ -137,18 +137,17 @@ def metrics(M, W, H, zero_threshold: float = 1e-3) -> UnmixReport:
     Raises DimensionMismatch unless M (m, n), W (m, r) and H (r, n) fit.
     ``avg_sparsity`` and the per-column histogram count entries above
     ``zero_threshold``, which must be finite and nonnegative; ``nnz``
-    counts exact nonzeros.
+    counts exact nonzeros.  M, W and H may come in any units (frob_norm).
     """
     _check_zero_threshold(zero_threshold)
-    M = as_matrix(M, "M")
-    W = as_matrix(W, "W")
-    H = as_matrix(H, "H")
+    M, W, H = as_matrix(M, "M"), as_matrix(W, "W"), as_matrix(H, "H")
     if M.shape[0] != W.shape[0]:
         raise DimensionMismatch(f"M has shape {M.shape} but W has shape {W.shape}")
     if H.shape != (W.shape[1], M.shape[1]):
         raise DimensionMismatch(f"H has shape {H.shape} but W {W.shape} and M {M.shape} "
                                 f"need {(W.shape[1], M.shape[1])}")
-    return _summary(H, frob_norm(M - W @ H), frob_norm(M), zero_threshold)
+    data = frob_norm(M, "M")  # M's finite check, then W's and H's
+    return _summary(H, frob_norm(M - W @ H, "M - W H"), data, zero_threshold)
 
 
 def _summary(H, residual, data, zero_threshold) -> UnmixReport:
@@ -172,7 +171,8 @@ def solve(M, W, cfg: SolveConfig):
     take the two-entry path to their NNLS solution and are listed in
     ``report.fallback_columns`` instead of aborting the whole run; a
     column whose NNLS meets a rank-deficient passive set is listed as
-    truncated and inexact.
+    truncated and inexact.  M and W may come in any units (PathWalk); an
+    H past the float range raises NonFiniteEntry.
     """
     timings = {}
     clock = time.perf_counter()
@@ -183,19 +183,12 @@ def solve(M, W, cfg: SolveConfig):
         timings[stage] = (now - clock) * 1e3
         clock = now
 
-    M = as_matrix(M, "M")
-    W = as_matrix(W, "W")
+    M, W = as_matrix(M, "M"), as_matrix(W, "W")
     if M.shape[0] != W.shape[0]:
-        raise DimensionMismatch(
-            f"M has {M.shape[0]} rows but W has {W.shape[0]}")
-    m, n = M.shape
-    r = W.shape[1]
+        raise DimensionMismatch(f"M has {M.shape[0]} rows but W has {W.shape[0]}")
+    n, r = M.shape[1], W.shape[1]
     if n == 0 or r == 0:
         raise DimensionMismatch("M and W must be nonempty")
-    with np.errstate(over="ignore"):  # PathWalk reports an overflow
-        nonzero = (W * W).sum(axis=0) > 0.0
-    if not nonzero.all():
-        raise ZeroColumnInDictionary("dictionary has an all-zero column")
     if cfg.mode == "shamans" and cfg.q > r * n:
         raise ValueError(f"budget q={cfg.q} exceeds r*n={r * n}")
     if cfg.mode == "ksparse" and cfg.k > r:
@@ -203,14 +196,18 @@ def solve(M, W, cfg: SolveConfig):
     lap("validate")
 
     walk = PathWalk(W, M)
+    if not (np.diagonal(walk.P) > 0.0).all():
+        raise ZeroColumnInDictionary("dictionary has an all-zero column")
     lap("gram")
 
+    a, b = walk.exponents  # the walk's units: W 2^-a, M 2^-b and H 2^(a-b)
     if cfg.mode == "unconstrained":
         # Only the lambda = 0 end of each path is read: solve for it directly.
         X, singular = walk.nnls(np.arange(n))
-        H = X.T
+        Hn = X.T
         lap("nnls")
-        err = residual_sq(walk.R, *walk.range_split(0, n), X)
+        err = residual_sq(walk.R, walk.Z, walk.perp_sq, X)
+        H = unscale(Hn, b - a, "H")
         report = _summary(H, np.sqrt(err.sum()), np.sqrt(walk.norm_sq.sum()),
                           cfg.zero_threshold)
         truncated = np.flatnonzero(singular).tolist()
@@ -231,9 +228,10 @@ def solve(M, W, cfg: SolveConfig):
             cursors = np.full(n, cfg.k, dtype=np.int64)
         lap("select")
 
-        H = selector.assemble(tables, cursors)
+        Hn = selector.assemble(tables, cursors)
         lap("assemble")
 
+        H = unscale(Hn, b - a, "H")
         # A selected cell is its entry's measured residual; row 0 holds ||M_j||^2.
         report = _summary(H, np.sqrt(tables.cost[cursors, np.arange(n)].sum()),
                           np.sqrt(tables.cost[0].sum()), cfg.zero_threshold)
@@ -247,15 +245,16 @@ def solve(M, W, cfg: SolveConfig):
         report.breakpoint_histogram = [int(c) for c in np.bincount(steps)]
         report.refits = walk.refits
         report.walk = dict(walk.stats)
-    violation = _kkt_violation(walk.P, walk.L, H, cfg.mode == "unconstrained")
+    violation = _kkt_violation(walk.P, walk.L, Hn, cfg.mode == "unconstrained")
     lap("metrics")
     report.timings_ms = timings
     report.mode = cfg.mode
     report.budget = {"shamans": cfg.q, "ksparse": cfg.k}.get(cfg.mode)
     report.truncated_columns = truncated
     report.kkt_violation = float(violation.max())
-    report.inexact_columns = sorted(inexact.union(truncated,
-                                                  np.flatnonzero(violation > KKT_BOUND).tolist()))
+    # A NaN violation, of a non-finite column, is not below the bound.
+    report.inexact_columns = sorted(inexact.union(
+        truncated, np.flatnonzero(~(violation <= KKT_BOUND)).tolist()))
     if cfg.mode == "shamans":
         report.picks = state.picks
         report.overshoot = state.nnz_total - cfg.q
@@ -263,7 +262,8 @@ def solve(M, W, cfg: SolveConfig):
         if state.last_pick is not None:
             j, start, level = state.last_pick
             drop = tables.cost[start, j] - tables.cost[level, j]
-            report.last_gain = float(drop) / (level - start)
+            with np.errstate(over="ignore"):  # past the float range the gain reads inf
+                report.last_gain = float(np.ldexp(drop / (level - start), 2 * b))
     return H, report
 
 
@@ -275,7 +275,8 @@ def _kkt_violation(P, L, H, nonnegative: bool) -> np.ndarray:
     supp(x) has g = 0 there, and the NNLS optimum also has g >= 0 off it
     (``nonnegative``).  Returns the largest departure of each column,
     divided by max|P| max|x| + max|ell|, the size of the terms whose
-    roundoff it measures (0 for a zero column of zero correlations).
+    roundoff it measures (0 for a zero column of zero correlations, NaN
+    for a column that is not finite).
     """
     H = np.ascontiguousarray(H)  # rows, so that each reduction is elementwise
     g = P @ H
@@ -285,4 +286,4 @@ def _kkt_violation(P, L, H, nonnegative: bool) -> np.ndarray:
     if nonnegative:
         np.maximum(bad, np.negative(g, out=g), out=bad)
     scale = np.abs(P).max() * H.max(axis=0) + np.abs(L).max(axis=0)
-    return np.divide(bad.max(axis=0), scale, out=np.zeros(H.shape[1]), where=scale > 0.0)
+    return np.divide(bad.max(axis=0), scale, out=np.zeros(H.shape[1]), where=scale != 0.0)

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densela import PIVOT_FLOOR, TOL, as_matrix, as_vector, carry_inverse, gram, support_solve
+from .densela import (PIVOT_FLOOR, TOL, as_matrix, as_vector, carry_inverse, exponent, gram,
+                      support_solve)
 from .errors import IterationLimit, SingularSystem
 
 
@@ -93,6 +94,8 @@ def nnls_gram(P: np.ndarray, ell: np.ndarray, mask: np.ndarray | None = None,
 
     def solve_on(rows):
         """feasible() of the least squares on the rows' passive sets."""
+        if not rows.size:  # the loops below end on no rows: solve nothing
+            return feasible(rows, X[rows])
         return feasible(rows, support_solve(Pz, G[rows], atoms[rows], Lz[rows, None])[:, 0, :r])
 
     def carry(rows, index, enter):
@@ -175,10 +178,11 @@ def nnls_gram(P: np.ndarray, ell: np.ndarray, mask: np.ndarray | None = None,
 
 def nnls_active_set(A, b) -> NnlsSolution:
     """Solve min ||Ax - b||^2 subject to x >= 0."""
-    A = as_matrix(A, "A")
-    b = as_vector(b, "b")
+    A, b = as_matrix(A, "A"), as_vector(b, "b")
     if A.shape[0] != b.shape[0]:
         raise ValueError(f"A has {A.shape[0]} rows but b has {b.shape[0]}")
+    for v, name in ((A, "A"), (b, "b")):
+        exponent(v, name)  # the finite check
     x = nnls_gram(gram(A), A.T @ b)
     resid = A @ x - b
     return NnlsSolution(x=x, support=np.flatnonzero(x > 0.0),

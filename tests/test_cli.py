@@ -408,15 +408,31 @@ class TestMain:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp / "H.csv").exists() and not (tmp / "m").exists()
 
-    def test_overflowing_gram_is_data_error(self, tmp_path, capsys):
+    def test_overflowing_h_is_data_error(self, tmp_path, capsys):
+        # W 1e160 used to overflow W.T W, a data error; the solve runs in the
+        # walk's units (PathWalk) and matches the unit-scale one.  W 1e-300
+        # with M 1e100 gives an H near 1e400: that is a data error, and
+        # nothing is written.
         rng = np.random.default_rng(0)
-        wpath, mpath, out = tmp_path / "W.csv", tmp_path / "M.csv", tmp_path / "H.csv"
-        write_csv_matrix(1e160 * (rng.random((10, 4)) + 0.05), wpath)
-        write_csv_matrix(rng.random((10, 7)), mpath)
-        code = main(["--dict", str(wpath), "--data", str(mpath), "--mode", "unconstrained",
-                     "--out", str(out)])
+        W, M = rng.random((10, 4)) + 0.05, rng.random((10, 7))
+
+        def run(scale_W, scale_M, name):
+            paths = [tmp_path / f"{x}_{name}.csv" for x in "WMH"]
+            write_csv_matrix(scale_W * W, paths[0])
+            write_csv_matrix(scale_M * M, paths[1])
+            code = main(["--dict", str(paths[0]), "--data", str(paths[1]),
+                         "--mode", "unconstrained", "--out", str(paths[2])])
+            return code, paths[2]
+
+        (code, unit), (code_big, big) = run(1.0, 1.0, "unit"), run(1e160, 1.0, "big")
+        assert code == code_big == 0
+        want = read_csv_matrix(unit)
+        np.testing.assert_allclose(1e160 * read_csv_matrix(big), want, rtol=0,
+                                   atol=1e-14 * want.max())
+        capsys.readouterr()
+        code, out = run(1e-300, 1e100, "over")
         assert code == 2
-        assert "overflows" in capsys.readouterr().err
+        assert "H overflows" in capsys.readouterr().err
         assert not out.exists()
 
     def test_budget_above_rn_is_data_error(self, demo_files):

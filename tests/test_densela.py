@@ -294,7 +294,7 @@ class TestResidualSq:
         rng = np.random.default_rng(45)
         A, B = workload_like(rng, 200, 24, 60)
         walk = PathWalk(A, B)
-        entries = [walk.path(j).entries for j in range(60)]
+        entries = [walk.unscaled_path(j).entries for j in range(60)]
         columns = np.repeat(np.arange(60), [len(e) for e in entries])
         e = np.concatenate(entries)
         assert len(e) > 300
@@ -316,12 +316,43 @@ class TestFrobNorm:
         A = rng.standard_normal((5, 7))
         assert densela.frob_norm(A) == pytest.approx(np.linalg.norm(A), rel=1e-14)
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e160, 2.0**-1000, 2.0**1000])
+    def test_scales_past_the_squares_range(self, scale):
+        # Each square of A 1e-170 underflows and of A 1e160 overflows: the
+        # sum runs over A 2^-e, scaled exactly.
+        rng = np.random.default_rng(4)
+        A = rng.standard_normal((5, 7))
+        assert densela.frob_norm(scale * A) == pytest.approx(scale * np.linalg.norm(A), rel=1e-14)
+        assert densela.frob_norm(np.ldexp(A, 900)) == np.ldexp(densela.frob_norm(A), 900)
+
+
+class TestExponent:
+    @pytest.mark.parametrize("top, e", [(0.0, 0), (0.5, 0), (0.75, 0), (1.0, 1), (-3.0, 2),
+                                        (2.0**-1074, -1073), (np.finfo(float).max, 1024)])
+    def test_largest_entry_in_half_to_one(self, top, e):
+        A = np.array([[top, 0.25 * top], [0.0, -0.5 * top]])
+        assert densela.exponent(A) == e
+        if top:
+            assert 0.5 <= np.abs(np.ldexp(A, -e)).max() < 1.0
+
+    def test_exponent_rejects_nan(self):
+        with pytest.raises(NonFiniteEntry, match="W contains NaN or infinite entries"):
+            densela.exponent(np.array([[1.0, np.nan]]), "W")
+
+    def test_exponent_rejects_inf(self):
+        for bad in (np.inf, -np.inf):
+            with pytest.raises(NonFiniteEntry):
+                densela.exponent(np.array([1.0, bad]))
+
+    def test_unscale_raises_past_the_float_range(self):
+        X = np.array([[0.75, 0.0], [np.nan, 0.5]])
+        got = densela.unscale(X, 1024, "H")
+        assert got[0, 0] == np.ldexp(0.75, 1024) and np.isnan(got[1, 0])
+        with pytest.raises(NonFiniteEntry, match="H overflows"):
+            densela.unscale(X, 1025, "H")
+
 
 class TestValidation:
-    def test_as_matrix_rejects_nan(self):
-        with pytest.raises(NonFiniteEntry):
-            densela.as_matrix(np.array([[1.0, np.nan]]))
-
     def test_as_matrix_fortran_order(self):
         A = densela.as_matrix(np.arange(6, dtype=float).reshape(2, 3))
         assert A.flags.f_contiguous
@@ -333,7 +364,3 @@ class TestValidation:
     def test_as_matrix_rejects_1d(self):
         with pytest.raises(ValueError, match="must be 2-D, got ndim=1"):
             densela.as_matrix(np.ones(3))
-
-    def test_as_vector_rejects_inf(self):
-        with pytest.raises(NonFiniteEntry):
-            densela.as_vector(np.array([1.0, np.inf]))

@@ -268,7 +268,7 @@ class TestUnbias:
         walk = PathWalk(A, B)
         entries, columns = [], []
         for j in range(B.shape[1]):
-            e = walk.path(j).entries
+            e = walk.unscaled_path(j).entries
             keep = refit_entries(e)
             entries.append(e[keep])
             columns += [j] * int(keep.sum())
@@ -391,7 +391,7 @@ class TestRegularizationPath:
             reference_path(W, b, max_breakpoints=1)
         walk = PathWalk(W, b[:, None])
         walk.max_breakpoints = 1
-        path = regularization_path(W, b, walk=walk)
+        path = walk.unscaled_path(0)
         assert path.fallback and not path.truncated and len(path.entries) == 2
         zero, last = path.entries
         want = reference_path(W, b).entries[0]

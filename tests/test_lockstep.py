@@ -1,8 +1,8 @@
 """The lockstep path engine against the one-column reference walk.
 
 Columns of one dictionary are walked together through a PathWalk and
-read back with regularization_path; each must match reference_path on
-its own: identical support sequences and ``truncated`` flags, and lam,
+read back in the data's units (PathWalk.unscaled_path); each must match
+reference_path on its own: identical support sequences and ``truncated`` flags, and lam,
 error and solution within 1e-12 relative to their largest value along
 the reference path.  A breakpoint whose lam is ill-conditioned (a
 crossing ratio of sums that cancel) may also differ by r eps times its
@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 from shamans import homotopy
+from shamans.densela import exponent
 from shamans.errors import IterationLimit, SingularSystem
-from shamans.homotopy import PathWalk, RegularizationPath, path_dtype, regularization_path
+from shamans.homotopy import PathWalk, RegularizationPath, path_dtype
 from shamans.nnls import nnls_active_set
 from shamans.selector import build_cost_tables
 
@@ -39,7 +40,7 @@ def walk_all(A, B, cap=None):
     walk = PathWalk(np.asfortranarray(A), np.asfortranarray(B))
     if cap is not None:
         walk.max_breakpoints = cap  # read when a block is walked, on its first path
-    return [regularization_path(A, B[:, j], walk=walk, column=j) for j in range(B.shape[1])]
+    return [walk.unscaled_path(j) for j in range(B.shape[1])]
 
 
 def reference(A, b, **kwargs):
@@ -352,17 +353,19 @@ def test_one_refit_call_pads_the_pooled_stacks(monkeypatch):
     assert len(pooled) == atoms.shape[0] == 15
     held = [widths[t] for t, _ in pooled]
     assert atoms.shape[1] == max(held) == 11 and min(held) == 4
+    # The refit's stacks are in the walk's units, A 2^-a and B 2^-b (PathWalk).
+    An, Bn = (np.ldexp(X, -exponent(X)) for X in (A, B))
     for i, ((t, j), k) in enumerate(zip(pooled, held)):
         assert np.array_equal(mask[i], paths[j].entries[t + 1]["support"])
         assert (atoms[i, k:] == r).all() and not G[i, k:].any() and not G[i, :, k:].any()
         on = atoms[i] < r
         assert np.array_equal(np.sort(atoms[i, on]), np.flatnonzero(mask[i]))
-        want = np.linalg.inv((A.T @ A)[np.ix_(atoms[i, on], atoms[i, on])])
+        want = np.linalg.inv((An.T @ An)[np.ix_(atoms[i, on], atoms[i, on])])
         np.testing.assert_allclose(G[i][np.ix_(on, on)], want, rtol=0,
                                    atol=1e-10 * np.abs(want).max())
         # The start is the least-squares solution the round recorded.
         z = np.zeros(r)
-        z[atoms[i, on]] = want @ (A.T @ B[:, j])[atoms[i, on]]
+        z[atoms[i, on]] = want @ (An.T @ Bn[:, j])[atoms[i, on]]
         np.testing.assert_allclose(Z[i], z, rtol=0, atol=1e-10 * np.abs(z).max())
         assert (Z[i] < 0.0).any()
     assert_matches_reference(A, B)

@@ -139,6 +139,27 @@ class TestMetrics:
         with pytest.raises(ZeroDataMatrix):
             metrics(np.zeros((5, 6)), W, np.zeros((4, 6)))
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e160])
+    def test_scales_past_the_squares_range(self, scale):
+        # ||M||^2 underflows to 0 at 1e-170 and overflows at 1e160; the norms
+        # are taken at M's own scale (densela.frob_norm).
+        rng = np.random.default_rng(0)
+        W, M = rng.random((10, 4)) + 0.05, rng.random((10, 7))
+        H, _ = solve(M, W, SolveConfig(mode="unconstrained"))
+        want = metrics(M, W, H, zero_threshold=0.0)
+        got = metrics(scale * M, W, scale * H, zero_threshold=0.0)
+        assert got.rel_error == pytest.approx(want.rel_error, rel=1e-14)
+        assert (got.nnz, got.per_column_sparsity) == (want.nnz, want.per_column_sparsity)
+
+    def test_non_finite_input_raises(self, demo):
+        # M is checked on its own, W and H through the residual M - W H.
+        M, W = demo
+        for bad, named in (("M", "M"), ("W", "M - W H"), ("H", "M - W H")):
+            A = {"M": M.copy(), "W": W.copy(), "H": np.ones((4, 6))}
+            A[bad][0, 0] = np.nan
+            with pytest.raises(NonFiniteEntry, match=f"^{named} contains NaN"):
+                metrics(A["M"], A["W"], A["H"])
+
     def test_shape_mismatch_names_both_shapes(self):
         rng = np.random.default_rng(0)
         W, M = rng.random((10, 4)), rng.random((10, 7))
@@ -194,8 +215,7 @@ class TestProperties:
         r, n = W.shape[1], M.shape[1]
         serial = [regularization_path(W, M[:, j]) for j in range(n)]
         walk = PathWalk(np.asfortranarray(W), np.asfortranarray(M))
-        lockstep = [regularization_path(W, M[:, j], walk=walk, column=j)
-                    for j in range(n)]
+        lockstep = [walk.unscaled_path(j) for j in range(n)]
         np.testing.assert_allclose(build_cost_tables(lockstep, r, n).cost,
                                    build_cost_tables(serial, r, n).cost,
                                    rtol=1e-12, atol=0)
@@ -214,14 +234,36 @@ class TestValidation:
     @pytest.mark.parametrize("kwargs", [{"mode": "unconstrained"}, {"mode": "shamans", "q": 10},
                                         {"mode": "ksparse", "k": 2}])
     def test_overflowing_products_raise(self, scale_M, scale_W, kwargs):
-        # W.T W or a column's squared norm overflows: the solve used to crash
-        # in assemble or return an all-zero H.
+        # W.T W or a column's squared norm overflows at 1e160 in the data's
+        # units.  The walk's units (PathWalk) keep them at most m, so the
+        # solve matches the unit-scale one; it used to crash in assemble or
+        # return an all-zero H, then to raise.  Only a product that leaves
+        # the package past the float range raises: an H near 1e400, or the
+        # error of a path in units of M 1e160 squared.
         rng = np.random.default_rng(0)
-        W, M = scale_W * (rng.random((10, 4)) + 0.05), scale_M * rng.random((10, 7))
-        with pytest.raises(NonFiniteEntry, match="overflows"):
-            solve(M, W, SolveConfig(**kwargs))
-        with pytest.raises(NonFiniteEntry, match="overflows"):
-            regularization_path(W, M[:, 0])
+        W, M = rng.random((10, 4)) + 0.05, rng.random((10, 7))
+        cfg = SolveConfig(**kwargs)
+        want, base = solve(M, W, cfg)
+        want *= scale_M / scale_W
+        H, report = solve(scale_M * M, scale_W * W, cfg)
+        np.testing.assert_allclose(H, want, rtol=0, atol=1e-14 * want.max())
+        assert report.rel_error == pytest.approx(base.rel_error, rel=1e-14)
+        assert report.inexact_columns == []
+        with pytest.raises(NonFiniteEntry, match="H overflows"):
+            solve(1e100 * M, 1e-300 * W, cfg)
+        path, unit = regularization_path(scale_W * W, M[:, 0]), regularization_path(W, M[:, 0])
+        assert np.array_equal(path.entries["support"], unit.entries["support"])
+        np.testing.assert_allclose(scale_W * path.entries["solution"], unit.entries["solution"],
+                                   rtol=0, atol=1e-14 * unit.entries["solution"].max())
+        with pytest.raises(NonFiniteEntry, match="error_sq overflows"):
+            regularization_path(W, 1e160 * M[:, 0])
+
+    @pytest.mark.parametrize("bad", ["M", "W"])
+    def test_non_finite_input_raises(self, demo, bad):
+        A = dict(zip("MW", demo))
+        A[bad][1, 2] = np.inf
+        with pytest.raises(NonFiniteEntry, match="contains NaN or infinite entries"):
+            solve(A["M"], A["W"], SolveConfig(mode="unconstrained"))
 
     def test_zero_column_dictionary(self, demo):
         M, W = demo
@@ -706,6 +748,30 @@ class TestUnconstrained:
             np.testing.assert_allclose(H, best, rtol=0, atol=1e-12)
             assert report.inexact_columns == []
 
+    @pytest.mark.parametrize("kwargs", [{"mode": "unconstrained"}, {"mode": "shamans", "q": 18},
+                                        {"mode": "ksparse", "k": 2}])
+    def test_certificate_fails_closed(self, demo, monkeypatch, kwargs):
+        # A NaN in one column of H has a NaN scaled violation, which used to
+        # read 0 and list nothing; it is not below KKT_BOUND, so it is listed.
+        M, W = demo
+        assemble, nnls = mnnls_mod.selector.assemble, PathWalk.nnls
+
+        def planted_assemble(tables, cursors):
+            H = assemble(tables, cursors).copy()
+            H[1, 3] = np.nan
+            return H
+
+        def planted_nnls(self, cols):
+            X, singular = nnls(self, cols)
+            X[3, 1] = np.nan  # row j of X is column j of H
+            return X, singular
+
+        monkeypatch.setattr(mnnls_mod.selector, "assemble", planted_assemble)
+        monkeypatch.setattr(PathWalk, "nnls", planted_nnls)
+        H, report = solve(M, W, SolveConfig(**kwargs))
+        assert np.isnan(H[1, 3]) and np.isnan(report.kkt_violation)
+        assert report.inexact_columns == [3]
+
 
 class TestBreakpointHistogram:
     def assert_matches_paths(self, M, W, report):
@@ -757,7 +823,7 @@ class TestReportFromTables:
         walk = PathWalk(np.asfortranarray(W), np.asfortranarray(M))
         earlier = 0
         for j in range(300):
-            entries = walk.path(j).entries
+            entries = walk.unscaled_path(j).entries
             i = next(i for i, x in enumerate(entries["solution"]) if np.array_equal(x, H[:, j]))
             err = entries["error_sq"]
             assert err[-1] - 1e-12 * err[0] <= err[i] <= err[-1]

@@ -3,7 +3,7 @@ import pytest
 
 from shamans import nnls
 from shamans.densela import TOL, gram, support_solve
-from shamans.errors import IterationLimit, SingularSystem
+from shamans.errors import IterationLimit, NonFiniteEntry, SingularSystem
 from shamans.nnls import nnls_active_set, nnls_gram
 
 from demo_data import DEMO_M, DEMO_W
@@ -111,6 +111,10 @@ def test_gram_entry_point():
 def test_bad_inputs():
     with pytest.raises(ValueError):
         nnls_active_set(DEMO_W, np.zeros(4))  # length mismatch
+    with pytest.raises(NonFiniteEntry, match="b contains NaN"):
+        nnls_active_set(DEMO_W, np.array([1.0, np.nan, 0.0, 0.0, 0.0]))
+    with pytest.raises(NonFiniteEntry, match="A contains NaN"):
+        nnls_active_set(np.where(DEMO_W > 0.5, np.inf, DEMO_W), np.ones(5))
     with pytest.raises(TypeError):  # every threshold is relative to the data
         nnls_active_set(DEMO_W, np.ones(5), tol=1e-10)
     with pytest.raises(TypeError):
@@ -218,6 +222,39 @@ def test_refits_factor_nothing(monkeypatch):
     slots = np.where(mask, np.arange(12), 12)  # atom j in slot j
     for X in (nnls_gram(P, ell, mask), nnls_gram(P, ell, mask, start=(G, slots, a))):
         assert (np.abs(X - want) / scale).max() <= 1e-12
+
+
+def test_no_support_solve_on_no_rows(monkeypatch):
+    # The warm start's drop loop ends when no row is left infeasible, and a
+    # snap refits only the rows with a passive set left: neither then calls
+    # support_solve on an empty block, and the refits are those of the
+    # per-column solver.
+    rng = np.random.default_rng(19)
+    A = np.asfortranarray(rng.random((30, 12)) + 0.05)
+    B = rng.random((30, 300))
+    P, ell = gram(A), (A.T @ B).T
+    mask = rng.random((300, 12)) < 0.6
+    mask[:5] = False  # rows with nothing to solve
+    G = np.zeros((300, 12, 12))
+    for i, k in enumerate(mask):
+        G[i][np.ix_(k, k)] = np.linalg.inv(P[np.ix_(k, k)])
+    a = np.einsum("bij,bj->bi", G, np.where(mask, ell, 0.0))
+    assert (a < 0.0).any(axis=1).sum() > 100
+    rows = []
+
+    def counting(P, G, atoms, rhs):
+        rows.append(atoms.shape[0])
+        return support_solve(P, G, atoms, rhs)
+
+    monkeypatch.setattr(nnls, "support_solve", counting)
+    slots = np.where(mask, np.arange(12), 12)
+    for X in (nnls_gram(P, ell, mask), nnls_gram(P, ell, mask, start=(G, slots, a))):
+        assert not X[~mask].any()
+        for i in np.flatnonzero(mask.any(axis=1)):
+            k = mask[i]
+            want = reference_nnls_gram(P[np.ix_(k, k)], ell[i, k])
+            assert np.abs(X[i, k] - want).max() <= 1e-12 * (1.0 + np.abs(ell[i]).max())
+    assert rows and min(rows) > 0
 
 
 def test_inverse_in_any_slot_order():

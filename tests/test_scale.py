@@ -1,17 +1,20 @@
 """Scale equivariance: rescaling W or M changes only units.
 
-Power-of-two scales are exact in floating point, and every solver
-threshold is relative to a scale of the data in the units of what it
-tests.  So under W -> 2^k W and M -> 2^j M every decision repeats: the
-supports, the breakpoints (which scale by 2^(j+k)), the selection
-cursors and the inexact columns are identical, and H scales by exactly
-2^(j-k), bit for bit.
+Power-of-two scales are exact in floating point, and the walk runs on W
+and M divided by the powers of two that put their largest entries in
+[0.5, 1) (PathWalk).  So under W -> 2^k W and M -> 2^j M every decision
+repeats: the walk's exponents move by (k, j), its paths in its own units
+are identical, and so are the selection cursors and the inexact
+columns, while H scales by exactly 2^(j-k), bit for bit, or raises
+NonFiniteEntry where that passes the float range.  This holds far past
+the range of the squares, to 2^+-1000.
 """
 
 import numpy as np
 import pytest
 
 from shamans import SolveConfig, solve
+from shamans.errors import NonFiniteEntry
 from shamans.homotopy import PathWalk
 from shamans.nnls import nnls_active_set
 from shamans.selector import build_cost_tables, init_gain, select
@@ -19,7 +22,9 @@ from shamans.selector import build_cost_tables, init_gain, select
 import demo_data as dd
 from oracles import nnls_bruteforce
 
-SCALES = range(-120, 121, 8)
+SCALES = range(-1000, 1001, 64)  # squares of 2^+-1000 leave the float range
+MODES = (SolveConfig(mode="unconstrained"), SolveConfig(mode="shamans", q=10),
+         SolveConfig(mode="ksparse", k=2))
 
 
 def _random_problem():
@@ -31,18 +36,25 @@ PROBLEMS = {"random": (_random_problem(), 60, 3), "demo": ((dd.DEMO_M, dd.DEMO_W
 
 
 def outcome(M, W, q, k):
-    """Everything the solve decides, in each mode, and its walk's paths."""
+    """Everything the solve decides, in each mode, and its walk's paths in
+    the walk's units with the walk's exponents.  A mode whose H passes the
+    float range holds the NonFiniteEntry it raised."""
     walk = PathWalk(W, M)
     paths = [walk.path(j) for j in range(M.shape[1])]
     tables = build_cost_tables(paths, W.shape[1], M.shape[1])
     out = {"cursors": select(init_gain(tables), tables, q),
            "support": np.concatenate([p.entries["support"] for p in paths]),
-           "lam": np.concatenate([p.entries["lam"] for p in paths])}
+           "lam": np.concatenate([p.entries["lam"] for p in paths]),
+           "exponents": np.array(walk.exponents)}
     for cfg in (SolveConfig(mode="shamans", q=q), SolveConfig(mode="ksparse", k=k),
                 SolveConfig(mode="unconstrained")):
-        H, report = solve(M, W, cfg)
-        out[cfg.mode] = H
-        out[cfg.mode + " inexact"] = report.inexact_columns
+        try:
+            H, report = solve(M, W, cfg)
+        except NonFiniteEntry as exc:
+            out[cfg.mode] = exc
+        else:
+            out[cfg.mode] = H
+            out[cfg.mode + " inexact"] = report.inexact_columns
     return out
 
 
@@ -56,17 +68,46 @@ def test_power_of_two_scales_repeat_every_decision(name):
             where = f"W * 2^{sw}, M * 2^{sm}"
             for key in ("cursors", "support"):
                 assert np.array_equal(got[key], base[key]), (key, where)
-            assert np.array_equal(got["lam"], np.ldexp(base["lam"], sm + sw)), where
+            # lam in the data's units is lam 2^(a+b): it scales by 2^(sm+sw).
+            assert np.array_equal(got["lam"], base["lam"]), where
+            assert np.array_equal(got["exponents"], base["exponents"] + [sw, sm]), where
             for mode in ("shamans", "ksparse", "unconstrained"):
+                top = np.frexp(base[mode].max())[1] + sm - sw  # H's exponent
+                if top > 1024:
+                    assert isinstance(got[mode], NonFiniteEntry), (mode, where)
+                    continue
                 assert np.array_equal(got[mode], np.ldexp(base[mode], sm - sw)), (mode, where)
                 assert got[mode + " inexact"] == base[mode + " inexact"] == [], (mode, where)
 
 
+# The probes of scales that overflowed or underflowed a square: each is
+# f 2^e with f in [0.5, 1), so its H is exactly that of the inputs scaled
+# by f, times 2^(e_M - e_W), and within 1e-14 of the unit-scale H.
+PROBES = [(1e-155, 1.0), (1e-160, 1.0), (1e-170, 1.0), (1e160, 1.0), (1.0, 1e-170),
+          (1.0, 1e160), (1e-200, 1e-250), (1e140, 1e-140)]
+
+
+@pytest.mark.parametrize("cfg", MODES, ids=lambda cfg: cfg.mode)
+@pytest.mark.parametrize("scale_W, scale_M", PROBES)
+def test_scales_past_the_squares_range(cfg, scale_W, scale_M):
+    rng = np.random.default_rng(0)
+    W, M = rng.random((10, 4)) + 0.05, rng.random((10, 7))
+    (fw, ew), (fm, em) = np.frexp(scale_W), np.frexp(scale_M)
+    unit, _ = solve(M, W, cfg)
+    mantissas, _ = solve(fm * M, fw * W, cfg)
+    H, report = solve(scale_M * M, scale_W * W, cfg)
+    assert np.array_equal(H, np.ldexp(mantissas, int(em - ew)))
+    want = scale_M / scale_W * unit
+    np.testing.assert_allclose(H, want, rtol=0, atol=1e-14 * want.max())
+    assert report.inexact_columns == []
+
+
 def test_power_of_two_scales_repeat_nnls_active_set():
+    # nnls_active_set solves in the data's units, within the squares' range.
     W, M = dd.DEMO_W, dd.DEMO_M
     base = [nnls_active_set(W, M[:, j]) for j in range(dd.DEMO_N)]
-    for sw in SCALES:
-        for sm in SCALES:
+    for sw in range(-120, 121, 8):
+        for sm in range(-120, 121, 8):
             for j, want in enumerate(base):
                 got = nnls_active_set(np.ldexp(W, sw), np.ldexp(M[:, j], sm))
                 assert np.array_equal(got.x, np.ldexp(want.x, sm - sw)), (sw, sm, j)
