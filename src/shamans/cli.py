@@ -95,9 +95,13 @@ def write_csv_matrix(H: np.ndarray, path) -> None:
 
 
 def write_report_json(report: UnmixReport, path) -> None:
-    """Write the solve report as a small JSON object."""
+    """Write the solve report as a small strict JSON object: a field that is
+    a float but not finite (``last_gain`` past the float range, the NaN
+    ``kkt_violation`` of a column that is not finite) is written as null."""
+    data = {key: None if isinstance(value, float) and not math.isfinite(value) else value
+            for key, value in dataclasses.asdict(report).items()}
     with open(path, "wt", encoding="ascii") as fh:
-        json.dump(dataclasses.asdict(report), fh, indent=2)
+        json.dump(data, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -153,8 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="total nonzero budget q (shamans mode)")
     p.add_argument("--k", type=int, default=None,
                    help="per-column sparsity k (ksparse mode)")
-    p.add_argument("--zero-thresh", type=float, default=1e-3,
-                   help="reporting threshold for nonzero counts (default 1e-3)")
     p.add_argument("--strict-budget", action="store_true",
                    help="never exceed the budget q, even on the last step")
     p.add_argument("--report", dest="report_path", default=None,
@@ -184,8 +186,7 @@ def _solve_config(args) -> SolveConfig:
             raise UsageError("--map-width and --map-height apply only with --maps-dir")
     elif not all(size is not None and size > 0 for size in sizes):
         raise UsageError("--maps-dir requires a positive --map-width and --map-height")
-    return SolveConfig(mode=args.mode, q=args.budget, k=args.k,
-                       zero_threshold=args.zero_thresh, strict_budget=args.strict_budget)
+    return SolveConfig(mode=args.mode, q=args.budget, k=args.k, strict_budget=args.strict_budget)
 
 
 def main(argv=None) -> int:

@@ -8,8 +8,8 @@ class ShamansError(Exception):
 class SingularSystem(ShamansError):
     """A symmetric factorization hit a pivot too small to trust.
 
-    Signals a (numerically) rank-deficient support to the solvers above;
-    ``matrices`` lists the singular positions of a stack of systems.
+    Raised only by densela.spd_factor, on a (numerically) rank-deficient
+    support; ``matrices`` lists the singular positions of a stack.
     """
 
     def __init__(self, message, matrices=None):

@@ -44,7 +44,7 @@ each refit's error is
 exactly, because b - Q z is orthogonal to range(A).  A column whose
 smallest Schur pivot 1/G_ii falls below SCHUR_GUARD has G re-seeded from
 one checked factorization of P(K,K), which decides whether the support
-is rank deficient.
+is rank deficient; such a path ends at its NNLS entry instead.
 """
 
 from __future__ import annotations
@@ -105,12 +105,10 @@ def path_dtype(r: int) -> np.dtype:
 class RegularizationPath:
     """Path entries as path_dtype records, lambda nonincreasing to 0.
 
-    ``truncated`` marks a path that ended early on a rank-deficient
-    support; its last entry is still a valid feasible solution.
+    ``truncated`` marks a path that met a rank-deficient support: its
+    last sound entry is followed by the NNLS solution at lambda = 0.
     ``fallback`` marks a path that passed the breakpoint limit: it holds
-    the zero entry and the NNLS solution at lambda = 0, nothing between
-    (only the zero entry, with ``truncated`` set, when the NNLS meets a
-    rank-deficient passive set).
+    the zero entry and the NNLS solution at lambda = 0, nothing between.
     """
 
     entries: np.ndarray
@@ -265,13 +263,14 @@ class PathWalk:
         inverse ``G`` in slot coordinates; a column leaves them when its
         path ends.  The first atom enters a one-slot stack through
         carry_inverse, like every later one.  Each round re-seeds the rows
-        below the Schur guard before solving (a row that fails ends
-        truncated, and that round is not counted), records every live
+        below the Schur guard before solving (a row that fails leaves the
+        walk truncated, and that round is not counted), records every live
         column's least-squares solution as its refit, and pools the entries
         where it goes negative, whole with their G and atoms, for
         refit_pool once they fill half the block's width.  The columns
         still live after ``max_breakpoints`` rounds drop their records past
-        the zero entry and end at the NNLS solution, found by ``nnls``.
+        the zero entry; they and the truncated columns end at the NNLS
+        solution, found by one ``nnls`` call.
         """
         P = self.P
         r = P.shape[0]
@@ -384,15 +383,13 @@ class PathWalk:
         self.refits += int(refitted[~over].sum())
         self.stats["rounds"] += rounds
 
-        fell = np.flatnonzero(over)
+        fell = np.flatnonzero(over | truncated)  # both end at their NNLS entry
         if fell.size:  # past the limit a path keeps only its zero entry of the walk
             for i in range(1, len(records)):
                 keep = ~over[owners[i]]
                 records[i], owners[i] = records[i][keep], owners[i][keep]
-            X, singular = self.nnls(start + fell)
+            X = self.nnls(start + fell)
             self.stats["fallback_calls"] += 1
-            truncated[fell[singular]] = True
-            X, fell = X[~singular], fell[~singular]
             record(fell, 0.0, residual_sq(self.R, Z[fell], perp_sq[fell], X), X > 0.0, X)
 
         # Records come in round order, each column at most once per round, so
@@ -414,31 +411,20 @@ class PathWalk:
                                                       over.tolist())):
             self._paths[start + p] = RegularizationPath(entries[lo:hi], cut, capped)
 
-    def nnls(self, cols: np.ndarray):
+    def nnls(self, cols: np.ndarray) -> np.ndarray:
         """NNLS optima of the data columns ``cols``, in the walk's units, by
         the block active-set solver, one block of rows per call, so that its
-        (rows, r, r) inverses stay within the walk's.
-
-        Returns (X, singular): row i of X solves column cols[i], and is
-        zero where ``singular`` marks a column whose passive set became rank
-        deficient; those rows are deleted from their call and the rest
-        solved again.  An IterationLimit leaves with ``column`` set.
+        (rows, r, r) inverses stay within the walk's.  Row i of the result
+        solves column cols[i].  An IterationLimit leaves with ``column`` set.
         """
-        r = self.P.shape[0]
-        X = np.zeros((cols.size, r))
-        singular = np.zeros(cols.size, dtype=bool)
+        X = np.zeros((cols.size, self.P.shape[0]))
         for lo in range(0, cols.size, self.block):
-            rows = np.arange(lo, min(lo + self.block, cols.size))
-            while rows.size:
-                try:
-                    X[rows] = nnls_gram(self.P, self.L.T[cols[rows]])
-                    break
-                except SingularSystem as exc:
-                    singular[rows[exc.matrices]] = True
-                    rows = np.delete(rows, exc.matrices)
-                except IterationLimit as exc:
-                    raise _at_column(exc, int(cols[rows[exc.row]])) from exc
-        return X, singular
+            rows = slice(lo, lo + self.block)
+            try:
+                X[rows] = nnls_gram(self.P, self.L.T[cols[rows]])
+            except IterationLimit as exc:
+                raise _at_column(exc, int(cols[lo + exc.row])) from exc
+        return X
 
     def path(self, j: int) -> RegularizationPath:
         if j not in self._paths:
@@ -477,7 +463,8 @@ def regularization_path(A, b, walk: PathWalk | None = None,
     path_dtype's field order (lam, error_sq, support, solution);
     consecutive supports differ by one index; the last entry sits at
     lambda = 0 with the unconstrained NNLS solution.  On a rank-deficient
-    support the path ends at the last sound entry with ``truncated`` set.
+    support the last sound entry is followed by that one, with
+    ``truncated`` set.
     """
     if walk is None:
         A, b = as_matrix(A, "A"), as_vector(b, "b")

@@ -39,15 +39,13 @@ class SolveConfig:
     """Solve mode and numerical knobs.
 
     Exactly one of ``q`` (total nonzero budget, shamans mode) or ``k``
-    (per-column sparsity, ksparse mode) applies.  ``zero_threshold`` only
-    affects sparsity reporting, never the solve itself.  ``strict_budget``
+    (per-column sparsity, ksparse mode) applies.  ``strict_budget``
     forbids the final selection step from overshooting q.
     """
 
     mode: str = "shamans"
     q: int | None = None
     k: int | None = None
-    zero_threshold: float = 1e-3
     strict_budget: bool = False
 
     def __post_init__(self):
@@ -59,19 +57,13 @@ class SolveConfig:
                 if not isinstance(count, numbers.Integral) or isinstance(count, bool) or count < 0:
                     raise ValueError(f"{mode} mode needs a nonnegative integer {name}")
                 setattr(self, name, int(count))  # so that the report's counts are JSON ints
-        _check_zero_threshold(self.zero_threshold)
-
-
-def _check_zero_threshold(zero_threshold) -> None:
-    """Reject a sparsity threshold that is not a finite nonnegative number."""
-    if not (zero_threshold >= 0 and np.isfinite(zero_threshold)):  # also NaN
-        raise ValueError("zero_threshold must be nonnegative and finite")
 
 
 @dataclass
 class UnmixReport:
     """Quality and cost summary of one solve.
 
+    The sparsity counts are of exact nonzeros, as q and k count them.
     ``timings_ms`` maps each stage of the solve that ran to its wall time
     in milliseconds, in order: validate (shapes and counts), gram (the
     PathWalk: the scale and finite check of W and M, W.T W, W.T M, the thin
@@ -84,22 +76,21 @@ class UnmixReport:
     solver, because least squares on the support went negative, on the
     paths that keep them (a fallback column's are dropped).  Columns
     listed in ``fallback_columns`` hit the breakpoint limit, so their path
-    holds only its two ends, the zero and the NNLS solution.  ``walk``
-    says what the lockstep walk did: ``rounds`` walked, ``reseeded_rows``
-    re-seeded below the Schur guard, ``refit_calls`` to the active-set
-    solver and the ``refit_ms`` they took, and ``fallback_calls`` that
-    solved breakpoint-limit columns.  The five describe paths, so they
-    are None in unconstrained mode.
-    ``truncated_columns`` lists the columns that met a rank-deficient
-    support: their path ended early, or in unconstrained mode their NNLS
-    solve did, leaving H's column 0.  ``kkt_violation`` is the worst
-    scaled departure of a column of H from its optimality conditions:
-    stationarity on its support in every mode, and in unconstrained mode
-    a nonnegative gradient off it too.  ``inexact_columns`` lists the
-    columns of H that are neither a solution of their full path nor the
-    NNLS optimum: every truncated column, every fallback column read
-    below level r (its path has nothing between its two ends), and every
-    column whose violation is not within KKT_BOUND (NaN included).
+    holds only its two ends, the zero and the NNLS solution, and those in
+    ``truncated_columns`` met a rank-deficient support, where their path
+    goes on to the NNLS solution.  ``walk`` says what the lockstep walk
+    did: ``rounds`` walked, ``reseeded_rows`` re-seeded below the Schur
+    guard, ``refit_calls`` to the active-set solver and the ``refit_ms``
+    they took, and ``fallback_calls`` that solved fallback and truncated
+    columns.  These describe paths, so they are None in unconstrained
+    mode, and ``truncated_columns`` is empty.  ``kkt_violation`` is the
+    worst scaled departure of a column of H from its optimality
+    conditions: stationarity on its support in every mode, and in
+    unconstrained mode a nonnegative gradient off it too.
+    ``inexact_columns`` lists the columns of H that are neither a solution
+    of their full path nor the NNLS optimum: every fallback or truncated
+    column read below level r, and every column whose violation is not
+    within KKT_BOUND (NaN included).
 
     In shamans mode ``picks`` counts the greedy steps, ``overshoot`` is
     the sum of the selected sparsity levels minus q (negative when no
@@ -131,15 +122,13 @@ class UnmixReport:
     last_gain: float | None = None
 
 
-def metrics(M, W, H, zero_threshold: float = 1e-3) -> UnmixReport:
+def metrics(M, W, H) -> UnmixReport:
     """Relative Frobenius error and sparsity statistics of a solution.
 
     Raises DimensionMismatch unless M (m, n), W (m, r) and H (r, n) fit.
-    ``avg_sparsity`` and the per-column histogram count entries above
-    ``zero_threshold``, which must be finite and nonnegative; ``nnz``
-    counts exact nonzeros.  M, W and H may come in any units (frob_norm).
+    The sparsity counts are of exact nonzeros, as q and k count them.
+    M, W and H may come in any units (frob_norm).
     """
-    _check_zero_threshold(zero_threshold)
     M, W, H = as_matrix(M, "M"), as_matrix(W, "W"), as_matrix(H, "H")
     if M.shape[0] != W.shape[0]:
         raise DimensionMismatch(f"M has shape {M.shape} but W has shape {W.shape}")
@@ -147,19 +136,19 @@ def metrics(M, W, H, zero_threshold: float = 1e-3) -> UnmixReport:
         raise DimensionMismatch(f"H has shape {H.shape} but W {W.shape} and M {M.shape} "
                                 f"need {(W.shape[1], M.shape[1])}")
     data = frob_norm(M, "M")  # M's finite check, then W's and H's
-    return _summary(H, frob_norm(M - W @ H, "M - W H"), data, zero_threshold)
+    return _summary(H, frob_norm(M - W @ H, "M - W H"), data)
 
 
-def _summary(H, residual, data, zero_threshold) -> UnmixReport:
+def _summary(H, residual, data) -> UnmixReport:
     """Report of H from the Frobenius norms of its residual and the data."""
     if data == 0.0:
         raise ZeroDataMatrix("data matrix is identically zero")
-    counts = (H > zero_threshold).sum(axis=0)
+    counts = np.count_nonzero(H, axis=0)
     hist = np.bincount(counts, minlength=H.shape[0] + 1)
     return UnmixReport(
         rel_error=float(residual / data),
         avg_sparsity=float(counts.mean()),
-        nnz=int(np.count_nonzero(H)),
+        nnz=int(counts.sum()),
         per_column_sparsity=[int(c) for c in hist],
     )
 
@@ -169,10 +158,9 @@ def solve(M, W, cfg: SolveConfig):
 
     Returns (H, report).  Columns whose path exceeds the breakpoint limit
     take the two-entry path to their NNLS solution and are listed in
-    ``report.fallback_columns`` instead of aborting the whole run; a
-    column whose NNLS meets a rank-deficient passive set is listed as
-    truncated and inexact.  M and W may come in any units (PathWalk); an
-    H past the float range raises NonFiniteEntry.
+    ``report.fallback_columns`` instead of aborting the whole run.  M and
+    W may come in any units (PathWalk); an H past the float range raises
+    NonFiniteEntry.
     """
     timings = {}
     clock = time.perf_counter()
@@ -203,14 +191,12 @@ def solve(M, W, cfg: SolveConfig):
     a, b = walk.exponents  # the walk's units: W 2^-a, M 2^-b and H 2^(a-b)
     if cfg.mode == "unconstrained":
         # Only the lambda = 0 end of each path is read: solve for it directly.
-        X, singular = walk.nnls(np.arange(n))
+        X = walk.nnls(np.arange(n))
         Hn = X.T
         lap("nnls")
         err = residual_sq(walk.R, walk.Z, walk.perp_sq, X)
         H = unscale(Hn, b - a, "H")
-        report = _summary(H, np.sqrt(err.sum()), np.sqrt(walk.norm_sq.sum()),
-                          cfg.zero_threshold)
-        truncated = np.flatnonzero(singular).tolist()
+        report = _summary(H, np.sqrt(err.sum()), np.sqrt(walk.norm_sq.sum()))
         inexact = set()
     else:
         # Every path passes the public per-column call, where the benchmark's
@@ -234,12 +220,13 @@ def solve(M, W, cfg: SolveConfig):
         H = unscale(Hn, b - a, "H")
         # A selected cell is its entry's measured residual; row 0 holds ||M_j||^2.
         report = _summary(H, np.sqrt(tables.cost[cursors, np.arange(n)].sum()),
-                          np.sqrt(tables.cost[0].sum()), cfg.zero_threshold)
-        truncated = [j for j, path in enumerate(paths) if path.truncated]
+                          np.sqrt(tables.cost[0].sum()))
+        report.truncated_columns = [j for j, path in enumerate(paths) if path.truncated]
         report.fallback_columns = [j for j, path in enumerate(paths) if path.fallback]
-        # A fallback path holds nothing between its zero and NNLS entries:
-        # only level r, the NNLS entry's, is read as on the full path.
-        inexact = {j for j in report.fallback_columns if cursors[j] < r}
+        # A fallback or truncated path skips to its NNLS entry: only level r,
+        # that entry's, is read as on the full path.
+        inexact = {j for j in report.fallback_columns + report.truncated_columns
+                   if cursors[j] < r}
         steps = np.array([len(path.entries) - 1 for path in paths])
         report.breakpoints = int(steps.sum())
         report.breakpoint_histogram = [int(c) for c in np.bincount(steps)]
@@ -250,11 +237,10 @@ def solve(M, W, cfg: SolveConfig):
     report.timings_ms = timings
     report.mode = cfg.mode
     report.budget = {"shamans": cfg.q, "ksparse": cfg.k}.get(cfg.mode)
-    report.truncated_columns = truncated
     report.kkt_violation = float(violation.max())
     # A NaN violation, of a non-finite column, is not below the bound.
     report.inexact_columns = sorted(inexact.union(
-        truncated, np.flatnonzero(~(violation <= KKT_BOUND)).tolist()))
+        np.flatnonzero(~(violation <= KKT_BOUND)).tolist()))
     if cfg.mode == "shamans":
         report.picks = state.picks
         report.overshoot = state.nnz_total - cfg.q

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densela import (PIVOT_FLOOR, TOL, as_matrix, as_vector, carry_inverse, exponent, gram,
-                      support_solve)
-from .errors import IterationLimit, SingularSystem
+                      support_solve, unscale)
+from .errors import IterationLimit
 
 
 @dataclass(frozen=True)
@@ -55,16 +55,18 @@ def nnls_gram(P: np.ndarray, ell: np.ndarray, mask: np.ndarray | None = None,
     support of its solution.  Ties on the entering variable break toward
     the smallest index.
 
+    One rank rule: an atom whose entering Schur pivot falls below
+    PIVOT_FLOOR times the largest diagonal entry of P on the new passive
+    set would make that set rank deficient, so it is barred for the row,
+    which goes on without it, until the row's passive set next changes.
     Raises IterationLimit, whose ``row`` names the row, once a row makes
     more than 10 k (k+1) pivots, k the size of its mask (cycling or heavy
-    degeneracy), and SingularSystem, whose ``matrices`` lists the rows,
-    when an entering Schur pivot falls below PIVOT_FLOOR times the largest
-    diagonal entry of P on the new passive set.  A gradient coordinate
-    enters above TOL max|ell|, and a coefficient below TOL max|ell| / max|P|
-    counts as zero, both over the row's mask (max|P| its largest diagonal
-    entry of P), so rescaling P and ell by powers of two repeats every
-    decision.  Coefficients that end below that floor are set to zero and
-    the rest solved again, so the result stays a stationary refit.
+    degeneracy).  A gradient coordinate enters above TOL max|ell|, and a
+    coefficient below TOL max|ell| / max|P| counts as zero, both over the
+    row's mask (max|P| its largest diagonal entry of P), so rescaling P
+    and ell by powers of two repeats every decision.  Coefficients that
+    end below that floor are set to zero and the rest solved again, so the
+    result stays a stationary refit.
     """
     L = np.atleast_2d(ell)
     n, r = L.shape
@@ -78,6 +80,7 @@ def nnls_gram(P: np.ndarray, ell: np.ndarray, mask: np.ndarray | None = None,
     pivots = np.zeros(n, dtype=np.int64)
     X = np.zeros(L.shape)
     passive = np.zeros(L.shape, dtype=bool) if start is None else mask.copy()
+    barred = None  # (n, r): the atoms each row bars, made on the first bar
     k = int(size.max(initial=0))
     G, atoms, Z = (np.zeros((n, k, k)), np.full((n, k), r), X) if start is None else start
     Z = np.reshape(Z, L.shape)
@@ -99,10 +102,23 @@ def nnls_gram(P: np.ndarray, ell: np.ndarray, mask: np.ndarray | None = None,
         return feasible(rows, support_solve(Pz, G[rows], atoms[rows], Lz[rows, None])[:, 0, :r])
 
     def carry(rows, index, enter):
-        G[rows], atoms[rows], s = carry_inverse(Pz, G[rows], atoms[rows],
-                                                np.full(rows.size, enter), index)
+        """Move index[i] into or out of row rows[i]'s passive set, or bar an
+        entering atom whose pivot is unsound; returns the rows that moved."""
+        nonlocal barred
+        g, a, s = carry_inverse(Pz, G[rows], atoms[rows], np.full(rows.size, enter), index)
+        if enter:
+            top = np.maximum(np.where(passive[rows], diag, 0.0).max(axis=1), diag[index])
+            sound = s >= PIVOT_FLOOR * top  # a NaN pivot is unsound too
+            if not sound.all():
+                if barred is None:
+                    barred = np.zeros(L.shape, dtype=bool)
+                barred[rows[~sound], index[~sound]] = True
+                rows, index, g, a = rows[sound], index[sound], g[sound], a[sound]
+        G[rows], atoms[rows] = g, a
         passive[rows, index] = enter
-        return s
+        if barred is not None:
+            barred[rows] = False
+        return rows
 
     def drop(rows, out):
         """Drop the entries marked in ``out``, one index per downdate."""
@@ -131,20 +147,17 @@ def nnls_gram(P: np.ndarray, ell: np.ndarray, mask: np.ndarray | None = None,
 
     live = np.arange(n)
     while True:
-        w = np.where(mask[live] & ~passive[live], L[live] - X[live] @ P.T, -np.inf)
+        free = mask[live] & ~passive[live]
+        if barred is not None:
+            free &= ~barred[live]
+        w = np.where(free, L[live] - X[live] @ P.T, -np.inf)
         entering = w.argmax(axis=1)  # first maximum, i.e. smallest index
         grow = w[np.arange(live.size), entering] > grad_floor[live]
         live = live[grow]
         if not live.size:
             break
-        pivot = carry(live, entering[grow], True)
-        singular = ~(pivot >= PIVOT_FLOOR * np.where(passive[live], diag, 0.0).max(axis=1))
-        if singular.any():
-            raise SingularSystem("an entering Schur pivot fell below the relative floor",
-                                 matrices=live[singular])
-        count_pivots(live, 1)
-
-        rows = live
+        rows = carry(live, entering[grow], True)
+        count_pivots(rows, 1)
         while rows.size:
             Z, neg, ok = solve_on(rows)
             X[rows[ok]] = Z[ok]
@@ -177,13 +190,18 @@ def nnls_gram(P: np.ndarray, ell: np.ndarray, mask: np.ndarray | None = None,
 
 
 def nnls_active_set(A, b) -> NnlsSolution:
-    """Solve min ||Ax - b||^2 subject to x >= 0."""
+    """Solve min ||Ax - b||^2 subject to x >= 0.
+
+    It solves on A 2^-a and b 2^-b (densela.exponent, as PathWalk), so A
+    and b may come in any units; x and residual_sq are scaled back
+    (densela.unscale), and ``support`` is the solver's, underflow or not.
+    """
     A, b = as_matrix(A, "A"), as_vector(b, "b")
     if A.shape[0] != b.shape[0]:
         raise ValueError(f"A has {A.shape[0]} rows but b has {b.shape[0]}")
-    for v, name in ((A, "A"), (b, "b")):
-        exponent(v, name)  # the finite check
+    ea, eb = exponent(A, "A"), exponent(b, "b")
+    A, b = np.ldexp(A, -ea), np.ldexp(b, -eb)
     x = nnls_gram(gram(A), A.T @ b)
     resid = A @ x - b
-    return NnlsSolution(x=x, support=np.flatnonzero(x > 0.0),
-                        residual_sq=float(resid @ resid))
+    return NnlsSolution(x=unscale(x, eb - ea, "x"), support=np.flatnonzero(x > 0.0),
+                        residual_sq=float(unscale(resid @ resid, 2 * eb, "the residual")))

@@ -26,3 +26,24 @@ def demo_gram():
     P = gram(np.asfortranarray(DEMO_W))
     L = DEMO_W.T @ DEMO_M
     return P, L
+
+
+@pytest.fixture
+def tiny_pivots(monkeypatch):
+    """A list to which each densela.carry_inverse call of nnls_gram appends
+    whether an entering Schur pivot fell below PIVOT_FLOOR times the largest
+    diagonal entry of P, so that the solver barred an atom; clear it before
+    the solve it watches."""
+    from shamans import nnls
+    from shamans.densela import PIVOT_FLOOR
+
+    seen = []
+    carry_inverse = nnls.carry_inverse
+
+    def spy(P, G, atoms, enter, index):
+        G, atoms, s = carry_inverse(P, G, atoms, enter, index)
+        seen.append(bool((enter & ~(s >= PIVOT_FLOOR * np.diagonal(P).max())).any()))
+        return G, atoms, s
+
+    monkeypatch.setattr(nnls, "carry_inverse", spy)
+    return seen

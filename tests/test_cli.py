@@ -226,6 +226,30 @@ class TestReportJson:
         assert (data["overshoot"], data["stopped_short"]) == (
             (0, False) if cfg.mode == "shamans" else (None, None))
 
+    def test_non_finite_floats_are_null(self, tmp_path):
+        # M 1e160 puts last_gain past the float range, where it used to be
+        # written as Infinity, which strict parsers refuse; a NaN violation
+        # is written as null too.
+        rng = np.random.default_rng(0)
+        W, M = rng.random((10, 4)) + 0.05, 1e160 * rng.random((10, 7))
+        paths = [tmp_path / name for name in ("W.csv", "M.csv", "H.csv", "report.json")]
+        write_csv_matrix(W, paths[0])
+        write_csv_matrix(M, paths[1])
+        code = main(["--dict", str(paths[0]), "--data", str(paths[1]), "--mode", "shamans",
+                     "--budget", "10", "--out", str(paths[2]), "--report", str(paths[3])])
+        assert code == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        data = json.loads(paths[3].read_text(), parse_constant=refuse)
+        assert data["last_gain"] is None and data["picks"] > 0
+        rep = UnmixReport(rel_error=0.5, avg_sparsity=0.0, nnz=0, per_column_sparsity=[],
+                          kkt_violation=np.nan, last_gain=-np.inf)
+        write_report_json(rep, paths[3])
+        data = json.loads(paths[3].read_text(), parse_constant=refuse)
+        assert (data["rel_error"], data["kkt_violation"], data["last_gain"]) == (0.5, None, None)
+
     def test_readme_lists_every_key(self, tmp_path):
         # The README's "The JSON report carries ..." sentence names exactly
         # the keys the writer emits.
@@ -382,6 +406,8 @@ class TestMain:
         ["--mode", "ksparse", "--k", "-2"],
         # No tolerance flag: every threshold is relative to the data.
         ["--mode", "unconstrained", "--tol", "1e-10"],
+        # No sparsity threshold either: the report counts exact nonzeros, and
+        # --zero-thresh is an unknown flag whatever its value.
         ["--mode", "unconstrained", "--zero-thresh", "nan"],
         ["--mode", "unconstrained", "--zero-thresh", "-1"],
         ["--mode", "ksparse", "--k", "3", "--maps-dir", "m", "--map-width", "0",

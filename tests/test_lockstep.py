@@ -16,12 +16,13 @@ import pytest
 
 from shamans import homotopy
 from shamans.densela import exponent
-from shamans.errors import IterationLimit, SingularSystem
+from shamans.errors import IterationLimit
 from shamans.homotopy import PathWalk, RegularizationPath, path_dtype
 from shamans.nnls import nnls_active_set
 from shamans.selector import build_cost_tables
 
-from oracles import breakpoint_condition, extended_residual_sq, reference_path, refit_entries
+from oracles import (breakpoint_condition, extended_residual_sq, nnls_bruteforce, reference_path,
+                     refit_entries)
 
 RTOL = 1e-12
 EPS = np.finfo(float).eps
@@ -156,9 +157,11 @@ def test_zero_and_uncorrelated_columns():
 
 def test_near_dependent_dictionaries():
     # Atom 4 is within 1e-9 of (W0 + W1)/2, so the support that completes
-    # {0, 1, 4} is singular and ends the path.  The breakpoint where that
-    # last atom would enter is a ratio of two quantities near zero, which
-    # roundoff moves by up to about 1e-5; it is compared at 1e-4.
+    # {0, 1, 4} is singular and stops the walk: the path goes from its last
+    # sound entry to the NNLS entry at lambda = 0, which reaches the
+    # brute-force error.  The breakpoint where that last atom would enter
+    # is a ratio of two quantities near zero, which roundoff moves by up to
+    # about 1e-5; it is compared at 1e-4.
     rng = np.random.default_rng(65)
     truncated = 0
     for _ in range(100):
@@ -169,6 +172,10 @@ def test_near_dependent_dictionaries():
             want = reference(A, B[:, j])
             truncated += want.truncated
             if want.truncated:
+                end, got.entries = got.entries[-1], got.entries[:-1]
+                assert_nnls_entry(end, A, B[:, j])
+                best = nnls_bruteforce(A, B[:, j])[1]
+                assert end["error_sq"] == pytest.approx(best, rel=1e-8, abs=0)
                 last_want, last_got = want.entries[-1], got.entries[-1]
                 want.entries, got.entries = want.entries[:-1], got.entries[:-1]
                 assert last_got["lam"] == pytest.approx(last_want["lam"], rel=1e-4)
@@ -215,12 +222,13 @@ def test_breakpoint_limit_of_one():
     assert not any(p.fallback for p in results[:6])
 
 
-def test_breakpoint_limit_across_block_boundaries(monkeypatch):
+def test_breakpoint_limit_across_block_boundaries(monkeypatch, tiny_pivots):
     # Atom 4 is within 1e-9 of (W0 + W1)/2, so the NNLS of some columns
-    # meets a rank-deficient passive set; every seventh column is a multiple
-    # of atom 2 and finishes in one breakpoint.  Past the limit of two, a
-    # path is its zero entry and the NNLS entry, or only the zero entry when
-    # that NNLS is singular; every other path is the uncapped walk's.
+    # meets a passive set that atom 4 would make rank deficient, and bars
+    # it; every seventh column is a multiple of atom 2 and finishes in one
+    # breakpoint.  Past the limit of two, a path is its zero entry and the
+    # NNLS entry, which reaches the brute-force error, barred atom or not;
+    # every other path is the uncapped walk's.
     blocks_of_width(monkeypatch, 5)
     rng = np.random.default_rng(0)
     A = rng.random((8, 5))
@@ -228,7 +236,7 @@ def test_breakpoint_limit_across_block_boundaries(monkeypatch):
     B = rng.random((8, WIDTH + 44))
     B[:, ::7] = A[:, [2]] * rng.random(B[:, ::7].shape[1])
     capped, free = walk_all(A, B, cap=2), walk_all(A, B)
-    kinds = {"finished": set(), "fallback": set(), "singular": set()}
+    kinds = {"finished": set(), "fallback": set(), "barred": set()}
     for j, (got, want) in enumerate(zip(capped, free)):
         if not got.fallback:
             assert got.entries.tobytes() == want.entries.tobytes()
@@ -236,15 +244,12 @@ def test_breakpoint_limit_across_block_boundaries(monkeypatch):
             kinds["finished"].add(j >= WIDTH)
             continue
         assert got.entries[0].tobytes() == want.entries[0].tobytes()
-        try:
-            nnls_active_set(A, B[:, j])
-        except SingularSystem:
-            assert got.truncated and len(got.entries) == 1
-            kinds["singular"].add(j >= WIDTH)
-            continue
         assert not got.truncated and len(got.entries) == 2
+        tiny_pivots.clear()
         assert_nnls_entry(got.entries[1], A, B[:, j])
-        kinds["fallback"].add(j >= WIDTH)
+        best = nnls_bruteforce(A, B[:, j])[1]
+        assert got.entries[1]["error_sq"] == pytest.approx(best, rel=1e-8, abs=0)
+        kinds["barred" if any(tiny_pivots) else "fallback"].add(j >= WIDTH)
     # Every kind of column occurs in both blocks.
     assert all(blocks == {False, True} for blocks in kinds.values())
 

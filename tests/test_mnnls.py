@@ -117,22 +117,29 @@ class TestMetrics:
         assert rep.rel_error == pytest.approx(0.0, abs=1e-12)
         assert rep.avg_sparsity == 3.0
 
-    def test_threshold_controls_counts(self, demo):
+    def test_counts_exact_nonzeros(self, demo):
+        # Entries of 1e-4 count, as q and k count them: an absolute cutoff of
+        # 1e-3 once counted none of them, and none of the demo solve's with M
+        # scaled by 2^-40, whose H is exactly 2^-40 times the unit one's.
         M, W = demo
         H = np.full((4, 6), 1e-4)
-        rep = metrics(M, W, H, zero_threshold=1e-3)
-        assert rep.avg_sparsity == 0.0
-        assert rep.nnz == 24
-        rep2 = metrics(M, W, H, zero_threshold=1e-5)
-        assert rep2.avg_sparsity == 4.0
+        H[[1, 3], 2] = 0.0
+        for scale in (1.0, 2.0 ** -40):
+            rep = metrics(M, W, scale * H)
+            assert (rep.nnz, rep.avg_sparsity) == (22, 22 / 6)
+            assert rep.per_column_sparsity == [0, 0, 1, 0, 5]
+        cfg = SolveConfig(mode="shamans", q=18)
+        (H, unit), (H_small, small) = solve(M, W, cfg), solve(np.ldexp(M, -40), W, cfg)
+        assert np.array_equal(H_small, np.ldexp(H, -40))
+        assert (small.nnz, small.avg_sparsity, small.per_column_sparsity) == (
+            unit.nnz, unit.avg_sparsity, unit.per_column_sparsity)
+        assert small.nnz == 18 == sum(k * c for k, c in enumerate(small.per_column_sparsity))
 
-    def test_rejects_a_threshold_solve_rejects(self, demo):
-        # NaN and inf used to count no entry, and -1 every zero, as nonzero.
+    def test_has_no_threshold(self, demo):
         M, W = demo
-        for threshold in (np.nan, -1.0, np.inf):
-            with pytest.raises(ValueError, match="zero_threshold must be nonnegative and finite"):
-                metrics(M, W, np.zeros((4, 6)), zero_threshold=threshold)
-        assert metrics(M, W, np.zeros((4, 6)), zero_threshold=0.0).avg_sparsity == 0.0
+        with pytest.raises(TypeError):
+            metrics(M, W, np.zeros((4, 6)), zero_threshold=1e-3)
+        assert metrics(M, W, np.zeros((4, 6))).avg_sparsity == 0.0
 
     def test_zero_data_matrix(self, demo):
         _, W = demo
@@ -146,8 +153,8 @@ class TestMetrics:
         rng = np.random.default_rng(0)
         W, M = rng.random((10, 4)) + 0.05, rng.random((10, 7))
         H, _ = solve(M, W, SolveConfig(mode="unconstrained"))
-        want = metrics(M, W, H, zero_threshold=0.0)
-        got = metrics(scale * M, W, scale * H, zero_threshold=0.0)
+        want = metrics(M, W, H)
+        got = metrics(scale * M, W, scale * H)
         assert got.rel_error == pytest.approx(want.rel_error, rel=1e-14)
         assert (got.nnz, got.per_column_sparsity) == (want.nnz, want.per_column_sparsity)
 
@@ -283,10 +290,8 @@ class TestValidation:
             SolveConfig(mode="shamans", q=-1)
         with pytest.raises(TypeError):  # every threshold is relative to the data
             SolveConfig(mode="unconstrained", tol=1e-10)
-        for threshold in (-1.0, np.nan, np.inf):
-            with pytest.raises(ValueError, match="zero_threshold must be nonnegative and finite"):
-                SolveConfig(mode="unconstrained", zero_threshold=threshold)
-        SolveConfig(mode="unconstrained", zero_threshold=0.0)  # counts every nonzero
+        with pytest.raises(TypeError):  # the report counts exact nonzeros
+            SolveConfig(mode="unconstrained", zero_threshold=1e-3)
         # k = 2.5 used to run as k = 2, and q = NaN passed every check and
         # spent positive gains without limit; a count must be an integer.
         for bad in ({"mode": "ksparse", "k": 2.5}, {"mode": "ksparse", "k": np.nan},
@@ -388,11 +393,13 @@ class TestFallback:
         assert level_r.inexact_columns == [] and level_r.fallback_columns == list(range(6))
         assert budgeted.inexact_columns == budgeted.fallback_columns == list(range(6))
 
-    def test_singular_fallback_column_keeps_its_zero_entry(self, breakpoint_cap):
+    def test_near_dependent_fallback_columns_reach_the_optimum(self, breakpoint_cap):
         # Atom 4 is within 1e-9 of (W0 + W1)/2.  With one breakpoint allowed,
-        # the NNLS fallback of columns 1 and 4 meets a rank-deficient passive
-        # set; those columns keep their zero solution and are inexact in every
-        # mode, and the rest solve as they do without them.
+        # the NNLS fallback of columns 1 and 4 meets a passive set that atom 4
+        # would make rank deficient: the solver bars it there and goes on.  So
+        # no column is truncated or left at 0, level r reads every column's
+        # NNLS optimum, and the fallback columns read below it are inexact.
+        # The rest solve as they do without columns 1 and 4.
         rng = np.random.default_rng(0)
         W = rng.random((8, 5))
         W[:, 4] = 0.5 * (W[:, 0] + W[:, 1]) + 1e-9 * rng.random(8)
@@ -402,15 +409,21 @@ class TestFallback:
         for cfg in (SolveConfig(mode="ksparse", k=5), SolveConfig(mode="ksparse", k=2),
                     SolveConfig(mode="shamans", q=20)):
             H, report = solve(M, W, cfg)
-            assert report.truncated_columns == [1, 4]
+            assert report.truncated_columns == []
             assert {1, 4} <= set(report.fallback_columns)
-            assert {1, 4} <= set(report.inexact_columns)
+            assert set(report.inexact_columns) <= set(report.fallback_columns)
             assert len(set(report.inexact_columns)) == len(report.inexact_columns)
-            assert not H[:, [1, 4]].any()
+        _, below = solve(M, W, SolveConfig(mode="ksparse", k=2))
+        assert below.inexact_columns == below.fallback_columns
         H_rest, rest = solve(M[:, others], W, SolveConfig(mode="ksparse", k=5))
         H, report = solve(M, W, SolveConfig(mode="ksparse", k=5))
+        assert H.any(axis=0).all()
+        for j in range(10):
+            resid = M[:, j] - W @ H[:, j]
+            best = nnls_bruteforce(W, M[:, j])[1]
+            assert resid @ resid == pytest.approx(best, rel=1e-8, abs=0), j
         np.testing.assert_allclose(H[:, others], H_rest, rtol=0, atol=1e-12)
-        assert report.inexact_columns == [1, 4] and rest.inexact_columns == []
+        assert report.inexact_columns == [] and rest.inexact_columns == []
         assert report.fallback_columns == sorted([1, 4] + [others[j] for j in
                                                            rest.fallback_columns])
 
@@ -483,19 +496,27 @@ class TestPathReport:
         assert report.truncated_columns == truncated
         assert report.fallback_columns == []
 
-    def test_level_r_lists_truncated_columns_as_inexact(self):
-        # The same near-dependent dictionary: column 2's path stops before
-        # lambda reaches 0, so its level-r cell is not the NNLS optimum;
-        # every other column's is.
+    def test_truncated_columns_end_at_the_nnls_entry(self):
+        # The same near-dependent dictionary: column 2's walk stops before
+        # lambda reaches 0, and its path then ends at the NNLS entry, so its
+        # level-r cell is the NNLS optimum, as every other column's is.
+        # Below level r the truncated column is inexact.
         rng = np.random.default_rng(0)
         W = rng.random((8, 5))
         W[:, 4] = 0.5 * (W[:, 0] + W[:, 1]) + 1e-9 * rng.random(8)
         M = np.column_stack([rng.random(8) for _ in range(4)])
         H, report = solve(M, W, SolveConfig(mode="ksparse", k=5))
-        assert report.inexact_columns == report.truncated_columns == [2]
-        for j in (0, 1, 3):
+        assert report.truncated_columns == [2] and report.inexact_columns == []
+        for j in range(4):
             x, _ = nnls_bruteforce(W, M[:, j])
             np.testing.assert_allclose(H[:, j], x, atol=1e-8)
+        path = regularization_path(W, M[:, 2])
+        assert path.truncated and path.entries["lam"][-1] == 0.0
+        x, best = nnls_bruteforce(W, M[:, 2])
+        assert path.entries["error_sq"][-1] == pytest.approx(best, rel=1e-8, abs=0)
+        np.testing.assert_allclose(path.entries["solution"][-1], x, atol=1e-8)
+        _, below = solve(M, W, SolveConfig(mode="ksparse", k=2))
+        assert below.inexact_columns == below.truncated_columns == [2]
 
     def test_block_nnls_solves_the_truncated_column(self):
         # Unconstrained mode walks no path: the block NNLS returns column
@@ -554,7 +575,8 @@ class TestWalkReport:
     """The report's ``walk`` entry against the walk's kernel calls, counted
     from outside: a round is one next_breakpoint call, a re-seed passes its
     rows to _support_inverse, a refit is an nnls_gram call with a start,
-    and a breakpoint-limit fallback is one PathWalk.nnls call."""
+    and a fallback is one PathWalk.nnls call, which ends a block's
+    breakpoint-limit and truncated paths."""
 
     @staticmethod
     def counted(monkeypatch):
@@ -686,18 +708,23 @@ class TestUnconstrained:
         assert report.inexact_columns == report.truncated_columns == []
         assert 0.0 <= report.kkt_violation <= KKT_BOUND
 
-    def test_singular_passive_set_is_listed(self):
+    def test_near_dependent_passive_set_reaches_the_optimum(self):
         # The dictionary of TestFallback: the NNLS of columns 1 and 4 meets
-        # a rank-deficient passive set.  Those columns are listed and left
-        # at 0, and the rest solve as they do without them.
+        # a passive set that atom 4 would make rank deficient.  The solver
+        # bars it, so no column is listed or left at 0, every column reaches
+        # the brute-force error, and the rest solve as they do without them.
         rng = np.random.default_rng(0)
         W = rng.random((8, 5))
         W[:, 4] = 0.5 * (W[:, 0] + W[:, 1]) + 1e-9 * rng.random(8)
         M = rng.random((8, 10))
         others = [0, 2, 3, 5, 6, 7, 8, 9]
         H, report = solve(M, W, SolveConfig(mode="unconstrained"))
-        assert report.truncated_columns == report.inexact_columns == [1, 4]
-        assert not H[:, [1, 4]].any()
+        assert report.truncated_columns == report.inexact_columns == []
+        assert H.any(axis=0).all()
+        for j in range(10):
+            resid = M[:, j] - W @ H[:, j]
+            best = nnls_bruteforce(W, M[:, j])[1]
+            assert resid @ resid == pytest.approx(best, rel=1e-8, abs=0), j
         H_rest, rest = solve(M[:, others], W, SolveConfig(mode="unconstrained"))
         np.testing.assert_allclose(H[:, others], H_rest, rtol=0, atol=1e-12)
         assert rest.inexact_columns == []
@@ -762,15 +789,39 @@ class TestUnconstrained:
             return H
 
         def planted_nnls(self, cols):
-            X, singular = nnls(self, cols)
+            X = nnls(self, cols)
             X[3, 1] = np.nan  # row j of X is column j of H
-            return X, singular
+            return X
 
         monkeypatch.setattr(mnnls_mod.selector, "assemble", planted_assemble)
         monkeypatch.setattr(PathWalk, "nnls", planted_nnls)
         H, report = solve(M, W, SolveConfig(**kwargs))
         assert np.isnan(H[1, 3]) and np.isnan(report.kkt_violation)
         assert report.inexact_columns == [3]
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-9, 1e-7, 1e-5])
+def test_near_dependence_sweep(eps):
+    # Atom 4 is (W0 + W1)/2 plus eps times noise, over ten random
+    # dictionaries of 20 columns each.  No column of H is lost to the
+    # dependency (the optimum of this data is never 0), every column left
+    # off inexact_columns passes the certificate, recomputed from W and M,
+    # and up to eps = 1e-9 reaches the brute-force error within 1e-8.
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        W = rng.random((12, 5)) + 0.05
+        W[:, 4] = 0.5 * (W[:, 0] + W[:, 1]) + eps * rng.random(12)
+        M = rng.random((12, 20))
+        best = np.array([nnls_bruteforce(W, M[:, j])[1] for j in range(20)])
+        for cfg in (SolveConfig(mode="unconstrained"), SolveConfig(mode="ksparse", k=5)):
+            H, report = solve(M, W, cfg)
+            assert H.any(axis=0).all(), cfg.mode
+            exact = np.setdiff1d(np.arange(20), report.inexact_columns)
+            violation = mnnls_mod._kkt_violation(W.T @ W, W.T @ M, H, cfg.mode == "unconstrained")
+            assert (violation[exact] <= KKT_BOUND).all(), cfg.mode
+            if eps <= 1e-9:
+                err = ((M - W @ H) ** 2).sum(axis=0)
+                assert (np.abs(err - best)[exact] <= 1e-8 * best[exact]).all(), cfg.mode
 
 
 class TestBreakpointHistogram:

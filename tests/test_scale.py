@@ -103,15 +103,24 @@ def test_scales_past_the_squares_range(cfg, scale_W, scale_M):
 
 
 def test_power_of_two_scales_repeat_nnls_active_set():
-    # nnls_active_set solves in the data's units, within the squares' range.
+    # nnls_active_set solves on A and b scaled to unit size, so every
+    # decision repeats and x and residual_sq scale exactly, or raise
+    # NonFiniteEntry where that passes the float range.
     W, M = dd.DEMO_W, dd.DEMO_M
     base = [nnls_active_set(W, M[:, j]) for j in range(dd.DEMO_N)]
-    for sw in range(-120, 121, 8):
-        for sm in range(-120, 121, 8):
+    for sw in SCALES:
+        for sm in SCALES:
             for j, want in enumerate(base):
+                top = max(np.frexp(want.x.max())[1] + sm - sw,
+                          np.frexp(want.residual_sq)[1] + 2 * sm)
+                if top > 1024:
+                    with pytest.raises(NonFiniteEntry):
+                        nnls_active_set(np.ldexp(W, sw), np.ldexp(M[:, j], sm))
+                    continue
                 got = nnls_active_set(np.ldexp(W, sw), np.ldexp(M[:, j], sm))
                 assert np.array_equal(got.x, np.ldexp(want.x, sm - sw)), (sw, sm, j)
                 assert np.array_equal(got.support, want.support), (sw, sm, j)
+                assert got.residual_sq == np.ldexp(want.residual_sq, 2 * sm), (sw, sm, j)
 
 
 @pytest.mark.parametrize("cfg", [SolveConfig(mode="unconstrained"),
