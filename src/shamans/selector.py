@@ -11,7 +11,10 @@ A column's greedy advances follow the lower convex hull of its cost
 curve, so the global greedy is one merge of all columns' hull segments
 by decreasing gain (marginal analysis: Fox, "Discrete optimization via
 marginal analysis", Management Sci. 1966): init_gain sorts the segments
-once and select_step takes them in order.
+once, and the picks are a prefix of them.  select takes at once every
+segment of that prefix that leaves part of the budget unspent, and
+select_step, the one-step primitive, makes the rest: the pick that
+reaches q and, in strict mode, the advances that still fit.
 """
 
 from __future__ import annotations
@@ -58,15 +61,18 @@ class SelectionState:
     """Mutable state of the greedy budget loop.
 
     ``cursors[j]`` is the sparsity level currently selected for column j
-    and ``nnz_total`` their sum.  ``segments`` lists every column's hull
-    segments as (level, column) in greedy order; ``position`` is the
-    index of the next one to take.  ``picks`` counts the steps taken and
-    ``last_pick`` is the last as (column, level before, level after).
+    and ``nnz_total`` their sum.  ``segments`` holds every column's hull
+    segments, one (level, column) row each, in greedy order, and
+    ``sizes`` the number of nonzeros each adds to its column; ``position``
+    is the index of the next one to take.  ``picks`` counts the steps
+    taken and ``last_pick`` is the last as (column, level before, level
+    after).
     """
 
     cursors: np.ndarray
     nnz_total: int
-    segments: list
+    segments: np.ndarray
+    sizes: np.ndarray
     position: int = 0
     picks: int = 0
     last_pick: tuple | None = None
@@ -127,8 +133,9 @@ def init_gain(tables: CostTables) -> SelectionState:
     once, one advance per round.  Roundoff can give a segment a larger
     gain than an earlier one of its column; the greedy then takes it
     right after that earlier one, so a segment's sort key is the running
-    minimum of its column's gains.  Sorting by (-key, column, order in
-    the column) interleaves the columns exactly as the greedy does.
+    minimum of its column's gains.  One stable sort by -key of the
+    segments listed column by column, in order within each, interleaves
+    the columns exactly as the greedy does.
     """
     delta = tables.delta
     r, n = delta.shape
@@ -144,12 +151,14 @@ def init_gain(tables: CostTables) -> SelectionState:
         active, rows = active[keep], rows[keep]
         gains[k, active] = best[keep]
         cursors[active] = levels[k, active] = rows + 1
-    k, j = np.nonzero(levels)
-    keys = np.minimum.accumulate(gains, axis=0)[k, j]
-    order = np.lexsort((k, j, -keys))
-    segments = list(zip(levels[k, j][order].tolist(), j[order].tolist()))
+    j, k = np.nonzero(levels.T)  # by column, then in order within it
+    order = np.argsort(-np.minimum.accumulate(gains, axis=0)[k, j], kind="stable")
+    j, k = j[order], k[order]
+    # A column has a segment in every round up to its last: row k-1 holds
+    # the level its k-th segment starts from.
+    sizes = np.diff(levels, axis=0, prepend=0)[k, j]
     return SelectionState(cursors=np.zeros(n, dtype=np.int64), nnz_total=0,
-                          segments=segments)
+                          segments=np.column_stack((levels[k, j], j)), sizes=sizes)
 
 
 def _best_fitting(delta: np.ndarray, cursors: np.ndarray, remaining: int):
@@ -186,7 +195,7 @@ def select_step(state: SelectionState, tables: CostTables, q: int,
             return None
         level, j = found
     elif state.position < len(state.segments):
-        level, j = state.segments[state.position]
+        level, j = state.segments[state.position].tolist()
         state.position += 1
     else:
         return None
@@ -200,9 +209,29 @@ def select_step(state: SelectionState, tables: CostTables, q: int,
 
 def select(state: SelectionState, tables: CostTables, q: int,
            strict: bool = False) -> np.ndarray:
-    """Spend the nonzero budget q greedily; returns the final cursors."""
+    """Spend the nonzero budget q greedily; returns the final cursors.
+
+    Leaves ``state`` as repeated select_step calls would.  The segments
+    that leave at least one nonzero of q unspent (r in strict mode, which
+    below that takes the advances that fit) are taken at once, and
+    select_step makes the rest, at most r picks.  Once strict picks have
+    moved cursors off the segments, select_step makes every pick.
+    """
     if q < 0:
         raise ValueError("budget must be nonnegative")
+    start, sizes = state.position, state.sizes
+    if state.nnz_total == sizes[:start].sum():  # no strict pick moved a cursor
+        spent = state.nnz_total + np.cumsum(sizes[start:])
+        count = int(np.searchsorted(spent, q - (tables.levels if strict else 1),
+                                    side="right"))
+        if count:
+            taken = state.segments[start:start + count]
+            np.maximum.at(state.cursors, taken[:, 1], taken[:, 0])
+            level, j = taken[-1].tolist()
+            state.nnz_total = int(spent[count - 1])
+            state.position += count
+            state.picks += count
+            state.last_pick = (j, level - int(sizes[start + count - 1]), level)
     while select_step(state, tables, q, strict=strict) is not None:
         pass
     return state.cursors

@@ -362,6 +362,33 @@ class TestSelectionStatistics:
             assert (report.picks, report.overshoot, report.stopped_short,
                     report.last_gain) == (None, None, None, None)
 
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_select_takes_the_prefix_at_once(self, monkeypatch, strict):
+        # A workload-shaped solve: select takes the sorted segments that
+        # leave part of q unspent in one go, so select_step only makes the
+        # tail, at most r picks and the call that ends them.
+        rng = np.random.default_rng(38)
+        m, r, n = 40, 6, 600
+        M, W, _ = random_problem(rng, m, r, n)
+        selector_mod = mnnls_mod.selector
+        step, calls = selector_mod.select_step, []
+
+        def spy(state, tables, q, strict=False):
+            calls.append(step(state, tables, q, strict=strict))
+            spy.tables = tables
+            return calls[-1]
+
+        monkeypatch.setattr(selector_mod, "select_step", spy)
+        _, report = solve(M, W, SolveConfig(mode="shamans", q=2 * n,
+                                            strict_budget=strict))
+        assert 1 < len(calls) <= r + 2
+        assert any(pick is not None for pick in calls)
+        state = init_gain(spy.tables)
+        while step(state, spy.tables, 2 * n, strict=strict) is not None:
+            pass
+        assert report.picks == state.picks > len(calls)
+        assert report.overshoot == state.nnz_total - 2 * n
+
 
 class TestFallback:
     def test_breakpoint_limit_falls_back_to_active_set(self, demo, breakpoint_cap):

@@ -47,6 +47,12 @@ def solution(tables, k, j):
     return tables.solutions[tables.source[k, j]]
 
 
+def selection_state(state):
+    """Everything a pick moves, with the type of each count."""
+    counts = (state.nnz_total, state.position, state.picks) + (state.last_pick or ())
+    return (state.cursors.tolist(), counts, [type(c) for c in counts])
+
+
 def random_paths(rng, r, n):
     """Synthetic paths with errors on a few integers: exact ties within
     and across cardinalities, sparser entries after denser ones, and
@@ -188,7 +194,7 @@ class TestInitGain:
         state = init_gain(tables)
         np.testing.assert_array_equal(gain_table(tables.delta, state.cursors),
                                       np.zeros((4, 3)))
-        assert state.segments == []
+        assert len(state.segments) == 0
         assert select_step(state, tables, 5) is None
 
     def test_demo_top_entry(self):
@@ -319,6 +325,32 @@ class TestSelect:
                 ref_cursors, ref_picks = reference_select(tables.delta, q, strict)
                 assert picks == ref_picks, (cost, q, strict)
                 np.testing.assert_array_equal(state.cursors, ref_cursors)
+                # select, from a fresh state or after a few steps, leaves the
+                # state where the step loop does, its counts Python ints.
+                for steps in (0, 1, 3):
+                    other = init_gain(tables)
+                    for _ in range(steps):
+                        select_step(other, tables, q, strict)
+                    select(other, tables, q, strict)
+                    assert selection_state(other) == selection_state(state), (
+                        cost, q, strict, steps)
+
+    def test_larger_budget_after_strict_picks(self):
+        # Strict picks move cursors off the segments; a later select at a
+        # larger budget must still leave the state where the steps do.
+        rng = np.random.default_rng(39)
+        for _ in range(40):
+            cost = random_cost_table(rng, int(rng.integers(2, 6)), int(rng.integers(2, 7)))
+            tables = synthetic_tables(cost)
+            r, n = tables.levels, tables.columns
+            for q in range(r * n):
+                stepped, selected = init_gain(tables), init_gain(tables)
+                select(stepped, tables, q, strict=True)
+                select(selected, tables, q, strict=True)
+                while select_step(stepped, tables, r * n) is not None:
+                    pass
+                select(selected, tables, r * n)
+                assert selection_state(selected) == selection_state(stepped), (cost, q)
 
     def test_total_error_monotone(self):
         tables = demo_tables()
