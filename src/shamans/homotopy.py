@@ -41,10 +41,11 @@ each refit's error is
 
     ||A x - b||^2 = ||b - Q z||^2 + ||z - R x||^2,
 
-exactly, because b - Q z is orthogonal to range(A).  A column whose
-smallest Schur pivot 1/G_ii falls below SCHUR_GUARD has G re-seeded from
-one checked factorization of P(K,K), which decides whether the support
-is rank deficient; such a path ends at its NNLS entry instead.
+exactly, because b - Q z is orthogonal to range(A).  The walk has
+nnls_gram's rank rule: an entering atom whose Schur pivot, as
+carry_inverse returns it, falls below PIVOT_FLOOR times the largest
+diagonal entry of P on the new support makes that support rank
+deficient, and the path ends at its NNLS entry instead.
 """
 
 from __future__ import annotations
@@ -55,8 +56,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import densela
-from .densela import TOL, as_matrix, as_vector, carry_inverse, range_split, residual_sq, spd_factor
-from .errors import IterationLimit, SingularSystem
+# spd_factor is not called here; perfbench/test_perfbench.py asserts this binding.
+from .densela import (PIVOT_FLOOR, TOL, as_matrix, as_vector, carry_inverse, range_split,
+                      residual_sq, spd_factor)
+from .errors import IterationLimit
 from .nnls import nnls_gram
 
 LEAVE = 0
@@ -74,13 +77,6 @@ TERMINATE = 2
 # widths of (k, k).  The block's records, the walk's output, grow with its
 # width times path length.
 BUDGET = 256 * 24 * 24
-
-# Smallest Schur pivot, relative to the largest diagonal entry of P on the
-# support, at which the carried inverse is trusted.  It sits far above
-# densela.PIVOT_FLOOR, so a support above it passes spd_factor's check with
-# a wide margin, and one that would fail that check falls below it (the
-# smallest Schur pivot is at most r times the smallest Cholesky pivot).
-SCHUR_GUARD = 1e-6
 
 
 def block_width(r: int) -> int:
@@ -134,20 +130,20 @@ def lambda_max(ell: np.ndarray):
     return np.where(positive, lam, 0.0), np.where(positive, index, -1)
 
 
-def next_breakpoint(a, b, c, d, K, lambda_current, tol: np.ndarray):
+def next_breakpoint(a, b, c, d, K, lambda_current, leave_tol: float, enter_tol: float):
     """Largest penalties below ``lambda_current`` where the supports change.
 
     Returns (lambda_next, kind, index), one entry per row, with kind one
     of LEAVE, ENTER or TERMINATE and index the atom that leaves or enters
-    (-1 on TERMINATE).  ``tol`` is a (2r,) row: a LEAVE candidate is a
-    support index i with b_i < -tol_i, an ENTER candidate a complement
-    index i with d_i < -tol_(r+i) (the walk passes TOL / max|P| for b, in
-    units of 1/P, and TOL for d, which has none); among equal ratios the
-    smallest index wins.  Only the support's cells of
-    ``a`` and ``b`` and the complement's cells of ``c`` and ``d`` are read:
-    the others may hold anything, zeros included.  When no candidate has a
-    positive crossing the support stays optimal all the way down and the
-    row terminates at 0.  Exact ties between the two cases resolve to LEAVE.
+    (-1 on TERMINATE).  A LEAVE candidate is a support index i with
+    b_i < -leave_tol, an ENTER candidate a complement index i with
+    d_i < -enter_tol (the walk passes TOL / max|P| for b, in units of 1/P,
+    and TOL for d, which has none); among equal ratios the smallest index
+    wins.  Only the support's cells of ``a`` and ``b`` and the
+    complement's cells of ``c`` and ``d`` are read: the others may hold
+    anything, zeros included.  When no candidate has a positive crossing
+    the support stays optimal all the way down and the row terminates at
+    0.  Exact ties between the two cases resolve to LEAVE.
     """
     n, r = K.shape
     # Each row's leave ratios, then its enter ratios: the first maximum of the
@@ -158,7 +154,8 @@ def next_breakpoint(a, b, c, d, K, lambda_current, tol: np.ndarray):
     ratio = np.concatenate((a, c), axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio /= den
-        bound = np.subtract((den < -tol) & np.concatenate((K, ~K), axis=1), 0.5, out=den)
+        candidate = np.concatenate((K & (b < -leave_tol), ~K & (d < -enter_tol)), axis=1)
+        bound = np.subtract(candidate, 0.5, out=den)
     bound *= np.inf
     np.fmin(ratio, bound, out=ratio)
     best = ratio.argmax(axis=1)
@@ -170,38 +167,6 @@ def next_breakpoint(a, b, c, d, K, lambda_current, tol: np.ndarray):
     # Roundoff can push the ratio marginally above the current breakpoint;
     # treat that as a tie at lambda_current.
     return np.where(done, 0.0, np.minimum(lam, lambda_current)), kind, index
-
-
-def _support_inverse(P: np.ndarray, atoms: np.ndarray) -> np.ndarray:
-    """P(K_i, K_i)^-1 for every row of the (B, k) slot index ``atoms``
-    (carry_inverse's layout, P.shape[0] in an empty slot): a (B, k, k)
-    stack in the rows' slot order, zero in the rows and columns of empty
-    slots.
-
-    Raises SingularSystem when some P(K_i, K_i) is numerically rank
-    deficient; its ``matrices`` lists the offending rows, which callers
-    must treat as degenerate supports.
-    """
-    # An empty slot's system is diagonal, equal to the largest diagonal entry
-    # of P on K_i, so spd_factor's relative floor stays that of P(K_i, K_i).
-    on = atoms < P.shape[0]
-    S = np.pad(P, (0, 1))[atoms[:, :, None], atoms[:, None, :]]
-    pad = np.where(on, np.diagonal(S, axis1=1, axis2=2), 0.0).max(axis=1, initial=0.0)
-    slots = np.arange(atoms.shape[1])
-    S[:, slots, slots] += np.where(on, 0.0, pad[:, None])
-    spd_factor(S)
-    G = np.where(on[:, :, None] & on[:, None, :], np.linalg.inv(S), 0.0)
-    return 0.5 * (G + G.transpose(0, 2, 1))
-
-
-def _below_guard(G: np.ndarray, atoms: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    """Rows whose smallest Schur pivot 1/G_ii on the support is below
-    SCHUR_GUARD times the largest diagonal entry of P there (or is not a
-    positive number).  ``diag`` is the diagonal of P with 0 appended, so
-    that it reads 0 through an empty slot."""
-    g = np.diagonal(G, axis1=1, axis2=2)
-    bound = 1.0 / (SCHUR_GUARD * diag[atoms].max(axis=1, initial=0.0))
-    return ~((g > 0.0) & (g <= bound[:, None]) | (atoms == diag.size - 1)).all(axis=1)
 
 
 def _at_column(exc: IterationLimit, column: int) -> IterationLimit:
@@ -252,8 +217,7 @@ class PathWalk:
         self.block = block_width(r)  # columns walked together
         self._paths = {}  # column -> RegularizationPath
         self.refits = 0
-        self.stats = {"rounds": 0, "reseeded_rows": 0, "refit_calls": 0, "refit_ms": 0.0,
-                      "fallback_calls": 0}
+        self.stats = {"rounds": 0, "refit_calls": 0, "refit_ms": 0.0, "fallback_calls": 0}
 
     def _walk(self, start: int, stop: int) -> None:
         """Walk columns start..stop-1 in lockstep, one breakpoint per round.
@@ -262,15 +226,16 @@ class PathWalk:
         ``live`` (its column), ``lam``, the slot index ``atoms`` and the
         inverse ``G`` in slot coordinates; a column leaves them when its
         path ends.  The first atom enters a one-slot stack through
-        carry_inverse, like every later one.  Each round re-seeds the rows
-        below the Schur guard before solving (a row that fails leaves the
-        walk truncated, and that round is not counted), records every live
-        column's least-squares solution as its refit, and pools the entries
+        carry_inverse, like every later one.  Each round records every live
+        column's least-squares solution as its refit, pools the entries
         where it goes negative, whole with their G and atoms, for
-        refit_pool once they fill half the block's width.  The columns
-        still live after ``max_breakpoints`` rounds drop their records past
-        the zero entry; they and the truncated columns end at the NNLS
-        solution, found by one ``nnls`` call.
+        refit_pool once they fill half the block's width, and carries G to
+        the next support.  A column whose entering atom's Schur pivot is
+        unsound (nnls_gram's rank rule) leaves the walk truncated, unless
+        that round was the last.  The columns still live after
+        ``max_breakpoints`` rounds drop their records past the zero entry;
+        they and the truncated columns end at the NNLS solution, found by
+        one ``nnls`` call.
         """
         P = self.P
         r = P.shape[0]
@@ -281,7 +246,7 @@ class PathWalk:
         Z, perp_sq = self.Z[start:stop], self.perp_sq[start:stop]
         # next_breakpoint's thresholds: TOL in the units of b (1/P), then of d.
         with np.errstate(divide="ignore"):  # P = 0 leaves no column live
-            tol = np.repeat([TOL / np.abs(P).max(initial=0.0), TOL], r)
+            leave_tol = TOL / np.abs(P).max(initial=0.0)
         dtype = path_dtype(r)
         records, owners = [], []
 
@@ -343,17 +308,6 @@ class PathWalk:
 
         rounds = 0
         while live.size and rounds < self.max_breakpoints:
-            redo = np.flatnonzero(_below_guard(G, atoms, diag))
-            if redo.size:
-                self.stats["reseeded_rows"] += redo.size
-                try:
-                    G[redo] = _support_inverse(P, atoms[redo])
-                except SingularSystem as exc:
-                    keep = np.ones(live.size, dtype=bool)
-                    keep[redo[exc.matrices]] = False
-                    truncated[live[~keep]] = True
-                    live, lam, atoms, G = (x[keep] for x in (live, lam, atoms, G))
-                    continue
             rhs2 = pairs[live]
             full = densela.support_solve(Pz, G, atoms, rhs2)
             grad = (full.reshape(-1, r + 1) @ Pz).reshape(full.shape)
@@ -363,7 +317,7 @@ class PathWalk:
             K = K[:, :r]
             a = full[:, 0, :r]
             lam_next, kind, index = next_breakpoint(a, full[:, 1, :r], grad[:, 0, :r],
-                                                    grad[:, 1, :r], K, lam, tol)
+                                                    grad[:, 1, :r], K, lam, leave_tol, TOL)
             lam_next[lam_next <= tol_lam[live]] = 0.0
             record(live, lam_next, residual_sq(self.R, Z[live], perp_sq[live], a), K, a)
             negative = np.flatnonzero((a < 0.0).any(axis=1))
@@ -375,9 +329,16 @@ class PathWalk:
             go = (kind != TERMINATE) & (lam_next != 0.0)
             if not go.all():
                 live, atoms, G = (x[go] for x in (live, atoms, G))
-            G, atoms, _ = carry_inverse(Pz, G, atoms, kind[go] == ENTER, index[go])
+            enter = kind[go] == ENTER
+            G, atoms, s = carry_inverse(Pz, G, atoms, enter, index[go])
             lam = lam_next[go]
             rounds += 1
+            if rounds < self.max_breakpoints:  # at the cap, unsound rows fall back
+                # nnls_gram's rank rule; a NaN pivot is unsound too.
+                unsound = enter & ~(s >= PIVOT_FLOOR * diag[atoms].max(axis=1))
+                if unsound.any():
+                    truncated[live[unsound]] = True
+                    live, lam, atoms, G = (x[~unsound] for x in (live, lam, atoms, G))
         over[live] = True
         refit_pool()  # before the records past the limit are dropped
         self.refits += int(refitted[~over].sum())

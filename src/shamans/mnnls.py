@@ -77,13 +77,14 @@ class UnmixReport:
     paths that keep them (a fallback column's are dropped).  Columns
     listed in ``fallback_columns`` hit the breakpoint limit, so their path
     holds only its two ends, the zero and the NNLS solution, and those in
-    ``truncated_columns`` met a rank-deficient support, where their path
-    goes on to the NNLS solution.  ``walk`` says what the lockstep walk
-    did: ``rounds`` walked, ``reseeded_rows`` re-seeded below the Schur
-    guard, ``refit_calls`` to the active-set solver and the ``refit_ms``
-    they took, and ``fallback_calls`` that solved fallback and truncated
-    columns.  These describe paths, so they are None in unconstrained
-    mode, and ``truncated_columns`` is empty.  ``kkt_violation`` is the
+    ``truncated_columns`` met a rank-deficient support, an entering atom
+    whose Schur pivot fell below the rank rule's floor (nnls.nnls_gram),
+    where their path goes on to the NNLS solution.  ``walk`` says what the
+    lockstep walk did: ``rounds`` walked, ``refit_calls`` to the
+    active-set solver and the ``refit_ms`` they took, and
+    ``fallback_calls`` that solved fallback and truncated columns.  These
+    describe paths, so they are None in unconstrained mode, and
+    ``truncated_columns`` is empty.  ``kkt_violation`` is the
     worst scaled departure of a column of H from its optimality
     conditions: stationarity on its support in every mode, and in
     unconstrained mode a nonnegative gradient off it too.

@@ -183,8 +183,8 @@ class TestReportJson:
                           mode="shamans", budget=18, fallback_columns=[4],
                           truncated_columns=[1, 3], breakpoints=17,
                           breakpoint_histogram=[0, 1, 2, 3, 0, 0, 1], refits=5,
-                          walk={"rounds": 6, "reseeded_rows": 1, "refit_calls": 2,
-                                "refit_ms": 0.75, "fallback_calls": 1},
+                          walk={"rounds": 6, "refit_calls": 2, "refit_ms": 0.75,
+                                "fallback_calls": 1},
                           inexact_columns=[1, 3, 4], picks=4, overshoot=-2,
                           stopped_short=True, last_gain=0.25)
         p = tmp_path / "report.json"
@@ -206,8 +206,8 @@ class TestReportJson:
         assert data["breakpoints"] == 17
         assert data["breakpoint_histogram"] == [0, 1, 2, 3, 0, 0, 1]
         assert data["refits"] == 5
-        assert data["walk"] == {"rounds": 6, "reseeded_rows": 1, "refit_calls": 2,
-                                "refit_ms": 0.75, "fallback_calls": 1}
+        assert data["walk"] == {"rounds": 6, "refit_calls": 2, "refit_ms": 0.75,
+                                "fallback_calls": 1}
         assert (data["picks"], data["overshoot"], data["stopped_short"],
                 data["last_gain"]) == (4, -2, True, 0.25)
 

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from shamans.densela import gram, range_split, residual_sq
-from shamans.errors import IterationLimit, SingularSystem
-from shamans.homotopy import (ENTER, LEAVE, TERMINATE, PathWalk, RegularizationPath,
-                              _support_inverse, lambda_max, next_breakpoint,
-                              regularization_path)
+from shamans.errors import IterationLimit
+from shamans.homotopy import (ENTER, LEAVE, TERMINATE, PathWalk, RegularizationPath, lambda_max,
+                              next_breakpoint, regularization_path)
 from shamans.nnls import nnls_active_set, nnls_gram
 
 import demo_data as dd
@@ -53,6 +52,17 @@ def full_slots(mask):
     atom j in slot j, r in the slots off the mask."""
     r = mask.shape[1]
     return np.where(mask, np.arange(r), r)
+
+
+def slot_inverse(P, atoms):
+    """P(K_i, K_i)^-1 for every row of carry_inverse's (B, k) slot index
+    ``atoms`` (P.shape[0] in an empty slot), a (B, k, k) stack in the rows'
+    slot order, zero in the rows and columns of empty slots."""
+    G = np.zeros(atoms.shape + atoms.shape[1:])
+    for g, slots in zip(G, atoms):
+        on = slots < P.shape[0]
+        g[np.ix_(on, on)] = np.linalg.inv(P[np.ix_(slots[on], slots[on])])
+    return G
 
 
 def coefficients(P, ell, K):
@@ -116,54 +126,29 @@ class TestPathCoefficients:
         slack = (c - lam * d)[~K]
         assert slack.min() == pytest.approx(0.0, abs=1e-10)
 
-    def test_degenerate_support_raises(self):
-        A = np.column_stack([np.ones(4), np.ones(4), np.arange(4.0)])
-        P = gram(np.asfortranarray(A))
-        with pytest.raises(SingularSystem):
-            _support_inverse(P, full_slots(support_mask(3, [0, 1])))
-
-    def test_mixed_stack_names_the_deficient_rows(self):
-        # Atoms 0 and 1 are equal and atom 3 is their sum with atom 2.
-        rng = np.random.default_rng(28)
-        A = rng.random((6, 4))
-        A[:, 1] = A[:, 0]
-        A[:, 3] = A[:, 0] + A[:, 2]
-        P = gram(np.asfortranarray(A))
-        K = np.array([[1, 0, 1, 0], [1, 1, 0, 0], [0, 1, 1, 0],
-                      [1, 0, 1, 1], [0, 0, 0, 1], [0, 1, 1, 1]], dtype=bool)
-        with pytest.raises(SingularSystem) as exc:
-            _support_inverse(P, full_slots(K))
-        assert exc.value.matrices.tolist() == [1, 3, 5]
-        sound = K[[0, 2, 4]]
-        G = _support_inverse(P, full_slots(sound))
-        for g, k in zip(G, sound):
-            on = np.ix_(k, k)
-            np.testing.assert_allclose(g[on] @ P[on], np.eye(k.sum()), atol=1e-10)
-            assert not g[~k].any() and not g[:, ~k].any()
-
 
 class TestNextBreakpoint:
     def test_all_positive_coefficients_terminate(self):
         a, b, c, d, K = block([1.0], [2.0], [0.5], [0.3])
-        lam, kind, pos = next_breakpoint(a, b, c, d, K, 1.0, 1e-12)
+        lam, kind, pos = next_breakpoint(a, b, c, d, K, 1.0, 1e-12, 1e-12)
         assert lam[0] == 0.0 and kind[0] == TERMINATE and pos[0] == -1
 
     def test_demo_two_element_support(self):
         a, b, c, d = coefficients(DEMO_P, DEMO_ELL0, [1, 3])
         K = support_mask(4, [1, 3])
-        lam, kind, pos = next_breakpoint(a, b, c, d, K, dd.COL0_LAMBDAS[1], 1e-12)
+        lam, kind, pos = next_breakpoint(a, b, c, d, K, dd.COL0_LAMBDAS[1], 1e-12, 1e-12)
         assert lam[0] == pytest.approx(dd.COL0_LAMBDAS[2], abs=1e-9)
         assert kind[0] == ENTER
         assert pos[0] == 2  # complement of {1,3} is (0, 2); index 2 enters
 
     def test_tie_prefers_leave(self):
         a, b, c, d, K = block([-2.0], [-1.0], [-4.0], [-2.0])
-        lam, kind, pos = next_breakpoint(a, b, c, d, K, 10.0, 1e-12)
+        lam, kind, pos = next_breakpoint(a, b, c, d, K, 10.0, 1e-12, 1e-12)
         assert lam[0] == 2.0 and kind[0] == LEAVE and pos[0] == 0
 
     def test_clamped_to_current(self):
         a, b, c, d, K = block([-10.0], [-1.0], [], [])
-        lam, kind, _ = next_breakpoint(a, b, c, d, K, 5.0, 1e-12)
+        lam, kind, _ = next_breakpoint(a, b, c, d, K, 5.0, 1e-12, 1e-12)
         assert lam[0] == 5.0 and kind[0] == LEAVE
 
     def test_ignored_cells_are_not_read(self):
@@ -180,7 +165,7 @@ class TestNextBreakpoint:
 
         def filled(fill):
             return (np.where(K, a, fill), np.where(K, b, fill), np.where(K, fill, c),
-                    np.where(K, fill, d), K, current, 1e-12)
+                    np.where(K, fill, d), K, current, 1e-12, 1e-12)
 
         want = next_breakpoint(*filled(0.0))
         assert set(want[1].tolist()) == {LEAVE, ENTER, TERMINATE}
@@ -194,8 +179,19 @@ class TestNextBreakpoint:
     def test_negative_maxima_terminate(self):
         # crossing at lambda = -3, not reachable
         a, b, c, d, K = block([3.0], [-1.0], [], [])
-        lam, kind, _ = next_breakpoint(a, b, c, d, K, 1.0, 1e-12)
+        lam, kind, _ = next_breakpoint(a, b, c, d, K, 1.0, 1e-12, 1e-12)
         assert lam[0] == 0.0 and kind[0] == TERMINATE
+
+    def test_each_threshold_gates_its_own_side(self):
+        # b and d both at -2e-12: the leave threshold gates b alone, the
+        # enter threshold d alone.
+        a, b, c, d, K = block([-4e-12], [-2e-12], [-2e-12], [-2e-12])
+        for leave_tol, enter_tol, want in ((1e-12, 1e-12, (2.0, LEAVE, 0)),
+                                           (1e-11, 1e-12, (1.0, ENTER, 1)),
+                                           (1e-12, 1e-11, (2.0, LEAVE, 0)),
+                                           (1e-11, 1e-11, (0.0, TERMINATE, -1))):
+            got = next_breakpoint(a, b, c, d, K, 5.0, leave_tol, enter_tol)
+            assert tuple(x[0] for x in got) == want
 
 
 def kernel_errors(A, B, X):
@@ -223,7 +219,7 @@ class TestUnbias:
         K = np.array([1, 2, 3])
         mask = support_mask(4, K)
         atoms = K[None].copy()  # carry_inverse's layout, one slot per atom
-        G = _support_inverse(DEMO_P, atoms)
+        G = slot_inverse(DEMO_P, atoms)
         x = nnls_gram(DEMO_P, DEMO_ELL0[None], mask, start=warm_start(G, atoms, DEMO_ELL0))
         err = kernel_errors(dd.DEMO_W, b[:, None], x)
         x, err = x[0], err[0]
@@ -247,7 +243,7 @@ class TestUnbias:
         assert ls.min() < 0  # the construction really exercises the branch
         mask = support_mask(3, K)
         atoms = K[None].copy()
-        x = nnls_gram(P, ell[None], mask, start=warm_start(_support_inverse(P, atoms), atoms, ell))
+        x = nnls_gram(P, ell[None], mask, start=warm_start(slot_inverse(P, atoms), atoms, ell))
         err = kernel_errors(A, b[:, None], x)
         x, err = x[0], err[0]
         x_star, err_star = nnls_bruteforce(A[:, K], b)
@@ -279,7 +275,7 @@ class TestUnbias:
         assert ((a < 0.0).sum(axis=1) >= 2).sum() > 10
         slots = full_slots(K)
         x = nnls_gram(P, L.T[columns], K,
-                       start=warm_start(_support_inverse(P, slots), slots, L.T[columns]))
+                       start=warm_start(slot_inverse(P, slots), slots, L.T[columns]))
         err = kernel_errors(A, B[:, columns], x)
         np.testing.assert_allclose(x, e["solution"], rtol=0, atol=1e-12)
         for i, j in enumerate(columns):

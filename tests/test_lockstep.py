@@ -14,7 +14,7 @@ solves every support afresh.
 import numpy as np
 import pytest
 
-from shamans import homotopy
+from shamans import densela, homotopy
 from shamans.densela import exponent
 from shamans.errors import IterationLimit
 from shamans.homotopy import PathWalk, RegularizationPath, path_dtype
@@ -27,6 +27,19 @@ from oracles import (breakpoint_condition, extended_residual_sq, nnls_bruteforce
 RTOL = 1e-12
 EPS = np.finfo(float).eps
 WIDTH = 256  # columns per block in the tests that cross block boundaries
+
+
+@pytest.fixture
+def unfactored(monkeypatch):
+    """Make densela.spd_factor, and homotopy's binding of it, raise: the
+    walk's rank rule reads the pivots carry_inverse returns, and no
+    factorization, so the suites that use this still walk (the oracles
+    hold their own binding)."""
+    def factor(S):
+        raise AssertionError("the walk factored a matrix")
+
+    for module in (densela, homotopy):
+        monkeypatch.setattr(module, "spd_factor", factor)
 
 
 def blocks_of_width(monkeypatch, r):
@@ -155,9 +168,10 @@ def test_zero_and_uncorrelated_columns():
         assert len(paths[j].entries) == 1 and not paths[j].truncated
 
 
-def test_near_dependent_dictionaries():
+def test_near_dependent_dictionaries(unfactored):
     # Atom 4 is within 1e-9 of (W0 + W1)/2, so the support that completes
-    # {0, 1, 4} is singular and stops the walk: the path goes from its last
+    # {0, 1, 4} is singular, and its entering pivot, with no factorization
+    # (unfactored), stops the walk: the path goes from its last
     # sound entry to the NNLS entry at lambda = 0, which reaches the
     # brute-force error.  The breakpoint where that last atom would enter
     # is a ratio of two quantities near zero, which roundoff moves by up to
@@ -432,34 +446,30 @@ def test_breakpoint_limit_keeps_pooled_refits():
     assert dropped > 0 and any(p.fallback for p in capped)
 
 
-def counted_fresh_solves(monkeypatch):
-    """Count the rows whose carried inverse the walk re-seeds from a fresh
-    factorization and inverse."""
-    rows = []
-    support_inverse = homotopy._support_inverse
-
-    def counting(P, K):
-        rows.append(K.shape[0])
-        return support_inverse(P, K)
-
-    monkeypatch.setattr(homotopy, "_support_inverse", counting)
-    return rows
-
-
 def test_carried_inverse_matches_fresh_solves(monkeypatch):
     # r = 24 and long paths with LEAVE steps: the walk that carries each
-    # support's inverse across breakpoints against the one that solves
-    # every support afresh each round (a guard no pivot passes).
+    # support's inverse across breakpoints against the reference walk,
+    # which factors every support afresh, and against the walk that
+    # inverts every support afresh each round.
     rng = np.random.default_rng(71)
     A = np.asfortranarray(rng.random((60, 24)) + 0.05)
     H = np.where(rng.random((24, 300)) < 0.25, rng.uniform(0.2, 1.0, (24, 300)), 0.0)
     B = np.asfortranarray(np.clip(A @ H + 0.005 * rng.standard_normal((60, 300)), 0.0, None))
-    fresh_rows = counted_fresh_solves(monkeypatch)
     carried = walk_all(A, B)
-    assert fresh_rows == []
-    monkeypatch.setattr(homotopy, "SCHUR_GUARD", np.inf)
+    assert_matches_reference(A, B)
+    carry_inverse = homotopy.carry_inverse
+
+    def inverting(P, G, atoms, enter, index):
+        """carry_inverse's slots, and P inverted afresh on each new support."""
+        G, atoms, s = carry_inverse(P, G, atoms, enter, index)
+        for g, slots in zip(G, atoms):
+            on = slots < P.shape[0] - 1
+            g[...] = 0.0
+            g[np.ix_(on, on)] = np.linalg.inv(P[np.ix_(slots[on], slots[on])])
+        return G, atoms, s
+
+    monkeypatch.setattr(homotopy, "carry_inverse", inverting)
     fresh = walk_all(A, B)
-    assert sum(fresh_rows) == sum(len(p.entries) - 1 for p in fresh)
 
     assert max(len(p.entries) for p in carried) > 24
     assert sum((np.diff(p.entries["support"].sum(axis=1)) < 0).any() for p in carried) > 100
@@ -473,12 +483,13 @@ def test_carried_inverse_matches_fresh_solves(monkeypatch):
     np.testing.assert_allclose(got, want, rtol=RTOL, atol=0)
 
 
-def test_schur_guard_decides_truncation_like_the_reference(monkeypatch):
+def test_entering_pivot_decides_truncation_like_the_reference(unfactored):
     # Atom 4 is within 1e-9 of (W0 + W1)/2 and atom 5 duplicates atom 2:
-    # the Schur pivot of a support holding 0, 1 and 4 falls below the
-    # guard, and the fresh solve's factorization check ends those paths.
+    # the Schur pivot of atom 4 entering a support that holds 0 and 1, or
+    # of atom 2 or 5 entering one that holds the other, falls below the
+    # floor, and the path ends, with no factorization (unfactored), where
+    # the reference walk's factorization check ends it.
     rng = np.random.default_rng(72)
-    fresh_rows = counted_fresh_solves(monkeypatch)
     truncated = 0
     for _ in range(40):
         A = rng.random((8, 6))
@@ -490,14 +501,76 @@ def test_schur_guard_decides_truncation_like_the_reference(monkeypatch):
             assert got.truncated == want.truncated
             truncated += want.truncated
     assert truncated > 0
-    assert sum(fresh_rows) >= truncated
+
+
+def test_pivot_floor_ends_paths_at_their_nnls_entry(monkeypatch):
+    # 8 atoms in 10 rows, and data that mix all of them: the last atoms to
+    # enter have Schur pivots near 1e-2 of the largest diagonal entry of P.
+    # Under the floor of 1e-12 no path truncates; under one raised to 1e-2
+    # a path truncates at each entering pivot below it, and its NNLS entry
+    # reaches the brute-force error.
+    rng = np.random.default_rng(1)
+    A = rng.random((10, 8)) + 0.05
+    B = A @ rng.uniform(0.2, 1.0, (8, 40)) + 0.05 * rng.standard_normal((10, 40))
+    unsound = []
+    carry_inverse = homotopy.carry_inverse
+
+    def spy(P, G, atoms, enter, index):
+        G, atoms, s = carry_inverse(P, G, atoms, enter, index)
+        top = np.diagonal(P)[atoms].max(axis=1)
+        unsound.append(int((enter & (s < homotopy.PIVOT_FLOOR * top)).sum()))
+        return G, atoms, s
+
+    monkeypatch.setattr(homotopy, "carry_inverse", spy)
+    assert not any(p.truncated for p in walk_all(A, B)) and sum(unsound) == 0
+    monkeypatch.setattr(homotopy, "PIVOT_FLOOR", 1e-2)
+    paths = walk_all(A, B)
+    truncated = [j for j, p in enumerate(paths) if p.truncated]
+    assert len(truncated) > 10 and sum(unsound) == len(truncated)
+    for j in truncated:
+        best = nnls_bruteforce(A, B[:, j])[1]
+        assert paths[j].entries[-1]["error_sq"] == pytest.approx(best, rel=1e-8, abs=0)
+
+
+def test_unsound_pivot_at_the_cap_falls_back():
+    # Atom 4 is within 1e-9 of (W0 + W1)/2.  A path whose entering pivot
+    # turns unsound in the round that reaches the cap falls back, as the
+    # reference walk, which stops at the cap before it factors that
+    # support, gives up; one that turns unsound earlier ends truncated.
+    # Every path that does not fall back is the uncapped walk's, bit for
+    # bit.  Under a cap of 3, columns 16 and 32 truncate after two
+    # breakpoints, and the nine other columns that truncate uncapped fall
+    # back.
+    rng = np.random.default_rng(5)
+    A = rng.random((12, 5)) + 0.05
+    B = rng.random((12, 40))
+    A[:, 4] = 0.5 * (A[:, 0] + A[:, 1]) + 1e-9 * rng.random(12)
+    free = walk_all(A, B)
+    cut = [j for j, p in enumerate(free) if p.truncated]
+    assert cut == [3, 8, 16, 17, 20, 21, 22, 24, 25, 32, 36]
+    for cap in (2, 3, 5, 6):
+        capped = walk_all(A, B, cap)
+        for j, (got, want) in enumerate(zip(capped, free)):
+            ref = reference(A, B[:, j], max_breakpoints=cap)
+            assert got.fallback == isinstance(ref, IterationLimit), (cap, j)
+            if got.fallback:
+                assert not got.truncated and len(got.entries) == 2
+                assert got.entries[0].tobytes() == want.entries[0].tobytes()
+                assert_nnls_entry(got.entries[1], A, B[:, j])
+            else:
+                assert got.truncated == want.truncated == ref.truncated
+                assert got.entries.tobytes() == want.entries.tobytes()
+        if cap == 3:
+            assert [(j, len(p.entries)) for j, p in enumerate(capped) if p.truncated] == [
+                (16, 4), (32, 4)]
+            assert all(capped[j].fallback for j in cut if j not in (16, 32))
 
 
 def test_split_groups_keep_the_inverses_within_budget(monkeypatch):
     # r = 24 and 64 columns, one block under a budget of 64 x 144: three in
     # four columns mix all 24 atoms, the rest 16.  The live columns times
     # their slots squared pass the budget near the 13th atom, and the
-    # whole block walks on: no row is re-seeded, and the block bounds the
+    # whole block walks on: no path is truncated, and the block bounds the
     # carried stack at width x r^2 entries.  Under a cap of 22 breakpoints
     # some paths finish and the rest fall back.  Paths match the reference.
     rng = np.random.default_rng(4)
@@ -507,8 +580,8 @@ def test_split_groups_keep_the_inverses_within_budget(monkeypatch):
     rank = np.argsort(np.argsort(rng.random((r, n)), axis=0), axis=0)
     H = np.where(rank < count, rng.uniform(0.2, 1.0, (r, n)), 0.0)
     B = np.clip(A @ H + 0.005 * rng.standard_normal((m, n)), 0.0, None)
-    sizes, rows = [], []
-    carry_inverse, support_inverse = homotopy.carry_inverse, homotopy._support_inverse
+    sizes = []
+    carry_inverse = homotopy.carry_inverse
 
     def carrying(P, G, atoms, enter, index):
         sizes.append(G.size)
@@ -516,21 +589,17 @@ def test_split_groups_keep_the_inverses_within_budget(monkeypatch):
         sizes.append(out[0].size)
         return out
 
-    def seeding(P, atoms):
-        rows.append(atoms.shape[0])
-        return support_inverse(P, atoms)
-
     monkeypatch.setattr(homotopy, "carry_inverse", carrying)
-    monkeypatch.setattr(homotopy, "_support_inverse", seeding)
     monkeypatch.setattr(homotopy, "BUDGET", n * 144)
     assert homotopy.block_width(r) == n
     for cap in (None, 22):
         sizes.clear()
         assert_matches_reference(A, B, cap)
-        assert rows == []  # no row is re-seeded
         assert homotopy.BUDGET < max(sizes) <= n * r**2
-    fell = np.array([p.fallback for p in walk_all(A, B, cap=22)])
+    paths = walk_all(A, B, cap=22)
+    fell = np.array([p.fallback for p in paths])
     assert fell.any() and not fell.all()
+    assert not any(p.truncated for p in paths + walk_all(A, B))
 
 
 def test_record_invariants(monkeypatch):

@@ -600,16 +600,15 @@ class TestPathReport:
 
 class TestWalkReport:
     """The report's ``walk`` entry against the walk's kernel calls, counted
-    from outside: a round is one next_breakpoint call, a re-seed passes its
-    rows to _support_inverse, a refit is an nnls_gram call with a start,
-    and a fallback is one PathWalk.nnls call, which ends a block's
-    breakpoint-limit and truncated paths."""
+    from outside: a round is one next_breakpoint call, a refit is an
+    nnls_gram call with a start, and a fallback is one PathWalk.nnls call,
+    which ends a block's breakpoint-limit and truncated paths."""
 
     @staticmethod
     def counted(monkeypatch):
-        counts = dict.fromkeys(("rounds", "reseeded_rows", "refit_calls", "fallback_calls"), 0)
+        counts = dict.fromkeys(("rounds", "refit_calls", "fallback_calls"), 0)
         next_breakpoint, nnls_gram = homotopy_mod.next_breakpoint, homotopy_mod.nnls_gram
-        support_inverse, nnls = homotopy_mod._support_inverse, PathWalk.nnls
+        nnls = PathWalk.nnls
 
         def rounds(*args):
             counts["rounds"] += 1
@@ -619,17 +618,12 @@ class TestWalkReport:
             counts["refit_calls"] += "start" in kwargs
             return nnls_gram(P, ell, mask, **kwargs)
 
-        def reseeds(P, atoms):
-            counts["reseeded_rows"] += atoms.shape[0]
-            return support_inverse(P, atoms)
-
         def fallbacks(walk, cols):
             counts["fallback_calls"] += 1
             return nnls(walk, cols)
 
         monkeypatch.setattr(homotopy_mod, "next_breakpoint", rounds)
         monkeypatch.setattr(homotopy_mod, "nnls_gram", refits)
-        monkeypatch.setattr(homotopy_mod, "_support_inverse", reseeds)
         monkeypatch.setattr(PathWalk, "nnls", fallbacks)
         return counts
 
@@ -657,19 +651,20 @@ class TestWalkReport:
             breakpoint_cap(cap)
             _, report = solve(M, W, SolveConfig(mode=w.mode, q=w.q, k=w.k))
             self.assert_matches(counts, report)
-            assert counts["rounds"] > 0 and counts["reseeded_rows"] == 0
+            assert counts["rounds"] > 0 and report.truncated_columns == []
             assert counts["fallback_calls"] == (len(report.fallback_columns) > 0)
             for key in total:
                 total[key] += counts[key]
         assert total["fallback_calls"] > 0
         assert total["refit_calls"] > 0 or name == "pixels-r6"
 
-    def test_reseeded_rows(self, monkeypatch):
+    def test_truncated_columns(self, monkeypatch):
         # Atom 4 is within 1e-9 of (W0 + W1)/2 and atom 5 duplicates atom 2,
-        # so supports fall below the Schur guard and are re-seeded, and some
-        # of those paths end truncated.
+        # so some entering pivots are unsound, and those paths end
+        # truncated, each at its NNLS entry, which one fallback call per
+        # block solves.
         rng = np.random.default_rng(72)
-        reseeded = truncated = 0
+        truncated = 0
         for _ in range(10):
             W = rng.random((8, 6))
             W[:, 4] = 0.5 * (W[:, 0] + W[:, 1]) + 1e-9 * rng.random(8)
@@ -678,9 +673,9 @@ class TestWalkReport:
             counts = self.counted(monkeypatch)
             _, report = solve(M, W, SolveConfig(mode="ksparse", k=6))
             self.assert_matches(counts, report)
-            reseeded += counts["reseeded_rows"]
             truncated += len(report.truncated_columns)
-        assert reseeded >= truncated > 0
+            assert counts["fallback_calls"] == (len(report.truncated_columns) > 0)
+        assert truncated > 0
 
 
 def generated_workloads():
