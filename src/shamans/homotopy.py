@@ -68,20 +68,20 @@ TERMINATE = 2
 
 # A walk's working set, in float64 entries.  It bounds two things:
 # a block's width, by one round's three (columns, 2, r) arrays, its
-# right-hand sides, solutions and gradients, and by its records, 16 + 9 r
-# bytes per column (1,024 columns at r = 24, so wider blocks share each
-# round's numpy calls), and PathWalk's scaled (m, columns) reads of B.  The
-# inverse stacks are bounded by the block instead, at width r^2 entries on
-# full supports, 4 BUDGET at r = 24: the live columns' (columns, k, k) and
-# one PathWalk.nnls call's (columns, r, r); the refit pool holds under 1.5
-# widths of (k, k).  The block's records, the walk's output, grow with its
-# width times path length.
+# right-hand sides, solutions and gradients (1,024 columns at r = 24, so
+# wider blocks share each round's numpy calls), and PathWalk's scaled
+# (m, columns) reads of B.  The inverse stacks are bounded by the block
+# instead, at width r^2 entries on full supports, 4 BUDGET at r = 24: the
+# live columns' (columns, k, k) and one PathWalk.nnls call's (columns, r,
+# r); the refit pool holds under 1.5 widths of (k, k).  The block's
+# records, 16 + 9 r bytes per column and round (under one round's arrays),
+# are the walk's output and grow with its width times path length.
 BUDGET = 256 * 24 * 24
 
 
 def block_width(r: int) -> int:
     """Columns walked together over a dictionary of r atoms (BUDGET)."""
-    return max(1, BUDGET // max(6 * r, -(-path_dtype(r).itemsize // 8)))
+    return max(1, BUDGET // (6 * max(r, 1)))
 
 
 def path_dtype(r: int) -> np.dtype:
@@ -101,10 +101,10 @@ def path_dtype(r: int) -> np.dtype:
 class RegularizationPath:
     """Path entries as path_dtype records, lambda nonincreasing to 0.
 
-    ``truncated`` marks a path that met a rank-deficient support: its
-    last sound entry is followed by the NNLS solution at lambda = 0.
-    ``fallback`` marks a path that passed the breakpoint limit: it holds
-    the zero entry and the NNLS solution at lambda = 0, nothing between.
+    A path ended early keeps its walked entries and then ends at the NNLS
+    solution at lambda = 0: ``truncated`` marks one that met a
+    rank-deficient support, ``fallback`` one that passed the breakpoint
+    limit.
     """
 
     entries: np.ndarray
@@ -181,17 +181,17 @@ class PathWalk:
 
     Columns are walked block_width(r) at a time, in lockstep, when
     regularization_path first asks for a column of the block.  A column
-    whose path exceeds ``max_breakpoints``, 50 r, ends at its NNLS solution
-    with ``fallback`` set; the cap only guards against cycling, and no
-    argument sets it.  ``refits`` and ``stats`` say what the blocks walked
-    so far did, as mnnls.UnmixReport's ``refits`` and ``walk``.  An
-    IterationLimit from an active-set solve, a refit's or a fallback's,
-    leaves with ``column`` set to the data column.
+    whose path exceeds ``max_breakpoints``, 50 r, ends early with
+    ``fallback`` set (RegularizationPath); the cap only guards against
+    cycling, and no argument sets it.  ``refits`` and ``stats`` say what
+    the blocks walked so far did, as mnnls.UnmixReport's ``refits`` and
+    ``walk``.  An IterationLimit from an active-set solve, a refit's or a
+    fallback's, leaves with ``column`` set to the data column.
 
     The walk runs on A 2^-a and B 2^-b, ``exponents`` (a, b) from
     densela.exponent (which raises NonFiniteEntry on a NaN or infinite
     entry), so P, A.T B and b @ b are at most m.  All it holds is in these
-    units: P, L, the QR factors, ``norm_sq``, ``Z`` and ``perp_sq``
+    units: P, L, the QR factor R, ``norm_sq``, ``Z`` and ``perp_sq``
     (range_split of each column), and its paths, whose lam, error_sq and
     solution are A's and B's times 2^-(a+b), 2^-2b and 2^(a-b).  No
     threshold has an absolute term (next_breakpoint, nnls_gram; a
@@ -203,14 +203,14 @@ class PathWalk:
         a, b = self.exponents = (densela.exponent(A, "the dictionary"),
                                  densela.exponent(B, "the data"))
         A = np.ldexp(A, -a)
-        self.Q, self.R = np.linalg.qr(A)
+        Q, self.R = np.linalg.qr(A)
         self.P = densela.gram(A)
         self.L = np.ldexp(A, -b).T @ B  # A.T B 2^-b, with no scaled copy of B
         # The zero entries' errors b @ b and range_split, BUDGET // m columns at a time.
         step = max(1, BUDGET // max(1, B.shape[0]))
         blocks = (np.ldexp(B[:, i:i + step], -b) for i in range(0, max(1, B.shape[1]), step))
         self.norm_sq, self.Z, self.perp_sq = map(np.concatenate, zip(*(
-            (np.matmul(x.T[:, None, :], x.T[:, :, None])[:, 0, 0], *range_split(self.Q, x))
+            (np.matmul(x.T[:, None, :], x.T[:, :, None])[:, 0, 0], *range_split(Q, x))
             for x in blocks)))
         r = self.P.shape[0]
         self.max_breakpoints = 50 * r
@@ -231,11 +231,10 @@ class PathWalk:
         where it goes negative, whole with their G and atoms, for
         refit_pool once they fill half the block's width, and carries G to
         the next support.  A column whose entering atom's Schur pivot is
-        unsound (nnls_gram's rank rule) leaves the walk truncated, unless
-        that round was the last.  The columns still live after
-        ``max_breakpoints`` rounds drop their records past the zero entry;
-        they and the truncated columns end at the NNLS solution, found by
-        one ``nnls`` call.
+        unsound (nnls_gram's rank rule) leaves the walk truncated, and the
+        columns still live after ``max_breakpoints`` rounds fall back; both
+        keep their records and end at the NNLS solution, found by one
+        ``nnls`` call.
         """
         P = self.P
         r = P.shape[0]
@@ -258,7 +257,6 @@ class PathWalk:
             owners.append(cols)
 
         pool = []  # (record array, its rows, columns, G, atoms) awaiting refits
-        refitted = np.zeros(width, dtype=np.int64)  # pooled entries per column
 
         def refit_pool():
             """Refit the pooled entries on their supports by one nnls_gram
@@ -284,6 +282,7 @@ class PathWalk:
                 raise _at_column(exc, start + int(cols[exc.row])) from exc
             self.stats["refit_ms"] += (time.perf_counter() - clock) * 1e3
             self.stats["refit_calls"] += 1
+            self.refits += cols.size
             err = residual_sq(self.R, Z[cols], perp_sq[cols], X)
             for entries, rows, x, e in zip(arrays, at, np.split(X, ends[:-1]),
                                            np.split(err, ends[:-1])):
@@ -322,7 +321,6 @@ class PathWalk:
             record(live, lam_next, residual_sq(self.R, Z[live], perp_sq[live], a), K, a)
             negative = np.flatnonzero((a < 0.0).any(axis=1))
             if negative.size:
-                refitted[live[negative]] += 1
                 pool.append((records[-1], negative, live[negative], G[negative], atoms[negative]))
                 if 2 * sum(held.size for _, held, _, _, _ in pool) >= width:
                     refit_pool()
@@ -333,22 +331,17 @@ class PathWalk:
             G, atoms, s = carry_inverse(Pz, G, atoms, enter, index[go])
             lam = lam_next[go]
             rounds += 1
-            if rounds < self.max_breakpoints:  # at the cap, unsound rows fall back
-                # nnls_gram's rank rule; a NaN pivot is unsound too.
-                unsound = enter & ~(s >= PIVOT_FLOOR * diag[atoms].max(axis=1))
-                if unsound.any():
-                    truncated[live[unsound]] = True
-                    live, lam, atoms, G = (x[~unsound] for x in (live, lam, atoms, G))
+            # nnls_gram's rank rule; a NaN pivot is unsound too.
+            unsound = enter & ~(s >= PIVOT_FLOOR * diag[atoms].max(axis=1))
+            if unsound.any():
+                truncated[live[unsound]] = True
+                live, lam, atoms, G = (x[~unsound] for x in (live, lam, atoms, G))
         over[live] = True
-        refit_pool()  # before the records past the limit are dropped
-        self.refits += int(refitted[~over].sum())
+        refit_pool()
         self.stats["rounds"] += rounds
 
         fell = np.flatnonzero(over | truncated)  # both end at their NNLS entry
-        if fell.size:  # past the limit a path keeps only its zero entry of the walk
-            for i in range(1, len(records)):
-                keep = ~over[owners[i]]
-                records[i], owners[i] = records[i][keep], owners[i][keep]
+        if fell.size:
             X = self.nnls(start + fell)
             self.stats["fallback_calls"] += 1
             record(fell, 0.0, residual_sq(self.R, Z[fell], perp_sq[fell], X), X > 0.0, X)
@@ -414,18 +407,17 @@ def regularization_path(A, b, walk: PathWalk | None = None,
     dictionary A and the (m,) right-hand side b.
 
     A and b may come in any units (PathWalk); NonFiniteEntry marks an
-    entry past the float range.  A path longer than 50 r breakpoints,
-    PathWalk's guard against cycling, is its two ends with ``fallback``
-    set.  Given a PathWalk over many right-hand sides of A, of which b is
-    column ``column``, the path is read from the walk, in the walk's units,
-    and the other arguments are the walk's.
+    entry past the float range.  Given a PathWalk over many right-hand
+    sides of A, of which b is column ``column``, the path is read from the
+    walk, in the walk's units, and the other arguments are the walk's.
 
     The first entry is (lambda_max, ||b||^2, empty support, 0), in
     path_dtype's field order (lam, error_sq, support, solution);
     consecutive supports differ by one index; the last entry sits at
-    lambda = 0 with the unconstrained NNLS solution.  On a rank-deficient
-    support the last sound entry is followed by that one, with
-    ``truncated`` set.
+    lambda = 0 with the unconstrained NNLS solution.  A path that meets a
+    rank-deficient support (``truncated``) or passes 50 r breakpoints,
+    PathWalk's guard against cycling (``fallback``), ends early: its walked
+    entries are followed by that one.
     """
     if walk is None:
         A, b = as_matrix(A, "A"), as_vector(b, "b")

@@ -73,13 +73,12 @@ class UnmixReport:
     ``breakpoints`` totals the path steps of all columns, and entry k of
     ``breakpoint_histogram`` counts the columns whose path took k steps;
     ``refits`` counts the steps whose unbiased refit needed the active-set
-    solver, because least squares on the support went negative, on the
-    paths that keep them (a fallback column's are dropped).  Columns
-    listed in ``fallback_columns`` hit the breakpoint limit, so their path
-    holds only its two ends, the zero and the NNLS solution, and those in
-    ``truncated_columns`` met a rank-deficient support, an entering atom
-    whose Schur pivot fell below the rank rule's floor (nnls.nnls_gram),
-    where their path goes on to the NNLS solution.  ``walk`` says what the
+    solver, because least squares on the support went negative.  The
+    paths of the columns listed in ``fallback_columns``, which hit the
+    breakpoint limit, and in ``truncated_columns``, which met a
+    rank-deficient support (an entering atom whose Schur pivot fell below
+    the rank rule's floor, nnls.nnls_gram), ended early: they go on from
+    their last walked entry to the NNLS solution.  ``walk`` says what the
     lockstep walk did: ``rounds`` walked, ``refit_calls`` to the
     active-set solver and the ``refit_ms`` they took, and
     ``fallback_calls`` that solved fallback and truncated columns.  These
@@ -158,7 +157,7 @@ def solve(M, W, cfg: SolveConfig):
     """Solve for H >= 0 under the configured sparsity regime.
 
     Returns (H, report).  Columns whose path exceeds the breakpoint limit
-    take the two-entry path to their NNLS solution and are listed in
+    end it early at their NNLS solution and are listed in
     ``report.fallback_columns`` instead of aborting the whole run.  M and
     W may come in any units (PathWalk); an H past the float range raises
     NonFiniteEntry.

@@ -183,14 +183,18 @@ def select_step(state: SelectionState, tables: CostTables, q: int,
     decrease per added nonzero (ties: smaller column, then smaller level).
     In strict mode, once fewer than r nonzeros remain, it takes instead
     the best advance that still fits, and stops when no positive one
-    does, so the budget is never exceeded.  In default mode the final
+    does, so the budget is never exceeded.  Once strict picks have moved
+    cursors off the segments, every pick is the best advance from the
+    cursors, one that fits in strict mode.  In default mode the final
     pick may overshoot q by at most r - 1.
     """
     if state.nnz_total >= q:
         return None
     remaining = q - state.nnz_total
-    if strict and remaining < tables.levels:
-        found = _best_fitting(tables.delta, state.cursors, remaining)
+    off = state.nnz_total != state.sizes[:state.position].sum()  # strict picks moved cursors
+    if off or (strict and remaining < tables.levels):
+        found = _best_fitting(tables.delta, state.cursors,
+                              remaining if strict else tables.levels)
         if found is None:
             return None
         level, j = found

@@ -379,20 +379,22 @@ class TestRegularizationPath:
 
     def test_breakpoint_limit_falls_back(self):
         # The one-column reference walk gives up at the limit; the path
-        # keeps its zero entry and ends at the NNLS solution.  The walk
-        # reads its cap when it walks the block, so it is set before the
-        # first path is read.
+        # keeps its walked entries, the zero entry and one breakpoint, the
+        # uncapped walk's, and ends at the NNLS solution.  The walk reads
+        # its cap when it walks the block, so it is set before the first
+        # path is read.
         W, b = dd.DEMO_W, dd.DEMO_M[:, 0]
         with pytest.raises(IterationLimit):
             reference_path(W, b, max_breakpoints=1)
         walk = PathWalk(W, b[:, None])
         walk.max_breakpoints = 1
         path = walk.unscaled_path(0)
-        assert path.fallback and not path.truncated and len(path.entries) == 2
-        zero, last = path.entries
-        want = reference_path(W, b).entries[0]
+        assert path.fallback and not path.truncated and len(path.entries) == 3
+        walked, last = path.entries[:2], path.entries[2]
+        assert walked.tobytes() == PathWalk(W, b[:, None]).unscaled_path(0).entries[:2].tobytes()
+        want = reference_path(W, b).entries[:2]
         for field in want.dtype.names:
-            np.testing.assert_allclose(np.asarray(zero[field], float),
+            np.testing.assert_allclose(np.asarray(walked[field], float),
                                        np.asarray(want[field], float), rtol=1e-12, atol=0)
         sol = nnls_active_set(W, b)
         assert last["lam"] == 0.0 and np.count_nonzero(last["solution"]) == sol.support.size

@@ -93,22 +93,47 @@ def assert_nnls_entry(entry, A, b):
     assert entry["error_sq"] == pytest.approx(sol.residual_sq, rel=1e-12, abs=1e-300)
 
 
-def assert_matches_reference(A, B, cap=None):
-    """Each column's path matches the reference walk; where that walk passes
-    the breakpoint limit ``cap``, the path is its zero entry and the NNLS
-    entry."""
+def assert_ended_early(got, free, A, b, pooled_rtol=0.0):
+    """``got`` ended early: its entries before the last are the first ones
+    of ``free``, the uncapped walk's path, byte for byte, and its last is
+    the NNLS entry.  Given ``pooled_rtol``, the refits and errors of the
+    entries refit in a pool (refit_entries) may instead differ by that
+    much relative to their largest value along ``free``: the last refits of
+    a capped walk share their nnls_gram call with other rows."""
+    head = got.entries[:-1]
+    want = free.entries[:len(head)]
+    pooled = refit_entries(want) if pooled_rtol else np.zeros(len(want), dtype=bool)
+    assert head[~pooled].tobytes() == want[~pooled].tobytes()
+    for field in ("lam", "support"):
+        assert head[field].tobytes() == want[field].tobytes()
+    for field in ("error_sq", "solution"):
+        atol = pooled_rtol * np.abs(free.entries[field]).max()
+        off = ~(np.abs(head[field] - want[field]) <= atol)  # NaN is off
+        assert not off.any(), (field, np.argwhere(off))
+    assert_nnls_entry(got.entries[-1], A, b)
+
+
+def assert_matches_reference(A, B, cap=None, pooled_rtol=0.0):
+    """Each column's path matches the reference walk.  Where that walk passes
+    the breakpoint limit ``cap``, the path walked ``cap`` breakpoints, the
+    uncapped walk's (assert_ended_early, with ``pooled_rtol``) and the
+    uncapped reference walk's first ones, and ended early: it falls back,
+    or it truncates on an entering pivot that turned unsound in the last
+    round."""
+    free = None if cap is None else walk_all(A, B)
+    r = A.shape[1]
     for j, got in enumerate(walk_all(A, B, cap)):
         want = reference(A, B[:, j], max_breakpoints=cap)
         if isinstance(want, IterationLimit):
-            assert got.fallback and len(got.entries) == 2
-            zero = reference_path(A, B[:, j]).entries[:1]
-            assert_same_path(RegularizationPath(got.entries[:1]), RegularizationPath(zero))
-            assert_nnls_entry(got.entries[1], A, B[:, j])
+            assert got.fallback != got.truncated and len(got.entries) == cap + 2
+            assert_ended_early(got, free[j], A, B[:, j], pooled_rtol)
+            want = reference_path(A, B[:, j])
+            kappa = breakpoint_condition(A, B[:, j], want.entries)[:cap + 1]
+            got, want = (RegularizationPath(p.entries[:cap + 1]) for p in (got, want))
         else:
             assert not got.fallback
-            r = A.shape[1]
             kappa = breakpoint_condition(A, B[:, j], want.entries)
-            assert_same_path(got, want, r * EPS * kappa * np.abs(want.entries["lam"]))
+        assert_same_path(got, want, r * EPS * kappa * np.abs(want.entries["lam"]))
 
 
 def test_random_instances():
@@ -240,9 +265,10 @@ def test_breakpoint_limit_across_block_boundaries(monkeypatch, tiny_pivots):
     # Atom 4 is within 1e-9 of (W0 + W1)/2, so the NNLS of some columns
     # meets a passive set that atom 4 would make rank deficient, and bars
     # it; every seventh column is a multiple of atom 2 and finishes in one
-    # breakpoint.  Past the limit of two, a path is its zero entry and the
-    # NNLS entry, which reaches the brute-force error, barred atom or not;
-    # every other path is the uncapped walk's.
+    # breakpoint.  Past the limit of two, a path keeps the uncapped walk's
+    # first three entries and ends at the NNLS entry, which reaches the
+    # brute-force error, barred atom or not; every other path is the
+    # uncapped walk's.
     blocks_of_width(monkeypatch, 5)
     rng = np.random.default_rng(0)
     A = rng.random((8, 5))
@@ -257,12 +283,11 @@ def test_breakpoint_limit_across_block_boundaries(monkeypatch, tiny_pivots):
             assert got.truncated == want.truncated
             kinds["finished"].add(j >= WIDTH)
             continue
-        assert got.entries[0].tobytes() == want.entries[0].tobytes()
-        assert not got.truncated and len(got.entries) == 2
+        assert not got.truncated and len(got.entries) == 4
         tiny_pivots.clear()
-        assert_nnls_entry(got.entries[1], A, B[:, j])
+        assert_ended_early(got, want, A, B[:, j])
         best = nnls_bruteforce(A, B[:, j])[1]
-        assert got.entries[1]["error_sq"] == pytest.approx(best, rel=1e-8, abs=0)
+        assert got.entries[-1]["error_sq"] == pytest.approx(best, rel=1e-8, abs=0)
         kinds["barred" if any(tiny_pivots) else "fallback"].add(j >= WIDTH)
     # Every kind of column occurs in both blocks.
     assert all(blocks == {False, True} for blocks in kinds.values())
@@ -270,11 +295,11 @@ def test_breakpoint_limit_across_block_boundaries(monkeypatch, tiny_pivots):
 
 def test_block_widths():
     # A round's three (columns, 2, r) arrays fill the budget, 1,024 columns at
-    # r = 24; at r = 0 one round's records, 16 + 9 r bytes per column, are the
-    # larger.
+    # r = 24, and r = 0 is sized as r = 1; one round's records, 16 + 9 r bytes
+    # per column, stay within it.
     assert homotopy.BUDGET == 256 * 24 * 24
     assert [homotopy.block_width(r) for r in (0, 1, 4, 6, 24)] == [
-        73_728, 24_576, 6_144, 4_096, 1_024]
+        24_576, 24_576, 6_144, 4_096, 1_024]
     for r in range(30):
         dtype = homotopy.path_dtype(r)
         assert dtype.names == ("lam", "error_sq", "support", "solution")
@@ -433,17 +458,24 @@ def test_workload_shaped_dictionary():
 def test_breakpoint_limit_keeps_pooled_refits():
     # Data uncorrelated with a 12-atom dictionary, capped at 6 breakpoints:
     # refits are still pooled when the rounds stop, for paths that finish
-    # and for paths past the limit, and the finished ones keep theirs.
+    # and for paths past the limit, and every path keeps its own, a capped
+    # one up to its NNLS entry; walk.refits counts them all.
     rng = np.random.default_rng(0)
-    A = rng.random((40, 12))
-    B = rng.random((40, 100))
-    capped, free = walk_all(A, B, cap=6), walk_all(A, B)
-    dropped = 0
-    for got, want in zip(capped, free):
-        if not got.fallback:
+    A = np.asfortranarray(rng.random((40, 12)))
+    B = np.asfortranarray(rng.random((40, 100)))
+    walk = PathWalk(A, B)
+    walk.max_breakpoints = 6
+    capped, free = [walk.unscaled_path(j) for j in range(100)], walk_all(A, B)
+    for j, (got, want) in enumerate(zip(capped, free)):
+        if got.fallback:
+            assert not got.truncated and len(got.entries) == 8
+            assert_ended_early(got, want, A, B[:, j])
+        else:
             assert_same_path(got, want)
-            dropped += refit_entries(got.entries).sum()
-    assert dropped > 0 and any(p.fallback for p in capped)
+    dropped = [int(refit_entries(p.entries).sum()) for p in capped]
+    assert walk.refits == sum(dropped)
+    for fell in (True, False):
+        assert sum(d for d, p in zip(dropped, capped) if p.fallback == fell) > 0
 
 
 def test_carried_inverse_matches_fresh_solves(monkeypatch):
@@ -532,15 +564,15 @@ def test_pivot_floor_ends_paths_at_their_nnls_entry(monkeypatch):
         assert paths[j].entries[-1]["error_sq"] == pytest.approx(best, rel=1e-8, abs=0)
 
 
-def test_unsound_pivot_at_the_cap_falls_back():
+def test_unsound_pivot_at_the_cap_truncates():
     # Atom 4 is within 1e-9 of (W0 + W1)/2.  A path whose entering pivot
-    # turns unsound in the round that reaches the cap falls back, as the
-    # reference walk, which stops at the cap before it factors that
-    # support, gives up; one that turns unsound earlier ends truncated.
-    # Every path that does not fall back is the uncapped walk's, bit for
-    # bit.  Under a cap of 3, columns 16 and 32 truncate after two
-    # breakpoints, and the nine other columns that truncate uncapped fall
-    # back.
+    # turns unsound by the round that reaches the cap ends truncated, as it
+    # does uncapped, and one still live after that round falls back; the
+    # reference walk, which stops at the cap before it factors the next
+    # support, gives up on both.  Every path keeps the uncapped walk's
+    # entries, bit for bit, up to its NNLS entry.  Under a cap of 3, nine of
+    # the eleven columns that truncate uncapped do so, seven of them in the
+    # cap round, and columns 3 and 25 fall back.
     rng = np.random.default_rng(5)
     A = rng.random((12, 5)) + 0.05
     B = rng.random((12, 40))
@@ -551,19 +583,18 @@ def test_unsound_pivot_at_the_cap_falls_back():
     for cap in (2, 3, 5, 6):
         capped = walk_all(A, B, cap)
         for j, (got, want) in enumerate(zip(capped, free)):
+            assert got.truncated == (want.truncated and len(want.entries) <= cap + 2), (cap, j)
             ref = reference(A, B[:, j], max_breakpoints=cap)
-            assert got.fallback == isinstance(ref, IterationLimit), (cap, j)
-            if got.fallback:
-                assert not got.truncated and len(got.entries) == 2
-                assert got.entries[0].tobytes() == want.entries[0].tobytes()
-                assert_nnls_entry(got.entries[1], A, B[:, j])
+            if isinstance(ref, IterationLimit):
+                assert got.fallback != got.truncated and len(got.entries) == cap + 2
+                assert_ended_early(got, want, A, B[:, j])
             else:
-                assert got.truncated == want.truncated == ref.truncated
+                assert not got.fallback and got.truncated == ref.truncated
                 assert got.entries.tobytes() == want.entries.tobytes()
         if cap == 3:
             assert [(j, len(p.entries)) for j, p in enumerate(capped) if p.truncated] == [
-                (16, 4), (32, 4)]
-            assert all(capped[j].fallback for j in cut if j not in (16, 32))
+                (8, 5), (16, 4), (17, 5), (20, 5), (21, 5), (22, 5), (24, 5), (32, 4), (36, 5)]
+            assert capped[3].fallback and capped[25].fallback
 
 
 def test_split_groups_keep_the_inverses_within_budget(monkeypatch):
@@ -572,7 +603,9 @@ def test_split_groups_keep_the_inverses_within_budget(monkeypatch):
     # their slots squared pass the budget near the 13th atom, and the
     # whole block walks on: no path is truncated, and the block bounds the
     # carried stack at width x r^2 entries.  Under a cap of 22 breakpoints
-    # some paths finish and the rest fall back.  Paths match the reference.
+    # some paths finish and the rest fall back.  Paths match the reference,
+    # and the capped ones the uncapped walk's first entries, whose last
+    # refits share a pool with other rows there.
     rng = np.random.default_rng(4)
     r, m, n = 24, 60, 64
     A = rng.random((m, r)) + 0.05
@@ -594,7 +627,7 @@ def test_split_groups_keep_the_inverses_within_budget(monkeypatch):
     assert homotopy.block_width(r) == n
     for cap in (None, 22):
         sizes.clear()
-        assert_matches_reference(A, B, cap)
+        assert_matches_reference(A, B, cap, pooled_rtol=RTOL)
         assert homotopy.BUDGET < max(sizes) <= n * r**2
     paths = walk_all(A, B, cap=22)
     fell = np.array([p.fallback for p in paths])

@@ -337,7 +337,8 @@ class TestSelect:
 
     def test_larger_budget_after_strict_picks(self):
         # Strict picks move cursors off the segments; a later select at a
-        # larger budget must still leave the state where the steps do.
+        # larger budget must still leave the state where the steps do, and
+        # each of those steps advances a cursor and lowers the total error.
         rng = np.random.default_rng(39)
         for _ in range(40):
             cost = random_cost_table(rng, int(rng.integers(2, 6)), int(rng.integers(2, 7)))
@@ -347,8 +348,13 @@ class TestSelect:
                 stepped, selected = init_gain(tables), init_gain(tables)
                 select(stepped, tables, q, strict=True)
                 select(selected, tables, q, strict=True)
-                while select_step(stepped, tables, r * n) is not None:
-                    pass
+                while True:
+                    before = stepped.cursors.copy()
+                    if select_step(stepped, tables, r * n) is None:
+                        break
+                    assert (stepped.cursors >= before).all(), (cost, q, before)
+                    error = [cost[c, np.arange(n)].sum() for c in (before, stepped.cursors)]
+                    assert error[1] < error[0], (cost, q, before)
                 select(selected, tables, r * n)
                 assert selection_state(selected) == selection_state(stepped), (cost, q)
 
