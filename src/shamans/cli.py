@@ -29,7 +29,7 @@ class UsageError(Exception):
 
 
 def read_csv_matrix(path) -> np.ndarray:
-    """Load a headerless CSV of nonnegative reals as a column-major matrix.
+    """Load a headerless CSV of nonnegative reals as a row-major matrix.
 
     One vectorized read parses the file.  Input it rejects, and input
     with no rows or with a non-finite or negative entry, is read again
@@ -46,7 +46,7 @@ def read_csv_matrix(path) -> np.ndarray:
         return _scan_csv_matrix(path)
     if A.size == 0 or not np.isfinite(A).all() or (A < 0.0).any():
         return _scan_csv_matrix(path)
-    return np.asfortranarray(A)
+    return A
 
 
 def _scan_csv_matrix(path) -> np.ndarray:
@@ -85,7 +85,7 @@ def _scan_csv_matrix(path) -> np.ndarray:
             rows.append(vals)
     if not rows:
         raise ParseError(f"{path}: no matrix rows found", line=1, column=1)
-    return np.asfortranarray(rows, dtype=np.float64)
+    return np.array(rows, dtype=np.float64)
 
 
 def write_csv_matrix(H: np.ndarray, path) -> None:

@@ -1,8 +1,8 @@
 """Dense linear-algebra kernels shared by the solvers.
 
-Matrices are 2-D float64 numpy arrays kept in Fortran (column-major) order,
-so per-column access, the dominant pattern here, is contiguous.  Everything
-is treated as immutable after construction; all functions are pure.
+Matrices are 2-D float64 numpy arrays kept in C (row-major) order, as the
+CSV reader and numpy make them, so no input is transposed on its way in.
+Everything is treated as immutable after construction; all functions are pure.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ TOL = 1e-10
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Convert to a 2-D float64 column-major array; exponent checks the entries."""
-    out = np.asfortranarray(a, dtype=np.float64)
+    """Convert to a 2-D float64 row-major array; exponent checks the entries."""
+    out = np.ascontiguousarray(a, dtype=np.float64)
     if out.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got ndim={out.ndim}")
     return out
@@ -53,7 +53,7 @@ def unscale(X: np.ndarray, e: int, name: str) -> np.ndarray:
 def gram(A: np.ndarray) -> np.ndarray:
     """Gram matrix A.T @ A, symmetrized so S == S.T holds exactly."""
     S = A.T @ A
-    return np.asfortranarray((S + S.T) * 0.5)
+    return (S + S.T) * 0.5
 
 
 def spd_factor(S: np.ndarray) -> np.ndarray:
@@ -166,7 +166,7 @@ def range_split(Q: np.ndarray, B: np.ndarray):
     and the squared norms ||b - Q z||^2 of the parts outside the range,
     each read from its residual so that no difference of squares cancels.
     """
-    # Row-major products: a column-major B is read along its columns.
+    # Row-major products: B's columns are B.T's rows, contiguous in PathWalk's blocks.
     Z = B.T @ Q
     perp = Z @ Q.T
     perp -= B.T

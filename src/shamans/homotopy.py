@@ -188,8 +188,9 @@ class PathWalk:
     ``walk``.  An IterationLimit from an active-set solve, a refit's or a
     fallback's, leaves with ``column`` set to the data column.
 
-    The walk runs on A 2^-a and B 2^-b, ``exponents`` (a, b) from
-    densela.exponent (which raises NonFiniteEntry on a NaN or infinite
+    A and B are read row-major (densela.as_matrix), so their layout changes
+    no result.  The walk runs on A 2^-a and B 2^-b, ``exponents`` (a, b)
+    from densela.exponent (which raises NonFiniteEntry on a NaN or infinite
     entry), so P, A.T B and b @ b are at most m.  All it holds is in these
     units: P, L, the QR factor R, ``norm_sq``, ``Z`` and ``perp_sq``
     (range_split of each column), and its paths, whose lam, error_sq and
@@ -200,15 +201,19 @@ class PathWalk:
     """
 
     def __init__(self, A, B):
+        A, B = as_matrix(A, "the dictionary"), as_matrix(B, "the data")
         a, b = self.exponents = (densela.exponent(A, "the dictionary"),
                                  densela.exponent(B, "the data"))
         A = np.ldexp(A, -a)
         Q, self.R = np.linalg.qr(A)
         self.P = densela.gram(A)
         self.L = np.ldexp(A, -b).T @ B  # A.T B 2^-b, with no scaled copy of B
-        # The zero entries' errors b @ b and range_split, BUDGET // m columns at a time.
+        # The zero entries' errors b @ b and range_split, BUDGET // m columns at a
+        # time, each block scaled into a copy whose columns are contiguous.  Given
+        # that copy as ``out``, numpy reads B along its rows (order="F" would not).
         step = max(1, BUDGET // max(1, B.shape[0]))
-        blocks = (np.ldexp(B[:, i:i + step], -b) for i in range(0, max(1, B.shape[1]), step))
+        blocks = (np.ldexp(x, -b, out=np.empty_like(x, order="F"))
+                  for x in (B[:, i:i + step] for i in range(0, max(1, B.shape[1]), step)))
         self.norm_sq, self.Z, self.perp_sq = map(np.concatenate, zip(*(
             (np.matmul(x.T[:, None, :], x.T[:, :, None])[:, 0, 0], *range_split(Q, x))
             for x in blocks)))

@@ -23,7 +23,7 @@ def demo_gram():
     """Shared Gram data for the demo dictionary."""
     from shamans.densela import gram
 
-    P = gram(np.asfortranarray(DEMO_W))
+    P = gram(DEMO_W)
     L = DEMO_W.T @ DEMO_M
     return P, L
 

@@ -327,7 +327,7 @@ def reference_path(A, b, max_breakpoints=None):
     A LEAVE candidate has b < -TOL / max|P|, an ENTER candidate d < -TOL,
     and a breakpoint at or below TOL lambda_max is 0.
     """
-    P = gram(np.asfortranarray(A))
+    P = gram(A)
     ell = A.T @ b
     r = ell.shape[0]
 
@@ -411,7 +411,7 @@ def breakpoint_condition(A, b, entries):
     when the atoms are close to collinear.  The last entry, which ends the
     path, gets 0.
     """
-    P = gram(np.asfortranarray(A))
+    P = gram(A)
     ell = A.T @ b
     kappa = np.zeros(len(entries))
     for i in range(len(entries) - 1):

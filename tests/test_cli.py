@@ -34,7 +34,7 @@ class TestReadCsv:
     def test_simple(self, tmp_path):
         M = read_csv_matrix(write(tmp_path / "m.csv", "1,2\n3,4\n"))
         np.testing.assert_array_equal(M, [[1.0, 2.0], [3.0, 4.0]])
-        assert M.flags.f_contiguous
+        assert M.flags.c_contiguous
 
     def test_roundtrip_demo_dictionary(self, tmp_path):
         p = tmp_path / "w.csv"
@@ -92,7 +92,7 @@ def outcome(read, path):
     except Exception as exc:  # noqa: BLE001 - the exception is the outcome
         return (type(exc), str(exc), getattr(exc, "line", None),
                 getattr(exc, "column", None))
-    return ("ok", A.shape, A.flags.f_contiguous, A.tobytes())
+    return ("ok", A.shape, A.flags.c_contiguous, A.tobytes())
 
 
 class TestReadParity:

@@ -18,7 +18,7 @@ class TestGram:
 
     def test_demo_diagonal_entry(self):
         # Direct dot-product oracle for the second dictionary column.
-        P = densela.gram(np.asfortranarray(DEMO_W))
+        P = densela.gram(DEMO_W)
         oracle = sum(DEMO_W[i, 1] ** 2 for i in range(DEMO_W.shape[0]))
         assert oracle == pytest.approx(2.7314, abs=1e-12)
         assert P[1, 1] == pytest.approx(oracle, abs=1e-12)
@@ -353,9 +353,10 @@ class TestExponent:
 
 
 class TestValidation:
-    def test_as_matrix_fortran_order(self):
-        A = densela.as_matrix(np.arange(6, dtype=float).reshape(2, 3))
-        assert A.flags.f_contiguous
+    def test_as_matrix_c_order(self):
+        A = densela.as_matrix(np.asfortranarray(np.arange(6, dtype=float).reshape(2, 3)))
+        assert A.flags.c_contiguous
+        np.testing.assert_array_equal(A, np.arange(6).reshape(2, 3))
 
     def test_as_vector_rejects_2d(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ import demo_data as dd
 from oracles import (kkt_midpoint_violation, nnls_bruteforce, random_nonneg_instance,
                      reference_nnls_gram, reference_path, refit_entries, warm_start)
 
-DEMO_P = gram(np.asfortranarray(dd.DEMO_W))
+DEMO_P = gram(dd.DEMO_W)
 DEMO_ELL0 = dd.DEMO_W.T @ dd.DEMO_M[:, 0]
 
 
@@ -100,7 +100,7 @@ class TestPathCoefficients:
         rng = np.random.default_rng(21)
         A = np.abs(rng.standard_normal((6, 3)))
         b = np.abs(rng.standard_normal(6))
-        P = gram(np.asfortranarray(A))
+        P = gram(A)
         ell = A.T @ b
         first = regularization_path(A, b).entries[1]
         j = int(np.argmax(ell))
@@ -236,7 +236,7 @@ class TestUnbias:
                       [0.2, 0.3, 0.5],
                       [0.1, 0.2, 0.3]])
         b = A[:, 0] - 0.4 * A[:, 1] + 0.05
-        P = gram(np.asfortranarray(A))
+        P = gram(A)
         ell = A.T @ b
         K = np.array([0, 1])
         ls, *_ = np.linalg.lstsq(A[:, K], b, rcond=None)
@@ -354,7 +354,7 @@ class TestRegularizationPath:
         rng = np.random.default_rng(26)
         for _ in range(300):
             A, b = random_nonneg_instance(rng, 10, 5)
-            P = gram(np.asfortranarray(A))
+            P = gram(A)
             path = regularization_path(A, b)
             assert kkt_midpoint_violation(P, A.T @ b, path) <= 1e-8
 

@@ -17,10 +17,11 @@ import pytest
 from shamans import densela, homotopy
 from shamans.densela import exponent
 from shamans.errors import IterationLimit
-from shamans.homotopy import PathWalk, RegularizationPath, path_dtype
+from shamans.homotopy import PathWalk, RegularizationPath, path_dtype, regularization_path
 from shamans.nnls import nnls_active_set
 from shamans.selector import build_cost_tables
 
+import demo_data as dd
 from oracles import (breakpoint_condition, extended_residual_sq, nnls_bruteforce, reference_path,
                      refit_entries)
 
@@ -51,7 +52,7 @@ def blocks_of_width(monkeypatch, r):
 def walk_all(A, B, cap=None):
     """Every column's path from one lockstep walk; given ``cap``, a path
     longer than that many breakpoints ends at its NNLS solution."""
-    walk = PathWalk(np.asfortranarray(A), np.asfortranarray(B))
+    walk = PathWalk(A, B)
     if cap is not None:
         walk.max_breakpoints = cap  # read when a block is walked, on its first path
     return [walk.unscaled_path(j) for j in range(B.shape[1])]
@@ -438,6 +439,21 @@ def test_data_read_within_budget(monkeypatch):
     assert widths == [20, 20, 10]
     for got, want in zip(chunked, whole):
         assert_same_path(got, want)
+
+
+def test_memory_layout_changes_no_result():
+    # A.T B rounds differently by layout, so the walk reads A and B in one
+    # layout: the one-column call walks what a PathWalk over that column
+    # does, and C-order and Fortran-order copies give the same bytes.
+    W, b = dd.DEMO_W, dd.DEMO_M[:, 0]
+    path, walked = regularization_path(W, b), PathWalk(W, b[:, None]).unscaled_path(0)
+    assert path.entries.tobytes() == walked.entries.tobytes()
+    assert (path.truncated, path.fallback) == (walked.truncated, walked.fallback)
+    for B in (dd.DEMO_M, b[:, None]):
+        c, f = (PathWalk(order(W), order(B)) for order in (np.ascontiguousarray,
+                                                           np.asfortranarray))
+        for name in ("P", "R", "L", "Z", "perp_sq", "norm_sq"):
+            assert getattr(c, name).tobytes() == getattr(f, name).tobytes(), name
 
 
 def test_workload_shaped_dictionary():

@@ -211,6 +211,23 @@ class TestProperties:
                                                strict_budget=True))
             assert rep2.nnz <= q
 
+    @pytest.mark.parametrize("cfg", [SolveConfig(mode="shamans", q=18),
+                                     SolveConfig(mode="ksparse", k=2),
+                                     SolveConfig(mode="unconstrained")],
+                             ids=["shamans", "ksparse", "unconstrained"])
+    def test_memory_layout_changes_no_result(self, demo, cfg):
+        # H and the report, apart from the clocks, are byte-identical on
+        # C-order and Fortran-order copies of M and W.
+        M, W = demo
+        solved = []
+        for order in (np.ascontiguousarray, np.asfortranarray):
+            H, report = solve(order(M), order(W), cfg)
+            report.timings_ms = None
+            if report.walk is not None:
+                del report.walk["refit_ms"]
+            solved.append((H.tobytes(), repr(report)))
+        assert solved[0] == solved[1]
+
     def test_determinism_serial_vs_parallel(self, demo):
         # Repeated solves agree bit for bit, and walking the columns one at
         # a time gives the tables that the lockstep walk of all columns does.
@@ -221,7 +238,7 @@ class TestProperties:
         assert np.array_equal(H1, H2)
         r, n = W.shape[1], M.shape[1]
         serial = [regularization_path(W, M[:, j]) for j in range(n)]
-        walk = PathWalk(np.asfortranarray(W), np.asfortranarray(M))
+        walk = PathWalk(W, M)
         lockstep = [walk.unscaled_path(j) for j in range(n)]
         np.testing.assert_allclose(build_cost_tables(lockstep, r, n).cost,
                                    build_cost_tables(serial, r, n).cost,
@@ -848,7 +865,7 @@ def test_near_dependence_sweep(eps):
 
 class TestBreakpointHistogram:
     def assert_matches_paths(self, M, W, report):
-        walk = PathWalk(np.asfortranarray(W), np.asfortranarray(M))
+        walk = PathWalk(W, M)
         steps = [len(walk.path(j).entries) - 1 for j in range(M.shape[1])]
         hist = report.breakpoint_histogram
         assert sum(hist) == M.shape[1]
@@ -893,7 +910,7 @@ class TestReportFromTables:
         M = np.clip(W @ H0 + 0.005 * rng.standard_normal((40, 300)), 0.0, None)
         H, report = solve(M, W, SolveConfig(mode="ksparse", k=8))
         assert report.inexact_columns == []
-        walk = PathWalk(np.asfortranarray(W), np.asfortranarray(M))
+        walk = PathWalk(W, M)
         earlier = 0
         for j in range(300):
             entries = walk.unscaled_path(j).entries

@@ -105,7 +105,7 @@ def test_kkt_certificate():
 def test_gram_entry_point():
     rng = np.random.default_rng(17)
     A, b = random_nonneg_instance(rng, 9, 4)
-    P = gram(np.asfortranarray(A))
+    P = gram(A)
     x = nnls_gram(P, A.T @ b)
     np.testing.assert_allclose(x, nnls_active_set(A, b).x, atol=1e-12)
 

@@ -159,7 +159,7 @@ class TestFoldMatchesReference:
         W = np.abs(rng.standard_normal((m, r)))
         H = rng.uniform(size=(r, n)) * (rng.uniform(size=(r, n)) < 0.5)
         M = W @ H + 0.05 * np.abs(rng.standard_normal((m, n)))
-        walk = PathWalk(np.asfortranarray(W), np.asfortranarray(M))
+        walk = PathWalk(W, M)
         self.assert_same_tables([walk.path(j) for j in range(n)], r, n)
 
 
