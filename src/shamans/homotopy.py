@@ -70,12 +70,13 @@ TERMINATE = 2
 # a block's width, by one round's three (columns, 2, r) arrays, its
 # right-hand sides, solutions and gradients (1,024 columns at r = 24, so
 # wider blocks share each round's numpy calls), and PathWalk's scaled
-# (m, columns) reads of B.  The inverse stacks are bounded by the block
-# instead, at width r^2 entries on full supports, 4 BUDGET at r = 24: the
-# live columns' (columns, k, k) and one PathWalk.nnls call's (columns, r,
-# r); the refit pool holds under 1.5 widths of (k, k).  The block's
-# records, 16 + 9 r bytes per column and round (under one round's arrays),
-# are the walk's output and grow with its width times path length.
+# reads of B, (m, columns) in a walk and (rows, n) in error_sq.  The
+# inverse stacks are bounded by the block instead, at width r^2 entries on
+# full supports, 4 BUDGET at r = 24: the live columns' (columns, k, k) and
+# one PathWalk.nnls call's (columns, r, r); the refit pool holds under 1.5
+# widths of (k, k).  The block's records, 16 + 9 r bytes per column and
+# round (under one round's arrays), are the walk's output and grow with its
+# width times path length.
 BUDGET = 256 * 24 * 24
 
 
@@ -191,32 +192,25 @@ class PathWalk:
     A and B are read row-major (densela.as_matrix), so their layout changes
     no result.  The walk runs on A 2^-a and B 2^-b, ``exponents`` (a, b)
     from densela.exponent (which raises NonFiniteEntry on a NaN or infinite
-    entry), so P, A.T B and b @ b are at most m.  All it holds is in these
-    units: P, L, the QR factor R, ``norm_sq``, ``Z`` and ``perp_sq``
-    (range_split of each column), and its paths, whose lam, error_sq and
-    solution are A's and B's times 2^-(a+b), 2^-2b and 2^(a-b).  No
-    threshold has an absolute term (next_breakpoint, nnls_gram; a
-    breakpoint at or below TOL lambda_max is 0), so no power-of-two scale
-    of A or B changes a decision.
+    entry), so P, A.T B and b @ b are at most m.  It holds A 2^-a, its thin
+    QR factors Q and R, P, L and B as given, which must not change: a
+    block's b @ b and range_split are taken from B when it is walked.  All
+    but B is in the walk's units, as are what nnls and error_sq return and
+    the paths, whose lam, error_sq and solution are A's and B's times
+    2^-(a+b), 2^-2b and 2^(a-b).  No threshold has an absolute term
+    (next_breakpoint, nnls_gram; a breakpoint at or below TOL lambda_max is
+    0), so no power-of-two scale of A or B changes a decision.
     """
 
     def __init__(self, A, B):
         A, B = as_matrix(A, "the dictionary"), as_matrix(B, "the data")
         a, b = self.exponents = (densela.exponent(A, "the dictionary"),
                                  densela.exponent(B, "the data"))
-        A = np.ldexp(A, -a)
-        Q, self.R = np.linalg.qr(A)
-        self.P = densela.gram(A)
-        self.L = np.ldexp(A, -b).T @ B  # A.T B 2^-b, with no scaled copy of B
-        # The zero entries' errors b @ b and range_split, BUDGET // m columns at a
-        # time, each block scaled into a copy whose columns are contiguous.  Given
-        # that copy as ``out``, numpy reads B along its rows (order="F" would not).
-        step = max(1, BUDGET // max(1, B.shape[0]))
-        blocks = (np.ldexp(x, -b, out=np.empty_like(x, order="F"))
-                  for x in (B[:, i:i + step] for i in range(0, max(1, B.shape[1]), step)))
-        self.norm_sq, self.Z, self.perp_sq = map(np.concatenate, zip(*(
-            (np.matmul(x.T[:, None, :], x.T[:, :, None])[:, 0, 0], *range_split(Q, x))
-            for x in blocks)))
+        self.A = np.ldexp(A, -a)
+        self.Q, self.R = np.linalg.qr(self.A)
+        self.P = densela.gram(self.A)
+        self.L = np.ldexp(self.A, -b).T @ B  # A.T B 2^-b, with no scaled copy of B
+        self.B = B
         r = self.P.shape[0]
         self.max_breakpoints = 50 * r
         self.block = block_width(r)  # columns walked together
@@ -247,7 +241,15 @@ class PathWalk:
         diag = np.diagonal(Pz)
         ell = np.ascontiguousarray(self.L[:, start:stop].T)
         width = stop - start
-        Z, perp_sq = self.Z[start:stop], self.perp_sq[start:stop]
+        # The zero entries' errors b @ b and range_split, BUDGET // m columns at a
+        # time, each block scaled into a copy whose columns are contiguous.  Given
+        # that copy as ``out``, numpy reads B along its rows (order="F" would not).
+        step = max(1, BUDGET // max(1, self.B.shape[0]))
+        blocks = (np.ldexp(x, -self.exponents[1], out=np.empty_like(x, order="F"))
+                  for x in (self.B[:, i:min(i + step, stop)] for i in range(start, stop, step)))
+        norm_sq, Z, perp_sq = map(np.concatenate, zip(*(
+            (np.matmul(x.T[:, None, :], x.T[:, :, None])[:, 0, 0], *range_split(self.Q, x))
+            for x in blocks)))
         # next_breakpoint's thresholds: TOL in the units of b (1/P), then of d.
         with np.errstate(divide="ignore"):  # P = 0 leaves no column live
             leave_tol = TOL / np.abs(P).max(initial=0.0)
@@ -296,7 +298,7 @@ class PathWalk:
             pool.clear()
 
         lam, first = lambda_max(ell)  # the zero entries
-        record(np.arange(width), lam, self.norm_sq[start:stop], False, 0.0)
+        record(np.arange(width), lam, norm_sq, False, 0.0)
         tol_lam = TOL * lam  # a breakpoint this close to 0 is 0
         # Row i holds the right-hand sides (ell, 1) of column i's pair (a, b),
         # and 0 at index r, where an empty slot reads.
@@ -384,6 +386,18 @@ class PathWalk:
             except IterationLimit as exc:
                 raise _at_column(exc, int(cols[lo + exc.row])) from exc
         return X
+
+    def error_sq(self, X: np.ndarray):
+        """(sum_j ||A x_j - b_j||^2, sum_j ||b_j||^2) in the walk's units, x_j
+        row j of X, from one pass over B, BUDGET // n rows at a time."""
+        step = max(1, BUDGET // max(1, self.B.shape[1]))
+        err = norm = 0.0
+        for i in range(0, self.B.shape[0], step):
+            d = np.ldexp(self.B[i:i + step], -self.exponents[1])
+            norm += np.vdot(d, d)
+            d -= self.A[i:i + step] @ X.T
+            err += np.vdot(d, d)
+        return err, norm
 
     def path(self, j: int) -> RegularizationPath:
         if j not in self._paths:

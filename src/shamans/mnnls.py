@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import selector
-from .densela import as_matrix, frob_norm, residual_sq, unscale
+from .densela import as_matrix, frob_norm, unscale
 from .errors import DimensionMismatch, ZeroColumnInDictionary, ZeroDataMatrix
 from .homotopy import PathWalk, regularization_path
 
@@ -66,10 +66,11 @@ class UnmixReport:
     The sparsity counts are of exact nonzeros, as q and k count them.
     ``timings_ms`` maps each stage of the solve that ran to its wall time
     in milliseconds, in order: validate (shapes and counts), gram (the
-    PathWalk: the scale and finite check of W and M, W.T W, W.T M, the thin
-    QR of W and M's coordinates in it), then paths, tables, select and
-    assemble, or in unconstrained mode nnls, and last metrics (the report
-    and the certificate).
+    PathWalk: the scale and finite check of W and M, W.T W, W.T M and the
+    thin QR of W), then paths (which also takes M's coordinates in that QR),
+    tables, select and assemble, or in unconstrained mode nnls, and last
+    metrics (the report, in unconstrained mode from one pass over M that
+    measures H's error, and the certificate).
     ``breakpoints`` totals the path steps of all columns, and entry k of
     ``breakpoint_histogram`` counts the columns whose path took k steps;
     ``refits`` counts the steps whose unbiased refit needed the active-set
@@ -194,9 +195,9 @@ def solve(M, W, cfg: SolveConfig):
         X = walk.nnls(np.arange(n))
         Hn = X.T
         lap("nnls")
-        err = residual_sq(walk.R, walk.Z, walk.perp_sq, X)
+        err, norm = walk.error_sq(X)
         H = unscale(Hn, b - a, "H")
-        report = _summary(H, np.sqrt(err.sum()), np.sqrt(walk.norm_sq.sum()))
+        report = _summary(H, np.sqrt(err), np.sqrt(norm))
         inexact = set()
     else:
         # Every path passes the public per-column call, where the benchmark's

@@ -441,19 +441,34 @@ def test_data_read_within_budget(monkeypatch):
         assert_same_path(got, want)
 
 
-def test_memory_layout_changes_no_result():
+def test_memory_layout_changes_no_result(monkeypatch):
     # A.T B rounds differently by layout, so the walk reads A and B in one
     # layout: the one-column call walks what a PathWalk over that column
-    # does, and C-order and Fortran-order copies give the same bytes.
+    # does, and C-order and Fortran-order copies give the same bytes, both
+    # in P, R and L, which the walk holds, and in each block's norm_sq (its
+    # zero entries' error_sq), Z and perp_sq, which _walk takes as it starts.
     W, b = dd.DEMO_W, dd.DEMO_M[:, 0]
     path, walked = regularization_path(W, b), PathWalk(W, b[:, None]).unscaled_path(0)
     assert path.entries.tobytes() == walked.entries.tobytes()
     assert (path.truncated, path.fallback) == (walked.truncated, walked.fallback)
+    splits = []
+
+    def recorded(Q, B):
+        splits.append(densela.range_split(Q, B))
+        return splits[-1]
+
+    monkeypatch.setattr(homotopy, "range_split", recorded)
     for B in (dd.DEMO_M, b[:, None]):
-        c, f = (PathWalk(order(W), order(B)) for order in (np.ascontiguousarray,
-                                                           np.asfortranarray))
-        for name in ("P", "R", "L", "Z", "perp_sq", "norm_sq"):
-            assert getattr(c, name).tobytes() == getattr(f, name).tobytes(), name
+        got = []
+        for order in (np.ascontiguousarray, np.asfortranarray):
+            walk = PathWalk(order(W), order(B))
+            splits.clear()
+            zero = np.array([walk.path(j).entries["error_sq"][0] for j in range(B.shape[1])])
+            (Z, perp_sq), = splits  # one block of columns, split once
+            got.append({"P": walk.P, "R": walk.R, "L": walk.L, "Z": Z, "perp_sq": perp_sq,
+                        "norm_sq": zero})
+        for name, c in got[0].items():
+            assert c.tobytes() == got[1][name].tobytes(), name
 
 
 def test_workload_shaped_dictionary():

@@ -801,6 +801,54 @@ class TestUnconstrained:
         assert (info.value.row, info.value.column) == (1, 4)
         assert str(info.value).startswith("column 4 ")
 
+    def test_takes_no_coordinates(self, demo, monkeypatch):
+        # Only path entries read the data's coordinates in W's range: with
+        # range_split raising, H is unchanged and the error is measured
+        # directly, as metrics measures it.
+        problems = [demo, random_problem(np.random.default_rng(8), 300, 4, 50)[:2]]
+        want = [solve(M, W, SolveConfig(mode="unconstrained"))[0] for M, W in problems]
+
+        def explode(Q, B):
+            raise AssertionError("unconstrained mode split the data")
+
+        monkeypatch.setattr(homotopy_mod, "range_split", explode)
+        for (M, W), H_want in zip(problems, want):
+            H, report = solve(M, W, SolveConfig(mode="unconstrained"))
+            assert H.tobytes() == H_want.tobytes()
+            assert report.rel_error == pytest.approx(metrics(M, W, H).rel_error, rel=1e-14, abs=0)
+
+    def test_error_pass_on_an_exact_fit(self):
+        # M = W H0 with a zero column: the error is roundoff, and every
+        # column, the zero one too, is certified.
+        rng = np.random.default_rng(9)
+        W = rng.random((30, 5)) + 0.05
+        H0 = np.where(rng.random((5, 20)) < 0.6, rng.uniform(0.2, 1.0, (5, 20)), 0.0)
+        H0[:, 3] = 0.0
+        _, report = solve(W @ H0, W, SolveConfig(mode="unconstrained"))
+        assert np.isfinite(report.rel_error) and report.rel_error <= 1e-14
+        assert report.inexact_columns == []
+
+    def test_error_pass_reads_row_chunks(self, monkeypatch):
+        # With room for 7 rows of 50 entries, B is read in 9 chunks of rows,
+        # each within BUDGET, and the sums move only by their order.
+        M, W, _ = random_problem(np.random.default_rng(10), 60, 4, 50)
+        walk = PathWalk(W, M)
+        X = walk.nnls(np.arange(50))
+        want = walk.error_sq(X)
+        reads = []
+
+        class Rows(np.ndarray):
+            def __getitem__(self, key):
+                reads.append(np.asarray(super().__getitem__(key)))
+                return reads[-1]
+
+        monkeypatch.setattr(homotopy_mod, "BUDGET", 7 * 50 + 3)
+        monkeypatch.setattr(walk, "B", walk.B.view(Rows))
+        got = walk.error_sq(X)
+        assert [x.shape for x in reads] == [(7, 50)] * 8 + [(4, 50)]
+        assert np.concatenate(reads).tobytes() == M.tobytes()
+        assert got == pytest.approx(want, rel=1e-15, abs=0)
+
     def test_scaled_probe_is_exact(self):
         # W and M scaled alike leave H unchanged.  Thresholds with an absolute
         # term once stopped the block NNLS short of the optimum at 1e-5, and
@@ -884,7 +932,8 @@ class TestBreakpointHistogram:
 
 
 class TestReportFromTables:
-    """solve reports the error of the selected cost-table cells, not of M - WH."""
+    """solve reports the error of the selected cost-table cells, or in
+    unconstrained mode of its one pass over M, without calling metrics."""
 
     CONFIGS = [{"mode": "unconstrained"}, {"mode": "ksparse", "k": 2},
                {"mode": "shamans", "q": 18}, {"mode": "shamans", "q": 18, "strict_budget": True}]

@@ -4,8 +4,8 @@ Power-of-two scales are exact in floating point, and the walk runs on W
 and M divided by the powers of two that put their largest entries in
 [0.5, 1) (PathWalk).  So under W -> 2^k W and M -> 2^j M every decision
 repeats: the walk's exponents move by (k, j), its paths in its own units
-are identical, and so are the selection cursors and the inexact
-columns, while H scales by exactly 2^(j-k), bit for bit, or raises
+are identical, and so are the selection cursors, the inexact columns
+and rel_error, while H scales by exactly 2^(j-k), bit for bit, or raises
 NonFiniteEntry where that passes the float range.  This holds far past
 the range of the squares, to 2^+-1000.
 """
@@ -36,9 +36,9 @@ PROBLEMS = {"random": (_random_problem(), 60, 3), "demo": ((dd.DEMO_M, dd.DEMO_W
 
 
 def outcome(M, W, q, k):
-    """Everything the solve decides, in each mode, and its walk's paths in
-    the walk's units with the walk's exponents.  A mode whose H passes the
-    float range holds the NonFiniteEntry it raised."""
+    """Everything the solve decides, in each mode, with its rel_error, and
+    its walk's paths in the walk's units with the walk's exponents.  A mode
+    whose H passes the float range holds the NonFiniteEntry it raised."""
     walk = PathWalk(W, M)
     paths = [walk.path(j) for j in range(M.shape[1])]
     tables = build_cost_tables(paths, W.shape[1], M.shape[1])
@@ -55,6 +55,7 @@ def outcome(M, W, q, k):
         else:
             out[cfg.mode] = H
             out[cfg.mode + " inexact"] = report.inexact_columns
+            out[cfg.mode + " rel_error"] = report.rel_error
     return out
 
 
@@ -78,6 +79,8 @@ def test_power_of_two_scales_repeat_every_decision(name):
                     continue
                 assert np.array_equal(got[mode], np.ldexp(base[mode], sm - sw)), (mode, where)
                 assert got[mode + " inexact"] == base[mode + " inexact"] == [], (mode, where)
+                # The error is measured in the walk's units, so it repeats too.
+                assert got[mode + " rel_error"] == base[mode + " rel_error"], (mode, where)
 
 
 # The probes of scales that overflowed or underflowed a square: each is
