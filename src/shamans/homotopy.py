@@ -1,10 +1,11 @@
 """Regularization paths of the L1-penalized NNLS problem, many right-hand sides at once.
 
 For min 0.5 ||Ax - b||^2 + lambda ||x||_1 with x >= 0, the optimal support
-is piecewise constant in lambda.  Walking lambda from lambda_max (above
-which x = 0 is optimal) down to 0, the support changes one index at a time
-at a finite set of breakpoints.  On the interval where a support K is
-optimal, the penalized solution is linear in lambda:
+is piecewise constant in lambda.  Walking lambda down to 0 from the
+largest correlation max_i (A.T b)_i, above which x = 0 is optimal, the
+support changes one index at a time at a finite set of breakpoints.  On
+the interval where a support K is optimal, the penalized solution is
+linear in lambda:
 
     x(K) = a_K - lambda * b_K,   a_K = P(K,K)^-1 ell(K),  b_K = P(K,K)^-1 e,
 
@@ -18,7 +19,8 @@ complement gradient component
 hits zero (that index enters).  Each recorded entry pairs a support with
 the breakpoint at which it stops being optimal, together with the unbiased
 (penalty-free) least-squares refit on that support, from the zero
-solution at lambda_max to the NNLS solution at lambda = 0.
+solution on the empty support (there a = b = 0, c = -ell and d = -e)
+to the NNLS solution at lambda = 0.
 
 Every right-hand side shares P, so the walk advances a block of columns
 in lockstep, one breakpoint per round; block_width sizes the block so
@@ -37,7 +39,7 @@ least-squares solutions their rounds recorded and carries their G on in
 the same layout.  No round touches the m rows of A or b: with the thin QR
 factorization A = QR (Golub and Van Loan, Matrix Computations, 5.3)
 computed once per walk, and z = Q.T b and ||b - Q z||^2 once per column,
-each refit's error is
+each entry's error is
 
     ||A x - b||^2 = ||b - Q z||^2 + ||z - R x||^2,
 
@@ -92,7 +94,7 @@ def path_dtype(r: int) -> np.dtype:
     stops being optimal, the lower end of its optimality interval.
     ``solution`` is the unbiased refit on the support, zero elsewhere,
     and ``error_sq`` its residual ||A x - b||^2 against the original
-    system (b @ b on the zero entry, else from densela.residual_sq).
+    system, from densela.residual_sq.
     """
     return np.dtype([("lam", np.float64), ("error_sq", np.float64),
                      ("support", np.bool_, (r,)), ("solution", np.float64, (r,))])
@@ -111,24 +113,6 @@ class RegularizationPath:
     entries: np.ndarray
     truncated: bool = False
     fallback: bool = False
-
-
-def lambda_max(ell: np.ndarray):
-    """Smallest penalties for which the zero vector is optimal.
-
-    ``ell`` holds one row of correlations A.T b per column.  Returns
-    (lambda_max, entering index) per row; the index is the row's smallest
-    maximizer.  A row whose correlations are all nonpositive has the zero
-    vector optimal for all penalties: its lambda_max is 0.0 and its index
-    -1, as next_breakpoint's index on TERMINATE.
-    """
-    ell = np.asarray(ell, dtype=np.float64)
-    if ell.shape[1] == 0:
-        return np.zeros(ell.shape[0]), np.full(ell.shape[0], -1)
-    index = ell.argmax(axis=1)  # first maximum: smallest-index tie rule
-    lam = ell[np.arange(ell.shape[0]), index]
-    positive = lam > 0.0
-    return np.where(positive, lam, 0.0), np.where(positive, index, -1)
 
 
 def next_breakpoint(a, b, c, d, K, lambda_current, leave_tol: float, enter_tol: float):
@@ -192,18 +176,21 @@ class PathWalk:
     A and B are read row-major (densela.as_matrix), so their layout changes
     no result.  The walk runs on A 2^-a and B 2^-b, ``exponents`` (a, b)
     from densela.exponent (which raises NonFiniteEntry on a NaN or infinite
-    entry), so P, A.T B and b @ b are at most m.  It holds A 2^-a, its thin
-    QR factors Q and R, P, L and B as given, which must not change: a
-    block's b @ b and range_split are taken from B when it is walked.  All
-    but B is in the walk's units, as are what nnls and error_sq return and
-    the paths, whose lam, error_sq and solution are A's and B's times
-    2^-(a+b), 2^-2b and 2^(a-b).  No threshold has an absolute term
-    (next_breakpoint, nnls_gram; a breakpoint at or below TOL lambda_max is
-    0), so no power-of-two scale of A or B changes a decision.
+    entry), so P, A.T B and ||b||^2 are at most m.  It holds A 2^-a, its
+    thin QR factors Q and R, P, L and B as given, which must not change: a
+    block's range_split, which every entry's error is measured from, is
+    taken from B when it is walked.  All but B is in the walk's units, as
+    are what nnls and error_sq return and the paths, whose lam, error_sq
+    and solution are A's and B's times 2^-(a+b), 2^-2b and 2^(a-b).  No
+    threshold has an absolute term (next_breakpoint, nnls_gram; a
+    breakpoint at or below TOL times the zero entry's lam is 0), so no
+    power-of-two scale of A or B changes a decision.
     """
 
     def __init__(self, A, B):
         A, B = as_matrix(A, "the dictionary"), as_matrix(B, "the data")
+        if A.shape[0] != B.shape[0]:
+            raise ValueError(f"the dictionary has {A.shape[0]} rows but the data has {B.shape[0]}")
         a, b = self.exponents = (densela.exponent(A, "the dictionary"),
                                  densela.exponent(B, "the data"))
         self.A = np.ldexp(A, -a)
@@ -224,16 +211,17 @@ class PathWalk:
         The block carries four arrays, one row per live column:
         ``live`` (its column), ``lam``, the slot index ``atoms`` and the
         inverse ``G`` in slot coordinates; a column leaves them when its
-        path ends.  The first atom enters a one-slot stack through
-        carry_inverse, like every later one.  Each round records every live
-        column's least-squares solution as its refit, pools the entries
-        where it goes negative, whole with their G and atoms, for
-        refit_pool once they fill half the block's width, and carries G to
-        the next support.  A column whose entering atom's Schur pivot is
-        unsound (nnls_gram's rank rule) leaves the walk truncated, and the
-        columns still live after ``max_breakpoints`` rounds fall back; both
-        keep their records and end at the NNLS solution, found by one
-        ``nnls`` call.
+        path ends.  One next_breakpoint call on the empty support gives
+        each column's zero entry and its first atom, which enters a
+        one-slot stack through carry_inverse, like every later one.  Each
+        round records every live column's least-squares solution as its
+        refit, pools the entries where it goes negative, whole with their
+        G and atoms, for refit_pool once they fill half the block's width,
+        and carries G to the next support.  A column whose entering atom's
+        Schur pivot is unsound (nnls_gram's rank rule) leaves the walk
+        truncated, and the columns still live after ``max_breakpoints``
+        rounds fall back; both keep their records and end at the NNLS
+        solution, found by one ``nnls`` call.
         """
         P = self.P
         r = P.shape[0]
@@ -241,15 +229,13 @@ class PathWalk:
         diag = np.diagonal(Pz)
         ell = np.ascontiguousarray(self.L[:, start:stop].T)
         width = stop - start
-        # The zero entries' errors b @ b and range_split, BUDGET // m columns at a
-        # time, each block scaled into a copy whose columns are contiguous.  Given
-        # that copy as ``out``, numpy reads B along its rows (order="F" would not).
+        # range_split, BUDGET // m columns at a time, each block scaled into a copy
+        # whose columns are contiguous.  Given that copy as ``out``, numpy reads B
+        # along its rows (order="F" would not).
         step = max(1, BUDGET // max(1, self.B.shape[0]))
         blocks = (np.ldexp(x, -self.exponents[1], out=np.empty_like(x, order="F"))
                   for x in (self.B[:, i:min(i + step, stop)] for i in range(start, stop, step)))
-        norm_sq, Z, perp_sq = map(np.concatenate, zip(*(
-            (np.matmul(x.T[:, None, :], x.T[:, :, None])[:, 0, 0], *range_split(self.Q, x))
-            for x in blocks)))
+        Z, perp_sq = map(np.concatenate, zip(*(range_split(self.Q, x) for x in blocks)))
         # next_breakpoint's thresholds: TOL in the units of b (1/P), then of d.
         with np.errstate(divide="ignore"):  # P = 0 leaves no column live
             leave_tol = TOL / np.abs(P).max(initial=0.0)
@@ -297,14 +283,18 @@ class PathWalk:
                 entries["error_sq"][rows] = e
             pool.clear()
 
-        lam, first = lambda_max(ell)  # the zero entries
-        record(np.arange(width), lam, norm_sq, False, 0.0)
-        tol_lam = TOL * lam  # a breakpoint this close to 0 is 0
         # Row i holds the right-hand sides (ell, 1) of column i's pair (a, b),
         # and 0 at index r, where an empty slot reads.
         pairs = np.zeros((width, 2, r + 1))
         pairs[:, 0, :r] = ell
         pairs[:, 1, :r] = 1.0
+        # The zero entries and first atoms: a = b = 0, c = -ell and d = -1 on the
+        # empty support.
+        empty = np.zeros((width, r + 1))
+        lam, _, first = next_breakpoint(empty, empty, -pairs[:, 0], -pairs[:, 1],
+                                        empty.astype(bool), np.inf, leave_tol, TOL)
+        record(np.arange(width), lam, residual_sq(self.R, Z, perp_sq, empty[:, :r]), False, 0.0)
+        tol_lam = TOL * lam  # a breakpoint this close to 0 is 0
         live = np.flatnonzero(first >= 0)
         lam = lam[live]
         G, atoms, _ = carry_inverse(Pz, np.zeros((live.size, 1, 1)), np.full((live.size, 1), r),
@@ -430,8 +420,8 @@ def regularization_path(A, b, walk: PathWalk | None = None,
     sides of A, of which b is column ``column``, the path is read from the
     walk, in the walk's units, and the other arguments are the walk's.
 
-    The first entry is (lambda_max, ||b||^2, empty support, 0), in
-    path_dtype's field order (lam, error_sq, support, solution);
+    The first entry is (max_i (A.T b)_i, or 0 if none is positive,
+    ||b||^2, empty support, 0), in path_dtype's field order;
     consecutive supports differ by one index; the last entry sits at
     lambda = 0 with the unconstrained NNLS solution.  A path that meets a
     rank-deficient support (``truncated``) or passes 50 r breakpoints,
@@ -439,8 +429,5 @@ def regularization_path(A, b, walk: PathWalk | None = None,
     entries are followed by that one.
     """
     if walk is None:
-        A, b = as_matrix(A, "A"), as_vector(b, "b")
-        if A.shape[0] != b.shape[0]:
-            raise ValueError(f"A has {A.shape[0]} rows but b has {b.shape[0]}")
-        return PathWalk(A, b[:, None]).unscaled_path(0)
+        return PathWalk(A, as_vector(b, "b")[:, None]).unscaled_path(0)
     return walk.path(column)

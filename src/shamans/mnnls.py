@@ -39,8 +39,9 @@ class SolveConfig:
     """Solve mode and numerical knobs.
 
     Exactly one of ``q`` (total nonzero budget, shamans mode) or ``k``
-    (per-column sparsity, ksparse mode) applies.  ``strict_budget``
-    forbids the final selection step from overshooting q.
+    (per-column sparsity, ksparse mode) applies, and the other must be
+    None.  ``strict_budget``, shamans mode only, forbids the final
+    selection step from overshooting q.
     """
 
     mode: str = "shamans"
@@ -52,11 +53,17 @@ class SolveConfig:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}, expected one of {MODES}")
         for mode, name in (("shamans", "q"), ("ksparse", "k")):
-            if self.mode == mode:
-                count = getattr(self, name)  # NumPy integers pass; None, 2.5, NaN and bools do not
-                if not isinstance(count, numbers.Integral) or isinstance(count, bool) or count < 0:
-                    raise ValueError(f"{mode} mode needs a nonnegative integer {name}")
+            count = getattr(self, name)  # None: not given
+            if self.mode != mode:
+                if count is not None:
+                    raise ValueError(f"{name} does not apply to {self.mode} mode")
+            # NumPy integers pass; None, 2.5, NaN and bools do not.
+            elif not isinstance(count, numbers.Integral) or isinstance(count, bool) or count < 0:
+                raise ValueError(f"{mode} mode needs a nonnegative integer {name}")
+            else:
                 setattr(self, name, int(count))  # so that the report's counts are JSON ints
+        if self.strict_budget and self.mode != "shamans":
+            raise ValueError(f"strict_budget=True does not apply to {self.mode} mode")
 
 
 @dataclass

@@ -3,7 +3,7 @@ import pytest
 
 from shamans.densela import gram, range_split, residual_sq
 from shamans.errors import IterationLimit
-from shamans.homotopy import (ENTER, LEAVE, TERMINATE, PathWalk, RegularizationPath, lambda_max,
+from shamans.homotopy import (ENTER, LEAVE, TERMINATE, PathWalk, RegularizationPath,
                               next_breakpoint, regularization_path)
 from shamans.nnls import nnls_active_set, nnls_gram
 
@@ -13,31 +13,6 @@ from oracles import (kkt_midpoint_violation, nnls_bruteforce, random_nonneg_inst
 
 DEMO_P = gram(dd.DEMO_W)
 DEMO_ELL0 = dd.DEMO_W.T @ dd.DEMO_M[:, 0]
-
-
-class TestLambdaMax:
-    def test_demo_column(self):
-        lam, idx = lambda_max(DEMO_ELL0[None])
-        assert lam[0] == pytest.approx(3.16, abs=1e-12)
-        assert idx.tolist() == [1]
-
-    def test_all_nonpositive(self):
-        lam, idx = lambda_max(np.array([[-1.0, -2.0]]))
-        assert lam.tolist() == [0.0] and idx.tolist() == [-1]
-
-    def test_tie_takes_smallest_index(self):
-        lam, idx = lambda_max(np.array([[5.0, 5.0, 1.0]]))
-        assert lam.tolist() == [5.0] and idx.tolist() == [0]
-
-    def test_mixed_block(self):
-        ell = np.array([[1.0, 3.0, 2.0],
-                        [-1.0, -2.0, 0.0],
-                        [5.0, 5.0, 1.0],
-                        [0.0, 0.0, 0.0],
-                        [-4.0, 0.5, 0.5]])
-        lam, idx = lambda_max(ell)
-        assert lam.tolist() == [3.0, 0.0, 5.0, 0.0, 0.5]
-        assert idx.tolist() == [1, -1, 0, -1, 1]
 
 
 def support_mask(r, K):
@@ -127,7 +102,64 @@ class TestPathCoefficients:
         assert slack.min() == pytest.approx(0.0, abs=1e-10)
 
 
+def on_empty_support(ell, at_r=0.0):
+    """next_breakpoint on the empty supports of the rows of ``ell``, as the
+    walk calls it: (r + 1)-wide a = b = 0, c = -ell and d = -1, with -0 in
+    d's index r, where an empty slot reads, and ``at_r`` in c's."""
+    ell = np.asarray(ell, dtype=np.float64)
+    empty = np.zeros((ell.shape[0], ell.shape[1] + 1))
+    c, d = -np.pad(ell, ((0, 0), (0, 1))), -np.pad(np.ones_like(ell), ((0, 0), (0, 1)))
+    c[:, -1] = at_r
+    return next_breakpoint(empty, empty, c, d, empty.astype(bool), np.inf, 1e-12, 1e-12)
+
+
 class TestNextBreakpoint:
+    # On the empty support the first breakpoint is each row's largest
+    # correlation, and the atom that enters there is the row's first maximum.
+
+    def test_empty_support_demo_column(self):
+        lam, kind, idx = on_empty_support(DEMO_ELL0[None])
+        assert lam[0] == pytest.approx(3.16, abs=1e-12)
+        assert kind.tolist() == [ENTER] and idx.tolist() == [1]
+
+    def test_empty_support_all_nonpositive(self):
+        lam, kind, idx = on_empty_support([[-1.0, -2.0]])
+        assert lam.tolist() == [0.0] and kind.tolist() == [TERMINATE] and idx.tolist() == [-1]
+
+    def test_empty_support_tie_takes_smallest_index(self):
+        lam, _, idx = on_empty_support([[5.0, 5.0, 1.0]])
+        assert lam.tolist() == [5.0] and idx.tolist() == [0]
+
+    def test_empty_support_mixed_block(self):
+        ell = np.array([[1.0, 3.0, 2.0],
+                        [-1.0, -2.0, 0.0],
+                        [5.0, 5.0, 1.0],
+                        [0.0, 0.0, 0.0],
+                        [-4.0, 0.5, 0.5]])
+        lam, _, idx = on_empty_support(ell)
+        assert lam.tolist() == [3.0, 0.0, 5.0, 0.0, 0.5]
+        assert idx.tolist() == [1, -1, 0, -1, 1]
+
+    def test_empty_support_never_enters_index_r(self):
+        # d is 0 at index r, so that cell is no candidate, whatever c holds
+        # there: the (r + 1)-wide call gives the r-wide call's bytes, and with
+        # r = 0 every row terminates.
+        rng = np.random.default_rng(3)
+        ell = rng.standard_normal((200, 5))
+        ell[:20] = -np.abs(ell[:20])
+        zeros = np.zeros_like(ell)
+        want = next_breakpoint(zeros, zeros, -ell, -np.ones_like(ell), zeros.astype(bool),
+                               np.inf, 1e-12, 1e-12)
+        assert set(want[1].tolist()) == {ENTER, TERMINATE}
+        for at_r in (0.0, 1e300, -1e300, np.inf, -np.inf, np.nan):
+            got = on_empty_support(ell, at_r)
+            assert (got[2] < 5).all()
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+        lam, kind, idx = on_empty_support(np.zeros((3, 0)), np.inf)
+        assert lam.tolist() == [0.0] * 3 and kind.tolist() == [TERMINATE] * 3
+        assert idx.tolist() == [-1] * 3
+
     def test_all_positive_coefficients_terminate(self):
         a, b, c, d, K = block([1.0], [2.0], [0.5], [0.3])
         lam, kind, pos = next_breakpoint(a, b, c, d, K, 1.0, 1e-12, 1e-12)
@@ -420,8 +452,11 @@ class TestRegularizationPath:
         assert path.entries["error_sq"][0] == pytest.approx(b @ b, rel=1e-15)
 
     def test_row_count_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="A has 5 rows but b has 4"):
+        # PathWalk names both row counts, where numpy's matmul named neither.
+        with pytest.raises(ValueError, match="the dictionary has 5 rows but the data has 4"):
             regularization_path(dd.DEMO_W, dd.DEMO_M[:4, 0])
+        with pytest.raises(ValueError, match="the dictionary has 5 rows but the data has 6"):
+            PathWalk(dd.DEMO_W, np.ones((6, 3)))
 
     def test_breakpoint_cap_is_fifty_r(self):
         # The cap guards against cycling; no argument sets it.

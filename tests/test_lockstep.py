@@ -445,8 +445,9 @@ def test_memory_layout_changes_no_result(monkeypatch):
     # A.T B rounds differently by layout, so the walk reads A and B in one
     # layout: the one-column call walks what a PathWalk over that column
     # does, and C-order and Fortran-order copies give the same bytes, both
-    # in P, R and L, which the walk holds, and in each block's norm_sq (its
-    # zero entries' error_sq), Z and perp_sq, which _walk takes as it starts.
+    # in P, R and L, which the walk holds, and in each block's Z and perp_sq,
+    # which _walk takes as it starts, and its zero entries' error_sq, which
+    # residual_sq measures from them.
     W, b = dd.DEMO_W, dd.DEMO_M[:, 0]
     path, walked = regularization_path(W, b), PathWalk(W, b[:, None]).unscaled_path(0)
     assert path.entries.tobytes() == walked.entries.tobytes()
@@ -466,7 +467,7 @@ def test_memory_layout_changes_no_result(monkeypatch):
             zero = np.array([walk.path(j).entries["error_sq"][0] for j in range(B.shape[1])])
             (Z, perp_sq), = splits  # one block of columns, split once
             got.append({"P": walk.P, "R": walk.R, "L": walk.L, "Z": Z, "perp_sq": perp_sq,
-                        "norm_sq": zero})
+                        "error_sq": zero})
         for name, c in got[0].items():
             assert c.tobytes() == got[1][name].tobytes(), name
 
@@ -681,7 +682,7 @@ def test_record_invariants(monkeypatch):
         assert e.dtype == path_dtype(12) and not path.truncated
         zero = e[0]
         assert zero["lam"] == walk.L[:, j].max()
-        assert zero["error_sq"] == B[:, j] @ B[:, j]
+        assert zero["error_sq"] == pytest.approx(B[:, j] @ B[:, j], rel=1e-14)
         want = extended_residual_sq(A, B[:, [j] * len(e)], e["solution"])
         assert (np.abs(e["error_sq"] - want) <= 1e-12 * want).all(), j
         assert not zero["solution"].any() and not zero["support"].any()

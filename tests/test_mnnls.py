@@ -320,6 +320,20 @@ class TestValidation:
         assert SolveConfig(mode="ksparse", k=np.int32(2)).k == 2
         with pytest.raises(TypeError):  # the breakpoint cap is PathWalk's 50 r
             SolveConfig(mode="ksparse", k=2, max_breakpoints=1)
+        # A count or flag of another mode used to be kept and ignored: ksparse
+        # with q = 5 and strict_budget=True ran as plain k = 2.  The CLI
+        # refuses the same flags.  None means "not given".
+        for bad, name in ((dict(mode="ksparse", k=2, q=5), "q"),
+                          (dict(mode="ksparse", k=2, strict_budget=True), "strict_budget=True"),
+                          (dict(mode="shamans", q=18, k=2), "k"),
+                          (dict(mode="unconstrained", q=0), "q"),
+                          (dict(mode="unconstrained", k=np.int64(3)), "k"),
+                          (dict(mode="unconstrained", strict_budget=True), "strict_budget=True")):
+            with pytest.raises(ValueError, match=f"^{name} does not apply to {bad['mode']} mode$"):
+                SolveConfig(**bad)
+        assert SolveConfig(mode="shamans", q=18, k=None, strict_budget=True).strict_budget
+        assert SolveConfig(mode="ksparse", q=None, k=2, strict_budget=False).k == 2
+        assert SolveConfig(mode="unconstrained", q=None, k=None).q is None
 
     def test_booleans_are_not_counts(self, demo):
         # bool is a numbers.Integral: q = True ran as q = 1, k = False as k = 0.
@@ -617,19 +631,21 @@ class TestPathReport:
 
 class TestWalkReport:
     """The report's ``walk`` entry against the walk's kernel calls, counted
-    from outside: a round is one next_breakpoint call, a refit is an
-    nnls_gram call with a start, and a fallback is one PathWalk.nnls call,
-    which ends a block's breakpoint-limit and truncated paths."""
+    from outside: a round is one densela.support_solve call from homotopy
+    (nnls holds its own binding, and the empty support needs none), a
+    refit is an nnls_gram call with a start, and a fallback is one
+    PathWalk.nnls call, which ends a block's breakpoint-limit and truncated
+    paths."""
 
     @staticmethod
     def counted(monkeypatch):
         counts = dict.fromkeys(("rounds", "refit_calls", "fallback_calls"), 0)
-        next_breakpoint, nnls_gram = homotopy_mod.next_breakpoint, homotopy_mod.nnls_gram
+        support_solve, nnls_gram = homotopy_mod.densela.support_solve, homotopy_mod.nnls_gram
         nnls = PathWalk.nnls
 
         def rounds(*args):
             counts["rounds"] += 1
-            return next_breakpoint(*args)
+            return support_solve(*args)
 
         def refits(P, ell, mask=None, **kwargs):
             counts["refit_calls"] += "start" in kwargs
@@ -639,7 +655,7 @@ class TestWalkReport:
             counts["fallback_calls"] += 1
             return nnls(walk, cols)
 
-        monkeypatch.setattr(homotopy_mod, "next_breakpoint", rounds)
+        monkeypatch.setattr(homotopy_mod.densela, "support_solve", rounds)
         monkeypatch.setattr(homotopy_mod, "nnls_gram", refits)
         monkeypatch.setattr(PathWalk, "nnls", fallbacks)
         return counts
