@@ -17,6 +17,12 @@ from .errors import NonFiniteEntry, SingularSystem
 PIVOT_FLOOR = 1e-12
 TOL = 1e-10
 
+# The solvers' working set in float64 entries, which sizes every chunk: a
+# pass over the data holds one chunk and its one temporary within it, so
+# both stay in cache (Goto and van de Geijn, ACM TOMS 2008).  homotopy's
+# comment on it says what else it bounds.
+BUDGET = 256 * 24 * 24
+
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Convert to a 2-D float64 row-major array; exponent checks the entries."""
@@ -35,9 +41,14 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
 
 
 def exponent(A: np.ndarray, name: str = "matrix") -> int:
-    """The e with max|A| 2^-e in [0.5, 1) (0 for a zero A).  Its max and min
-    pass is also A's finite check: a NaN or infinite entry raises NonFiniteEntry."""
-    top, low = A.max(initial=0.0), A.min(initial=0.0)
+    """The e with max|A| 2^-e in [0.5, 1) (0 for an empty or zero A).  Its
+    max and min pass, BUDGET // 2 entries at a time so that the min reads
+    cache, is also A's finite check: a NaN or infinite entry raises
+    NonFiniteEntry (np.maximum and np.minimum keep a NaN across chunks)."""
+    flat, step = A.ravel("K"), BUDGET // 2  # a view of any contiguous A
+    top = low = 0.0
+    for chunk in (flat[i:i + step] for i in range(0, flat.size, step)):
+        top, low = np.maximum(top, chunk.max()), np.minimum(low, chunk.min())
     if not (np.isfinite(top) and np.isfinite(low)):
         raise NonFiniteEntry(f"{name} contains NaN or infinite entries")
     return int(np.frexp(max(top, -low))[1])
@@ -165,12 +176,13 @@ def range_split(Q: np.ndarray, B: np.ndarray):
     Returns Z, whose row j holds the coordinates z = Q.T b of column j,
     and the squared norms ||b - Q z||^2 of the parts outside the range,
     each read from its residual so that no difference of squares cancels.
+    The residual Q Z.T - B is formed in B's layout, row-major in
+    PathWalk's blocks, and its columns' squares summed.
     """
-    # Row-major products: B's columns are B.T's rows, contiguous in PathWalk's blocks.
     Z = B.T @ Q
-    perp = Z @ Q.T
-    perp -= B.T
-    return Z, np.einsum("ij,ij->i", perp, perp)
+    perp = Q @ Z.T
+    perp -= B
+    return Z, np.einsum("ij,ij->j", perp, perp)
 
 
 def residual_sq(R: np.ndarray, Z: np.ndarray, perp_sq: np.ndarray,

@@ -59,8 +59,8 @@ import numpy as np
 
 from . import densela
 # spd_factor is not called here; perfbench/test_perfbench.py asserts this binding.
-from .densela import (PIVOT_FLOOR, TOL, as_matrix, as_vector, carry_inverse, range_split,
-                      residual_sq, spd_factor)
+from .densela import (BUDGET, PIVOT_FLOOR, TOL, as_matrix, as_vector, carry_inverse,
+                      range_split, residual_sq, spd_factor)
 from .errors import IterationLimit
 from .nnls import nnls_gram
 
@@ -68,18 +68,18 @@ LEAVE = 0
 ENTER = 1
 TERMINATE = 2
 
-# A walk's working set, in float64 entries.  It bounds two things:
-# a block's width, by one round's three (columns, 2, r) arrays, its
-# right-hand sides, solutions and gradients (1,024 columns at r = 24, so
-# wider blocks share each round's numpy calls), and PathWalk's scaled
-# reads of B, (m, columns) in a walk and (rows, n) in error_sq.  The
-# inverse stacks are bounded by the block instead, at width r^2 entries on
-# full supports, 4 BUDGET at r = 24: the live columns' (columns, k, k) and
-# one PathWalk.nnls call's (columns, r, r); the refit pool holds under 1.5
+# densela.BUDGET, a walk's working set in float64 entries, bounds two
+# things: a block's width, by one round's three (columns, 2, r) arrays,
+# its right-hand sides, solutions and gradients (1,024 columns at r = 24,
+# so wider blocks share each round's numpy calls), and PathWalk's passes
+# over B, a scaled chunk and its one temporary at a time: (m, BUDGET // 2m)
+# in a walk's split and (BUDGET // 2n, n) in error_sq.  The inverse stacks
+# are bounded by the block instead, at width r^2 entries on full supports,
+# 4 BUDGET at r = 24: the live columns' (columns, k, k) and one
+# PathWalk.nnls call's (columns, r, r); the refit pool holds under 1.5
 # widths of (k, k).  The block's records, 16 + 9 r bytes per column and
 # round (under one round's arrays), are the walk's output and grow with its
 # width times path length.
-BUDGET = 256 * 24 * 24
 
 
 def block_width(r: int) -> int:
@@ -229,12 +229,12 @@ class PathWalk:
         diag = np.diagonal(Pz)
         ell = np.ascontiguousarray(self.L[:, start:stop].T)
         width = stop - start
-        # range_split, BUDGET // m columns at a time, each block scaled into a copy
-        # whose columns are contiguous.  Given that copy as ``out``, numpy reads B
-        # along its rows (order="F" would not).
-        step = max(1, BUDGET // max(1, self.B.shape[0]))
-        blocks = (np.ldexp(x, -self.exponents[1], out=np.empty_like(x, order="F"))
-                  for x in (self.B[:, i:min(i + step, stop)] for i in range(start, stop, step)))
+        # range_split, BUDGET // 2m columns at a time: each block of B is scaled,
+        # row by row, into a row-major (m, columns) array, which range_split's
+        # residual matches in size.
+        step = max(1, BUDGET // max(1, 2 * self.B.shape[0]))
+        blocks = (np.ldexp(self.B[:, i:min(i + step, stop)], -self.exponents[1])
+                  for i in range(start, stop, step))
         Z, perp_sq = map(np.concatenate, zip(*(range_split(self.Q, x) for x in blocks)))
         # next_breakpoint's thresholds: TOL in the units of b (1/P), then of d.
         with np.errstate(divide="ignore"):  # P = 0 leaves no column live
@@ -379,13 +379,18 @@ class PathWalk:
 
     def error_sq(self, X: np.ndarray):
         """(sum_j ||A x_j - b_j||^2, sum_j ||b_j||^2) in the walk's units, x_j
-        row j of X, from one pass over B, BUDGET // n rows at a time."""
-        step = max(1, BUDGET // max(1, self.B.shape[1]))
+        row j of X, from one pass over B, BUDGET // 2n rows at a time: each
+        chunk is scaled into one buffer and A X.T formed in another, both
+        made once, so a chunk and its temporary stay in cache together."""
+        m, n = self.B.shape
+        step = max(1, BUDGET // max(1, 2 * n))
+        buffers = np.empty((2, min(step, m), n))
         err = norm = 0.0
-        for i in range(0, self.B.shape[0], step):
-            d = np.ldexp(self.B[i:i + step], -self.exponents[1])
+        for i in range(0, m, step):
+            d, fit = buffers[:, :min(step, m - i)]
+            np.ldexp(self.B[i:i + step], -self.exponents[1], out=d)
             norm += np.vdot(d, d)
-            d -= self.A[i:i + step] @ X.T
+            d -= np.matmul(self.A[i:i + step], X.T, out=fit)
             err += np.vdot(d, d)
         return err, norm
 

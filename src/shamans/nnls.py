@@ -71,9 +71,8 @@ def nnls_gram(P: np.ndarray, ell: np.ndarray, mask: np.ndarray | None = None,
     L = np.atleast_2d(ell)
     n, r = L.shape
     mask = np.ones(L.shape, dtype=bool) if mask is None else np.atleast_2d(mask)
-    diag = np.diagonal(P)
     grad_floor = TOL * np.abs(np.where(mask, L, 0.0)).max(axis=1, initial=0.0)
-    p_max = np.where(mask, diag, 0.0).max(axis=1, initial=0.0)
+    p_max = np.where(mask, np.diagonal(P), 0.0).max(axis=1, initial=0.0)
     floor = np.divide(grad_floor, p_max, out=np.zeros(n), where=p_max > 0.0)
     size = mask.sum(axis=1)
     max_pivots = 10 * size * (size + 1)
@@ -107,8 +106,8 @@ def nnls_gram(P: np.ndarray, ell: np.ndarray, mask: np.ndarray | None = None,
         nonlocal barred
         g, a, s = carry_inverse(Pz, G[rows], atoms[rows], np.full(rows.size, enter), index)
         if enter:
-            top = np.maximum(np.where(passive[rows], diag, 0.0).max(axis=1), diag[index])
-            sound = s >= PIVOT_FLOOR * top  # a NaN pivot is unsound too
+            # The new slots' diagonal: index r, an empty slot, reads 0.
+            sound = s >= PIVOT_FLOOR * np.diagonal(Pz)[a].max(axis=1)  # a NaN pivot is unsound too
             if not sound.all():
                 if barred is None:
                     barred = np.zeros(L.shape, dtype=bool)

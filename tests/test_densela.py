@@ -344,6 +344,34 @@ class TestExponent:
             with pytest.raises(NonFiniteEntry):
                 densela.exponent(np.array([1.0, bad]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [5, 13])  # a middle chunk, the last partial one
+    def test_chunked_pass_rejects_non_finite(self, monkeypatch, bad, at):
+        # A budget of 8 entries reads the 15 entries 4 at a time: a NaN or an
+        # infinity in any chunk survives the reduction of the chunks.
+        monkeypatch.setattr(densela, "BUDGET", 8)
+        A = np.linspace(-1.0, 2.0, 15).reshape(3, 5)
+        A.reshape(-1)[at] = bad
+        with pytest.raises(NonFiniteEntry, match="M contains NaN or infinite entries"):
+            densela.exponent(A, "M")
+        with pytest.raises(NonFiniteEntry):
+            densela.exponent(A.reshape(-1))
+
+    def test_chunked_pass_matches_whole_max_and_min(self, monkeypatch):
+        # Chunks of 4 entries over matrices and vectors of 0 to 19 entries,
+        # whose largest magnitude sits in any chunk and is either sign, give
+        # the exponent of the whole array's max and min; an empty one gives 0.
+        rng = np.random.default_rng(8)
+        monkeypatch.setattr(densela, "BUDGET", 8)
+        assert densela.exponent(np.zeros((0, 3))) == densela.exponent(np.zeros(0)) == 0
+        for size in range(1, 20):
+            for at in range(size):
+                A = rng.uniform(-1.0, 1.0, size)
+                A[at] = rng.choice([-1.0, 1.0]) * np.ldexp(1.5, int(rng.integers(-50, 50)))
+                want = int(np.frexp(max(A.max(), -A.min()))[1])
+                assert densela.exponent(A) == want
+                assert densela.exponent(A.reshape(1, -1)) == densela.exponent(A[:, None]) == want
+
     def test_unscale_raises_past_the_float_range(self):
         X = np.array([[0.75, 0.0], [np.nan, 0.5]])
         got = densela.unscale(X, 1024, "H")

@@ -419,8 +419,9 @@ def test_one_refit_call_pads_the_pooled_stacks(monkeypatch):
 def test_data_read_within_budget(monkeypatch):
     # Tall data, m = 60 rows over r = 4 atoms: a block of 50 columns fills a
     # budget of 1,200 entries with one round's (columns, 2, r) arrays, and
-    # range_split's (columns, m) temporary keeps to it by reading the data
-    # 20 columns at a time.
+    # each (m, columns) block of the data and range_split's residual of the
+    # same shape keep to it together by reading the data 10 columns at a
+    # time.
     rng = np.random.default_rng(5)
     A = rng.random((60, 4)) + 0.05
     B = np.clip(A @ rng.random((4, 50)) + 0.01 * rng.standard_normal((60, 50)), 0.0, None)
@@ -436,9 +437,39 @@ def test_data_read_within_budget(monkeypatch):
     monkeypatch.setattr(homotopy, "BUDGET", 24 * 50)
     assert homotopy.block_width(4) == 50
     chunked = walk_all(A, B)
-    assert widths == [20, 20, 10]
+    assert widths == [10] * 5
     for got, want in zip(chunked, whole):
         assert_same_path(got, want)
+
+
+@pytest.mark.parametrize("m, r, budget, widths", [
+    (60, 4, 480, [4] * 5 + [4, 4, 2]),  # blocks of 20 columns, read 4 at a time
+    (5, 8, 576, [12, 12, 6]),  # fewer rows than atoms: Z has m columns
+])
+def test_split_blocks_are_row_major(monkeypatch, m, r, budget, widths):
+    # Every block _walk hands range_split is a C-order (m, columns) copy of
+    # the scaled data, at most BUDGET // 2m columns wide and within one
+    # walked block, and the blocks tile the data in column order.
+    rng = np.random.default_rng(6)
+    A = rng.random((m, r)) + 0.05
+    B = rng.random((m, 30))
+    blocks = []
+
+    def recording(Q, B):
+        blocks.append(B)
+        Z, perp_sq = densela.range_split(Q, B)
+        assert Z.shape == (B.shape[1], min(m, r)) == (B.shape[1], Q.shape[1])
+        return Z, perp_sq
+
+    monkeypatch.setattr(homotopy, "range_split", recording)
+    monkeypatch.setattr(homotopy, "BUDGET", budget)
+    walk = PathWalk(A, B)
+    for j in range(B.shape[1]):
+        walk.path(j)
+    assert [x.shape[1] for x in blocks] == widths
+    for x in blocks:
+        assert x.flags.c_contiguous and x.shape[0] == m and x.shape[1] <= budget // (2 * m)
+    assert np.hstack(blocks).tobytes() == np.ldexp(B, -walk.exponents[1]).tobytes()
 
 
 def test_memory_layout_changes_no_result(monkeypatch):

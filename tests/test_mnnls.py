@@ -845,8 +845,9 @@ class TestUnconstrained:
         assert report.inexact_columns == []
 
     def test_error_pass_reads_row_chunks(self, monkeypatch):
-        # With room for 7 rows of 50 entries, B is read in 9 chunks of rows,
-        # each within BUDGET, and the sums move only by their order.
+        # With room for 7 rows of 50 entries, B is read 3 rows at a time, so
+        # that a chunk and its temporary A X.T stay within BUDGET together,
+        # in 20 chunks, and the sums move only by their order.
         M, W, _ = random_problem(np.random.default_rng(10), 60, 4, 50)
         walk = PathWalk(W, M)
         X = walk.nnls(np.arange(50))
@@ -861,7 +862,7 @@ class TestUnconstrained:
         monkeypatch.setattr(homotopy_mod, "BUDGET", 7 * 50 + 3)
         monkeypatch.setattr(walk, "B", walk.B.view(Rows))
         got = walk.error_sq(X)
-        assert [x.shape for x in reads] == [(7, 50)] * 8 + [(4, 50)]
+        assert [x.shape for x in reads] == [(3, 50)] * 20
         assert np.concatenate(reads).tobytes() == M.tobytes()
         assert got == pytest.approx(want, rel=1e-15, abs=0)
 
