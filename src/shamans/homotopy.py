@@ -32,7 +32,8 @@ al., Ann. Statist. 2004): a (B, k) index names the atom in each slot, k
 the largest support of the block's live columns so far, and G is a
 (B, k, k) stack in that order.  A round solves for a and b on the slots
 (densela.support_solve), and P gives c and d from them, so a round costs
-O(k^2 + r k) per column.  The entries whose least-squares solution goes
+O(k^2 + r k) per column; round 0, on one empty slot, makes the zero
+entry.  The entries whose least-squares solution goes
 negative are pooled across rounds until they fill half the block's
 width, then refit together by nnls_gram, which starts from the
 least-squares solutions their rounds recorded and carries their G on in
@@ -211,17 +212,16 @@ class PathWalk:
         The block carries four arrays, one row per live column:
         ``live`` (its column), ``lam``, the slot index ``atoms`` and the
         inverse ``G`` in slot coordinates; a column leaves them when its
-        path ends.  One next_breakpoint call on the empty support gives
-        each column's zero entry and its first atom, which enters a
-        one-slot stack through carry_inverse, like every later one.  Each
-        round records every live column's least-squares solution as its
-        refit, pools the entries where it goes negative, whole with their
-        G and atoms, for refit_pool once they fill half the block's width,
-        and carries G to the next support.  A column whose entering atom's
+        path ends.  Each column starts on one empty slot, so that round 0
+        records its zero entry and enters its first atom.  Each round
+        records every live column's least-squares solution as its refit,
+        pools the entries where it goes negative, whole with their G and
+        atoms, for refit_pool once they fill half the block's width, and
+        carries G to the next support.  A column whose entering atom's
         Schur pivot is unsound (nnls_gram's rank rule) leaves the walk
-        truncated, and the columns still live after ``max_breakpoints``
-        rounds fall back; both keep their records and end at the NNLS
-        solution, found by one ``nnls`` call.
+        truncated, and the columns still live after round
+        ``max_breakpoints`` fall back; both keep their records and end at
+        the NNLS solution, found by one ``nnls`` call.
         """
         P = self.P
         r = P.shape[0]
@@ -284,38 +284,32 @@ class PathWalk:
             pool.clear()
 
         # Row i holds the right-hand sides (ell, 1) of column i's pair (a, b),
-        # and 0 at index r, where an empty slot reads.
+        # and 0 at index r, where an empty slot reads: a, b, c and d are 0
+        # there, so index r is never a candidate.
         pairs = np.zeros((width, 2, r + 1))
         pairs[:, 0, :r] = ell
         pairs[:, 1, :r] = 1.0
-        # The zero entries and first atoms: a = b = 0, c = -ell and d = -1 on the
-        # empty support.
-        empty = np.zeros((width, r + 1))
-        lam, _, first = next_breakpoint(empty, empty, -pairs[:, 0], -pairs[:, 1],
-                                        empty.astype(bool), np.inf, leave_tol, TOL)
-        record(np.arange(width), lam, residual_sq(self.R, Z, perp_sq, empty[:, :r]), False, 0.0)
-        tol_lam = TOL * lam  # a breakpoint this close to 0 is 0
-        live = np.flatnonzero(first >= 0)
-        lam = lam[live]
-        G, atoms, _ = carry_inverse(Pz, np.zeros((live.size, 1, 1)), np.full((live.size, 1), r),
-                                    np.ones(live.size, dtype=bool), first[live])
+        # Round 0 starts each column on one empty slot at lam = inf.  A
+        # breakpoint at or below TOL max(ell, 0), the zero entry's lam, is 0.
+        live, lam = np.arange(width), np.inf
+        G, atoms = np.zeros((width, 1, 1)), np.full((width, 1), r)
+        tol_lam = TOL * ell.max(axis=1, initial=0.0)
         truncated = np.zeros(width, dtype=bool)
         over = np.zeros(width, dtype=bool)
 
         rounds = 0
-        while live.size and rounds < self.max_breakpoints:
+        while live.size and rounds <= self.max_breakpoints:
             rhs2 = pairs[live]
             full = densela.support_solve(Pz, G, atoms, rhs2)
             grad = (full.reshape(-1, r + 1) @ Pz).reshape(full.shape)
             grad -= rhs2
             K = np.zeros((live.size, r + 1), dtype=bool)
             K.reshape(-1)[atoms + (r + 1) * np.arange(live.size)[:, None]] = True
-            K = K[:, :r]
-            a = full[:, 0, :r]
-            lam_next, kind, index = next_breakpoint(a, full[:, 1, :r], grad[:, 0, :r],
-                                                    grad[:, 1, :r], K, lam, leave_tol, TOL)
+            lam_next, kind, index = next_breakpoint(full[:, 0], full[:, 1], grad[:, 0],
+                                                    grad[:, 1], K, lam, leave_tol, TOL)
             lam_next[lam_next <= tol_lam[live]] = 0.0
-            record(live, lam_next, residual_sq(self.R, Z[live], perp_sq[live], a), K, a)
+            a = full[:, 0, :r]
+            record(live, lam_next, residual_sq(self.R, Z[live], perp_sq[live], a), K[:, :r], a)
             negative = np.flatnonzero((a < 0.0).any(axis=1))
             if negative.size:
                 pool.append((records[-1], negative, live[negative], G[negative], atoms[negative]))

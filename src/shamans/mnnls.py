@@ -87,7 +87,8 @@ class UnmixReport:
     rank-deficient support (an entering atom whose Schur pivot fell below
     the rank rule's floor, nnls.nnls_gram), ended early: they go on from
     their last walked entry to the NNLS solution.  ``walk`` says what the
-    lockstep walk did: ``rounds`` walked, ``refit_calls`` to the
+    lockstep walk did: ``rounds`` walked (round 0 of a block makes its
+    zero entries and first atoms), ``refit_calls`` to the
     active-set solver and the ``refit_ms`` they took, and
     ``fallback_calls`` that solved fallback and truncated columns.  These
     describe paths, so they are None in unconstrained mode, and
@@ -95,10 +96,13 @@ class UnmixReport:
     worst scaled departure of a column of H from its optimality
     conditions: stationarity on its support in every mode, and in
     unconstrained mode a nonnegative gradient off it too.
-    ``inexact_columns`` lists the columns of H that are neither a solution
-    of their full path nor the NNLS optimum: every fallback or truncated
-    column read below level r, and every column whose violation is not
-    within KKT_BOUND (NaN included).
+    ``inexact_columns`` lists the columns of H that may depart from their
+    full path's solution at their level and from the NNLS optimum: every
+    fallback or truncated column read below level r; every column whose
+    path steps but whose costs are equal at levels 0 and r, because its
+    errors underflowed against the largest column's at the solve's one
+    scale, so that its entries were chosen blind; and every column whose
+    violation is not within KKT_BOUND (NaN included).
 
     In shamans mode ``picks`` counts the greedy steps, ``overshoot`` is
     the sum of the selected sparsity levels minus q (negative when no
@@ -232,10 +236,12 @@ def solve(M, W, cfg: SolveConfig):
         report.truncated_columns = [j for j, path in enumerate(paths) if path.truncated]
         report.fallback_columns = [j for j, path in enumerate(paths) if path.fallback]
         # A fallback or truncated path skips to its NNLS entry: only level r,
-        # that entry's, is read as on the full path.
+        # that entry's, is read as on the full path.  A path that steps but
+        # costs the same at every level had its errors underflow to ties.
         inexact = {j for j in report.fallback_columns + report.truncated_columns
                    if cursors[j] < r}
         steps = np.array([len(path.entries) - 1 for path in paths])
+        inexact.update(np.flatnonzero((steps > 0) & (tables.cost[0] == tables.cost[r])).tolist())
         report.breakpoints = int(steps.sum())
         report.breakpoint_histogram = [int(c) for c in np.bincount(steps)]
         report.refits = walk.refits

@@ -632,10 +632,10 @@ class TestPathReport:
 class TestWalkReport:
     """The report's ``walk`` entry against the walk's kernel calls, counted
     from outside: a round is one densela.support_solve call from homotopy
-    (nnls holds its own binding, and the empty support needs none), a
-    refit is an nnls_gram call with a start, and a fallback is one
-    PathWalk.nnls call, which ends a block's breakpoint-limit and truncated
-    paths."""
+    (nnls holds its own binding), round 0, which starts each block's
+    columns on one empty slot, included; a refit is an nnls_gram call with
+    a start, and a fallback is one PathWalk.nnls call, which ends a block's
+    breakpoint-limit and truncated paths."""
 
     @staticmethod
     def counted(monkeypatch):
@@ -709,6 +709,42 @@ class TestWalkReport:
             truncated += len(report.truncated_columns)
             assert counts["fallback_calls"] == (len(report.truncated_columns) > 0)
         assert truncated > 0
+
+    def test_all_zero_data_block(self, monkeypatch):
+        # Blocks of 4 columns, the first all zero: round 0 records its zero
+        # entries and ends its paths, so carry_inverse enters no first atom
+        # there, and the block counts that one round.
+        monkeypatch.setattr(homotopy_mod, "block_width", lambda r: 4)
+        rows = []
+        carry_inverse = homotopy_mod.carry_inverse
+
+        def carried(P, G, atoms, enter, index):
+            rows.append(atoms.shape[0])
+            return carry_inverse(P, G, atoms, enter, index)
+
+        monkeypatch.setattr(homotopy_mod, "carry_inverse", carried)
+        rng = np.random.default_rng(5)
+        W = rng.random((8, 3)) + 0.05
+        M = np.hstack([np.zeros((8, 4)), rng.random((8, 6))])
+        counts = self.counted(monkeypatch)
+        H, report = solve(M, W, SolveConfig(mode="ksparse", k=2))
+        self.assert_matches(counts, report)
+        assert rows[:2] == [0, 4]  # the first two blocks' round 0
+        assert report.breakpoint_histogram[0] == 4 and not H[:, :4].any() and H[:, 4:].any()
+
+    def test_one_atom_dictionary(self, monkeypatch):
+        # r = 1: round 0 enters the atom in every nonzero column and round 1
+        # ends each path at its NNLS entry; the zero column stops in round 0.
+        rng = np.random.default_rng(6)
+        W = rng.random((8, 1)) + 0.05
+        M = rng.random((8, 12))
+        M[:, 3] = 0.0
+        counts = self.counted(monkeypatch)
+        H, report = solve(M, W, SolveConfig(mode="shamans", q=11))
+        self.assert_matches(counts, report)
+        assert counts["rounds"] == 2 and report.breakpoint_histogram == [1, 11]
+        want = np.maximum(W[:, 0] @ M / (W[:, 0] @ W[:, 0]), 0.0)
+        np.testing.assert_allclose(H[0], want, rtol=1e-14)
 
 
 def generated_workloads():

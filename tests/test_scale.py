@@ -105,6 +105,30 @@ def test_scales_past_the_squares_range(cfg, scale_W, scale_M):
     assert report.inexact_columns == []
 
 
+# One column 1e165 or more times larger than the rest sets the walk's one
+# exponent: every other column's squared errors underflow to 0 in the walk's
+# units, so their costs tie at every level and the tables pick their zero
+# entries.  The path modes list those columns; at 1e160 and below every
+# column is measured and gets its 2 nonzeros.  The NNLS solve reads no error.
+@pytest.mark.parametrize("scale, blind", [(1e150, []), (1e160, []), (1e165, list(range(6))),
+                                          (1e170, list(range(6)))])
+def test_columns_blinded_by_one_large_column_are_inexact(scale, blind):
+    rng = np.random.default_rng(0)
+    W, M = rng.random((10, 4)) + 0.05, rng.random((10, 7))
+    M[:, -1] *= scale
+    for cfg in (SolveConfig(mode="ksparse", k=2), SolveConfig(mode="shamans", q=14)):
+        H, report = solve(M, W, cfg)
+        assert report.inexact_columns == blind, cfg.mode
+        counts = np.count_nonzero(H, axis=0)
+        if blind:
+            assert not counts[:6].any()
+        else:
+            assert counts.sum() == 14 and (cfg.mode == "shamans" or (counts == 2).all())
+        assert report.stopped_short == (bool(blind) if cfg.mode == "shamans" else None)
+    _, report = solve(M, W, SolveConfig(mode="unconstrained"))
+    assert report.inexact_columns == []
+
+
 def test_power_of_two_scales_repeat_nnls_active_set():
     # nnls_active_set solves on A and b scaled to unit size, so every
     # decision repeats and x and residual_sq scale exactly, or raise
