@@ -2,7 +2,8 @@
 
 Matrices are 2-D float64 numpy arrays kept in C (row-major) order, as the
 CSV reader and numpy make them, so no input is transposed on its way in.
-Everything is treated as immutable after construction; all functions are pure.
+No function changes its arguments, except carry_inverse, which updates the
+inverse stack and slot index it is given in place.
 """
 
 from __future__ import annotations
@@ -11,9 +12,10 @@ import numpy as np
 
 from .errors import NonFiniteEntry, SingularSystem
 
-# Relative floor under which a pivot means a rank-deficient support, and the
-# relative tolerance of the solvers' sign tests, each against a scale of the
-# data in the units of what it tests (homotopy.PathWalk, nnls.nnls_gram).
+# Relative floor under which a pivot means a rank-deficient support
+# (carry_inverse, spd_factor), and the relative tolerance of the solvers'
+# sign tests (homotopy.PathWalk, nnls.nnls_gram), each against a scale of the
+# data in the units of what it tests.
 PIVOT_FLOOR = 1e-12
 TOL = 1e-10
 
@@ -115,11 +117,15 @@ def carry_inverse(P: np.ndarray, G: np.ndarray, atoms: np.ndarray, enter: np.nda
         enter:  G + v v^T / s,   v = G p - e_t,  p = P(j, atoms),  s = P_jj - p.G p
         leave:  G - g g^T / g_tt, g = G e_t, then row and column t zeroed
 
-    Returns (G, atoms, s).  G and atoms are updated in place, or replaced by
-    stacks one slot larger when an entering row has no free slot.  s is the
-    entering Schur pivot (-g_tt on a leaving row).  An s below PIVOT_FLOOR
-    times the largest diagonal entry of P on the new support means a
-    rank-deficient support, whose G is not to be trusted.
+    Returns (G, atoms, sound).  G and atoms are updated in place, or replaced
+    by stacks one slot larger when an entering row has no free slot.
+    sound[i] says whether row i's update holds, by the solvers' one rank
+    rule: a leaving row's always does, and an entering row's does when its
+    Schur pivot s is at least PIVOT_FLOOR times the largest diagonal entry
+    of P on the new support.  A smaller s, or a NaN, means the new support
+    is rank deficient and its G is not to be trusted: the walk
+    (homotopy.PathWalk) then ends the column's path at its NNLS entry, and
+    nnls.nnls_gram bars the atom for the row.
     """
     B, k = atoms.shape
     r = P.shape[0] - 1
@@ -148,7 +154,11 @@ def carry_inverse(P: np.ndarray, G: np.ndarray, atoms: np.ndarray, enter: np.nda
     G[leave, slot[leave], :] = 0.0
     G[leave, :, slot[leave]] = 0.0
     atoms[np.arange(B), slot] = np.where(enter, index, r)
-    return G, atoms, s
+    sound = ~enter
+    if enter.any():  # nnls_gram's drop passes only leave: no floor to take there
+        # The new slots' diagonal: index r, an empty slot, reads 0.
+        sound |= s >= PIVOT_FLOOR * np.diagonal(P)[atoms].max(axis=1)
+    return G, atoms, sound
 
 
 def support_solve(P: np.ndarray, G: np.ndarray, atoms: np.ndarray,

@@ -44,11 +44,9 @@ each entry's error is
 
     ||A x - b||^2 = ||b - Q z||^2 + ||z - R x||^2,
 
-exactly, because b - Q z is orthogonal to range(A).  The walk has
-nnls_gram's rank rule: an entering atom whose Schur pivot, as
-carry_inverse returns it, falls below PIVOT_FLOOR times the largest
-diagonal entry of P on the new support makes that support rank
-deficient, and the path ends at its NNLS entry instead.
+exactly, because b - Q z is orthogonal to range(A).  An entering atom
+whose update carry_inverse finds unsound (its rank rule) makes the
+support rank deficient, and the path ends at its NNLS entry instead.
 """
 
 from __future__ import annotations
@@ -60,8 +58,8 @@ import numpy as np
 
 from . import densela
 # spd_factor is not called here; perfbench/test_perfbench.py asserts this binding.
-from .densela import (BUDGET, PIVOT_FLOOR, TOL, as_matrix, as_vector, carry_inverse,
-                      range_split, residual_sq, spd_factor)
+from .densela import (BUDGET, TOL, as_matrix, as_vector, carry_inverse, range_split,
+                      residual_sq, spd_factor)
 from .errors import IterationLimit
 from .nnls import nnls_gram
 
@@ -217,16 +215,15 @@ class PathWalk:
         records every live column's least-squares solution as its refit,
         pools the entries where it goes negative, whole with their G and
         atoms, for refit_pool once they fill half the block's width, and
-        carries G to the next support.  A column whose entering atom's
-        Schur pivot is unsound (nnls_gram's rank rule) leaves the walk
-        truncated, and the columns still live after round
+        carries G to the next support.  A column whose update carry_inverse
+        finds unsound (its rank rule) leaves the walk truncated, and the
+        columns still live after round
         ``max_breakpoints`` fall back; both keep their records and end at
         the NNLS solution, found by one ``nnls`` call.
         """
         P = self.P
         r = P.shape[0]
         Pz = np.pad(P, (0, 1))  # carry_inverse's layout: zero row and column at r
-        diag = np.diagonal(Pz)
         ell = np.ascontiguousarray(self.L[:, start:stop].T)
         width = stop - start
         # range_split, BUDGET // 2m columns at a time: each block of B is scaled,
@@ -318,15 +315,12 @@ class PathWalk:
             go = (kind != TERMINATE) & (lam_next != 0.0)
             if not go.all():
                 live, atoms, G = (x[go] for x in (live, atoms, G))
-            enter = kind[go] == ENTER
-            G, atoms, s = carry_inverse(Pz, G, atoms, enter, index[go])
+            G, atoms, sound = carry_inverse(Pz, G, atoms, kind[go] == ENTER, index[go])
             lam = lam_next[go]
             rounds += 1
-            # nnls_gram's rank rule; a NaN pivot is unsound too.
-            unsound = enter & ~(s >= PIVOT_FLOOR * diag[atoms].max(axis=1))
-            if unsound.any():
-                truncated[live[unsound]] = True
-                live, lam, atoms, G = (x[~unsound] for x in (live, lam, atoms, G))
+            if not sound.all():
+                truncated[live[~sound]] = True
+                live, lam, atoms, G = (x[sound] for x in (live, lam, atoms, G))
         over[live] = True
         refit_pool()
         self.stats["rounds"] += rounds

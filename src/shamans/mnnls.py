@@ -84,9 +84,9 @@ class UnmixReport:
     solver, because least squares on the support went negative.  The
     paths of the columns listed in ``fallback_columns``, which hit the
     breakpoint limit, and in ``truncated_columns``, which met a
-    rank-deficient support (an entering atom whose Schur pivot fell below
-    the rank rule's floor, nnls.nnls_gram), ended early: they go on from
-    their last walked entry to the NNLS solution.  ``walk`` says what the
+    rank-deficient support (an update densela.carry_inverse's rank rule
+    finds unsound), ended early: they go on from their last walked entry
+    to the NNLS solution.  ``walk`` says what the
     lockstep walk did: ``rounds`` walked (round 0 of a block makes its
     zero entries and first atoms), ``refit_calls`` to the
     active-set solver and the ``refit_ms`` they took, and

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densela import (PIVOT_FLOOR, TOL, as_matrix, as_vector, carry_inverse, exponent, gram,
-                      support_solve, unscale)
+from .densela import (TOL, as_matrix, as_vector, carry_inverse, exponent, gram, support_solve,
+                      unscale)
 from .errors import IterationLimit
 
 
@@ -55,10 +55,10 @@ def nnls_gram(P: np.ndarray, ell: np.ndarray, mask: np.ndarray | None = None,
     support of its solution.  Ties on the entering variable break toward
     the smallest index.
 
-    One rank rule: an atom whose entering Schur pivot falls below
-    PIVOT_FLOOR times the largest diagonal entry of P on the new passive
-    set would make that set rank deficient, so it is barred for the row,
-    which goes on without it, until the row's passive set next changes.
+    An entering atom whose update carry_inverse finds unsound (its rank
+    rule) would make the passive set rank deficient, so it is barred for
+    the row, which goes on without it, until the row's passive set next
+    changes.
     Raises IterationLimit, whose ``row`` names the row, once a row makes
     more than 10 k (k+1) pivots, k the size of its mask (cycling or heavy
     degeneracy).  A gradient coordinate enters above TOL max|ell|, and a
@@ -79,7 +79,7 @@ def nnls_gram(P: np.ndarray, ell: np.ndarray, mask: np.ndarray | None = None,
     pivots = np.zeros(n, dtype=np.int64)
     X = np.zeros(L.shape)
     passive = np.zeros(L.shape, dtype=bool) if start is None else mask.copy()
-    barred = None  # (n, r): the atoms each row bars, made on the first bar
+    barred = np.zeros(L.shape, dtype=bool)  # atoms each row bars until its passive set changes
     k = int(size.max(initial=0))
     G, atoms, Z = (np.zeros((n, k, k)), np.full((n, k), r), X) if start is None else start
     Z = np.reshape(Z, L.shape)
@@ -102,21 +102,14 @@ def nnls_gram(P: np.ndarray, ell: np.ndarray, mask: np.ndarray | None = None,
 
     def carry(rows, index, enter):
         """Move index[i] into or out of row rows[i]'s passive set, or bar an
-        entering atom whose pivot is unsound; returns the rows that moved."""
-        nonlocal barred
-        g, a, s = carry_inverse(Pz, G[rows], atoms[rows], np.full(rows.size, enter), index)
-        if enter:
-            # The new slots' diagonal: index r, an empty slot, reads 0.
-            sound = s >= PIVOT_FLOOR * np.diagonal(Pz)[a].max(axis=1)  # a NaN pivot is unsound too
-            if not sound.all():
-                if barred is None:
-                    barred = np.zeros(L.shape, dtype=bool)
-                barred[rows[~sound], index[~sound]] = True
-                rows, index, g, a = rows[sound], index[sound], g[sound], a[sound]
+        entering atom whose update is unsound; returns the rows that moved."""
+        g, a, sound = carry_inverse(Pz, G[rows], atoms[rows], np.full(rows.size, enter), index)
+        if not sound.all():
+            barred[rows[~sound], index[~sound]] = True
+            rows, index, g, a = rows[sound], index[sound], g[sound], a[sound]
         G[rows], atoms[rows] = g, a
         passive[rows, index] = enter
-        if barred is not None:
-            barred[rows] = False
+        barred[rows] = False
         return rows
 
     def drop(rows, out):
@@ -146,9 +139,7 @@ def nnls_gram(P: np.ndarray, ell: np.ndarray, mask: np.ndarray | None = None,
 
     live = np.arange(n)
     while True:
-        free = mask[live] & ~passive[live]
-        if barred is not None:
-            free &= ~barred[live]
+        free = mask[live] & ~(passive | barred)[live]
         w = np.where(free, L[live] - X[live] @ P.T, -np.inf)
         entering = w.argmax(axis=1)  # first maximum, i.e. smallest index
         grow = w[np.arange(live.size), entering] > grad_floor[live]

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 import acceptance_report
@@ -31,19 +30,17 @@ def demo_gram():
 @pytest.fixture
 def tiny_pivots(monkeypatch):
     """A list to which each densela.carry_inverse call of nnls_gram appends
-    whether an entering Schur pivot fell below PIVOT_FLOOR times the largest
-    diagonal entry of P, so that the solver barred an atom; clear it before
-    the solve it watches."""
+    whether it found an update unsound, so that the solver barred an atom;
+    clear it before the solve it watches."""
     from shamans import nnls
-    from shamans.densela import PIVOT_FLOOR
 
     seen = []
     carry_inverse = nnls.carry_inverse
 
     def spy(P, G, atoms, enter, index):
-        G, atoms, s = carry_inverse(P, G, atoms, enter, index)
-        seen.append(bool((enter & ~(s >= PIVOT_FLOOR * np.diagonal(P).max())).any()))
-        return G, atoms, s
+        G, atoms, sound = carry_inverse(P, G, atoms, enter, index)
+        seen.append(not sound.all())
+        return G, atoms, sound
 
     monkeypatch.setattr(nnls, "carry_inverse", spy)
     return seen

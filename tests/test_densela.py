@@ -129,7 +129,7 @@ class TestCarryInverse:
             # Entering atoms kept out of their own slot although it is free.
             own_free = before[rows, index] == 24
             moved += (enter & own_free & (want_atoms[rows, index] != index)).sum()
-            carried, atoms, pivot = densela.carry_inverse(Pz, G, atoms, enter, index)
+            carried, atoms, sound = densela.carry_inverse(Pz, G, atoms, enter, index)
             assert carried is G
             assert np.array_equal(atoms, want_atoms)
             K = want_K
@@ -142,7 +142,10 @@ class TestCarryInverse:
                     j = index[i]
                     p = np.pad(P[j], (0, 1))[before[i]]  # j is not in before[i]
                     schur = P[j, j] - p @ old[i] @ p
-                    assert pivot[i] == pytest.approx(schur, rel=1e-10)
+                    top = np.diagonal(P)[K[i]].max()  # on the new support
+                    assert sound[i] == (schur >= densela.PIVOT_FLOOR * top)
+                else:
+                    assert sound[i]
         assert K.sum(axis=1).max() >= 12
         assert moved > 100
 
@@ -166,7 +169,7 @@ class TestCarryInverse:
             enter = (size == 0) | (size < r) & (rng.random(n) < 0.6)
             index = np.array([rng.choice(np.flatnonzero(K[i, :r] != enter[i])) for i in rows])
             before = atoms.copy()
-            G, atoms, pivot = densela.carry_inverse(np.pad(P, (0, 1)), G, atoms, enter, index)
+            G, atoms, sound = densela.carry_inverse(np.pad(P, (0, 1)), G, atoms, enter, index)
             grow = atoms.shape[1] - before.shape[1]
             assert grow == (enter & (before != r).all(axis=1)).any()
             assert G.shape == (n,) + 2 * atoms.shape[1:]
@@ -183,10 +186,11 @@ class TestCarryInverse:
                 if enter[i]:
                     slot = np.flatnonzero(free)[0]
                     reused += used[i, slot]
-                    assert pivot[i] == pytest.approx(schur, rel=1e-10)
+                    top = np.diagonal(P)[np.append(rest, j)].max()  # on the new support
+                    assert sound[i] == (schur >= densela.PIVOT_FLOOR * top)
                 else:
                     slot = np.flatnonzero(was == j)[0]
-                    assert pivot[i] == pytest.approx(-1.0 / schur, rel=1e-10)
+                    assert sound[i]
                 used[i, slot] = True
                 was[slot] = j if enter[i] else r
                 assert np.array_equal(atoms[i], was)
@@ -207,11 +211,26 @@ class TestCarryInverse:
         K = np.array([[True, True, False, False], [False, True, True, False]])
         atoms = np.where(K, np.arange(4), 4)
         G = np.stack([slot_inverse(P, a) for a in atoms])
-        _, _, pivot = densela.carry_inverse(np.pad(P, (0, 1)), G, atoms,
+        _, _, sound = densela.carry_inverse(np.pad(P, (0, 1)), G, atoms,
                                             np.array([True, True]), np.array([3, 3]))
-        floor = densela.PIVOT_FLOOR * np.where(K, np.diagonal(P), 0.0).max(axis=1)
-        assert pivot[0] < floor[0]
-        assert pivot[1] > 1e-3 * floor[1] / densela.PIVOT_FLOOR  # independent
+        assert sound.tolist() == [False, True]  # dependent, then independent
+
+    def test_floor_is_taken_on_the_new_support(self):
+        # Atom 3 is within 1e-4 of atom 1 + atom 2, a Schur pivot near 1e-8
+        # against either support below, and atom 0, scaled by 1e4, holds the
+        # largest diagonal entry of P, 3.2e8.  The floor scales with the new
+        # support's largest entry: 13 without atom 0, so the update holds,
+        # and 3.2e8 with it, so it does not.
+        rng = np.random.default_rng(7)
+        A = rng.random((10, 4)) + 0.05
+        A[:, 3] = A[:, 1] + A[:, 2] + 1e-4 * rng.random(10)
+        A[:, 0] *= 1e4
+        P = densela.gram(A)
+        atoms = np.array([[4, 1, 2, 4], [0, 1, 2, 4]])
+        G = np.stack([slot_inverse(P, a) for a in atoms])
+        _, _, sound = densela.carry_inverse(np.pad(P, (0, 1)), G, atoms,
+                                            np.array([True, True]), np.array([3, 3]))
+        assert sound.tolist() == [True, False]
 
 
 def assert_kernel_errors(A, B, X, exact=False):

@@ -33,9 +33,8 @@ WIDTH = 256  # columns per block in the tests that cross block boundaries
 @pytest.fixture
 def unfactored(monkeypatch):
     """Make densela.spd_factor, and homotopy's binding of it, raise: the
-    walk's rank rule reads the pivots carry_inverse returns, and no
-    factorization, so the suites that use this still walk (the oracles
-    hold their own binding)."""
+    walk's rank rule is carry_inverse's, which factors nothing, so the
+    suites that use this still walk (the oracles hold their own binding)."""
     def factor(S):
         raise AssertionError("the walk factored a matrix")
 
@@ -556,12 +555,12 @@ def test_carried_inverse_matches_fresh_solves(monkeypatch):
 
     def inverting(P, G, atoms, enter, index):
         """carry_inverse's slots, and P inverted afresh on each new support."""
-        G, atoms, s = carry_inverse(P, G, atoms, enter, index)
+        G, atoms, sound = carry_inverse(P, G, atoms, enter, index)
         for g, slots in zip(G, atoms):
             on = slots < P.shape[0] - 1
             g[...] = 0.0
             g[np.ix_(on, on)] = np.linalg.inv(P[np.ix_(slots[on], slots[on])])
-        return G, atoms, s
+        return G, atoms, sound
 
     monkeypatch.setattr(homotopy, "carry_inverse", inverting)
     fresh = walk_all(A, B)
@@ -602,23 +601,27 @@ def test_pivot_floor_ends_paths_at_their_nnls_entry(monkeypatch):
     # 8 atoms in 10 rows, and data that mix all of them: the last atoms to
     # enter have Schur pivots near 1e-2 of the largest diagonal entry of P.
     # Under the floor of 1e-12 no path truncates; under one raised to 1e-2
-    # a path truncates at each entering pivot below it, and its NNLS entry
+    # in the walk's own updates a path truncates at each entering pivot
+    # below it, and its NNLS entry, from nnls_gram under the real floor,
     # reaches the brute-force error.
     rng = np.random.default_rng(1)
     A = rng.random((10, 8)) + 0.05
     B = A @ rng.uniform(0.2, 1.0, (8, 40)) + 0.05 * rng.standard_normal((10, 40))
-    unsound = []
+    unsound, floor = [], [densela.PIVOT_FLOOR]
     carry_inverse = homotopy.carry_inverse
 
     def spy(P, G, atoms, enter, index):
-        G, atoms, s = carry_inverse(P, G, atoms, enter, index)
-        top = np.diagonal(P)[atoms].max(axis=1)
-        unsound.append(int((enter & (s < homotopy.PIVOT_FLOOR * top)).sum()))
-        return G, atoms, s
+        real, densela.PIVOT_FLOOR = densela.PIVOT_FLOOR, floor[0]
+        try:
+            G, atoms, sound = carry_inverse(P, G, atoms, enter, index)
+        finally:
+            densela.PIVOT_FLOOR = real
+        unsound.append(int((~sound).sum()))
+        return G, atoms, sound
 
     monkeypatch.setattr(homotopy, "carry_inverse", spy)
     assert not any(p.truncated for p in walk_all(A, B)) and sum(unsound) == 0
-    monkeypatch.setattr(homotopy, "PIVOT_FLOOR", 1e-2)
+    floor[0] = 1e-2
     paths = walk_all(A, B)
     truncated = [j for j, p in enumerate(paths) if p.truncated]
     assert len(truncated) > 10 and sum(unsound) == len(truncated)

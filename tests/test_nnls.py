@@ -4,6 +4,7 @@ import pytest
 from shamans import nnls
 from shamans.densela import TOL, exponent, gram, support_solve
 from shamans.errors import IterationLimit, NonFiniteEntry
+from shamans.homotopy import PathWalk
 from shamans.nnls import nnls_active_set, nnls_gram
 
 from demo_data import DEMO_M, DEMO_W
@@ -127,6 +128,23 @@ def test_iteration_limit_carries_column():
     exc = IterationLimit("pivot cap", row=1, column=3)
     assert (exc.row, exc.column) == (1, 3)
     assert IterationLimit("pivot cap").column is None
+
+
+def test_pivot_limit_names_the_row_and_its_column(monkeypatch):
+    # Every solve made nonpositive: each atom that enters is dropped at once
+    # and enters again, so every row cycles past its 10 r (r + 1) pivots in
+    # lockstep.  The block solver names the first row over, and PathWalk.nnls
+    # the data column that row holds.
+    rng = np.random.default_rng(3)
+    walk = PathWalk(rng.random((10, 4)) + 0.05, rng.random((10, 3)))
+    solve = nnls.support_solve
+    monkeypatch.setattr(nnls, "support_solve", lambda *args: -np.abs(solve(*args)))
+    with pytest.raises(IterationLimit) as info:
+        nnls_gram(walk.P, walk.L.T)
+    assert info.value.row == 0
+    with pytest.raises(IterationLimit) as info:
+        walk.nnls(np.array([2, 0, 1]))
+    assert (info.value.row, info.value.column) == (0, 2)
 
 
 def test_snapped_coefficient_leaves_a_stationary_refit():
