@@ -59,7 +59,7 @@ import numpy as np
 from . import densela
 # spd_factor is not called here; perfbench/test_perfbench.py asserts this binding.
 from .densela import (BUDGET, TOL, as_matrix, as_vector, carry_inverse, range_split,
-                      residual_sq, spd_factor)
+                      reduce_rows, residual_sq, spd_factor)
 from .errors import IterationLimit
 from .nnls import nnls_gram
 
@@ -143,7 +143,7 @@ def next_breakpoint(a, b, c, d, K, lambda_current, leave_tol: float, enter_tol: 
     bound *= np.inf
     np.fmin(ratio, bound, out=ratio)
     best = ratio.argmax(axis=1)
-    lam = ratio[np.arange(n), best]
+    lam = ratio.take(np.arange(n) * 2 * r + best)
     kind, index = np.divmod(best, r)  # LEAVE = 0 and ENTER = 1
     done = lam <= 0.0
     kind[done] = TERMINATE
@@ -267,13 +267,13 @@ class PathWalk:
                 atoms[lo:hi, :x.shape[1]] = x
             clock = time.perf_counter()
             try:
-                X = nnls_gram(P, ell[cols], mask, start=(G, atoms, Z0))
+                X = nnls_gram(P, ell.take(cols, axis=0), mask, start=(G, atoms, Z0))
             except IterationLimit as exc:
                 raise _at_column(exc, start + int(cols[exc.row])) from exc
             self.stats["refit_ms"] += (time.perf_counter() - clock) * 1e3
             self.stats["refit_calls"] += 1
             self.refits += cols.size
-            err = residual_sq(self.R, Z[cols], perp_sq[cols], X)
+            err = residual_sq(self.R, Z.take(cols, axis=0), perp_sq[cols], X)
             for entries, rows, x, e in zip(arrays, at, np.split(X, ends[:-1]),
                                            np.split(err, ends[:-1])):
                 entries["solution"][rows] = x
@@ -290,13 +290,13 @@ class PathWalk:
         # breakpoint at or below TOL max(ell, 0), the zero entry's lam, is 0.
         live, lam = np.arange(width), np.inf
         G, atoms = np.zeros((width, 1, 1)), np.full((width, 1), r)
-        tol_lam = TOL * ell.max(axis=1, initial=0.0)
+        tol_lam = TOL * reduce_rows(np.maximum, ell, initial=0.0)
         truncated = np.zeros(width, dtype=bool)
         over = np.zeros(width, dtype=bool)
 
         rounds = 0
         while live.size and rounds <= self.max_breakpoints:
-            rhs2 = pairs[live]
+            rhs2 = pairs.take(live, axis=0)
             full = densela.support_solve(Pz, G, atoms, rhs2)
             grad = (full.reshape(-1, r + 1) @ Pz).reshape(full.shape)
             grad -= rhs2
@@ -306,21 +306,26 @@ class PathWalk:
                                                     grad[:, 1], K, lam, leave_tol, TOL)
             lam_next[lam_next <= tol_lam[live]] = 0.0
             a = full[:, 0, :r]
-            record(live, lam_next, residual_sq(self.R, Z[live], perp_sq[live], a), K[:, :r], a)
-            negative = np.flatnonzero((a < 0.0).any(axis=1))
+            record(live, lam_next, residual_sq(self.R, Z.take(live, axis=0), perp_sq[live], a),
+                   K[:, :r], a)
+            negative = np.flatnonzero(reduce_rows(np.logical_or, a < 0.0))
             if negative.size:
-                pool.append((records[-1], negative, live[negative], G[negative], atoms[negative]))
+                pool.append((records[-1], negative, live[negative], G.take(negative, axis=0),
+                             atoms.take(negative, axis=0)))
                 if 2 * sum(held.size for _, held, _, _, _ in pool) >= width:
                     refit_pool()
             go = (kind != TERMINATE) & (lam_next != 0.0)
             if not go.all():
-                live, atoms, G = (x[go] for x in (live, atoms, G))
-            G, atoms, sound = carry_inverse(Pz, G, atoms, kind[go] == ENTER, index[go])
-            lam = lam_next[go]
+                keep = np.flatnonzero(go)
+                live, lam_next, kind, index, atoms, G = (
+                    x.take(keep, axis=0) for x in (live, lam_next, kind, index, atoms, G))
+            G, atoms, sound = carry_inverse(Pz, G, atoms, kind == ENTER, index)
+            lam = lam_next
             rounds += 1
             if not sound.all():
                 truncated[live[~sound]] = True
-                live, lam, atoms, G = (x[sound] for x in (live, lam, atoms, G))
+                keep = np.flatnonzero(sound)
+                live, lam, atoms, G = (x.take(keep, axis=0) for x in (live, lam, atoms, G))
         over[live] = True
         refit_pool()
         self.stats["rounds"] += rounds
@@ -329,7 +334,8 @@ class PathWalk:
         if fell.size:
             X = self.nnls(start + fell)
             self.stats["fallback_calls"] += 1
-            record(fell, 0.0, residual_sq(self.R, Z[fell], perp_sq[fell], X), X > 0.0, X)
+            err = residual_sq(self.R, Z.take(fell, axis=0), perp_sq[fell], X)
+            record(fell, 0.0, err, X > 0.0, X)
 
         # Records come in round order, each column at most once per round, so
         # scattering them round by round to the next free slot of their column

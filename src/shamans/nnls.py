@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densela import (TOL, as_matrix, as_vector, carry_inverse, exponent, gram, support_solve,
-                      unscale)
+from .densela import (TOL, as_matrix, as_vector, carry_inverse, exponent, gram, reduce_rows,
+                      support_solve, unscale)
 from .errors import IterationLimit
 
 
@@ -68,13 +68,15 @@ def nnls_gram(P: np.ndarray, ell: np.ndarray, mask: np.ndarray | None = None,
     end below that floor are set to zero and the rest solved again, so the
     result stays a stationary refit.
     """
-    L = np.atleast_2d(ell)
+    # Rows are gathered by take(), which copies a strided array whole.
+    L = np.ascontiguousarray(np.atleast_2d(ell))
     n, r = L.shape
     mask = np.ones(L.shape, dtype=bool) if mask is None else np.atleast_2d(mask)
-    grad_floor = TOL * np.abs(np.where(mask, L, 0.0)).max(axis=1, initial=0.0)
-    p_max = np.where(mask, np.diagonal(P), 0.0).max(axis=1, initial=0.0)
+    mask = np.ascontiguousarray(mask)
+    grad_floor = TOL * reduce_rows(np.maximum, np.abs(np.where(mask, L, 0.0)), initial=0.0)
+    p_max = reduce_rows(np.maximum, np.where(mask, np.diagonal(P), 0.0), initial=0.0)
     floor = np.divide(grad_floor, p_max, out=np.zeros(n), where=p_max > 0.0)
-    size = mask.sum(axis=1)
+    size = reduce_rows(np.add, mask)
     max_pivots = 10 * size * (size + 1)
     pivots = np.zeros(n, dtype=np.int64)
     X = np.zeros(L.shape)
@@ -91,24 +93,38 @@ def nnls_gram(P: np.ndarray, ell: np.ndarray, mask: np.ndarray | None = None,
     def feasible(rows, Z):
         """Z, the rows' nonpositive passive entries in it, and which rows
         have none."""
-        neg = passive[rows] & (Z <= 0.0)
-        return Z, neg, ~neg.any(axis=1)
+        neg = passive.take(rows, axis=0) & (Z <= 0.0)
+        return Z, neg, ~reduce_rows(np.logical_or, neg)
 
     def solve_on(rows):
         """feasible() of the least squares on the rows' passive sets."""
         if not rows.size:  # the loops below end on no rows: solve nothing
-            return feasible(rows, X[rows])
-        return feasible(rows, support_solve(Pz, G[rows], atoms[rows], Lz[rows, None])[:, 0, :r])
+            return feasible(rows, X.take(rows, axis=0))
+        return feasible(rows, support_solve(Pz, G.take(rows, axis=0), atoms.take(rows, axis=0),
+                                            Lz.take(rows, axis=0)[:, None])[:, 0, :r])
+
+    def settle(rows, Z, neg, ok):
+        """Write the feasible rows' solutions to X; returns the other rows,
+        with their Z and neg."""
+        done, rest = np.flatnonzero(ok), np.flatnonzero(~ok)
+        X[rows.take(done)] = Z.take(done, axis=0)
+        return rows.take(rest), Z.take(rest, axis=0), neg.take(rest, axis=0)
+
+    def nonempty(rows):
+        """The rows whose passive set is not empty."""
+        return rows[reduce_rows(np.logical_or, passive.take(rows, axis=0))]
 
     def carry(rows, index, enter):
         """Move index[i] into or out of row rows[i]'s passive set, or bar an
         entering atom whose update is unsound; returns the rows that moved."""
-        g, a, sound = carry_inverse(Pz, G[rows], atoms[rows], np.full(rows.size, enter), index)
+        g, a, sound = carry_inverse(Pz, G.take(rows, axis=0), atoms.take(rows, axis=0),
+                                    np.full(rows.size, enter), index)
         if not sound.all():
-            barred[rows[~sound], index[~sound]] = True
-            rows, index, g, a = rows[sound], index[sound], g[sound], a[sound]
+            barred.reshape(-1)[rows[~sound] * r + index[~sound]] = True
+            keep = np.flatnonzero(sound)
+            rows, index, g, a = (x.take(keep, axis=0) for x in (rows, index, g, a))
         G[rows], atoms[rows] = g, a
-        passive[rows, index] = enter
+        passive.reshape(-1)[rows * r + index] = enter
         barred[rows] = False
         return rows
 
@@ -117,8 +133,9 @@ def nnls_gram(P: np.ndarray, ell: np.ndarray, mask: np.ndarray | None = None,
         while rows.size:
             first = out.argmax(axis=1)
             carry(rows, first, False)
-            out[np.arange(rows.size), first] = False
-            rows, out = rows[out.any(axis=1)], out[out.any(axis=1)]
+            out.reshape(-1)[np.arange(rows.size) * r + first] = False
+            keep = np.flatnonzero(reduce_rows(np.logical_or, out))
+            rows, out = rows.take(keep), out.take(keep, axis=0)
 
     def count_pivots(rows, added):
         pivots[rows] += added
@@ -128,54 +145,49 @@ def nnls_gram(P: np.ndarray, ell: np.ndarray, mask: np.ndarray | None = None,
                                  row=int(over[0]))
 
     # Warm start: drop nonpositive coefficients until the solve is feasible.
-    rows = np.flatnonzero(passive.any(axis=1))
-    Z, neg, ok = feasible(rows, Z[rows])
+    rows = np.flatnonzero(reduce_rows(np.logical_or, passive))
+    rows, _, neg = settle(rows, *feasible(rows, Z.take(rows, axis=0)))
     while rows.size:
-        X[rows[ok]] = Z[ok]
-        rows = rows[~ok]
-        drop(rows, neg[~ok])
-        rows = rows[passive[rows].any(axis=1)]
-        Z, neg, ok = solve_on(rows)
+        drop(rows, neg)
+        rows = nonempty(rows)
+        rows, _, neg = settle(rows, *solve_on(rows))
 
     live = np.arange(n)
     while True:
-        free = mask[live] & ~(passive | barred)[live]
-        w = np.where(free, L[live] - X[live] @ P.T, -np.inf)
+        free = mask.take(live, axis=0) & ~(passive | barred).take(live, axis=0)
+        w = np.where(free, L.take(live, axis=0) - X.take(live, axis=0) @ P.T, -np.inf)
         entering = w.argmax(axis=1)  # first maximum, i.e. smallest index
-        grow = w[np.arange(live.size), entering] > grad_floor[live]
+        grow = w.take(np.arange(live.size) * r + entering) > grad_floor[live]
         live = live[grow]
         if not live.size:
             break
         rows = carry(live, entering[grow], True)
         count_pivots(rows, 1)
         while rows.size:
-            Z, neg, ok = solve_on(rows)
-            X[rows[ok]] = Z[ok]
-            rows, Z, neg = rows[~ok], Z[~ok], neg[~ok]
+            rows, Z, neg = settle(rows, *solve_on(rows))
             if not rows.size:
                 break
             # Walk toward Z until the first passive coordinate hits zero.
-            x = X[rows]
+            x = X.take(rows, axis=0)
             denom = x - Z
             steps = np.where(denom > 0.0, x / np.where(denom > 0.0, denom, 1.0), 0.0)
-            alpha = np.where(neg, steps, np.inf).min(axis=1)
+            alpha = reduce_rows(np.minimum, np.where(neg, steps, np.inf))
             x += alpha[:, None] * (Z - x)
-            out = passive[rows] & (x <= floor[rows, None])
+            out = passive.take(rows, axis=0) & (x <= floor.take(rows)[:, None])
             x[out] = 0.0
             X[rows] = x
-            count_pivots(rows, out.sum(axis=1))
+            count_pivots(rows, reduce_rows(np.add, out))
             drop(rows, out)
-            rows = rows[passive[rows].any(axis=1)]
+            rows = nonempty(rows)
 
     snapped = (X != 0.0) & (X < floor[:, None])
     if snapped.any():
         # Zeroing a coefficient moves the others' optimum: refit on the rest.
         X[snapped] = 0.0
-        rows = np.flatnonzero(snapped.any(axis=1))
-        drop(rows, snapped[rows])
-        rows = rows[passive[rows].any(axis=1)]
-        Z, _, ok = solve_on(rows)
-        X[rows[ok]] = Z[ok]
+        rows = np.flatnonzero(reduce_rows(np.logical_or, snapped))
+        drop(rows, snapped.take(rows, axis=0))
+        rows = nonempty(rows)
+        settle(rows, *solve_on(rows))
     return X.reshape(np.shape(ell))
 
 

@@ -399,6 +399,48 @@ class TestExponent:
             densela.unscale(X, 1025, "H")
 
 
+class TestReduceRows:
+    """reduce_rows reduces over the batch axis of a transposed copy; for
+    every ufunc the solvers pass it, it gives ufunc.reduce(x, axis=-1)'s
+    dtype, shape and bits."""
+
+    @staticmethod
+    def assert_same(ufunc, x, **kwargs):
+        want = ufunc.reduce(x, axis=-1, **kwargs)
+        got = densela.reduce_rows(ufunc, x, **kwargs)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), (ufunc, x.shape, kwargs)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 4), (9, 1), (2000, 4), (33, 24), (7, 13)])
+    def test_float_bool_and_int_rows(self, shape):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        x = rng.standard_normal(shape)
+        x[rng.random(shape) < 0.2] = 0.0
+        x[rng.random(shape) < 0.2] = -0.0  # signed zeros tie in max and min
+        x[rng.random(shape[0]) < 0.1, rng.integers(0, shape[1])] = np.nan
+        ints = rng.integers(-3, 4, shape)
+        for ufunc in (np.maximum, np.minimum):
+            self.assert_same(ufunc, x)
+            self.assert_same(ufunc, x, initial=0.0)
+            self.assert_same(ufunc, x[:, ::2])  # a strided view
+            self.assert_same(ufunc, ints, initial=0)
+        for ufunc in (np.logical_or, np.logical_and, np.add):
+            self.assert_same(ufunc, x < 0.0)
+            self.assert_same(ufunc, np.isnan(x)[:, ::-1])
+        self.assert_same(np.add, ints)
+
+    def test_empty_rows_and_empty_stacks(self):
+        for shape in ((5, 0), (0, 4), (0, 0)):
+            x = np.zeros(shape)
+            self.assert_same(np.maximum, x, initial=0.0)
+            self.assert_same(np.minimum, x, initial=np.inf)
+            for ufunc in (np.logical_or, np.logical_and, np.add):
+                self.assert_same(ufunc, x < 0.0)
+        self.assert_same(np.maximum, np.zeros((0, 4)))  # no row: no initial needed
+        with pytest.raises(ValueError):
+            densela.reduce_rows(np.maximum, np.zeros((5, 0)))
+
+
 class TestValidation:
     def test_as_matrix_c_order(self):
         A = densela.as_matrix(np.asfortranarray(np.arange(6, dtype=float).reshape(2, 3)))

@@ -701,6 +701,37 @@ def test_split_groups_keep_the_inverses_within_budget(monkeypatch):
     assert not any(p.truncated for p in paths + walk_all(A, B))
 
 
+def test_column_order_within_a_block_changes_no_path():
+    # 300 columns over 12 atoms, one block, each column scaled by its own
+    # power of two, and the last atom within 1e-9 of (A0 + A1)/2: pooled
+    # refits drop atoms and some paths truncate.  Walked
+    # in a permuted order, each column's path has the same lam, support and
+    # solution bytes and the same flags, and the walk the same counts: the
+    # rounds' gathers and compactions route each column to its own data.
+    # error_sq may move by an ulp: range_split's Q Z.T product (BLAS)
+    # rounds a column by its position in the block.
+    rng = np.random.default_rng(0)
+    m, r, n = 40, 12, 300
+    A = rng.random((m, r)) + 0.05
+    A[:, r - 1] = 0.5 * (A[:, 0] + A[:, 1]) + 1e-9 * rng.random(m)
+    B = np.ldexp(rng.random((m, n)), rng.integers(-30, 31, n))
+    assert homotopy.block_width(r) >= n
+    perm = rng.permutation(n)
+    walks = PathWalk(A, B), PathWalk(A, B[:, perm])
+    want = [walks[0].path(j) for j in perm]
+    got = [walks[1].path(i) for i in range(n)]
+    assert walks[0].refits > 300 and 0 < sum(p.truncated for p in want) < n
+    for g, w in zip(got, want):
+        assert (g.truncated, g.fallback) == (w.truncated, w.fallback)
+        for field in ("lam", "support", "solution"):
+            assert g.entries[field].tobytes() == w.entries[field].tobytes()
+        np.testing.assert_allclose(g.entries["error_sq"], w.entries["error_sq"], rtol=4 * EPS,
+                                   atol=0)
+    counts = [(w.refits, w.stats["rounds"], w.stats["refit_calls"], w.stats["fallback_calls"])
+              for w in walks]
+    assert counts[0] == counts[1]
+
+
 def test_record_invariants(monkeypatch):
     # Data uncorrelated with a 12-atom dictionary: many least-squares
     # solutions on a support go negative, and their refits drop atoms.

@@ -337,3 +337,47 @@ def test_rank_deficient_entering_atom_is_barred(tiny_pivots):
     assert 0 < barred < 40
     X = nnls_gram(P, ell)
     np.testing.assert_allclose(X, alone, rtol=0, atol=1e-12 * np.abs(X).max())
+
+
+def test_row_order_changes_no_bit(tiny_pivots):
+    # 400 rows over 6 atoms, atom 5 within 1e-9 of (A0 + A1)/2, each row
+    # scaled by its own power of two, solved from the empty passive set,
+    # unmasked and masked, and from the least-squares solutions on the masks
+    # with their inverses.  Row 0 has an empty mask and row 1 has ell = 0;
+    # unmasked rows bar atom 5, and warm rows drop several atoms.  Solved in
+    # a permuted order, each row's result, and the G and atoms carried in
+    # place, are the same bytes: every gather and scatter of the block
+    # routes each row to its own data and thresholds.
+    rng = np.random.default_rng(31)
+    m, r, n = 12, 6, 400
+    A = rng.random((m, r)) + 0.05
+    A[:, 5] = 0.5 * (A[:, 0] + A[:, 1]) + 1e-9 * rng.random(m)
+    B = rng.random((m, n))
+    B[:, ::2] -= 0.5 * A @ rng.random((r, n // 2))
+    B = np.ldexp(B, rng.integers(-30, 31, n))
+    P, ell = gram(A), (A.T @ B).T
+    ell[1] = 0.0
+    mask = rng.random((n, r)) < 0.6
+    mask[:, 5] &= ~(mask[:, 0] & mask[:, 1])  # no mask holds a near-singular block of P
+    mask[0] = False
+    slots = np.where(mask, np.arange(r), r)
+    G = np.zeros((n, r, r))
+    for i, on in enumerate(mask):
+        G[i][np.ix_(on, on)] = np.linalg.inv(P[np.ix_(on, on)])
+    _, _, Z = warm_start(G, slots, ell)
+    assert (((Z < 0.0) & mask).sum(axis=1) >= 2).sum() > 100
+    perm = rng.permutation(n)
+
+    tiny_pivots.clear()
+    X = nnls_gram(P, ell)
+    assert any(tiny_pivots) and not X[1].any()
+    assert nnls_gram(P, ell[perm]).tobytes() == X[perm].tobytes()
+    X = nnls_gram(P, ell, mask)
+    assert nnls_gram(P, ell[perm], mask[perm]).tobytes() == X[perm].tobytes()
+    stacks = (G.copy(), slots.copy()), (G[perm], slots[perm])
+    X, Xp = (nnls_gram(P, e, k, start=(*s, z)) for e, k, s, z in
+             zip((ell, ell[perm]), (mask, mask[perm]), stacks, (Z, Z[perm])))
+    assert not X[0].any() and not X[1].any()
+    assert Xp.tobytes() == X[perm].tobytes()
+    for carried, permuted in zip(*stacks):
+        assert permuted.tobytes() == carried[perm].tobytes()
