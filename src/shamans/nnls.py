@@ -68,11 +68,9 @@ def nnls_gram(P: np.ndarray, ell: np.ndarray, mask: np.ndarray | None = None,
     end below that floor are set to zero and the rest solved again, so the
     result stays a stationary refit.
     """
-    # Rows are gathered by take(), which copies a strided array whole.
-    L = np.ascontiguousarray(np.atleast_2d(ell))
+    L = np.atleast_2d(ell)
     n, r = L.shape
     mask = np.ones(L.shape, dtype=bool) if mask is None else np.atleast_2d(mask)
-    mask = np.ascontiguousarray(mask)
     grad_floor = TOL * reduce_rows(np.maximum, np.abs(np.where(mask, L, 0.0)), initial=0.0)
     p_max = reduce_rows(np.maximum, np.where(mask, np.diagonal(P), 0.0), initial=0.0)
     floor = np.divide(grad_floor, p_max, out=np.zeros(n), where=p_max > 0.0)
@@ -120,7 +118,7 @@ def nnls_gram(P: np.ndarray, ell: np.ndarray, mask: np.ndarray | None = None,
         g, a, sound = carry_inverse(Pz, G.take(rows, axis=0), atoms.take(rows, axis=0),
                                     np.full(rows.size, enter), index)
         if not sound.all():
-            barred.reshape(-1)[rows[~sound] * r + index[~sound]] = True
+            barred[rows[~sound], index[~sound]] = True
             keep = np.flatnonzero(sound)
             rows, index, g, a = (x.take(keep, axis=0) for x in (rows, index, g, a))
         G[rows], atoms[rows] = g, a
