@@ -52,6 +52,7 @@ support rank deficient, and the path ends at its NNLS entry instead.
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,6 +115,41 @@ class RegularizationPath:
     fallback: bool = False
 
 
+class PathSet(Sequence):
+    """Every column's path, with the fields the cost tables read made flat.
+
+    Item j is column j's RegularizationPath.  ``error_sq`` and ``solution``
+    hold every entry's fields, the paths concatenated in column order,
+    ``counts[j]`` the number of entries of path j, and ``truncated`` and
+    ``fallback`` the paths' flags, as (n,) arrays.  ``records`` are the
+    record arrays the entries come from, in order, each holding whole
+    consecutive paths: a walk's blocks (PathWalk.paths) or each path's
+    own entries (of).  Their two fields are concatenated once, into
+    contiguous arrays, which the tables' scatters read fastest.
+    """
+
+    def __init__(self, paths, records, counts, truncated, fallback):
+        self._paths = paths
+        self.counts, self.truncated, self.fallback = counts, truncated, fallback
+        # Field by field: concatenating the records would resolve their dtype per array.
+        self.error_sq, self.solution = (np.concatenate([entries[name] for entries in records])
+                                        for name in ("error_sq", "solution"))
+
+    @classmethod
+    def of(cls, paths):
+        """The set of a sequence of RegularizationPaths."""
+        return cls(paths, [path.entries for path in paths],
+                   np.array([len(path.entries) for path in paths], dtype=np.int64),
+                   *(np.array([getattr(path, flag) for path in paths], dtype=bool)
+                     for flag in ("truncated", "fallback")))
+
+    def __len__(self):
+        return len(self._paths)
+
+    def __getitem__(self, j):
+        return self._paths[j]
+
+
 def next_breakpoint(a, b, c, d, K, lambda_current, leave_tol: float, enter_tol: float):
     """Largest penalties below ``lambda_current`` where the supports change.
 
@@ -164,13 +200,14 @@ class PathWalk:
     """Regularization paths of every column of B over one dictionary A.
 
     Columns are walked block_width(r) at a time, in lockstep, when
-    regularization_path first asks for a column of the block.  A column
-    whose path exceeds ``max_breakpoints``, 50 r, ends early with
-    ``fallback`` set (RegularizationPath); the cap only guards against
-    cycling, and no argument sets it.  ``refits`` and ``stats`` say what
-    the blocks walked so far did, as mnnls.UnmixReport's ``refits`` and
-    ``walk``.  An IterationLimit from an active-set solve, a refit's or a
-    fallback's, leaves with ``column`` set to the data column.
+    regularization_path first asks for a column of the block, or paths
+    for all of them.  A column whose path exceeds ``max_breakpoints``,
+    50 r, ends early with ``fallback`` set (RegularizationPath); the cap
+    only guards against cycling, and no argument sets it.  ``refits`` and
+    ``stats`` say what the blocks walked so far did, as
+    mnnls.UnmixReport's ``refits`` and ``walk``.  An IterationLimit from
+    an active-set solve, a refit's or a fallback's, leaves with
+    ``column`` set to the data column.
 
     A and B are read row-major (densela.as_matrix), so their layout changes
     no result.  The walk runs on A 2^-a and B 2^-b, ``exponents`` (a, b)
@@ -197,10 +234,11 @@ class PathWalk:
         self.P = densela.gram(self.A)
         self.L = np.ldexp(self.A, -b).T @ B  # A.T B 2^-b, with no scaled copy of B
         self.B = B
-        r = self.P.shape[0]
+        r, n = self.L.shape
         self.max_breakpoints = 50 * r
         self.block = block_width(r)  # columns walked together
-        self._paths = {}  # column -> RegularizationPath
+        self._paths = [None] * n  # column -> RegularizationPath
+        self._blocks = {}  # first column -> (entries, counts, truncated, fallback)
         self.refits = 0
         self.stats = {"rounds": 0, "refit_calls": 0, "refit_ms": 0.0, "fallback_calls": 0}
 
@@ -351,10 +389,11 @@ class PathWalk:
         for cols in owners:
             entries.view(raw)[slot[cols]] = records.pop().view(raw)
             slot[cols] += 1
+        self._blocks[start] = (entries, counts, truncated, over)
         ends = ends.tolist()
-        for p, (lo, hi, cut, capped) in enumerate(zip([0] + ends, ends, truncated.tolist(),
-                                                      over.tolist())):
-            self._paths[start + p] = RegularizationPath(entries[lo:hi], cut, capped)
+        self._paths[start:stop] = [
+            RegularizationPath(entries[lo:hi], cut, capped)
+            for lo, hi, cut, capped in zip([0] + ends, ends, truncated.tolist(), over.tolist())]
 
     def nnls(self, cols: np.ndarray) -> np.ndarray:
         """NNLS optima of the data columns ``cols``, in the walk's units, by
@@ -389,13 +428,23 @@ class PathWalk:
         return err, norm
 
     def path(self, j: int) -> RegularizationPath:
-        if j not in self._paths:
-            n = self.L.shape[1]
-            if not 0 <= j < n:
-                raise IndexError(f"column {j} is out of range for a walk over {n} columns")
+        n = len(self._paths)
+        if not 0 <= j < n:
+            raise IndexError(f"column {j} is out of range for a walk over {n} columns")
+        if self._paths[j] is None:
             start = j - j % self.block
             self._walk(start, min(start + self.block, n))
         return self._paths[j]
+
+    def paths(self) -> PathSet:
+        """Every column's path, the blocks not walked yet walked first: item
+        j is path(j), and the flat fields are the blocks' records'."""
+        starts = range(0, len(self._paths), self.block)
+        for start in starts:
+            self.path(start)
+        records, counts, truncated, fallback = zip(*map(self._blocks.get, starts))
+        return PathSet(self._paths, records,
+                       *map(np.concatenate, (counts, truncated, fallback)))
 
     def unscaled_path(self, j: int) -> RegularizationPath:
         """Column j's path in the units of A and B, a copy: lam times

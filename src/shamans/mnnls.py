@@ -213,9 +213,11 @@ def solve(M, W, cfg: SolveConfig):
     else:
         # Every path passes the public per-column call, where the benchmark's
         # trace counts breakpoints; a block is walked on its first read.
-        paths = [regularization_path(W, M[:, j], walk=walk, column=j) for j in range(n)]
+        for j in range(n):
+            regularization_path(W, M[:, j], walk=walk, column=j)
         lap("paths")
 
+        paths = walk.paths()
         tables = selector.build_cost_tables(paths, r, n)
         lap("tables")
 
@@ -233,15 +235,14 @@ def solve(M, W, cfg: SolveConfig):
         # A selected cell is its entry's measured residual; row 0 holds ||M_j||^2.
         report = _summary(H, np.sqrt(tables.cost[cursors, np.arange(n)].sum()),
                           np.sqrt(tables.cost[0].sum()))
-        report.truncated_columns = [j for j, path in enumerate(paths) if path.truncated]
-        report.fallback_columns = [j for j, path in enumerate(paths) if path.fallback]
+        report.truncated_columns = np.flatnonzero(paths.truncated).tolist()
+        report.fallback_columns = np.flatnonzero(paths.fallback).tolist()
         # A fallback or truncated path skips to its NNLS entry: only level r,
         # that entry's, is read as on the full path.  A path that steps but
         # costs the same at every level had its errors underflow to ties.
-        inexact = {j for j in report.fallback_columns + report.truncated_columns
-                   if cursors[j] < r}
-        steps = np.array([len(path.entries) - 1 for path in paths])
-        inexact.update(np.flatnonzero((steps > 0) & (tables.cost[0] == tables.cost[r])).tolist())
+        steps = paths.counts - 1
+        inexact = set(np.flatnonzero((paths.fallback | paths.truncated) & (cursors < r)
+                                     | (steps > 0) & (tables.cost[0] == tables.cost[r])).tolist())
         report.breakpoints = int(steps.sum())
         report.breakpoint_histogram = [int(c) for c in np.bincount(steps)]
         report.refits = walk.refits

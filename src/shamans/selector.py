@@ -15,16 +15,27 @@ once, and the picks are a prefix of them.  select takes at once every
 segment of that prefix that leaves part of the budget unspent, and
 select_step, the one-step primitive, makes the rest: the pick that
 reaches q and, in strict mode, the advances that still fit.
+
+A table's levels run down axis 0 and its columns along axis 1, the long,
+contiguous batch axis, so every per-column reduction runs along that axis
+by densela's rule: running sums are cumsum's additions, made row by row;
+a column's first maximum is max(axis=0) and the smallest row that attains
+it, where numpy's argmax would walk each column apart; and init_gain's
+stable order comes from the default sort, each run of equal keys
+re-sorted by index.  Each form gives the bits of the one it replaced
+(tests/oracles.py keeps those).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
+from .densela import reduce_rows
 from .errors import MissingZeroEntry
-from .homotopy import RegularizationPath
+from .homotopy import PathSet, RegularizationPath
 
 
 @dataclass
@@ -78,38 +89,40 @@ class SelectionState:
     last_pick: tuple | None = None
 
 
-def build_cost_tables(paths: list[RegularizationPath], r: int, n: int) -> CostTables:
+def build_cost_tables(paths: Sequence[RegularizationPath], r: int, n: int) -> CostTables:
     """Fold per-column paths into the (r+1) x n cost table.
 
     Cell (k, j) holds the best error among column j's path solutions with
     at most k nonzeros, so columns are nonincreasing by construction.  The
-    paths' error and solution fields are concatenated once and each
-    entry's level is its solution's number of nonzeros: one scatter takes
-    every level's minimum, then one carry down the levels extends it to
-    "at most k", keeping the entry earlier in path order on ties.
+    paths' error and solution fields are read flat from a PathSet, such as
+    PathWalk.paths gives; any other sequence of paths is made one first
+    (PathSet.of).  Each entry's level is its solution's number of
+    nonzeros: one scatter takes every level's minimum, then one carry down
+    the levels extends it to "at most k", keeping the entry earlier in
+    path order on ties.
     """
+    if not isinstance(paths, PathSet):
+        paths = PathSet.of(paths)
     if len(paths) != n:
         raise ValueError(f"expected {n} paths, got {len(paths)}")
-    column = np.repeat(np.arange(n), [len(path.entries) for path in paths])
-    # Field by field: concatenating the records would resolve their dtype per path.
-    err, solutions = (np.concatenate([path.entries[name] for path in paths])
-                      for name in ("error_sq", "solution"))
-    card = np.count_nonzero(solutions, axis=1)
-    first = np.flatnonzero(np.diff(column, prepend=-1))  # of every nonempty path
+    err, solutions, counts = paths.error_sq, paths.solution, paths.counts
+    card = reduce_rows(np.add, solutions != 0.0)
+    nonempty = np.flatnonzero(counts)
     bad = np.ones(n, dtype=bool)
-    bad[column[first]] = card[first] != 0
+    bad[nonempty] = card[(np.cumsum(counts) - counts)[nonempty]] != 0  # first entries
     if bad.any():
         raise MissingZeroEntry(f"path for column {bad.argmax()} lacks the zero-solution entry")
+    cell = card * n + np.repeat(np.arange(n), counts)  # flat index of (level, column)
     cost = np.full((r + 1, n), np.inf)
-    np.minimum.at(cost, (card, column), err)
+    np.minimum.at(cost.reshape(-1), cell, err)
     source = np.full((r + 1, n), card.size)
-    attains = np.flatnonzero(err == cost[card, column])
-    np.minimum.at(source, (card[attains], column[attains]), attains)
+    attains = np.flatnonzero(err == cost.take(cell))
+    np.minimum.at(source.reshape(-1), cell[attains], attains)
     for k in range(1, r + 1):
         carry = (cost[k - 1] < cost[k]) | ((cost[k - 1] == cost[k])
                                            & (source[k - 1] < source[k]))
-        cost[k, carry] = cost[k - 1, carry]
-        source[k, carry] = source[k - 1, carry]
+        np.copyto(cost[k], cost[k - 1], where=carry)
+        np.copyto(source[k], source[k - 1], where=carry)
     return CostTables(cost=cost, source=source, solutions=solutions)
 
 
@@ -117,11 +130,28 @@ def gain_table(delta: np.ndarray, cursors: np.ndarray) -> np.ndarray:
     """Mean error decrease per nonzero of every cursor advance.
 
     Entry (i, j) is sum(delta[cursor_j:i+1, j]) / (i+1 - cursor_j) for
-    levels i+1 above column j's cursor and 0 at or below it.
+    levels i+1 above column j's cursor and 0 at or below it.  The running
+    sums are cumsum's additions, made row by row.
     """
     rows = np.arange(delta.shape[0])[:, None]
-    return (np.cumsum(np.where(rows >= cursors, delta, 0.0), axis=0)
-            / np.maximum(rows + 1 - cursors, 1))
+    gains = np.where(rows >= cursors, delta, 0.0)
+    for i in range(1, len(gains)):
+        gains[i] += gains[i - 1]
+    gains /= np.maximum(rows + 1 - cursors, 1)
+    return gains
+
+
+def _stable_order(key: np.ndarray) -> np.ndarray:
+    """np.argsort(key, kind="stable") of a key with no NaN, from the default
+    sort: each run of equal keys it leaves is re-sorted by index."""
+    order = np.argsort(key)
+    starts = np.ones(order.size, dtype=bool)  # of the runs
+    sorted_key = key[order]
+    np.not_equal(sorted_key[1:], sorted_key[:-1], out=starts[1:])
+    offset = np.cumsum(starts) * order.size
+    # The sums are distinct, so every sort orders them alike; timsort is the
+    # fastest on sums this close to sorted.
+    return np.sort(offset + order, kind="stable") - offset
 
 
 def init_gain(tables: CostTables) -> SelectionState:
@@ -144,35 +174,37 @@ def init_gain(tables: CostTables) -> SelectionState:
     gains = np.zeros((r, n))
     active = np.arange(n)
     for k in range(r):
-        G = gain_table(delta[:, active], cursors[active])
-        rows = np.argmax(G, axis=0)
-        best = G[rows, np.arange(active.size)]
+        G = gain_table(delta.take(active, axis=1), cursors[active])
+        best = G.max(axis=0)
+        rows = np.where(G == best, np.arange(r)[:, None], r).min(axis=0)  # the first
         keep = best > 0.0
         active, rows = active[keep], rows[keep]
         gains[k, active] = best[keep]
         cursors[active] = levels[k, active] = rows + 1
+        if k:
+            np.minimum(gains[k], gains[k - 1], out=gains[k])  # the running minimum
     j, k = np.nonzero(levels.T)  # by column, then in order within it
-    order = np.argsort(-np.minimum.accumulate(gains, axis=0)[k, j], kind="stable")
-    j, k = j[order], k[order]
+    at = k * n + j  # flat indices into the (r, n) tables
+    order = _stable_order(-gains.take(at))
+    at, j = at.take(order), j.take(order)
     # A column has a segment in every round up to its last: row k-1 holds
     # the level its k-th segment starts from.
-    sizes = np.diff(levels, axis=0, prepend=0)[k, j]
+    sizes = np.diff(levels, axis=0, prepend=0).take(at)
     return SelectionState(cursors=np.zeros(n, dtype=np.int64), nnz_total=0,
-                          segments=np.column_stack((levels[k, j], j)), sizes=sizes)
+                          segments=np.column_stack((levels.take(at), j)), sizes=sizes)
 
 
 def _best_fitting(delta: np.ndarray, cursors: np.ndarray, remaining: int):
     """(level, column) of the best positive gain among advances of at
     most ``remaining`` nonzeros, or None."""
-    r, n = delta.shape
+    r = len(delta)
     allowed = np.arange(1, r + 1)[:, None] <= cursors + remaining
     masked = np.where(allowed, gain_table(delta, cursors), -np.inf)
-    rows = np.argmax(masked, axis=0)
-    vals = masked[rows, np.arange(n)]
+    vals = masked.max(axis=0)
     j = int(np.argmax(vals))
     if vals[j] <= 0.0:
         return None
-    return int(rows[j]) + 1, j
+    return int(np.argmax(masked[:, j])) + 1, j
 
 
 def select_step(state: SelectionState, tables: CostTables, q: int,

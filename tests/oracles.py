@@ -5,9 +5,11 @@ enumeration for NNLS, exhaustive cursor enumeration for the budgeted
 selection, a direct KKT evaluation of the penalized problem from each
 path entry's support, a one-column-at-a-time homotopy walk for the
 lockstep engine, a one-column-at-a-time active-set NNLS for the block
-solver, a lazy-heap greedy for the sorted hull-segment selection, a
-per-entry, per-level fold of the paths for the vectorized cost tables,
-and residuals formed in extended precision for the path entries' errors.
+solver, a lazy-heap greedy for the sorted hull-segment selection, the
+selector's gain table, segment sort and strict pick as argmax, cumsum and
+stable-sort reductions over the levels axis, a per-entry, per-level fold
+of the paths for the vectorized cost tables, and residuals formed in
+extended precision for the path entries' errors.
 """
 
 import heapq
@@ -19,6 +21,7 @@ from scipy.linalg.lapack import dpotrs
 from shamans.densela import TOL, gram, spd_factor
 from shamans.errors import IterationLimit, MissingZeroEntry, SingularSystem
 from shamans.homotopy import RegularizationPath, path_dtype
+from shamans.selector import SelectionState
 
 
 def nnls_bruteforce(A, b):
@@ -198,6 +201,52 @@ def reference_select(delta, q, strict=False):
         version[j] += 1
         push(j)
     return cursors, picks
+
+
+def reference_gain_table(delta, cursors):
+    """selector.gain_table by one cumsum over the levels axis, the form
+    its row-by-row running sums replaced."""
+    rows = np.arange(delta.shape[0])[:, None]
+    return (np.cumsum(np.where(rows >= cursors, delta, 0.0), axis=0)
+            / np.maximum(rows + 1 - cursors, 1))
+
+
+def reference_init_gain(delta):
+    """selector.init_gain's state from argmax(axis=0) of each round's gain
+    table, np.minimum.accumulate over the rounds and one stable sort: the
+    forms its reductions along the columns and its default sort replaced."""
+    r, n = delta.shape
+    cursors = np.zeros(n, dtype=np.int64)
+    levels = np.zeros((r, n), dtype=np.int64)
+    gains = np.zeros((r, n))
+    active = np.arange(n)
+    for k in range(r):
+        G = reference_gain_table(delta[:, active], cursors[active])
+        rows = np.argmax(G, axis=0)
+        best = G[rows, np.arange(active.size)]
+        keep = best > 0.0
+        active, rows = active[keep], rows[keep]
+        gains[k, active] = best[keep]
+        cursors[active] = levels[k, active] = rows + 1
+    j, k = np.nonzero(levels.T)
+    order = np.argsort(-np.minimum.accumulate(gains, axis=0)[k, j], kind="stable")
+    j, k = j[order], k[order]
+    sizes = np.diff(levels, axis=0, prepend=0)[k, j]
+    return SelectionState(cursors=np.zeros(n, dtype=np.int64), nnz_total=0,
+                          segments=np.column_stack((levels[k, j], j)), sizes=sizes)
+
+
+def reference_best_fitting(delta, cursors, remaining):
+    """selector._best_fitting by argmax(axis=0) of the masked gain table."""
+    r, n = delta.shape
+    allowed = np.arange(1, r + 1)[:, None] <= cursors + remaining
+    masked = np.where(allowed, reference_gain_table(delta, cursors), -np.inf)
+    rows = np.argmax(masked, axis=0)
+    vals = masked[rows, np.arange(n)]
+    j = int(np.argmax(vals))
+    if vals[j] <= 0.0:
+        return None
+    return int(rows[j]) + 1, j
 
 
 def solve_spd(S, rhs):

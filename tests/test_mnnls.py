@@ -628,6 +628,42 @@ class TestPathReport:
             counts.append((kept, len(report.fallback_columns)))
         assert counts[0][0] > counts[1][0] > 0 and counts[0][1] == 0 < counts[1][1]
 
+    def test_path_set_reads_as_the_paths(self, monkeypatch, breakpoint_cap):
+        # Five blocks of 8 columns, a near-dependent atom that truncates
+        # paths, a cap of 6 breakpoints that ends others early and two zero
+        # data columns: the walk's path set, one block walked before the
+        # rest, holds the walk's own paths; the tables built from it and from
+        # those paths listed one by one are byte-equal; and solve's path
+        # fields are the paths' own.
+        r, n = 5, 40
+        monkeypatch.setattr(homotopy_mod, "BUDGET", 8 * 6 * r)
+        rng = np.random.default_rng(5)
+        W = rng.random((12, r)) + 0.05
+        M = rng.random((12, n))
+        W[:, 4] = 0.5 * (W[:, 0] + W[:, 1]) + 1e-9 * rng.random(12)
+        M[:, [5, 21]] = 0.0
+        breakpoint_cap(6)
+        walk = mnnls_mod.PathWalk(W, M)
+        assert walk.block == 8
+        walk.path(n - 1)
+        paths = walk.paths()
+        listed = [walk.path(j) for j in range(n)]
+        assert len(paths) == n and all(paths[j] is listed[j] for j in range(n))
+        truncated = [j for j, path in enumerate(listed) if path.truncated]
+        fallback = [j for j, path in enumerate(listed) if path.fallback]
+        steps = [len(path.entries) - 1 for path in listed]
+        assert truncated and fallback and steps[5] == steps[21] == 0
+        flat, each = (build_cost_tables(p, r, n) for p in (paths, listed))
+        for name in ("cost", "source", "solutions"):
+            got, want = getattr(flat, name), getattr(each, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+        for cfg in (SolveConfig(mode="ksparse", k=3), SolveConfig(mode="shamans", q=60)):
+            _, report = solve(M, W, cfg)
+            assert report.truncated_columns == truncated
+            assert report.fallback_columns == fallback
+            assert report.breakpoint_histogram == np.bincount(steps).tolist()
+
 
 class TestWalkReport:
     """The report's ``walk`` entry against the walk's kernel calls, counted

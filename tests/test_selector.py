@@ -6,12 +6,13 @@ import pytest
 from shamans.errors import MissingZeroEntry
 from shamans.homotopy import (PathWalk, RegularizationPath, path_dtype,
                               regularization_path)
-from shamans.selector import (CostTables, assemble, build_cost_tables,
+from shamans.selector import (CostTables, _best_fitting, assemble, build_cost_tables,
                               gain_table, init_gain, select, select_step)
 
 import demo_data as dd
-from oracles import (min_error_by_total, random_cost_table,
-                     reference_cost_tables, reference_select)
+from oracles import (min_error_by_total, random_cost_table, reference_best_fitting,
+                     reference_cost_tables, reference_gain_table, reference_init_gain,
+                     reference_select)
 
 R, N = dd.DEMO_R, dd.DEMO_N
 
@@ -65,6 +66,23 @@ def random_paths(rng, r, n):
             entries.append((0.0, float(rng.integers(0, 7)), card))
         paths.append(synthetic_path(entries, r))
     return paths
+
+
+def tied_cost_table(rng, r, n):
+    """Cost columns whose deltas take a few dyadic values, so that equal
+    and zero deltas within a column are common and every difference is
+    exact, with about half the columns copies of earlier ones."""
+    delta = rng.choice([0.0, 0.25, 1.0, 3.0], size=(r, n))
+    for j in range(1, n):
+        if rng.random() < 0.5:
+            delta[:, j] = delta[:, rng.integers(j)]
+    cost = np.zeros((r + 1, n))
+    cost[:-1] = np.cumsum(delta[::-1], axis=0)[::-1]  # cost[k] = sum(delta[k:])
+    return cost
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestBuildCostTables:
@@ -204,6 +222,46 @@ class TestInitGain:
         assert (level, col) == (1, 1)
         assert gain_table(tables.delta, state.cursors)[0, 1] == pytest.approx(
             8.58349710771, abs=1e-9)
+
+
+class TestBatchAxisMatchesReference:
+    """gain_table, init_gain and _best_fitting reduce along the columns and
+    sort by the default sort; their outputs are byte-equal to the levels-axis
+    argmax, cumsum and stable-sort forms (oracles)."""
+
+    @staticmethod
+    def cost_tables(seed):
+        rng = np.random.default_rng(seed)
+        shapes = [(1, 1), (1, 6), (5, 1)] + [
+            (int(rng.integers(1, 7)), int(rng.integers(1, 9))) for _ in range(60)]
+        for r, n in shapes:
+            yield tied_cost_table(rng, r, n)
+            cost = random_cost_table(rng, r, n)
+            copies = rng.integers(0, n, size=n // 2)
+            cost[:, rng.integers(0, n, size=copies.size)] = cost[:, copies]
+            yield cost
+
+    def test_segments_and_sizes(self):
+        for cost in self.cost_tables(40):
+            tables = synthetic_tables(cost)
+            got, want = init_gain(tables), reference_init_gain(tables.delta)
+            assert same_bytes(got.segments, want.segments), cost
+            assert same_bytes(got.sizes, want.sizes), cost
+
+    def test_gain_tables_and_strict_picks(self):
+        rng = np.random.default_rng(41)
+        for cost in self.cost_tables(42):
+            delta = synthetic_tables(cost).delta
+            r, n = delta.shape
+            for cursors in [np.zeros(n, dtype=np.int64)] + [
+                    rng.integers(0, r + 1, size=n) for _ in range(6)]:
+                assert same_bytes(gain_table(delta, cursors),
+                                  reference_gain_table(delta, cursors)), (cost, cursors)
+                for remaining in range(r + 2):
+                    got = _best_fitting(delta, cursors, remaining)
+                    want = reference_best_fitting(delta, cursors, remaining)
+                    assert got == want, (cost, cursors, remaining)
+                    assert all(type(x) is int for x in got or ()), got
 
 
 class TestSelect:
